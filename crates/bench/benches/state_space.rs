@@ -12,8 +12,8 @@ use asme2ssme::{system_under_schedule, thread_under_schedule};
 use polychrony_core::affine_clocks::AffineRelation;
 use polychrony_core::port_link_for;
 use polyverify::{
-    DispatchFeasibility, Domain, FrontierMode, InputSpace, PortLink, ProductComponent,
-    ProductSystem, ProductVerifier, Property, Verifier, VerifyOptions,
+    DispatchFeasibility, Domain, InputSpace, PortLink, ProductComponent, ProductSystem,
+    ProductVerifier, Property, Verifier, VerifyOptions,
 };
 use sched::SchedulingPolicy;
 use signal_moc::builder::ProcessBuilder;
@@ -88,8 +88,7 @@ fn case_study_product(hyperperiods: usize) -> (ProductVerifier, Vec<Property>, u
     case_study_product_with(hyperperiods, |options| options)
 }
 
-/// Same workload with a caller-tuned [`VerifyOptions`] (frontier mode,
-/// memoisation, …) applied on top of the depth bound.
+/// Same workload with a caller-tuned [`VerifyOptions`] (memoisation, …) applied on top of the depth bound.
 fn case_study_product_with(
     hyperperiods: usize,
     tune: impl FnOnce(VerifyOptions) -> VerifyOptions,
@@ -222,40 +221,6 @@ fn bench_state_space(c: &mut Criterion) {
         group.throughput(Throughput::Elements(states as u64));
         group.bench_with_input(
             BenchmarkId::new("free_bfs_workers", workers),
-            &verifier,
-            |b, verifier| {
-                b.iter(|| {
-                    verifier
-                        .verify(black_box(&InputSpace::Free), black_box(&properties))
-                        .unwrap()
-                })
-            },
-        );
-    }
-
-    // Frontier-discipline comparison on the same free exploration: the
-    // level-barrier chunks versus the default work-stealing deques, at the
-    // same worker count.
-    for (label, frontier) in [
-        ("barrier", FrontierMode::Barrier),
-        ("work_stealing", FrontierMode::WorkStealing),
-    ] {
-        let verifier = Verifier::new(
-            &process,
-            VerifyOptions::default()
-                .with_workers(2)
-                .with_depth_bound(depth)
-                .with_frontier(frontier),
-        )
-        .unwrap();
-        let states = verifier
-            .verify(&InputSpace::Free, &properties)
-            .unwrap()
-            .stats
-            .states;
-        group.throughput(Throughput::Elements(states as u64));
-        group.bench_with_input(
-            BenchmarkId::new("free_bfs_frontier", label),
             &verifier,
             |b, verifier| {
                 b.iter(|| {

@@ -44,7 +44,6 @@ use asme2ssme::system_under_schedule;
 use polychrony_core::{
     port_link_for, ArtifactCache, BatchJob, CacheOutcome, PropertySpec, SessionOptions,
 };
-use polyverify::FrontierMode;
 use polyverify::{
     Collector, Domain, InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier,
     Property, Verifier, VerifyOptions,
@@ -426,30 +425,21 @@ fn symbolic_closure_headline() -> Result<SymbolicClosureHeadline, String> {
 /// bit-identical to its cold twin and the sweep is at least 3x faster.
 fn daemon_warm_vs_cold() -> Result<DaemonHeadline, String> {
     let mut jobs = Vec::new();
-    for frontier in [FrontierMode::WorkStealing, FrontierMode::Barrier] {
-        for pruning in [true, false] {
-            for with_property in [false, true] {
-                // Tool-chain default front end (four simulated
-                // hyper-periods, VCD capture) — the service-shaped
-                // workload the cache exists for — with a cheap verify
-                // phase per variant: the case study explores ~25 states
-                // per thread, so one in-process worker and a small
-                // interner pre-allocation fit it.
-                let mut options = SessionOptions::default();
-                options.verify.workers = 1;
-                options.verify.frontier = frontier;
-                options.verify.pruning = pruning;
-                options.verify.interner_capacity = 64;
-                if with_property {
-                    options.verify.properties = vec![PropertySpec::new("never raised(*Alarm*)")];
-                }
-                let name = format!(
-                    "sweep-{frontier:?}-prune{}-p{}",
-                    u8::from(pruning),
-                    u8::from(with_property)
-                );
-                jobs.push(BatchJob::case_study(name).with_options(options));
+    for hyperperiods in 1..=4 {
+        for with_property in [false, true] {
+            // Tool-chain default front end (four simulated hyper-periods,
+            // VCD capture) — the service-shaped workload the cache exists
+            // for — with a cheap verify phase per variant: the case study
+            // explores ~25 states per thread and verified hyper-period, so
+            // one in-process worker fits it.
+            let mut options = SessionOptions::default();
+            options.verify.workers = 1;
+            options.verify.hyperperiods = hyperperiods;
+            if with_property {
+                options.verify.properties = vec![PropertySpec::new("never raised(*Alarm*)")];
             }
+            let name = format!("sweep-hp{hyperperiods}-p{}", u8::from(with_property));
+            jobs.push(BatchJob::case_study(name).with_options(options));
         }
     }
 

@@ -50,7 +50,7 @@ use polyobs::Collector;
 
 use crate::batch::BatchJob;
 use crate::error::CoreError;
-use crate::options::SessionOptions;
+use crate::options::{groups_to_json, options_to_json, SessionOptions};
 use crate::session::{Analyzed, Session, Simulated};
 
 /// Default number of entries kept per cache level.
@@ -138,30 +138,30 @@ impl fmt::Display for CacheOutcome {
 }
 
 /// The fingerprint of the options that influence the front end
-/// (parse through analyze): scheduling policy and translation sizing.
-/// Rendered as text so it doubles as the collision check and as the
-/// human-readable cache-key component in logs.
+/// (parse through analyze): the JSON text of the `schedule` and
+/// `translate` option groups. Rendered as text so it doubles as the
+/// collision check and as the human-readable cache-key component in logs.
 pub fn frontend_fingerprint(options: &SessionOptions) -> String {
-    format!("{:?}|{:?}", options.schedule, options.translate)
+    groups_to_json(options, &["schedule", "translate"]).to_string()
 }
 
 /// The fingerprint of the options that influence parse through simulate:
-/// the frontend fingerprint plus the simulation horizon and VCD selection.
+/// the frontend groups plus the `simulate` group (horizon and VCD
+/// selection).
 pub fn simulated_fingerprint(options: &SessionOptions) -> String {
-    format!("{}|{:?}", frontend_fingerprint(options), options.simulate)
+    groups_to_json(options, &["schedule", "translate", "simulate"]).to_string()
 }
 
 /// The content hash identifying a whole job: source, root classifier and
-/// every result-relevant option (the collector is excluded — telemetry
-/// never changes results). [`BatchRunner`](crate::BatchRunner) dedupes
-/// submissions on this hash, and the daemon's cache keys derive from the
-/// same fields.
+/// every result-relevant option, i.e. the [`options_to_json`] text (the
+/// collector is excluded — telemetry never changes results).
+/// [`BatchRunner`](crate::BatchRunner) dedupes submissions on this hash,
+/// and the daemon's cache keys derive from the same fields.
 pub fn job_content_hash(job: &BatchJob) -> u64 {
     let mut h = Fnv64::new();
     h.write_field(job.source.as_bytes());
     h.write_field(job.root.as_bytes());
-    h.write_field(simulated_fingerprint(&job.options).as_bytes());
-    h.write_field(format!("{:?}", job.options.verify).as_bytes());
+    h.write_field(options_to_json(&job.options).to_string().as_bytes());
     h.finish()
 }
 
@@ -587,14 +587,62 @@ mod tests {
         assert_eq!(report.verification.as_ref().unwrap().hyperperiods, 3);
     }
 
+    /// The three keys of a job: frontend fingerprint, simulated fingerprint
+    /// and whole-job content hash.
+    fn keys(options: &SessionOptions) -> (String, String, u64) {
+        let job = BatchJob::case_study("keys").with_options(options.clone());
+        (
+            frontend_fingerprint(options),
+            simulated_fingerprint(options),
+            job_content_hash(&job),
+        )
+    }
+
     #[test]
-    fn fingerprints_separate_option_groups() {
-        let quick = quick();
-        let mut other = SessionOptions::quick();
-        other.verify.workers = 7;
-        assert_eq!(simulated_fingerprint(&quick), simulated_fingerprint(&other));
-        other.simulate.hyperperiods = 9;
-        assert_ne!(simulated_fingerprint(&quick), simulated_fingerprint(&other));
-        assert_eq!(frontend_fingerprint(&quick), frontend_fingerprint(&other));
+    fn each_option_moves_exactly_the_keys_that_include_its_group() {
+        use crate::options::{PropertySpec, VerificationScope, FIELDS};
+        use polyverify::Domain;
+
+        // One mutation per field of the option table, tagged with its group.
+        type Mutation = (&'static str, fn(&mut SessionOptions));
+        let mutations: Vec<Mutation> = vec![
+            ("schedule", |o| {
+                o.schedule.policy = sched::SchedulingPolicy::RateMonotonic
+            }),
+            ("translate", |o| o.translate.default_queue_size = 3),
+            ("simulate", |o| o.simulate.hyperperiods = 9),
+            ("simulate", |o| {
+                o.simulate.vcd = VcdCapture::Thread("thConsumer".into())
+            }),
+            ("verify", |o| o.verify.enabled = false),
+            ("verify", |o| o.verify.workers = 7),
+            ("verify", |o| o.verify.hyperperiods = 5),
+            ("verify", |o| o.verify.scope = VerificationScope::Product),
+            ("verify", |o| {
+                o.verify.properties = vec![PropertySpec::new("never Alarm")]
+            }),
+            ("verify", |o| o.verify.domain = Domain::Interval),
+            ("verify", |o| o.verify.project_counters = true),
+            ("verify", |o| o.verify.widen_threshold = 3),
+        ];
+        assert_eq!(mutations.len(), FIELDS.len(), "one mutation per field");
+
+        let base = quick();
+        let (front, sim, job) = keys(&base);
+        for (group, mutate) in mutations {
+            let mut changed = base.clone();
+            mutate(&mut changed);
+            let (front2, sim2, job2) = keys(&changed);
+            let in_front = matches!(group, "schedule" | "translate");
+            let in_sim = in_front || group == "simulate";
+            assert_eq!(front != front2, in_front, "{group}: frontend fingerprint");
+            assert_eq!(sim != sim2, in_sim, "{group}: simulated fingerprint");
+            assert_ne!(job, job2, "{group}: job content hash");
+        }
+
+        // Telemetry never changes a result, so it changes no key either.
+        let mut traced = base.clone();
+        traced.collector = Collector::full();
+        assert_eq!(keys(&traced), (front, sim, job));
     }
 }

@@ -81,10 +81,10 @@ pub use demo::{
 };
 pub use error::CoreError;
 pub use options::{
-    PropertySpec, ScheduleOptions, SessionOptions, SimulateOptions, TranslateOptions, VcdCapture,
-    VerificationOptions, VerificationScope,
+    options_from_json, options_to_json, PropertySpec, ScheduleOptions, SessionOptions,
+    SimulateOptions, TranslateOptions, VcdCapture, VerificationOptions, VerificationScope,
 };
-pub use pipeline::{ToolChain, ToolChainOptions};
+pub use pipeline::ToolChain;
 pub use polyobs::{
     CollectionMode, Collector, JsonLinesSink, PhaseRecord, ProgressBridge, ProgressReporter,
     ProgressUpdate, RunRecord,

@@ -12,10 +12,18 @@
 //! [`CoreError::InvalidOptions`] instead of being silently clamped, so a
 //! caller asking for zero workers or zero hyper-periods learns about the
 //! mistake instead of running with a different configuration than requested.
+//!
+//! Every option that can change a result also has exactly one entry in the
+//! field table behind [`options_to_json`]: its group, its key and its JSON
+//! encoding. The wire protocol, the daemon's job log and the artifact
+//! cache's fingerprints all derive from that one table.
+
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use polyverify::{Domain, FrontierMode, Property};
+use polyobs::json::Json;
+use polyverify::{Domain, Property};
 use sched::SchedulingPolicy;
 
 use crate::error::CoreError;
@@ -91,18 +99,6 @@ impl Default for ScheduleOptions {
         Self {
             policy: SchedulingPolicy::EarliestDeadlineFirst,
         }
-    }
-}
-
-impl ScheduleOptions {
-    /// Checks the options for consistency.
-    ///
-    /// # Errors
-    ///
-    /// Never fails today (every policy is valid); kept for uniformity with
-    /// the other phases so future fields get a validation home.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        Ok(())
     }
 }
 
@@ -211,18 +207,6 @@ pub struct VerificationOptions {
     /// standard safety properties in every scope (per-thread and product).
     /// Each expression must parse (see [`PropertySpec::parse`]).
     pub properties: Vec<PropertySpec>,
-    /// How each exploration level is distributed over the workers:
-    /// work-stealing frontier deques (the default fast path) or contiguous
-    /// barrier chunks. Verdicts are identical either way.
-    pub frontier: FrontierMode,
-    /// Clock-calculus pruning: the schedule's affine dispatch clocks are
-    /// exported as a feasibility oracle that skips free-mode input
-    /// valuations where a thread provably cannot dispatch, and the product
-    /// memoizes per-component resolved instants.
-    pub pruning: bool,
-    /// Initial capacity (in states) of the state interner. Must be at
-    /// least 1; the interner grows past it on demand.
-    pub interner_capacity: usize,
     /// The state-space domain: [`Domain::Concrete`] explores exact states,
     /// [`Domain::Interval`] widens property-invisible monotone counters so
     /// unbounded-counter spaces can close with a genuine proof (see
@@ -244,9 +228,6 @@ impl Default for VerificationOptions {
             hyperperiods: 1,
             scope: VerificationScope::PerThread,
             properties: Vec::new(),
-            frontier: FrontierMode::default(),
-            pruning: true,
-            interner_capacity: 4096,
             domain: Domain::Concrete,
             project_counters: false,
             widen_threshold: 8,
@@ -273,11 +254,6 @@ impl VerificationOptions {
         if self.hyperperiods == 0 {
             return Err(CoreError::InvalidOptions(
                 "verify.hyperperiods must be at least 1 (got 0)".into(),
-            ));
-        }
-        if self.interner_capacity == 0 {
-            return Err(CoreError::InvalidOptions(
-                "verify.interner_capacity must be at least 1 (got 0)".into(),
             ));
         }
         if self.widen_threshold < 1 {
@@ -341,11 +317,230 @@ impl SessionOptions {
     ///
     /// Returns the first [`CoreError::InvalidOptions`] raised by a phase.
     pub fn validate(&self) -> Result<(), CoreError> {
-        self.schedule.validate()?;
         self.translate.validate()?;
         self.simulate.validate()?;
         self.verify.validate()
     }
+}
+
+/// One result-relevant option: the group and key it is filed under on the
+/// wire, and its JSON encoding. The collector is not an option in this
+/// sense — telemetry never changes a result — so it has no entry.
+pub(crate) struct Field {
+    /// The option group: `schedule`, `translate`, `simulate` or `verify`.
+    group: &'static str,
+    /// The option's key inside its group.
+    key: &'static str,
+    encode: fn(&SessionOptions) -> Json,
+    /// Stores a decoded value; `None` when it has the wrong shape or label.
+    decode: fn(&mut SessionOptions, &Json) -> Option<()>,
+}
+
+fn count(v: &Json) -> Option<usize> {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+fn flag(v: &Json) -> Option<bool> {
+    match v {
+        Json::Bool(b) => Some(*b),
+        _ => None,
+    }
+}
+
+fn label(text: &str) -> Json {
+    Json::Str(text.to_string())
+}
+
+/// Every result-relevant option, once. Enum values use the CLI's stable
+/// labels (`edf`, `per-thread`, `interval`, …).
+pub(crate) const FIELDS: &[Field] = &[
+    Field {
+        group: "schedule",
+        key: "policy",
+        encode: |o| {
+            label(match o.schedule.policy {
+                SchedulingPolicy::RateMonotonic => "rm",
+                SchedulingPolicy::EarliestDeadlineFirst => "edf",
+                SchedulingPolicy::FixedPriority => "fp",
+            })
+        },
+        decode: |o, v| {
+            o.schedule.policy = match v.as_str()? {
+                "rm" => SchedulingPolicy::RateMonotonic,
+                "edf" => SchedulingPolicy::EarliestDeadlineFirst,
+                "fp" => SchedulingPolicy::FixedPriority,
+                _ => return None,
+            };
+            Some(())
+        },
+    },
+    Field {
+        group: "translate",
+        key: "default_queue_size",
+        encode: |o| Json::Num(o.translate.default_queue_size as f64),
+        decode: |o, v| {
+            o.translate.default_queue_size = count(v)?;
+            Some(())
+        },
+    },
+    Field {
+        group: "simulate",
+        key: "hyperperiods",
+        encode: |o| Json::Num(o.simulate.hyperperiods as f64),
+        decode: |o, v| {
+            o.simulate.hyperperiods = v.as_u64()?;
+            Some(())
+        },
+    },
+    Field {
+        group: "simulate",
+        key: "vcd",
+        encode: |o| match &o.simulate.vcd {
+            VcdCapture::First => label("first"),
+            VcdCapture::Off => label("off"),
+            VcdCapture::Thread(name) => {
+                Json::Obj(BTreeMap::from([("thread".to_string(), label(name))]))
+            }
+        },
+        decode: |o, v| {
+            o.simulate.vcd = match v {
+                Json::Str(text) if text == "first" => VcdCapture::First,
+                Json::Str(text) if text == "off" => VcdCapture::Off,
+                Json::Obj(_) => VcdCapture::Thread(v.get("thread")?.as_str()?.to_string()),
+                _ => return None,
+            };
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "enabled",
+        encode: |o| Json::Bool(o.verify.enabled),
+        decode: |o, v| {
+            o.verify.enabled = flag(v)?;
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "workers",
+        encode: |o| Json::Num(o.verify.workers as f64),
+        decode: |o, v| {
+            o.verify.workers = count(v)?;
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "hyperperiods",
+        encode: |o| Json::Num(o.verify.hyperperiods as f64),
+        decode: |o, v| {
+            o.verify.hyperperiods = v.as_u64()?;
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "scope",
+        encode: |o| {
+            label(match o.verify.scope {
+                VerificationScope::PerThread => "per-thread",
+                VerificationScope::Product => "product",
+            })
+        },
+        decode: |o, v| {
+            o.verify.scope = match v.as_str()? {
+                "per-thread" => VerificationScope::PerThread,
+                "product" => VerificationScope::Product,
+                _ => return None,
+            };
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "properties",
+        encode: |o| Json::Arr(o.verify.properties.iter().map(|p| label(&p.expr)).collect()),
+        decode: |o, v| {
+            o.verify.properties = v
+                .as_arr()?
+                .iter()
+                .map(|p| p.as_str().map(PropertySpec::new))
+                .collect::<Option<_>>()?;
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "domain",
+        encode: |o| label(o.verify.domain.as_str()),
+        decode: |o, v| {
+            o.verify.domain = Domain::parse(v.as_str()?)?;
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "project_counters",
+        encode: |o| Json::Bool(o.verify.project_counters),
+        decode: |o, v| {
+            o.verify.project_counters = flag(v)?;
+            Some(())
+        },
+    },
+    Field {
+        group: "verify",
+        key: "widen_threshold",
+        encode: |o| Json::Num(o.verify.widen_threshold as f64),
+        decode: |o, v| {
+            o.verify.widen_threshold = i64::try_from(v.as_u64()?).ok()?;
+            Some(())
+        },
+    },
+];
+
+/// Encodes the options of the named groups as one JSON object with an
+/// object per group. `Json::Obj` is ordered by key, so equal options always
+/// render to the same text — the artifact cache hashes that text.
+pub(crate) fn groups_to_json(options: &SessionOptions, groups: &[&str]) -> Json {
+    let mut out: BTreeMap<String, Json> = BTreeMap::new();
+    for field in FIELDS.iter().filter(|f| groups.contains(&f.group)) {
+        let group = out
+            .entry(field.group.to_string())
+            .or_insert_with(|| Json::Obj(BTreeMap::new()));
+        if let Json::Obj(group) = group {
+            group.insert(field.key.to_string(), (field.encode)(options));
+        }
+    }
+    Json::Obj(out)
+}
+
+/// Encodes every result-relevant option as a JSON object with one object
+/// per option group — the `options` payload of the wire protocol and the
+/// daemon's job log. The collector never crosses the wire.
+pub fn options_to_json(options: &SessionOptions) -> Json {
+    groups_to_json(options, &["schedule", "translate", "simulate", "verify"])
+}
+
+/// Decodes [`options_to_json`] output. Missing groups and keys keep their
+/// defaults (a client can send `{}`) and unknown keys are ignored (so job
+/// logs that still carry retired options replay); a present key must have
+/// the right shape and label, so a typoed policy is an error rather than a
+/// silently different run.
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidOptions`] naming the malformed key.
+pub fn options_from_json(v: &Json) -> Result<SessionOptions, CoreError> {
+    let mut options = SessionOptions::default();
+    for field in FIELDS {
+        if let Some(value) = v.get(field.group).and_then(|g| g.get(field.key)) {
+            (field.decode)(&mut options, value).ok_or_else(|| {
+                CoreError::InvalidOptions(format!("bad {}.{} {value}", field.group, field.key))
+            })?;
+        }
+    }
+    Ok(options)
 }
 
 #[cfg(test)]
@@ -373,14 +568,6 @@ mod tests {
         options.verify.hyperperiods = 0;
         let err = options.validate().unwrap_err();
         assert!(err.to_string().contains("verify.hyperperiods"), "{err}");
-
-        let mut options = SessionOptions::default();
-        options.verify.interner_capacity = 0;
-        let err = options.validate().unwrap_err();
-        assert!(
-            err.to_string().contains("verify.interner_capacity"),
-            "{err}"
-        );
 
         let mut options = SessionOptions::default();
         options.translate.default_queue_size = 0;
@@ -414,5 +601,51 @@ mod tests {
             options.validate(),
             Err(CoreError::InvalidOptions(_))
         ));
+    }
+
+    #[test]
+    fn options_round_trip_all_enum_labels() {
+        let mut options = SessionOptions::default();
+        options.schedule.policy = SchedulingPolicy::RateMonotonic;
+        options.simulate.vcd = VcdCapture::Thread("prod".to_string());
+        options.verify.scope = VerificationScope::Product;
+        options.verify.domain = Domain::Interval;
+        options.verify.project_counters = true;
+        options.verify.widen_threshold = 12;
+        options.verify.properties = vec![PropertySpec::new("never raised(*Alarm*)")];
+        let decoded = options_from_json(&options_to_json(&options)).unwrap();
+        assert_eq!(decoded, options);
+    }
+
+    #[test]
+    fn empty_options_object_decodes_to_defaults() {
+        let decoded = options_from_json(&Json::Obj(BTreeMap::new())).unwrap();
+        assert_eq!(decoded, SessionOptions::default());
+    }
+
+    #[test]
+    fn bad_labels_are_rejected_with_the_offending_key() {
+        for (text, key) in [
+            (r#"{"schedule":{"policy":"fifo"}}"#, "schedule.policy"),
+            (r#"{"verify":{"scope":"joint"}}"#, "verify.scope"),
+            (r#"{"verify":{"workers":"two"}}"#, "verify.workers"),
+        ] {
+            let bad = polyobs::json::parse(text).unwrap();
+            let err = options_from_json(&bad).unwrap_err();
+            assert!(err.to_string().contains(key), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_field_has_a_unique_group_and_key() {
+        // A repeated group/key pair would collapse into one JSON entry.
+        let encoded = options_to_json(&SessionOptions::default());
+        let keys: usize = encoded
+            .as_obj()
+            .unwrap()
+            .values()
+            .map(|group| group.as_obj().unwrap().len())
+            .sum();
+        assert_eq!(keys, FIELDS.len());
     }
 }

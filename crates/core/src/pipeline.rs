@@ -11,142 +11,19 @@
 use aadl::instance::InstanceModel;
 
 use crate::error::CoreError;
-use crate::options::{
-    PropertySpec, ScheduleOptions, SessionOptions, SimulateOptions, TranslateOptions, VcdCapture,
-    VerificationOptions, VerificationScope,
-};
+use crate::options::{PropertySpec, SessionOptions, VcdCapture, VerificationScope};
 use crate::report::ToolChainReport;
 use crate::session::Session;
 
-use polyverify::{Domain, FrontierMode};
 use sched::SchedulingPolicy;
-
-/// Options controlling a tool-chain run — the flat, all-phases-in-one view
-/// of [`SessionOptions`]. Out-of-range values are rejected when the run
-/// starts (see [`ToolChainOptions::validate`]); nothing is silently
-/// clamped.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ToolChainOptions {
-    /// Scheduling policy used for the static synthesis.
-    pub policy: SchedulingPolicy,
-    /// Number of hyper-periods to co-simulate. Must be at least 1.
-    pub hyperperiods: u64,
-    /// Default queue size for event ports without `Queue_Size`. Must be at
-    /// least 1.
-    pub default_queue_size: usize,
-    /// Which thread's co-simulation is captured as a VCD waveform.
-    pub vcd: VcdCapture,
-    /// Runs the state-space verification phase (`polyverify`) after the
-    /// co-simulation.
-    pub verify: bool,
-    /// Worker threads of the parallel reachability engine. Must be at
-    /// least 1.
-    pub verify_workers: usize,
-    /// Number of hyper-periods the verification explores exhaustively.
-    /// Must be at least 1.
-    pub verify_hyperperiods: u64,
-    /// Whether the verification phase also explores the product of the
-    /// communicating threads.
-    pub verify_scope: VerificationScope,
-    /// User-supplied past-time LTL properties checked by the verification
-    /// phase (see `docs/PROPERTIES.md`). Each expression must parse.
-    pub properties: Vec<PropertySpec>,
-    /// Frontier discipline of the reachability engine (work-stealing
-    /// deques by default, level barriers for comparison). Verdicts are
-    /// identical either way.
-    pub verify_frontier: FrontierMode,
-    /// Enables clock-calculus pruning: affine dispatch relations exported
-    /// by the scheduler skip provably infeasible successor phases, and the
-    /// product verifier memoizes per-component steps. Verdicts are
-    /// identical with pruning on or off.
-    pub verify_pruning: bool,
-    /// Initial per-shard capacity of the state interner (grows on demand).
-    /// Must be at least 1.
-    pub verify_interner_capacity: usize,
-    /// State-space domain of the verification phase: `concrete` explores
-    /// exact states, `interval` widens property-invisible monotone counters
-    /// so unbounded-counter spaces can close with a proof (see
-    /// `docs/SYMBOLIC.md`).
-    pub verify_domain: Domain,
-    /// Under the interval domain, drops property-invisible counter slots
-    /// from the canonical state key instead of widening them.
-    pub verify_project_counters: bool,
-    /// Telemetry collector handed to every phase of the run (phase spans,
-    /// engine counters, the [`RunRecord`](polyobs::RunRecord) embedded into
-    /// the report). Defaults to noop; collection mode never changes any
-    /// result. Equality compares the collection mode only.
-    pub collector: polyobs::Collector,
-}
-
-impl Default for ToolChainOptions {
-    fn default() -> Self {
-        Self {
-            policy: SchedulingPolicy::EarliestDeadlineFirst,
-            hyperperiods: 4,
-            default_queue_size: 1,
-            vcd: VcdCapture::First,
-            verify: true,
-            verify_workers: 2,
-            verify_hyperperiods: 1,
-            verify_scope: VerificationScope::PerThread,
-            properties: Vec::new(),
-            verify_frontier: FrontierMode::default(),
-            verify_pruning: true,
-            verify_interner_capacity: 4096,
-            verify_domain: Domain::Concrete,
-            verify_project_counters: false,
-            collector: polyobs::Collector::noop(),
-        }
-    }
-}
-
-impl ToolChainOptions {
-    /// The per-phase [`SessionOptions`] equivalent of this flat struct
-    /// (the migration path from the old monolithic API to the staged one).
-    pub fn session_options(&self) -> SessionOptions {
-        SessionOptions {
-            schedule: ScheduleOptions {
-                policy: self.policy,
-            },
-            translate: TranslateOptions {
-                default_queue_size: self.default_queue_size,
-            },
-            simulate: SimulateOptions {
-                hyperperiods: self.hyperperiods,
-                vcd: self.vcd.clone(),
-            },
-            verify: VerificationOptions {
-                enabled: self.verify,
-                workers: self.verify_workers,
-                hyperperiods: self.verify_hyperperiods,
-                scope: self.verify_scope,
-                properties: self.properties.clone(),
-                frontier: self.verify_frontier,
-                pruning: self.verify_pruning,
-                interner_capacity: self.verify_interner_capacity,
-                domain: self.verify_domain,
-                project_counters: self.verify_project_counters,
-                widen_threshold: VerificationOptions::default().widen_threshold,
-            },
-            collector: self.collector.clone(),
-        }
-    }
-
-    /// Checks every field for consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidOptions`] naming the offending field.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        self.session_options().validate()
-    }
-}
 
 /// The end-to-end tool chain (the ASME2SSME + Polychrony flow of the
 /// paper), as a single-call facade over the staged [`Session`] API.
+/// Out-of-range options are rejected when the run starts; nothing is
+/// silently clamped.
 #[derive(Debug, Clone, Default)]
 pub struct ToolChain {
-    options: ToolChainOptions,
+    options: SessionOptions,
 }
 
 impl ToolChain {
@@ -155,15 +32,15 @@ impl ToolChain {
         Self::default()
     }
 
-    /// Creates a tool chain with explicit options.
-    pub fn with_options(options: ToolChainOptions) -> Self {
+    /// Creates a tool chain with explicit per-phase options.
+    pub fn with_options(options: SessionOptions) -> Self {
         Self { options }
     }
 
     /// Sets the scheduling policy.
     #[must_use]
     pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
-        self.options.policy = policy;
+        self.options.schedule.policy = policy;
         self
     }
 
@@ -171,21 +48,21 @@ impl ToolChain {
     /// validated when the run starts).
     #[must_use]
     pub fn with_hyperperiods(mut self, hyperperiods: u64) -> Self {
-        self.options.hyperperiods = hyperperiods;
+        self.options.simulate.hyperperiods = hyperperiods;
         self
     }
 
     /// Selects which thread's co-simulation is captured as a VCD waveform.
     #[must_use]
     pub fn with_vcd(mut self, vcd: VcdCapture) -> Self {
-        self.options.vcd = vcd;
+        self.options.simulate.vcd = vcd;
         self
     }
 
     /// Enables or disables the state-space verification phase.
     #[must_use]
     pub fn with_verification(mut self, verify: bool) -> Self {
-        self.options.verify = verify;
+        self.options.verify.enabled = verify;
         self
     }
 
@@ -193,7 +70,7 @@ impl ToolChain {
     /// at least 1; validated when the run starts).
     #[must_use]
     pub fn with_verify_workers(mut self, workers: usize) -> Self {
-        self.options.verify_workers = workers;
+        self.options.verify.workers = workers;
         self
     }
 
@@ -201,7 +78,7 @@ impl ToolChain {
     /// at least 1; validated when the run starts).
     #[must_use]
     pub fn with_verify_hyperperiods(mut self, hyperperiods: u64) -> Self {
-        self.options.verify_hyperperiods = hyperperiods;
+        self.options.verify.hyperperiods = hyperperiods;
         self
     }
 
@@ -209,48 +86,7 @@ impl ToolChain {
     /// the product of the communicating threads).
     #[must_use]
     pub fn with_verify_scope(mut self, scope: VerificationScope) -> Self {
-        self.options.verify_scope = scope;
-        self
-    }
-
-    /// Selects the frontier discipline of the reachability engine
-    /// (work-stealing deques by default; level barriers for comparison).
-    #[must_use]
-    pub fn with_verify_frontier(mut self, frontier: FrontierMode) -> Self {
-        self.options.verify_frontier = frontier;
-        self
-    }
-
-    /// Enables or disables clock-calculus pruning (on by default; verdicts
-    /// are identical either way).
-    #[must_use]
-    pub fn with_verify_pruning(mut self, pruning: bool) -> Self {
-        self.options.verify_pruning = pruning;
-        self
-    }
-
-    /// Sets the initial per-shard capacity of the state interner (must be
-    /// at least 1; validated when the run starts).
-    #[must_use]
-    pub fn with_verify_interner_capacity(mut self, capacity: usize) -> Self {
-        self.options.verify_interner_capacity = capacity;
-        self
-    }
-
-    /// Selects the state-space domain of the verification phase
-    /// (`Domain::Concrete` by default; `Domain::Interval` closes
-    /// unbounded-counter spaces by widening — see `docs/SYMBOLIC.md`).
-    #[must_use]
-    pub fn with_verify_domain(mut self, domain: Domain) -> Self {
-        self.options.verify_domain = domain;
-        self
-    }
-
-    /// Under the interval domain, drops property-invisible counter slots
-    /// from the canonical state key instead of widening them.
-    #[must_use]
-    pub fn with_verify_project_counters(mut self, project: bool) -> Self {
-        self.options.verify_project_counters = project;
+        self.options.verify.scope = scope;
         self
     }
 
@@ -258,7 +94,7 @@ impl ToolChain {
     /// expression is validated when the run starts).
     #[must_use]
     pub fn with_property(mut self, expr: impl Into<String>) -> Self {
-        self.options.properties.push(PropertySpec::new(expr));
+        self.options.verify.properties.push(PropertySpec::new(expr));
         self
     }
 
@@ -282,7 +118,7 @@ impl ToolChain {
     /// Returns [`CoreError::InvalidOptions`] when any option is out of
     /// range.
     pub fn session(&self) -> Result<Session, CoreError> {
-        Session::with_options(self.options.session_options())
+        Session::with_options(self.options.clone())
     }
 
     /// Runs the whole pipeline on AADL source text, instantiating
@@ -402,29 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_and_pruning_modes_do_not_change_verdicts() {
-        let fast = ToolChain::new()
-            .with_hyperperiods(1)
-            .run_case_study()
-            .unwrap();
-        let slow = ToolChain::new()
-            .with_hyperperiods(1)
-            .with_verify_frontier(FrontierMode::Barrier)
-            .with_verify_pruning(false)
-            .with_verify_interner_capacity(1)
-            .run_case_study()
-            .unwrap();
-        let a = fast.verification.unwrap();
-        let b = slow.verification.unwrap();
-        for (thread, outcome) in &a.outcomes {
-            let other = &b.outcomes[thread];
-            assert_eq!(outcome.verdicts, other.verdicts, "{thread}");
-            assert_eq!(outcome.stats.states, other.stats.states, "{thread}");
-            assert_eq!(outcome.stats.depth, other.stats.depth, "{thread}");
-        }
-    }
-
-    #[test]
     fn policies_produce_valid_schedules() {
         for policy in SchedulingPolicy::ALL {
             let report = ToolChain::new()
@@ -461,10 +274,11 @@ mod tests {
             ToolChain::new().with_hyperperiods(0),
             ToolChain::new().with_verify_workers(0),
             ToolChain::new().with_verify_hyperperiods(0),
-            ToolChain::new().with_verify_interner_capacity(0),
-            ToolChain::with_options(ToolChainOptions {
-                default_queue_size: 0,
-                ..ToolChainOptions::default()
+            ToolChain::with_options(SessionOptions {
+                translate: crate::options::TranslateOptions {
+                    default_queue_size: 0,
+                },
+                ..SessionOptions::default()
             }),
         ] {
             let err = chain.run_case_study().unwrap_err();

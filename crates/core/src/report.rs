@@ -133,7 +133,7 @@ pub struct ToolChainReport {
     /// Per-thread co-simulation reports (keyed by thread instance path).
     pub simulations: BTreeMap<String, SimulationReport>,
     /// State-space verification outcomes (`None` when the verification
-    /// phase was disabled via [`crate::ToolChainOptions`]).
+    /// phase was disabled via [`crate::VerificationOptions::enabled`]).
     pub verification: Option<VerificationReport>,
     /// VCD dump of the thread selected by the simulation phase's
     /// [`VcdCapture`](crate::VcdCapture) option (empty when capture is off

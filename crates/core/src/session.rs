@@ -289,7 +289,6 @@ impl Instantiated {
     /// Returns [`CoreError::Scheduling`] or [`CoreError::Affine`] when the
     /// task set is inconsistent, unschedulable, or not synchronizable.
     pub fn schedule(mut self) -> Result<Scheduled, CoreError> {
-        self.options.schedule.validate()?;
         let timer = PhaseTimer::start(&self.options.collector, "schedule");
         let threads = self.instance.threads()?;
         let tasks = task_set_from_threads(&threads)?;
@@ -659,33 +658,11 @@ impl Simulated {
         for spec in &self.options.verify.properties {
             properties.push(spec.parse()?);
         }
-        // The schedule's affine dispatch clocks double as a feasibility
-        // oracle: re-keyed into a thread's own namespace (its dispatch
-        // signal is plainly `Dispatch`), it lets free-mode explorations
-        // skip phases where the thread provably cannot dispatch. Scheduled
-        // exploration — the session default — fixes the inputs anyway, so
-        // installing the oracle is free there.
-        let dispatch_clocks = self.affine.dispatch_feasibility();
         let mut outcomes = BTreeMap::new();
         for unit in &self.thread_units {
             let verify_inputs = unit.model.timing_trace(&self.schedule, 1);
-            let bound = verify_inputs.len() * self.options.verify.hyperperiods as usize;
-            let mut options = VerifyOptions::default()
-                .with_workers(self.options.verify.workers)
-                .with_depth_bound(bound)
-                .with_frontier(self.options.verify.frontier)
-                .with_pruning(self.options.verify.pruning)
-                .with_interner_capacity(self.options.verify.interner_capacity)
-                .with_domain(self.options.verify.domain)
-                .with_project_counters(self.options.verify.project_counters)
-                .with_widen_threshold(self.options.verify.widen_threshold)
-                .with_collector(self.options.collector.clone());
-            if let Some(relation) = dispatch_clocks.relation(&unit.model.thread_name) {
-                let mut oracle = polyverify::DispatchFeasibility::new();
-                oracle.insert("Dispatch", *relation);
-                options = options.with_oracle(oracle);
-            }
-            let verifier = Verifier::new(&unit.model.flat, options)?;
+            let verifier =
+                Verifier::new(&unit.model.flat, self.engine_options(verify_inputs.len()))?;
             let outcome = verifier.verify(&InputSpace::Scheduled(verify_inputs), &properties)?;
             outcomes.insert(unit.path.clone(), outcome);
         }
@@ -807,20 +784,8 @@ impl Simulated {
         let components = self.product_components();
         let properties = self.product_properties(&links)?;
         let system = ProductSystem::new(components, links)?;
-        let bound = system.horizon() * self.options.verify.hyperperiods as usize;
-        let verifier = ProductVerifier::new(
-            system,
-            VerifyOptions::default()
-                .with_workers(self.options.verify.workers)
-                .with_depth_bound(bound)
-                .with_frontier(self.options.verify.frontier)
-                .with_pruning(self.options.verify.pruning)
-                .with_interner_capacity(self.options.verify.interner_capacity)
-                .with_domain(self.options.verify.domain)
-                .with_project_counters(self.options.verify.project_counters)
-                .with_widen_threshold(self.options.verify.widen_threshold)
-                .with_collector(self.options.collector.clone()),
-        )?;
+        let options = self.engine_options(system.horizon());
+        let verifier = ProductVerifier::new(system, options)?;
         let outcome = verifier.verify(&properties)?;
         Ok(VerifiedProduct {
             connections: self.connections.clone(),
@@ -828,6 +793,21 @@ impl Simulated {
             outcome,
             verifier,
         })
+    }
+
+    /// The exploration-engine options of this session's verification
+    /// phase, for a schedule whose single hyper-period spans `horizon`
+    /// instants: the depth bound covers
+    /// [`VerificationOptions::hyperperiods`] of them.
+    fn engine_options(&self, horizon: usize) -> VerifyOptions {
+        let verify = &self.options.verify;
+        VerifyOptions::default()
+            .with_workers(verify.workers)
+            .with_depth_bound(horizon * verify.hyperperiods as usize)
+            .with_domain(verify.domain)
+            .with_project_counters(verify.project_counters)
+            .with_widen_threshold(verify.widen_threshold)
+            .with_collector(self.options.collector.clone())
     }
 
     /// Closes the chain without running the verification phase (the

@@ -14,10 +14,9 @@
 //!   has a violation — all checked *between* levels so verdicts stay
 //!   deterministic under any worker count);
 //! * the frontier scheduling: inline execution when one worker suffices,
-//!   contiguous chunks under [`FrontierMode::Barrier`], and per-worker
-//!   deques with work stealing under [`FrontierMode::WorkStealing`] (the
-//!   default — within a level the queues are drained without refill, so a
-//!   thief that finds every queue empty can exit immediately);
+//!   otherwise per-worker deques with work stealing (within a level the
+//!   queues are drained without refill, so a thief that finds every queue
+//!   empty can exit immediately);
 //! * deterministic merging: same-depth discovery races are recorded as
 //!   deferred ties and resolved at the level barrier by the canonical edge
 //!   encoding, violations are tie-broken by [`trace_order`], and fatal
@@ -38,14 +37,17 @@ use signal_moc::trace::{Trace, TraceStep};
 
 use crate::counterexample::Counterexample;
 use crate::explore::{
-    ExplorationStats, FrontierMode, PropertyVerdict, Verdict, VerificationOutcome, VerifyError,
-    VerifyOptions,
+    ExplorationStats, PropertyVerdict, Verdict, VerificationOutcome, VerifyError, VerifyOptions,
 };
 use crate::property::Property;
 use crate::state::{State, StateInterner};
 
 /// Sentinel predecessor id of the initial state.
 pub(crate) const NO_PARENT: u32 = u32::MAX;
+
+/// Initial capacity (in states) of each exploration's interner. The arena
+/// grows on demand, so this only sizes the first allocation.
+const INTERNER_CAPACITY: usize = 4096;
 
 /// Parent link of an interned state: how it was first reached (subject to
 /// the deterministic same-depth tie-break at the level barrier).
@@ -261,8 +263,7 @@ pub(crate) fn explore<E: Expander>(
     properties: &[Property],
     pre_truncated: bool,
 ) -> Result<VerificationOutcome, VerifyError> {
-    let interner: StateInterner<ParentLink> =
-        StateInterner::new(options.shards, options.interner_capacity);
+    let interner: StateInterner<ParentLink> = StateInterner::new(options.shards, INTERNER_CAPACITY);
     let initial_key = initial.key();
     let mut seed_codec = crate::state::KeyCodec::new();
     let initial_hash = seed_codec.seed_state(initial);
@@ -354,72 +355,51 @@ pub(crate) fn explore<E: Expander>(
             let mut iter = frontier.iter().copied();
             run_worker(expander, ctx, sink, depth, || iter.next());
         } else {
-            match options.frontier {
-                FrontierMode::Barrier => {
-                    let chunk_size = frontier.len().div_ceil(workers);
-                    let chunks = frontier.chunks(chunk_size);
-                    std::thread::scope(|scope| {
-                        for ((chunk, sink), ctx) in
-                            chunks.zip(sinks.iter_mut()).zip(ctxs.iter_mut())
-                        {
-                            scope.spawn(move || {
-                                let mut iter = chunk.iter().copied();
-                                run_worker(expander, ctx, sink, depth, || iter.next());
-                            });
-                        }
-                    });
-                }
-                FrontierMode::WorkStealing => {
-                    // Per-worker deques filled round-robin before the level
-                    // starts; nothing is ever pushed mid-level, so a full
-                    // empty scan means the level is drained.
-                    let queues: Vec<Mutex<VecDeque<u32>>> =
-                        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-                    for (i, &id) in frontier.iter().enumerate() {
-                        queues[i % workers]
-                            .lock()
-                            .expect("frontier queue poisoned")
-                            .push_back(id);
-                    }
-                    std::thread::scope(|scope| {
-                        for (me, (sink, ctx)) in sinks.iter_mut().zip(ctxs.iter_mut()).enumerate() {
-                            let queues = &queues;
-                            let steal_count = &steal_count;
-                            scope.spawn(move || {
-                                run_worker(expander, ctx, sink, depth, || {
-                                    // Own queue first (front: cache-warm
-                                    // breadth order), then steal from the
-                                    // back of the others.
-                                    if let Some(id) = queues[me]
-                                        .lock()
-                                        .expect("frontier queue poisoned")
-                                        .pop_front()
-                                    {
-                                        return Some(id);
-                                    }
-                                    for offset in 1..queues.len() {
-                                        let victim = (me + offset) % queues.len();
-                                        if let Some(id) = queues[victim]
-                                            .lock()
-                                            .expect("frontier queue poisoned")
-                                            .pop_back()
-                                        {
-                                            if obs_enabled {
-                                                steal_count.fetch_add(
-                                                    1,
-                                                    std::sync::atomic::Ordering::Relaxed,
-                                                );
-                                            }
-                                            return Some(id);
-                                        }
-                                    }
-                                    None
-                                });
-                            });
-                        }
-                    });
-                }
+            // Per-worker deques filled round-robin before the level starts;
+            // nothing is ever pushed mid-level, so a full empty scan means
+            // the level is drained.
+            let queues: Vec<Mutex<VecDeque<u32>>> =
+                (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
+            for (i, &id) in frontier.iter().enumerate() {
+                queues[i % workers]
+                    .lock()
+                    .expect("frontier queue poisoned")
+                    .push_back(id);
             }
+            std::thread::scope(|scope| {
+                for (me, (sink, ctx)) in sinks.iter_mut().zip(ctxs.iter_mut()).enumerate() {
+                    let queues = &queues;
+                    let steal_count = &steal_count;
+                    scope.spawn(move || {
+                        run_worker(expander, ctx, sink, depth, || {
+                            // Own queue first (front: cache-warm breadth
+                            // order), then steal from the back of the others.
+                            if let Some(id) = queues[me]
+                                .lock()
+                                .expect("frontier queue poisoned")
+                                .pop_front()
+                            {
+                                return Some(id);
+                            }
+                            for offset in 1..queues.len() {
+                                let victim = (me + offset) % queues.len();
+                                if let Some(id) = queues[victim]
+                                    .lock()
+                                    .expect("frontier queue poisoned")
+                                    .pop_back()
+                                {
+                                    if obs_enabled {
+                                        steal_count
+                                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                    }
+                                    return Some(id);
+                                }
+                            }
+                            None
+                        });
+                    });
+                }
+            });
         }
 
         // Barrier: merge worker results. A fatal error aborts before any
@@ -511,7 +491,7 @@ pub(crate) fn explore<E: Expander>(
         // Resolve same-depth discovery ties: for each contested state the
         // parent link with the smallest canonical edge encoding wins —
         // a pure function of key bytes, so the recorded exploration tree
-        // is identical under any worker count and frontier mode.
+        // is identical under any worker count and steal interleaving.
         ties.sort_unstable_by_key(|(id, _)| *id);
         let mut i = 0usize;
         while i < ties.len() {

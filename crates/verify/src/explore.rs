@@ -22,25 +22,6 @@ use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
 use crate::state::{KeyCodec, State};
 
-/// How a breadth-first level is distributed over the worker threads.
-///
-/// Both modes expand exactly the same states and produce bit-identical
-/// verdicts, counterexamples and counters — every merge in the engine is
-/// tie-broken by canonical key bytes, never by arrival order. The modes
-/// differ only in wall-clock behaviour on skewed frontiers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FrontierMode {
-    /// Split the level into contiguous chunks, one per worker. A worker
-    /// whose chunk happens to hold the expensive states finishes last while
-    /// the others idle.
-    Barrier,
-    /// Per-worker deques with work stealing: each worker drains its own
-    /// queue and steals from the others when empty, so skewed levels stay
-    /// balanced. The default.
-    #[default]
-    WorkStealing,
-}
-
 /// Tuning knobs of the exploration engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyOptions {
@@ -66,11 +47,6 @@ pub struct VerifyOptions {
     pub max_branching: usize,
     /// Number of shards of the concurrent seen-set (the state interner).
     pub shards: usize,
-    /// How each level is distributed over the workers; see [`FrontierMode`].
-    pub frontier: FrontierMode,
-    /// Initial capacity (in states) of the state interner; it grows beyond
-    /// this on demand. Clamped to at least 1.
-    pub interner_capacity: usize,
     /// Enables the clock-calculus pruning paths: free-mode candidate
     /// filtering through the dispatch-feasibility [`VerifyOptions::oracle`]
     /// and per-component step memoisation in the product verifier. The
@@ -118,8 +94,6 @@ impl Default for VerifyOptions {
             real_domain: vec![0.0, 1.0],
             max_branching: 256,
             shards: 16,
-            frontier: FrontierMode::default(),
-            interner_capacity: 4096,
             pruning: true,
             oracle: None,
             collector: polyobs::Collector::noop(),
@@ -152,18 +126,6 @@ impl VerifyOptions {
     /// Sets the seen-set state cap.
     pub fn with_max_states(mut self, max_states: usize) -> Self {
         self.max_states = max_states.max(1);
-        self
-    }
-
-    /// Sets the frontier scheduling mode.
-    pub fn with_frontier(mut self, frontier: FrontierMode) -> Self {
-        self.frontier = frontier;
-        self
-    }
-
-    /// Sets the interner's initial capacity (clamped to at least 1).
-    pub fn with_interner_capacity(mut self, capacity: usize) -> Self {
-        self.interner_capacity = capacity.max(1);
         self
     }
 
@@ -296,7 +258,7 @@ pub struct PropertyVerdict {
 /// Counters describing one exploration run.
 ///
 /// Every field is deterministic: the same model and options produce the
-/// same stats under any worker count, frontier mode or telemetry
+/// same stats under any worker count or telemetry
 /// collection mode. Nondeterministic measurements (steal counts, timings,
 /// rates) live in the [`VerifyOptions::collector`] instead.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -665,10 +627,10 @@ impl Verifier {
     /// The exploration is a depth-stratified parallel breadth-first search
     /// over the shared exploration core (`crate::engine`): states are
     /// interned to dense ids with incremental key hashing, and each level is
-    /// distributed over [`VerifyOptions::workers`] threads by the configured
-    /// [`FrontierMode`]. Counterexamples are always of minimal depth, and
-    /// verdicts, counterexample traces and state counts are bit-identical
-    /// under any worker count and frontier mode (equal-depth discovery races
+    /// distributed over [`VerifyOptions::workers`] threads by work stealing.
+    /// Counterexamples are always of minimal depth, and verdicts,
+    /// counterexample traces and state counts are bit-identical under any
+    /// worker count and steal interleaving (equal-depth discovery races
     /// are resolved by a canonical edge ordering, and each level's
     /// violations are tie-broken the same way).
     ///
@@ -1321,22 +1283,19 @@ mod tests {
         assert!(!interval.stats.truncated);
         assert!(interval.stats.widened > 0, "{:?}", interval.stats);
         assert_eq!(interval.stats.reconcretized, 0);
-        // Bit-identical across worker counts and frontier modes.
+        // Bit-identical across worker counts.
         for workers in [1usize, 2, 8] {
-            for frontier in [FrontierMode::Barrier, FrontierMode::WorkStealing] {
-                let again = Verifier::new(
-                    &process,
-                    VerifyOptions::default()
-                        .with_domain(Domain::Interval)
-                        .with_workers(workers)
-                        .with_frontier(frontier),
-                )
-                .unwrap()
-                .verify(&InputSpace::Free, &property)
-                .unwrap();
-                assert_eq!(interval.verdicts, again.verdicts);
-                assert_eq!(interval.stats, again.stats, "workers={workers}");
-            }
+            let again = Verifier::new(
+                &process,
+                VerifyOptions::default()
+                    .with_domain(Domain::Interval)
+                    .with_workers(workers),
+            )
+            .unwrap()
+            .verify(&InputSpace::Free, &property)
+            .unwrap();
+            assert_eq!(interval.verdicts, again.verdicts);
+            assert_eq!(interval.stats, again.stats, "workers={workers}");
         }
     }
 

@@ -90,8 +90,8 @@ pub use affine_clocks::DispatchFeasibility;
 pub use counterexample::{Counterexample, ReplayReport};
 pub use domain::{AbstractState, AbstractValue, Domain, SlotAbstraction, SlotPlan};
 pub use explore::{
-    ExplorationStats, FrontierMode, InputSpace, PropertyVerdict, Verdict, VerificationOutcome,
-    Verifier, VerifyError, VerifyOptions,
+    ExplorationStats, InputSpace, PropertyVerdict, Verdict, VerificationOutcome, Verifier,
+    VerifyError, VerifyOptions,
 };
 pub use inject::{
     inject_connection_latency, inject_counter_drift, inject_deadline_overrun,

@@ -693,4 +693,62 @@ mod tests {
             assert_eq!(existing, Some(i));
         }
     }
+
+    #[test]
+    fn concurrent_interning_through_rehashes_keeps_ids_dense_and_unique() {
+        // Two threads intern the same 300 keys in opposite orders into a
+        // 2-shard interner sized for 4 states, so every shard rehashes
+        // several times while the other thread races it.
+        const KEYS: usize = 300;
+        let interner: StateInterner<usize> = StateInterner::new(2, 4);
+        let keys: Vec<String> = (0..KEYS).map(|i| format!("state-{i}")).collect();
+        let start = std::sync::Barrier::new(2);
+        let seen: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = [false, true]
+                .into_iter()
+                .map(|reversed| {
+                    let (interner, keys, start) = (&interner, &keys, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut ids = vec![0u32; KEYS];
+                        let order: Vec<usize> = if reversed {
+                            (0..KEYS).rev().collect()
+                        } else {
+                            (0..KEYS).collect()
+                        };
+                        for i in order {
+                            let key = keys[i].as_bytes();
+                            ids[i] = interner.intern(fnv(key), key, || i).0;
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(seen[0], seen[1], "both threads agree on every id");
+        assert_eq!(interner.len(), KEYS);
+
+        // Unique ids, and within each shard the local indices are exactly
+        // 0..n: nothing was lost or double-allocated during a rehash.
+        let ids = &seen[0];
+        let unique: std::collections::BTreeSet<u32> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), KEYS);
+        for shard in 0..2u32 {
+            let locals: Vec<u32> = unique
+                .iter()
+                .filter(|&&id| id & 1 == shard)
+                .map(|&id| id >> 1)
+                .collect();
+            let dense: Vec<u32> = (0..locals.len() as u32).collect();
+            assert_eq!(locals, dense, "shard {shard}");
+        }
+
+        let mut out = Vec::new();
+        for (i, &id) in ids.iter().enumerate() {
+            interner.copy_key(id, &mut out);
+            assert_eq!(out, keys[i].as_bytes());
+            assert_eq!(interner.payload(id), i);
+        }
+    }
 }

@@ -1,14 +1,14 @@
 //! Determinism pins on the shared exploration core: verdicts,
 //! counterexample depths and explored-state counts must be bit-identical
-//! across every worker count × frontier discipline combination, and
-//! clock-calculus pruning (the product's per-component memoisation) must
-//! never change an outcome — checked on randomised 2–3 thread systems.
+//! across every worker count, and clock-calculus pruning (the product's
+//! per-component memoisation) must never change an outcome — checked on
+//! randomised 2–3 thread systems.
 
 use proptest::prelude::*;
 
 use polyverify::{
-    Domain, FrontierMode, InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier,
-    Property, VerificationOutcome, Verifier, VerifyOptions,
+    Domain, InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property,
+    VerificationOutcome, Verifier, VerifyOptions,
 };
 use signal_moc::builder::ProcessBuilder;
 use signal_moc::expr::Expr;
@@ -18,7 +18,6 @@ use signal_moc::value::{Value, ValueType};
 
 /// The engine configurations every exploration must agree across.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-const FRONTIERS: [FrontierMode; 2] = [FrontierMode::Barrier, FrontierMode::WorkStealing];
 
 /// A per-input miss counter whose alarm fires once input `d` has been
 /// present `threshold` times in a row — free-mode exploration branches on
@@ -135,8 +134,8 @@ fn toggle_with_invisible_counter(alarm_reachable: bool) -> Process {
 
 proptest! {
     /// Free-mode exploration of the streak counter: identical outcomes for
-    /// every workers × frontier combination, whether the verdict is a
-    /// violation (low threshold) or a bounded pass (high threshold).
+    /// every worker count, whether the verdict is a violation (low
+    /// threshold) or a bounded pass (high threshold).
     #[test]
     fn free_exploration_is_configuration_independent(
         threshold in 1i64..=6,
@@ -146,36 +145,26 @@ proptest! {
         let properties = [Property::NeverRaised("*Alarm*".into()), Property::DeadlockFree];
         let mut reference: Option<Fingerprint> = None;
         for workers in WORKER_COUNTS {
-            for frontier in FRONTIERS {
-                let verifier = Verifier::new(
-                    &process,
-                    VerifyOptions::default()
-                        .with_workers(workers)
-                        .with_depth_bound(depth)
-                        .with_frontier(frontier)
-                        .with_interner_capacity(1),
-                )
-                .unwrap();
-                let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                let print = fingerprint(&outcome);
-                match &reference {
-                    None => reference = Some(print),
-                    Some(expected) => prop_assert_eq!(
-                        expected,
-                        &print,
-                        "workers={} frontier={:?}",
-                        workers,
-                        frontier
-                    ),
-                }
+            let verifier = Verifier::new(
+                &process,
+                VerifyOptions::default()
+                    .with_workers(workers)
+                    .with_depth_bound(depth),
+            )
+            .unwrap();
+            let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
+            let print = fingerprint(&outcome);
+            match &reference {
+                None => reference = Some(print),
+                Some(expected) => prop_assert_eq!(expected, &print, "workers={}", workers),
             }
         }
     }
 
     /// Interval-domain exploration of a system with an invisible unbounded
     /// counter: verdicts, counterexample depths and the widened/projected/
-    /// re-concretized counters are bit-identical across workers × frontier
-    /// × projection, with and without a depth bound.
+    /// re-concretized counters are bit-identical across workers ×
+    /// projection, with and without a depth bound.
     #[test]
     fn interval_exploration_is_configuration_independent(
         threshold in 1i64..=4,
@@ -197,47 +186,42 @@ proptest! {
         for project in [false, true] {
             let mut reference: Option<Fingerprint> = None;
             for workers in WORKER_COUNTS {
-                for frontier in FRONTIERS {
-                    let mut options = VerifyOptions::default()
-                        .with_workers(workers)
-                        .with_frontier(frontier)
-                        .with_domain(Domain::Interval)
-                        .with_project_counters(project)
-                        .with_interner_capacity(1);
-                    if let Some(bound) = bound {
-                        options = options.with_depth_bound(bound);
-                    }
-                    let verifier = Verifier::new(&process, options).unwrap();
-                    let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                    if closed && !alarm_reachable {
-                        // The invisible counter is abstracted away, so the
-                        // unbounded violation-free run closes with a proof
-                        // instead of diverging. (A violating run stops
-                        // early, which the engine reports as truncated.)
-                        prop_assert!(!outcome.stats.truncated);
-                        prop_assert!(outcome.all_proved());
-                    }
-                    let print = fingerprint(&outcome);
-                    match &reference {
-                        None => reference = Some(print),
-                        Some(expected) => prop_assert_eq!(
-                            expected,
-                            &print,
-                            "workers={} frontier={:?} project={}",
-                            workers,
-                            frontier,
-                            project
-                        ),
-                    }
+                let mut options = VerifyOptions::default()
+                    .with_workers(workers)
+                    .with_domain(Domain::Interval)
+                    .with_project_counters(project);
+                if let Some(bound) = bound {
+                    options = options.with_depth_bound(bound);
+                }
+                let verifier = Verifier::new(&process, options).unwrap();
+                let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
+                if closed && !alarm_reachable {
+                    // The invisible counter is abstracted away, so the
+                    // unbounded violation-free run closes with a proof
+                    // instead of diverging. (A violating run stops early,
+                    // which the engine reports as truncated.)
+                    prop_assert!(!outcome.stats.truncated);
+                    prop_assert!(outcome.all_proved());
+                }
+                let print = fingerprint(&outcome);
+                match &reference {
+                    None => reference = Some(print),
+                    Some(expected) => prop_assert_eq!(
+                        expected,
+                        &print,
+                        "workers={} project={}",
+                        workers,
+                        project
+                    ),
                 }
             }
         }
     }
 
     /// Randomised 2–3 thread products: verdicts, counterexample depths and
-    /// explored-state counts are identical for every workers × frontier ×
-    /// pruning combination. Pruning toggles the product's per-component
-    /// step memoisation, so this doubles as the regression pin that
+    /// explored-state counts are identical for every workers × pruning
+    /// combination. Pruning toggles the product's per-component step
+    /// memoisation, so this doubles as the regression pin that
     /// clock-calculus pruning never changes a verdict.
     #[test]
     fn product_outcome_is_configuration_independent(
@@ -251,31 +235,26 @@ proptest! {
         let properties = [Property::NeverRaised("*Alarm*".into()), Property::DeadlockFree];
         let mut reference: Option<Fingerprint> = None;
         for workers in WORKER_COUNTS {
-            for frontier in FRONTIERS {
-                for pruning in [true, false] {
-                    let verifier = ProductVerifier::new(
-                        system.clone(),
-                        VerifyOptions::default()
-                            .with_workers(workers)
-                            .with_depth_bound(horizon * 2)
-                            .with_frontier(frontier)
-                            .with_pruning(pruning)
-                            .with_interner_capacity(1),
-                    )
-                    .unwrap();
-                    let outcome = verifier.verify(&properties).unwrap();
-                    let print = fingerprint(&outcome);
-                    match &reference {
-                        None => reference = Some(print),
-                        Some(expected) => prop_assert_eq!(
-                            expected,
-                            &print,
-                            "workers={} frontier={:?} pruning={}",
-                            workers,
-                            frontier,
-                            pruning
-                        ),
-                    }
+            for pruning in [true, false] {
+                let verifier = ProductVerifier::new(
+                    system.clone(),
+                    VerifyOptions::default()
+                        .with_workers(workers)
+                        .with_depth_bound(horizon * 2)
+                        .with_pruning(pruning),
+                )
+                .unwrap();
+                let outcome = verifier.verify(&properties).unwrap();
+                let print = fingerprint(&outcome);
+                match &reference {
+                    None => reference = Some(print),
+                    Some(expected) => prop_assert_eq!(
+                        expected,
+                        &print,
+                        "workers={} pruning={}",
+                        workers,
+                        pruning
+                    ),
                 }
             }
         }

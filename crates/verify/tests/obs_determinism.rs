@@ -1,15 +1,15 @@
 //! Telemetry must never perturb verification: verdicts, counterexample
 //! depths/traces and the full `ExplorationStats` must be bit-identical with
 //! collection `Noop`, `Counters` and `Full` (with a live JSON-lines sink
-//! attached), across every worker count × frontier mode combination — on
-//! both the free-mode thread verifier and the product verifier.
+//! attached), across every worker count — on both the free-mode thread
+//! verifier and the product verifier.
 
 use proptest::prelude::*;
 
 use polyverify::{
-    CollectionMode, Collector, Domain, ExplorationStats, FrontierMode, InputSpace, JsonLinesSink,
-    PortLink, ProductComponent, ProductSystem, ProductVerifier, Property, VerificationOutcome,
-    Verifier, VerifyOptions,
+    CollectionMode, Collector, Domain, ExplorationStats, InputSpace, JsonLinesSink, PortLink,
+    ProductComponent, ProductSystem, ProductVerifier, Property, VerificationOutcome, Verifier,
+    VerifyOptions,
 };
 use signal_moc::builder::ProcessBuilder;
 use signal_moc::expr::Expr;
@@ -18,7 +18,6 @@ use signal_moc::trace::Trace;
 use signal_moc::value::{Value, ValueType};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
-const FRONTIERS: [FrontierMode; 2] = [FrontierMode::Barrier, FrontierMode::WorkStealing];
 const MODES: [CollectionMode; 3] = [
     CollectionMode::Noop,
     CollectionMode::Counters,
@@ -157,8 +156,8 @@ fn pipeline_system(count: usize, horizon: usize, threshold: i64, period: usize) 
 
 proptest! {
     /// Free-mode exploration: identical outcomes under every collection
-    /// mode × workers × frontier combination, for both violating (low
-    /// threshold) and bounded-pass (high threshold) runs.
+    /// mode × workers combination, for both violating (low threshold) and
+    /// bounded-pass (high threshold) runs.
     #[test]
     fn free_exploration_is_collection_mode_independent(
         threshold in 1i64..=6,
@@ -169,30 +168,25 @@ proptest! {
         let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
         for mode in MODES {
             for workers in WORKER_COUNTS {
-                for frontier in FRONTIERS {
-                    let verifier = Verifier::new(
-                        &process,
-                        VerifyOptions::default()
-                            .with_workers(workers)
-                            .with_depth_bound(depth)
-                            .with_frontier(frontier)
-                            .with_interner_capacity(1)
-                            .with_collector(collector(mode)),
-                    )
-                    .unwrap();
-                    let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                    let print = fingerprint(&outcome);
-                    match &reference {
-                        None => reference = Some(print),
-                        Some(expected) => prop_assert_eq!(
-                            expected,
-                            &print,
-                            "mode={:?} workers={} frontier={:?}",
-                            mode,
-                            workers,
-                            frontier
-                        ),
-                    }
+                let verifier = Verifier::new(
+                    &process,
+                    VerifyOptions::default()
+                        .with_workers(workers)
+                        .with_depth_bound(depth)
+                        .with_collector(collector(mode)),
+                )
+                .unwrap();
+                let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
+                let print = fingerprint(&outcome);
+                match &reference {
+                    None => reference = Some(print),
+                    Some(expected) => prop_assert_eq!(
+                        expected,
+                        &print,
+                        "mode={:?} workers={}",
+                        mode,
+                        workers
+                    ),
                 }
             }
         }
@@ -200,8 +194,8 @@ proptest! {
 
     /// Interval-domain exploration: the widened / projected_slots /
     /// reconcretized counters and the full verdict rendering are identical
-    /// under every collection mode × workers × frontier × projection
-    /// combination — telemetry never perturbs the abstraction either.
+    /// under every collection mode × workers × projection combination —
+    /// telemetry never perturbs the abstraction either.
     #[test]
     fn interval_outcome_is_collection_mode_independent(
         threshold in 1i64..=4,
@@ -213,33 +207,28 @@ proptest! {
             let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
             for mode in MODES {
                 for workers in WORKER_COUNTS {
-                    for frontier in FRONTIERS {
-                        let verifier = Verifier::new(
-                            &process,
-                            VerifyOptions::default()
-                                .with_workers(workers)
-                                .with_depth_bound(depth)
-                                .with_frontier(frontier)
-                                .with_domain(Domain::Interval)
-                                .with_project_counters(project)
-                                .with_interner_capacity(1)
-                                .with_collector(collector(mode)),
-                        )
-                        .unwrap();
-                        let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                        let print = fingerprint(&outcome);
-                        match &reference {
-                            None => reference = Some(print),
-                            Some(expected) => prop_assert_eq!(
-                                expected,
-                                &print,
-                                "mode={:?} workers={} frontier={:?} project={}",
-                                mode,
-                                workers,
-                                frontier,
-                                project
-                            ),
-                        }
+                    let verifier = Verifier::new(
+                        &process,
+                        VerifyOptions::default()
+                            .with_workers(workers)
+                            .with_depth_bound(depth)
+                            .with_domain(Domain::Interval)
+                            .with_project_counters(project)
+                            .with_collector(collector(mode)),
+                    )
+                    .unwrap();
+                    let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
+                    let print = fingerprint(&outcome);
+                    match &reference {
+                        None => reference = Some(print),
+                        Some(expected) => prop_assert_eq!(
+                            expected,
+                            &print,
+                            "mode={:?} workers={} project={}",
+                            mode,
+                            workers,
+                            project
+                        ),
                     }
                 }
             }
@@ -247,9 +236,9 @@ proptest! {
     }
 
     /// Product exploration: identical outcomes under every collection mode
-    /// × workers × frontier combination, including the memo hit/miss
-    /// stats, which count the memo's deterministic activity (pruning fixed
-    /// on, so the memo is live).
+    /// × workers combination, including the memo hit/miss stats, which
+    /// count the memo's deterministic activity (pruning fixed on, so the
+    /// memo is live).
     #[test]
     fn product_outcome_is_collection_mode_independent(
         component_count in 2usize..=3,
@@ -262,30 +251,25 @@ proptest! {
         let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
         for mode in MODES {
             for workers in WORKER_COUNTS {
-                for frontier in FRONTIERS {
-                    let verifier = ProductVerifier::new(
-                        system.clone(),
-                        VerifyOptions::default()
-                            .with_workers(workers)
-                            .with_depth_bound(horizon * 2)
-                            .with_frontier(frontier)
-                            .with_interner_capacity(1)
-                            .with_collector(collector(mode)),
-                    )
-                    .unwrap();
-                    let outcome = verifier.verify(&properties).unwrap();
-                    let print = fingerprint(&outcome);
-                    match &reference {
-                        None => reference = Some(print),
-                        Some(expected) => prop_assert_eq!(
-                            expected,
-                            &print,
-                            "mode={:?} workers={} frontier={:?}",
-                            mode,
-                            workers,
-                            frontier
-                        ),
-                    }
+                let verifier = ProductVerifier::new(
+                    system.clone(),
+                    VerifyOptions::default()
+                        .with_workers(workers)
+                        .with_depth_bound(horizon * 2)
+                        .with_collector(collector(mode)),
+                )
+                .unwrap();
+                let outcome = verifier.verify(&properties).unwrap();
+                let print = fingerprint(&outcome);
+                match &reference {
+                    None => reference = Some(print),
+                    Some(expected) => prop_assert_eq!(
+                        expected,
+                        &print,
+                        "mode={:?} workers={}",
+                        mode,
+                        workers
+                    ),
                 }
             }
         }

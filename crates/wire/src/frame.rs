@@ -4,11 +4,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use polychrony_core::aadl::case_study::PRODUCER_CONSUMER_AADL;
-use polychrony_core::polyverify::{Domain, FrontierMode};
-use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{
-    BatchJob, CacheOutcome, CoreError, PropertySpec, SessionOptions, ToolChainReport, VcdCapture,
-    VerificationScope,
+    options_from_json, options_to_json, BatchJob, CacheOutcome, CoreError, SessionOptions,
+    ToolChainReport,
 };
 use polyobs::json::Json;
 use polyobs::ProgressUpdate;
@@ -304,177 +302,6 @@ fn bool_field(v: &Json, key: &str) -> Result<bool, WireError> {
     }
 }
 
-/// Encodes phase options as a JSON object with one key per option group;
-/// enum-valued options use the CLI's stable labels (`edf`, `work-stealing`,
-/// `per-thread`, …). The collector never crosses the wire.
-pub fn options_to_json(options: &SessionOptions) -> Json {
-    let policy = match options.schedule.policy {
-        SchedulingPolicy::RateMonotonic => "rm",
-        SchedulingPolicy::EarliestDeadlineFirst => "edf",
-        SchedulingPolicy::FixedPriority => "fp",
-    };
-    let vcd = match &options.simulate.vcd {
-        VcdCapture::First => Json::Str("first".to_string()),
-        VcdCapture::Off => Json::Str("off".to_string()),
-        VcdCapture::Thread(name) => obj(vec![("thread", Json::Str(name.clone()))]),
-    };
-    let scope = match options.verify.scope {
-        VerificationScope::PerThread => "per-thread",
-        VerificationScope::Product => "product",
-    };
-    let frontier = match options.verify.frontier {
-        FrontierMode::WorkStealing => "work-stealing",
-        FrontierMode::Barrier => "barrier",
-    };
-    let properties = Json::Arr(
-        options
-            .verify
-            .properties
-            .iter()
-            .map(|p| Json::Str(p.expr.clone()))
-            .collect(),
-    );
-    obj(vec![
-        ("schedule", obj(vec![("policy", Json::Str(policy.into()))])),
-        (
-            "translate",
-            obj(vec![(
-                "default_queue_size",
-                num(options.translate.default_queue_size as u64),
-            )]),
-        ),
-        (
-            "simulate",
-            obj(vec![
-                ("hyperperiods", num(options.simulate.hyperperiods)),
-                ("vcd", vcd),
-            ]),
-        ),
-        (
-            "verify",
-            obj(vec![
-                ("enabled", Json::Bool(options.verify.enabled)),
-                ("workers", num(options.verify.workers as u64)),
-                ("hyperperiods", num(options.verify.hyperperiods)),
-                ("scope", Json::Str(scope.into())),
-                ("properties", properties),
-                ("frontier", Json::Str(frontier.into())),
-                ("pruning", Json::Bool(options.verify.pruning)),
-                (
-                    "interner_capacity",
-                    num(options.verify.interner_capacity as u64),
-                ),
-                (
-                    "domain",
-                    Json::Str(options.verify.domain.as_str().to_string()),
-                ),
-                (
-                    "project_counters",
-                    Json::Bool(options.verify.project_counters),
-                ),
-                (
-                    "widen_threshold",
-                    num(options.verify.widen_threshold as u64),
-                ),
-            ]),
-        ),
-    ])
-}
-
-/// Decodes [`options_to_json`] output. Missing groups and keys keep their
-/// defaults (a client can send `{}`); present keys must have the right
-/// shape and label, so a typoed policy is an error rather than a silently
-/// different run.
-pub fn options_from_json(v: &Json) -> Result<SessionOptions, WireError> {
-    let mut options = SessionOptions::default();
-    if let Some(schedule) = v.get("schedule") {
-        if let Some(policy) = schedule.get("policy") {
-            options.schedule.policy = match policy.as_str() {
-                Some("rm") => SchedulingPolicy::RateMonotonic,
-                Some("edf") => SchedulingPolicy::EarliestDeadlineFirst,
-                Some("fp") => SchedulingPolicy::FixedPriority,
-                _ => return Err(frame_err(format!("unknown schedule.policy {policy}"))),
-            };
-        }
-    }
-    if let Some(translate) = v.get("translate") {
-        if translate.get("default_queue_size").is_some() {
-            options.translate.default_queue_size =
-                u64_field(translate, "default_queue_size")? as usize;
-        }
-    }
-    if let Some(simulate) = v.get("simulate") {
-        if simulate.get("hyperperiods").is_some() {
-            options.simulate.hyperperiods = u64_field(simulate, "hyperperiods")?;
-        }
-        if let Some(vcd) = simulate.get("vcd") {
-            options.simulate.vcd = match vcd {
-                Json::Str(label) if label == "first" => VcdCapture::First,
-                Json::Str(label) if label == "off" => VcdCapture::Off,
-                Json::Obj(_) => VcdCapture::Thread(str_field(vcd, "thread")?),
-                other => return Err(frame_err(format!("unknown simulate.vcd {other}"))),
-            };
-        }
-    }
-    if let Some(verify) = v.get("verify") {
-        if verify.get("enabled").is_some() {
-            options.verify.enabled = bool_field(verify, "enabled")?;
-        }
-        if verify.get("workers").is_some() {
-            options.verify.workers = u64_field(verify, "workers")? as usize;
-        }
-        if verify.get("hyperperiods").is_some() {
-            options.verify.hyperperiods = u64_field(verify, "hyperperiods")?;
-        }
-        if let Some(scope) = verify.get("scope") {
-            options.verify.scope = match scope.as_str() {
-                Some("per-thread") => VerificationScope::PerThread,
-                Some("product") => VerificationScope::Product,
-                _ => return Err(frame_err(format!("unknown verify.scope {scope}"))),
-            };
-        }
-        if let Some(properties) = verify.get("properties") {
-            let items = properties
-                .as_arr()
-                .ok_or_else(|| frame_err("verify.properties must be an array"))?;
-            options.verify.properties = items
-                .iter()
-                .map(|p| {
-                    p.as_str()
-                        .map(PropertySpec::new)
-                        .ok_or_else(|| frame_err("verify.properties entries must be strings"))
-                })
-                .collect::<Result<_, _>>()?;
-        }
-        if let Some(frontier) = verify.get("frontier") {
-            options.verify.frontier = match frontier.as_str() {
-                Some("work-stealing") => FrontierMode::WorkStealing,
-                Some("barrier") => FrontierMode::Barrier,
-                _ => return Err(frame_err(format!("unknown verify.frontier {frontier}"))),
-            };
-        }
-        if verify.get("pruning").is_some() {
-            options.verify.pruning = bool_field(verify, "pruning")?;
-        }
-        if verify.get("interner_capacity").is_some() {
-            options.verify.interner_capacity = u64_field(verify, "interner_capacity")? as usize;
-        }
-        if let Some(domain) = verify.get("domain") {
-            options.verify.domain = domain
-                .as_str()
-                .and_then(Domain::parse)
-                .ok_or_else(|| frame_err(format!("unknown verify.domain {domain}")))?;
-        }
-        if verify.get("project_counters").is_some() {
-            options.verify.project_counters = bool_field(verify, "project_counters")?;
-        }
-        if verify.get("widen_threshold").is_some() {
-            options.verify.widen_threshold = u64_field(verify, "widen_threshold")? as i64;
-        }
-    }
-    Ok(options)
-}
-
 impl JobSpec {
     /// Encodes the spec as a JSON object (also used verbatim by the
     /// daemon's append-only job log).
@@ -511,7 +338,9 @@ impl JobSpec {
             source,
             root: str_field(v, "root")?,
             options: match v.get("options") {
-                Some(options) => options_from_json(options)?,
+                Some(options) => {
+                    options_from_json(options).map_err(|e| frame_err(e.to_string()))?
+                }
                 None => SessionOptions::default(),
             },
         })
@@ -801,32 +630,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn options_round_trip_all_enum_labels() {
-        let mut options = SessionOptions::default();
-        options.schedule.policy = SchedulingPolicy::RateMonotonic;
-        options.simulate.vcd = VcdCapture::Thread("prod".to_string());
-        options.verify.scope = VerificationScope::Product;
-        options.verify.frontier = FrontierMode::Barrier;
-        options.verify.domain = Domain::Interval;
-        options.verify.project_counters = true;
-        options.verify.widen_threshold = 12;
-        options.verify.properties = vec![PropertySpec::new("never raised(*Alarm*)")];
-        let decoded = options_from_json(&options_to_json(&options)).unwrap();
-        assert_eq!(decoded, options);
-    }
-
-    #[test]
-    fn empty_options_object_decodes_to_defaults() {
-        let decoded = options_from_json(&Json::Obj(Default::default())).unwrap();
-        assert_eq!(decoded, SessionOptions::default());
-    }
-
-    #[test]
-    fn bad_labels_are_rejected() {
-        let bad = polyobs::json::parse(r#"{"schedule":{"policy":"fifo"}}"#).unwrap();
-        assert!(matches!(options_from_json(&bad), Err(WireError::Frame(_))));
-        let bad = polyobs::json::parse(r#"{"verify":{"frontier":"queue"}}"#).unwrap();
-        assert!(matches!(options_from_json(&bad), Err(WireError::Frame(_))));
+    fn bad_option_labels_are_frame_errors() {
+        let bad = polyobs::json::parse(
+            r#"{"name":"x","root":"r","options":{"schedule":{"policy":"fifo"}}}"#,
+        )
+        .unwrap();
+        assert!(matches!(JobSpec::from_json(&bad), Err(WireError::Frame(_))));
     }
 
     #[test]

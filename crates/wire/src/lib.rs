@@ -39,9 +39,8 @@ mod codec;
 mod frame;
 
 pub use codec::{read_frame, write_frame, WireError, MAX_FRAME_LEN};
-pub use frame::{
-    options_from_json, options_to_json, Frame, JobSpec, JobState, JobStatus, WireReport,
-};
+pub use frame::{Frame, JobSpec, JobState, JobStatus, WireReport};
+pub use polychrony_core::{options_from_json, options_to_json};
 
 /// Protocol identifier carried by every frame; readers reject anything else.
 pub const PROTOCOL: &str = "polychrony-wire-v1";

@@ -4,7 +4,7 @@
 
 use std::io::BufReader;
 
-use polychrony_core::polyverify::FrontierMode;
+use polychrony_core::polyverify::Domain;
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{PropertySpec, SessionOptions, VcdCapture, VerificationScope};
 use polyobs::ProgressUpdate;
@@ -40,7 +40,7 @@ fn roundtrip(frame: &Frame) -> Frame {
 fn options_variant(
     policy: usize,
     scope: bool,
-    barrier: bool,
+    interval: bool,
     vcd: usize,
     n: u64,
 ) -> SessionOptions {
@@ -65,13 +65,11 @@ fn options_variant(
     } else {
         VerificationScope::PerThread
     };
-    options.verify.frontier = if barrier {
-        FrontierMode::Barrier
-    } else {
-        FrontierMode::WorkStealing
-    };
-    options.verify.pruning = !n.is_multiple_of(3);
-    options.verify.interner_capacity = (n % 1000 + 1) as usize;
+    if interval {
+        options.verify.domain = Domain::Interval;
+        options.verify.project_counters = !n.is_multiple_of(3);
+        options.verify.widen_threshold = (n % 1000 + 1) as i64;
+    }
     if n % 2 == 1 {
         options.verify.properties = vec![
             PropertySpec::new("never raised(*Alarm*)"),
@@ -88,7 +86,7 @@ proptest! {
     #[test]
     fn submit_frames_round_trip(
         (policy, vcd) in (0usize..3, 0usize..3),
-        (scope, barrier, watch) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (scope, interval, watch) in (any::<bool>(), any::<bool>(), any::<bool>()),
         n in 0u64..10_000,
         name in prop::sample::select(names()),
         source in prop::option::of(prop::sample::select(names())),
@@ -98,7 +96,7 @@ proptest! {
                 name: name.to_string(),
                 source: source.map(str::to_string),
                 root: "sysProdCons.impl".to_string(),
-                options: options_variant(policy, scope, barrier, vcd, n),
+                options: options_variant(policy, scope, interval, vcd, n),
             },
             watch,
         };
@@ -201,4 +199,28 @@ proptest! {
             prop_assert!(false, "junk decoded to {frame:?}");
         }
     }
+}
+
+/// Daemon job logs written before three verify options were retired still
+/// carry their keys. Unknown keys are ignored, so such a line decodes to
+/// the same spec as one without them and the log replays.
+#[test]
+fn retired_option_keys_still_decode() {
+    let current = r#"{"name":"old","source":null,"root":"sysProdCons.impl",
+        "options":{"verify":{"workers":1,"hyperperiods":2,"scope":"product"}}}"#;
+    let retired = r#"{"name":"old","source":null,"root":"sysProdCons.impl",
+        "options":{"verify":{"workers":1,"hyperperiods":2,"scope":"product",
+        "frontier":"barrier","pruning":false,"interner_capacity":1}}}"#;
+    let decode = |text: &str| JobSpec::from_json(&polyobs::json::parse(text).unwrap()).unwrap();
+    let spec = decode(current);
+    assert_eq!(spec.options.verify.hyperperiods, 2);
+    assert_eq!(decode(retired), spec);
+
+    // The same line inside a `submit` frame, as a client built before the
+    // keys were retired would send it.
+    let submit = format!(
+        r#"{{"proto":"polychrony-wire-v1","kind":"submit","watch":false,"spec":{retired}}}"#
+    );
+    let frame = Frame::from_json(&polyobs::json::parse(&submit).unwrap()).unwrap();
+    assert_eq!(frame, Frame::Submit { spec, watch: false });
 }

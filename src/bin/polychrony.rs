@@ -7,8 +7,7 @@
 //! polychrony analyze  [--policy rm|edf|fp] [--stop-after PHASE]
 //! polychrony simulate [--hyperperiods N] [--vcd]
 //! polychrony verify   [--workers N] [--hyperperiods N] [--product]
-//!                     [--frontier barrier|work-stealing] [--no-pruning]
-//!                     [--interner-capacity N] [--property EXPR]...
+//!                     [--property EXPR]...
 //!                     [--domain concrete|interval] [--project-counters]
 //!                     [--inject-deadline-bug] [--inject-connection-bug]
 //!                     [--progress] [--trace-out FILE]
@@ -48,11 +47,12 @@ use std::process::ExitCode;
 
 use polychrony_client::{ClientError, Endpoint};
 use polychrony_core::aadl::synth::SyntheticSpec;
-use polychrony_core::polyverify::{Domain, FrontierMode, Property};
+use polychrony_core::polyverify::{Domain, Property};
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{
     BatchJob, BatchRunner, Collector, CoreError, JsonLinesSink, ProgressReporter, ProgressUpdate,
-    PropertySpec, ScheduleOptions, Session, SessionOptions, ToolChain, VerificationScope,
+    PropertySpec, ScheduleOptions, Session, SessionOptions, ToolChain, VerificationOptions,
+    VerificationScope,
 };
 use polyvopr::{FaultKind, VoprOptions};
 use polywire::{JobSpec, WireReport};
@@ -203,8 +203,7 @@ USAGE:
     polychrony analyze  [--policy rm|edf|fp] [--stop-after PHASE]
     polychrony simulate [--hyperperiods N] [--vcd]
     polychrony verify   [--workers N] [--hyperperiods N] [--product]
-                        [--frontier barrier|work-stealing] [--no-pruning]
-                        [--interner-capacity N] [--property EXPR]...
+                        [--property EXPR]...
                         [--domain concrete|interval] [--project-counters]
                         [--inject-deadline-bug] [--inject-connection-bug]
                         [--progress] [--trace-out FILE]
@@ -253,14 +252,8 @@ COMMANDS:
                simulator replay; with --inject-connection-bug, delay the
                producer's start-timer connection past the timer's input
                freeze and confirm the cross-thread counterexample by
-               lockstep co-simulation; --frontier selects the exploration
-               frontier discipline (work-stealing deques by default,
-               barrier for level-synchronised chunks — verdicts are
-               identical); --no-pruning disables clock-calculus pruning
-               and per-component memoization (verdicts are identical);
-               --interner-capacity sets the initial per-shard capacity of
-               the state interner; --domain interval switches the engine to
-               the interval abstraction (property-invisible monotone
+               lockstep co-simulation; --domain interval switches the
+               engine to the interval abstraction (property-invisible monotone
                counters widen, so unbounded-counter spaces can close with a
                genuine proof — see docs/SYMBOLIC.md) and --project-counters
                additionally drops such counters from the state key; both
@@ -690,14 +683,37 @@ fn simulate(args: &[String]) -> Result<ExitCode, CliError> {
     Ok(exit_for(alarm_free))
 }
 
+/// Applies the verification flags `verify` and `submit` share
+/// (`--workers`, `--hyperperiods`, `--product`, `--domain`,
+/// `--project-counters`, `--property`) on top of `verify`'s defaults.
+fn apply_verification_flags(
+    args: &[String],
+    verify: &mut VerificationOptions,
+) -> Result<(), CliError> {
+    verify.workers = flag_value(args, "--workers", verify.workers)?;
+    verify.hyperperiods = flag_value(args, "--hyperperiods", verify.hyperperiods)?;
+    if has_flag(args, "--product") {
+        verify.scope = VerificationScope::Product;
+    }
+    let domain_label = flag_value(args, "--domain", verify.domain.as_str().to_string())?;
+    verify.domain = Domain::parse(&domain_label).ok_or_else(|| {
+        CliError::Usage(format!(
+            "unknown domain `{domain_label}` (use concrete or interval)"
+        ))
+    })?;
+    verify.project_counters = has_flag(args, "--project-counters");
+    verify.properties = flag_values(args, "--property")?
+        .into_iter()
+        .map(PropertySpec::new)
+        .collect();
+    Ok(())
+}
+
 fn verify(args: &[String]) -> Result<ExitCode, CliError> {
     let mut allowed = vec![
         ("--workers", true),
         ("--hyperperiods", true),
         ("--product", false),
-        ("--frontier", true),
-        ("--no-pruning", false),
-        ("--interner-capacity", true),
         ("--domain", true),
         ("--project-counters", false),
         ("--property", true),
@@ -708,54 +724,22 @@ fn verify(args: &[String]) -> Result<ExitCode, CliError> {
     allowed.extend(OBS_FLAGS);
     check_flags(args, &allowed)?;
     let ui = Ui::from_args(args)?;
-    let workers = flag_value(args, "--workers", 2usize)?;
-    let hyperperiods = flag_value(args, "--hyperperiods", 1u64)?;
-    let frontier = match flag_value(args, "--frontier", "work-stealing".to_string())?.as_str() {
-        "work-stealing" => FrontierMode::WorkStealing,
-        "barrier" => FrontierMode::Barrier,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown frontier mode `{other}` (use barrier or work-stealing)"
-            )))
-        }
-    };
-    let interner_capacity = flag_value(args, "--interner-capacity", 4096usize)?;
-    let domain_label = flag_value(args, "--domain", "concrete".to_string())?;
-    let domain = Domain::parse(&domain_label).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown domain `{domain_label}` (use concrete or interval)"
-        ))
-    })?;
+    let mut options = SessionOptions::default();
+    options.simulate.hyperperiods = 1;
+    apply_verification_flags(args, &mut options.verify)?;
     // Parse the user properties upfront: a malformed expression is a usage
     // error (exit 1) with the offending span, before any phase runs.
     let properties = parse_properties(args)?;
+    let (workers, hyperperiods) = (options.verify.workers, options.verify.hyperperiods);
     if has_flag(args, "--inject-deadline-bug") {
         return verify_injected(ui, workers, hyperperiods, &properties);
     }
     if has_flag(args, "--inject-connection-bug") {
         return verify_injected_connection(ui, workers, hyperperiods, &properties);
     }
-    let scope = if has_flag(args, "--product") {
-        VerificationScope::Product
-    } else {
-        VerificationScope::PerThread
-    };
     let collector = collector_from_args(args)?;
-    let mut chain = ToolChain::new()
-        .with_hyperperiods(1)
-        .with_verify_workers(workers)
-        .with_verify_hyperperiods(hyperperiods)
-        .with_verify_scope(scope)
-        .with_verify_frontier(frontier)
-        .with_verify_pruning(!has_flag(args, "--no-pruning"))
-        .with_verify_interner_capacity(interner_capacity)
-        .with_verify_domain(domain)
-        .with_verify_project_counters(has_flag(args, "--project-counters"))
-        .with_collector(collector.clone());
-    for expr in flag_values(args, "--property")? {
-        chain = chain.with_property(expr);
-    }
-    let report = chain.run_case_study()?;
+    options.collector = collector.clone();
+    let report = ToolChain::with_options(options).run_case_study()?;
     collector.flush();
     let verification = report
         .verification
@@ -968,22 +952,7 @@ fn submit(args: &[String]) -> Result<ExitCode, CliError> {
     // not a daemon-side rejection later.
     parse_properties(args)?;
     let mut options = SessionOptions::quick();
-    options.verify.workers = flag_value(args, "--workers", options.verify.workers)?;
-    options.verify.hyperperiods = flag_value(args, "--hyperperiods", options.verify.hyperperiods)?;
-    if has_flag(args, "--product") {
-        options.verify.scope = VerificationScope::Product;
-    }
-    let domain_label = flag_value(args, "--domain", "concrete".to_string())?;
-    options.verify.domain = Domain::parse(&domain_label).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown domain `{domain_label}` (use concrete or interval)"
-        ))
-    })?;
-    options.verify.project_counters = has_flag(args, "--project-counters");
-    options.verify.properties = flag_values(args, "--property")?
-        .into_iter()
-        .map(PropertySpec::new)
-        .collect();
+    apply_verification_flags(args, &mut options.verify)?;
     options
         .validate()
         .map_err(|e| CliError::Usage(e.to_string()))?;

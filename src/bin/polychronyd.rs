@@ -17,8 +17,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use polychrony_core::{Collector, JsonLinesSink};
 use polychrony_server::{Daemon, DaemonConfig};
-use polyobs::{Collector, JsonLinesSink};
 
 const USAGE: &str = "usage: polychronyd (--socket PATH | --tcp ADDR) \
                      [--workers N] [--cache-capacity N] [--log PATH] [--trace-out PATH]";

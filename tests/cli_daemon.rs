@@ -3,7 +3,7 @@
 //! case study twice, the second run reports a cache hit with verdicts
 //! identical to the first, then stop the daemon.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
 
@@ -11,20 +11,8 @@ fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_polychrony"))
 }
 
-/// `polychronyd` lives in the server crate; `cargo test` puts both
-/// binaries in the same target directory.
-fn daemon_bin() -> PathBuf {
-    let bin = Path::new(env!("CARGO_BIN_EXE_polychrony"))
-        .parent()
-        .expect("bin dir")
-        .join("polychronyd");
-    assert!(
-        bin.exists(),
-        "polychronyd not built at {} — run `cargo test --workspace` so every \
-         workspace binary is available",
-        bin.display()
-    );
-    bin
+fn daemon_bin() -> &'static str {
+    env!("CARGO_BIN_EXE_polychronyd")
 }
 
 fn tmp(name: &str) -> PathBuf {

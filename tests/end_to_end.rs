@@ -5,7 +5,7 @@
 
 use polychrony_core::aadl::synth::{generate_instance, SyntheticSpec};
 use polychrony_core::sched::SchedulingPolicy;
-use polychrony_core::{ToolChain, ToolChainOptions};
+use polychrony_core::{SessionOptions, ToolChain};
 
 #[test]
 fn case_study_end_to_end_all_checks_pass() {
@@ -78,14 +78,13 @@ fn synthetic_models_scale_through_the_whole_pipeline() {
     // scalability benchmark.
     for threads in [4usize, 8] {
         let instance = generate_instance(&SyntheticSpec::new(threads, 1)).unwrap();
-        let report = ToolChain::with_options(ToolChainOptions {
-            policy: SchedulingPolicy::EarliestDeadlineFirst,
-            hyperperiods: 1,
-            default_queue_size: 2,
-            ..ToolChainOptions::default()
-        })
-        .run_instance(&instance)
-        .unwrap();
+        let mut options = SessionOptions::default();
+        options.schedule.policy = SchedulingPolicy::EarliestDeadlineFirst;
+        options.simulate.hyperperiods = 1;
+        options.translate.default_queue_size = 2;
+        let report = ToolChain::with_options(options)
+            .run_instance(&instance)
+            .unwrap();
         assert_eq!(report.simulations.len(), threads);
         assert!(report.static_analysis.clock_count >= threads);
         assert!(report.schedule.is_valid());

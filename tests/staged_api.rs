@@ -6,9 +6,7 @@
 
 use polychrony_core::aadl::case_study::PRODUCER_CONSUMER_AADL;
 use polychrony_core::aadl::synth::{generate_instance, generate_source, SyntheticSpec};
-use polychrony_core::{
-    BatchJob, BatchRunner, CoreError, SessionOptions, ToolChain, ToolChainOptions,
-};
+use polychrony_core::{BatchJob, BatchRunner, CoreError, SessionOptions, ToolChain};
 
 /// Fast per-job options for the batch tests: one simulated hyper-period, no
 /// waveform, sequential in-job verification.
@@ -44,12 +42,10 @@ fn staged_session_and_toolchain_facade_agree_on_the_case_study() {
 
 #[test]
 fn staged_session_and_toolchain_facade_agree_on_a_synthetic_model() {
-    let options = ToolChainOptions {
-        hyperperiods: 1,
-        default_queue_size: 2,
-        verify_workers: 1,
-        ..ToolChainOptions::default()
-    };
+    let mut options = SessionOptions::default();
+    options.simulate.hyperperiods = 1;
+    options.translate.default_queue_size = 2;
+    options.verify.workers = 1;
     let instance = generate_instance(&SyntheticSpec::new(6, 1)).unwrap();
     let chain = ToolChain::with_options(options);
     let monolithic = chain.run_instance(&instance).unwrap();
