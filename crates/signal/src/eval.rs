@@ -19,6 +19,14 @@
 //! and [`Evaluator::step_resolved`] additionally exposes the resolved
 //! instant as a borrow-only [`ResolvedStep`] so explorers can skip the
 //! `TraceStep` materialisation entirely.
+//!
+//! The fixpoint is *change-driven*: each equation records the ids it reads,
+//! and a pass re-evaluates only the equations that read a slot changed since
+//! their last evaluation, in the same source order, with the same `changed`
+//! flag and pass cap as the full fixpoint. The post-fixpoint re-check and
+//! the commit of operator states are likewise limited to the equations the
+//! instant can affect. [`Evaluator::step_reference`] keeps the full
+//! fixpoint as the oracle the differential tests compare against.
 
 use std::collections::HashMap;
 
@@ -138,7 +146,6 @@ pub struct Evaluator {
     states: Vec<OperatorState>,
     /// Initial memory, for [`Evaluator::reset`].
     initial: Vec<Value>,
-    max_iterations: usize,
     /// id → name; the first `decl_count` ids are `process.signals` in
     /// declaration order, any extra names found in equations follow.
     names: Vec<String>,
@@ -154,12 +161,111 @@ pub struct Evaluator {
     is_input: Vec<bool>,
     /// Input ids in `process.inputs()` order.
     input_ids: Vec<u32>,
+    /// Input ids sorted by name, merge-joined with a step's sorted entries.
+    inputs_by_name: Vec<u32>,
     /// Whether the id has a total definition (for the partial discipline).
     has_total: Vec<bool>,
     /// Compiled equations, in source order.
     ceqs: Vec<CEq>,
+    /// The equations that read each id.
+    readers: Readers,
+    /// Per equation: whether its expression reads its own target.
+    reads_target: Vec<bool>,
+    /// Per equation: whether it is dirty when an instant starts — it reads
+    /// an input, or it may resolve something while every other signal is
+    /// still unknown.
+    initial_dirty: Vec<bool>,
+    /// Equations containing a `delay` or `cell`, in source order: the only
+    /// ones a commit visits.
+    memory_eqs: Vec<u32>,
+    /// Partially defined signals that need a firing partial when present
+    /// (neither inputs nor totally defined), each with its partial
+    /// equations.
+    partial_checks: Vec<(u32, Vec<u32>)>,
     /// Reusable per-instant environment, indexed by id.
     env: Vec<Res>,
+    /// Per-instant scratch, per equation: whether a slot it reads changed
+    /// since its last evaluation.
+    dirty: Vec<bool>,
+    /// Per-instant scratch, per partial equation: whether its last result
+    /// was present.
+    fired: Vec<bool>,
+    work: EvalWork,
+}
+
+/// Pass cap of the fixpoint: a process still changing after this many
+/// passes is completed as it stands.
+const MAX_PASSES: usize = 64;
+
+/// Errors of the expression layer are boxed so that the `Result` every
+/// node returns stays small; they are unboxed at the step boundary.
+type EvalResult<T> = Result<T, Box<SignalError>>;
+
+/// Deterministic work counts of an [`Evaluator`]: the same inputs give the
+/// same counts on any machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvalWork {
+    /// Instants stepped, successful or not.
+    pub instants: u64,
+    /// Fixpoint passes run.
+    pub passes: u64,
+    /// Equation evaluations: in the fixpoint, in the post-completion
+    /// re-check and in the commit of operator states.
+    pub equations: u64,
+}
+
+impl std::ops::Add for EvalWork {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            instants: self.instants + other.instants,
+            passes: self.passes + other.passes,
+            equations: self.equations + other.equations,
+        }
+    }
+}
+
+/// The equations that read each signal id, as one flat table: the readers
+/// of id `s` are `eqs[start[s]..start[s + 1]]`, in source order.
+#[derive(Debug, Clone)]
+struct Readers {
+    start: Vec<u32>,
+    eqs: Vec<u32>,
+}
+
+impl Readers {
+    /// Inverts `reads`, the ids each equation reads (without duplicates).
+    fn new(reads: &[Vec<u32>], ids: usize) -> Self {
+        let mut start = vec![0u32; ids + 1];
+        for ids_read in reads {
+            for &id in ids_read {
+                start[id as usize + 1] += 1;
+            }
+        }
+        for i in 0..ids {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut eqs = vec![0u32; start[ids] as usize];
+        for (e, ids_read) in reads.iter().enumerate() {
+            for &id in ids_read {
+                eqs[fill[id as usize] as usize] = e as u32;
+                fill[id as usize] += 1;
+            }
+        }
+        Self { start, eqs }
+    }
+
+    /// Marks every reader of `id` but `except` dirty.
+    fn mark(&self, dirty: &mut [bool], id: u32, except: usize) {
+        let range = self.start[id as usize] as usize..self.start[id as usize + 1] as usize;
+        for &e in &self.eqs[range] {
+            if e as usize != except {
+                dirty[e as usize] = true;
+            }
+        }
+    }
 }
 
 /// Name interner used during compilation.
@@ -225,6 +331,71 @@ fn compile_expr(
         Expr::ClockOf(e) => CExpr::ClockOf(Box::new(compile_expr(e, interner, states))),
         Expr::ClockWhen(b) => CExpr::ClockWhen(Box::new(compile_expr(b, interner, states))),
     }
+}
+
+/// Collects the signal ids `expr` reads.
+fn vars_of(expr: &CExpr, out: &mut Vec<u32>) {
+    match expr {
+        CExpr::Var(id) => out.push(*id),
+        CExpr::Const(_) => {}
+        CExpr::Unary(_, e) | CExpr::Delay(_, e) | CExpr::ClockOf(e) | CExpr::ClockWhen(e) => {
+            vars_of(e, out)
+        }
+        CExpr::Binary(_, a, b)
+        | CExpr::When(a, b)
+        | CExpr::Default(a, b)
+        | CExpr::Cell(_, a, b) => {
+            vars_of(a, out);
+            vars_of(b, out);
+        }
+    }
+}
+
+/// Whether `expr` contains a `delay` or `cell`.
+fn has_memory(expr: &CExpr) -> bool {
+    match expr {
+        CExpr::Delay(..) | CExpr::Cell(..) => true,
+        CExpr::Var(_) | CExpr::Const(_) => false,
+        CExpr::Unary(_, e) | CExpr::ClockOf(e) | CExpr::ClockWhen(e) => has_memory(e),
+        CExpr::Binary(_, a, b) | CExpr::When(a, b) | CExpr::Default(a, b) => {
+            has_memory(a) || has_memory(b)
+        }
+    }
+}
+
+/// The result of `expr` when every variable is `Unknown`, if it raises no
+/// error and does not depend on the operator memory; `None` otherwise.
+fn eval_all_unknown(expr: &CExpr) -> Option<Res> {
+    Some(match expr {
+        CExpr::Var(_) => Res::Unknown,
+        CExpr::Const(v) => Res::Any(v.clone()),
+        CExpr::Unary(op, e) => apply_unary(*op, &eval_all_unknown(e)?).ok()?,
+        CExpr::Binary(op, a, b) => {
+            apply_binary(*op, &eval_all_unknown(a)?, &eval_all_unknown(b)?, 0).ok()?
+        }
+        CExpr::Delay(_, e) => match eval_all_unknown(e)? {
+            res @ (Res::Unknown | Res::Absent) => res,
+            // A present operand yields the memory.
+            _ => return None,
+        },
+        CExpr::When(e, b) => when_result(&eval_all_unknown(e)?, &eval_all_unknown(b)?),
+        CExpr::Default(u, v) => default_result(&eval_all_unknown(u)?, &eval_all_unknown(v)?),
+        CExpr::Cell(_, i, b) => {
+            let (i, b) = (eval_all_unknown(i)?, eval_all_unknown(b)?);
+            if matches!(i, Res::Absent) && b.value().is_some_and(Value::as_bool) {
+                // An absent operand sampled true yields the memory.
+                return None;
+            }
+            cell_result(&i, &b, &Value::Event)
+        }
+        CExpr::ClockOf(e) => clock_of_result(&eval_all_unknown(e)?),
+        CExpr::ClockWhen(b) => clock_when_result(&eval_all_unknown(b)?),
+    })
+}
+
+/// Whether `res` carries a NaN, the one value that is not equal to itself.
+fn is_nan(res: &Res) -> bool {
+    matches!(res.value(), Some(Value::Real(r)) if r.is_nan())
 }
 
 impl Evaluator {
@@ -299,14 +470,72 @@ impl Evaluator {
         }
         let mut sorted_ids: Vec<u32> = (0..names.len() as u32).collect();
         sorted_ids.sort_by(|&a, &b| names[a as usize].cmp(&names[b as usize]));
+        let inputs_by_name: Vec<u32> = sorted_ids
+            .iter()
+            .copied()
+            .filter(|&id| (id as usize) < decl_count && is_input[id as usize])
+            .collect();
+
+        // What each equation reads: the variables of its expression plus its
+        // target (a merge depends on the target's slot), or the members of a
+        // clock constraint. Exclusions act only after the fixpoint.
+        let mut reads: Vec<Vec<u32>> = Vec::with_capacity(ceqs.len());
+        let mut reads_target = Vec::with_capacity(ceqs.len());
+        let mut initial_dirty = Vec::with_capacity(ceqs.len());
+        let mut memory_eqs = Vec::new();
+        for (e, ceq) in ceqs.iter().enumerate() {
+            let mut ids_read = Vec::new();
+            let mut starts_clean = true;
+            match ceq {
+                CEq::Def { target, expr } | CEq::Partial { target, expr } => {
+                    vars_of(expr, &mut ids_read);
+                    reads_target.push(ids_read.contains(target));
+                    ids_read.push(*target);
+                    starts_clean = eval_all_unknown(expr) == Some(Res::Unknown);
+                    if has_memory(expr) {
+                        memory_eqs.push(e as u32);
+                    }
+                }
+                CEq::Sync { signals, .. } => {
+                    ids_read.extend_from_slice(signals);
+                    reads_target.push(false);
+                }
+                CEq::Excl { .. } => reads_target.push(false),
+            }
+            ids_read.sort_unstable();
+            ids_read.dedup();
+            let reads_input = ids_read
+                .iter()
+                .any(|&id| (id as usize) < decl_count && is_input[id as usize]);
+            initial_dirty.push(!starts_clean || reads_input);
+            reads.push(ids_read);
+        }
+        let readers = Readers::new(&reads, names.len());
+
+        // Partially defined signals that must have a firing partial when
+        // present (neither inputs nor totally defined), in first-occurrence
+        // order, each with its partial equations.
+        let mut partial_checks: Vec<(u32, Vec<u32>)> = Vec::new();
+        for (e, ceq) in ceqs.iter().enumerate() {
+            if let CEq::Partial { target, .. } = ceq {
+                let id = *target as usize;
+                if (id < decl_count && is_input[id]) || has_total[id] {
+                    continue;
+                }
+                match partial_checks.iter_mut().find(|(t, _)| t == target) {
+                    Some((_, eqs)) => eqs.push(e as u32),
+                    None => partial_checks.push((*target, vec![e as u32])),
+                }
+            }
+        }
 
         let initial: Vec<Value> = states.iter().map(|s| s.current.clone()).collect();
         let env = vec![Res::Unknown; names.len()];
+        let equation_count = ceqs.len();
         Ok(Self {
             process: process.clone(),
             states,
             initial,
-            max_iterations: 64,
             names,
             ids,
             sorted_ids,
@@ -314,9 +543,18 @@ impl Evaluator {
             decl_ty,
             is_input,
             input_ids,
+            inputs_by_name,
             has_total,
             ceqs,
+            readers,
+            reads_target,
+            initial_dirty,
+            memory_eqs,
+            partial_checks,
             env,
+            dirty: vec![false; equation_count],
+            fired: vec![false; equation_count],
+            work: EvalWork::default(),
         })
     }
 
@@ -380,6 +618,12 @@ impl Evaluator {
         }
     }
 
+    /// The work this evaluator has done since it was created (clones carry
+    /// the count of their original).
+    pub fn work(&self) -> EvalWork {
+        self.work
+    }
+
     /// Executes the process for every instant of `inputs`, returning the
     /// complete trace (inputs, locals and outputs).
     ///
@@ -408,13 +652,7 @@ impl Evaluator {
     /// Same conditions as [`Evaluator::run`].
     pub fn step(&mut self, instant: usize, input: &TraceStep) -> Result<TraceStep, SignalError> {
         self.step_commit(instant, input)?;
-        let mut step = TraceStep::new();
-        for (id, res) in self.env.iter().enumerate() {
-            if let Res::Present(v) | Res::Any(v) = res {
-                step.set(self.names[id].clone(), v.clone());
-            }
-        }
-        Ok(step)
+        Ok(self.materialize())
     }
 
     /// Executes a single instant like [`Evaluator::step`], but returns the
@@ -434,6 +672,30 @@ impl Evaluator {
         Ok(self.resolved())
     }
 
+    /// Executes a single instant with the reference fixpoint: every
+    /// equation is re-evaluated in source order until a pass changes
+    /// nothing, then every definition is re-checked and every equation
+    /// visited to commit operator states.
+    ///
+    /// This is the oracle the differential tests hold [`Evaluator::step`]
+    /// to: both give the same resolved step, memory and error text on every
+    /// input. Production callers use [`Evaluator::step`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Evaluator::run`].
+    pub fn step_reference(
+        &mut self,
+        instant: usize,
+        input: &TraceStep,
+    ) -> Result<TraceStep, SignalError> {
+        let mut env = std::mem::take(&mut self.env);
+        let result = self.reference_step_into(instant, input, &mut env);
+        self.env = env;
+        result.map_err(|e| *e)?;
+        Ok(self.materialize())
+    }
+
     /// The resolved view of the last executed instant (empty before the
     /// first step).
     pub fn resolved(&self) -> ResolvedStep<'_> {
@@ -445,20 +707,185 @@ impl Evaluator {
         }
     }
 
+    /// The present signals of the last executed instant as a [`TraceStep`].
+    fn materialize(&self) -> TraceStep {
+        let mut step = TraceStep::new();
+        for (id, res) in self.env.iter().enumerate() {
+            if let Res::Present(v) | Res::Any(v) = res {
+                step.set(self.names[id].clone(), v.clone());
+            }
+        }
+        step
+    }
+
     /// Resolves one instant into `self.env` and commits operator states.
     fn step_commit(&mut self, instant: usize, input: &TraceStep) -> Result<(), SignalError> {
         let mut env = std::mem::take(&mut self.env);
         let result = self.step_into(instant, input, &mut env);
         self.env = env;
-        result
+        result.map_err(|e| *e)
     }
 
+    /// The change-driven instant: the reference's passes, restricted to the
+    /// equations that read a slot changed since their last evaluation.
     fn step_into(
         &mut self,
         instant: usize,
         input: &TraceStep,
         env: &mut Vec<Res>,
-    ) -> Result<(), SignalError> {
+    ) -> EvalResult<()> {
+        self.work.instants += 1;
+        env.clear();
+        env.resize(self.names.len(), Res::Unknown);
+        // Inputs are fully specified by the caller: absent unless given. A
+        // merge-join of the step's name-sorted entries with the inputs
+        // sorted by name; undeclared names are ignored.
+        let mut given = input.iter().peekable();
+        for &id in &self.inputs_by_name {
+            let name = self.names[id as usize].as_str();
+            while given.next_if(|(n, _)| n.as_str() < name).is_some() {}
+            env[id as usize] = match given.next_if(|(n, _)| n.as_str() == name) {
+                Some((_, v)) => Res::Present(v.clone()),
+                None => Res::Absent,
+            };
+        }
+
+        self.fixpoint(env, instant)?;
+        // Equations still dirty (the pass cap was hit) and readers of the
+        // completed slots are the ones `verify` must re-check.
+        let (readers, dirty) = (&self.readers, &mut self.dirty);
+        complete(env, &self.decl_ty, &self.names, instant, |id| {
+            readers.mark(dirty, id, usize::MAX)
+        })?;
+        self.verify(env, instant)?;
+        self.check_constraints(env, instant)?;
+        commit(
+            &self.ceqs,
+            self.memory_eqs.iter().map(|&e| e as usize),
+            env,
+            &mut self.states,
+            instant,
+            &mut self.work,
+        )
+    }
+
+    /// The reference's source-order passes, evaluating only dirty
+    /// equations. Exact because an equation's result is a pure function of
+    /// the slots it reads (operator memory is fixed during the fixpoint) and
+    /// merging an unchanged result into an unchanged slot is a no-op: a
+    /// skipped equation could neither change the environment nor raise the
+    /// first error, so `changed`, the pass count and the environment after
+    /// every pass are the reference's.
+    fn fixpoint(&mut self, env: &mut [Res], instant: usize) -> EvalResult<()> {
+        let Self {
+            ceqs,
+            states,
+            names,
+            readers,
+            reads_target,
+            initial_dirty,
+            dirty,
+            fired,
+            work,
+            ..
+        } = self;
+        dirty.copy_from_slice(initial_dirty);
+        fired.fill(false);
+        let mut changed = true;
+        let mut passes = 0;
+        while changed {
+            changed = false;
+            passes += 1;
+            if passes > MAX_PASSES {
+                break;
+            }
+            work.passes += 1;
+            for (e, ceq) in ceqs.iter().enumerate() {
+                if !dirty[e] {
+                    continue;
+                }
+                dirty[e] = false;
+                work.equations += 1;
+                match ceq {
+                    CEq::Def { target, expr } | CEq::Partial { target, expr } => {
+                        let res = eval(expr, env, states, instant)?;
+                        let merged = if matches!(ceq, CEq::Def { .. }) {
+                            merge_total(env, *target, res, instant, names)?
+                        } else {
+                            fired[e] = res.value().is_some();
+                            merge_partial(env, *target, res, instant, names)?
+                        };
+                        if merged {
+                            changed = true;
+                            readers.mark(dirty, *target, e);
+                            // Re-merging the same result is a no-op unless
+                            // the expression reads the target, or the merged
+                            // value is a NaN, which never equals itself.
+                            dirty[e] |= reads_target[e] || is_nan(&env[*target as usize]);
+                        }
+                    }
+                    CEq::Sync { signals, label } => {
+                        // Re-running a constraint right after it propagated
+                        // is a no-op, so it does not re-dirty itself.
+                        propagate_sync(env, signals, label, instant, |s| {
+                            changed = true;
+                            readers.mark(dirty, s, e);
+                        })?;
+                    }
+                    CEq::Excl { .. } => {}
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-checks, under the completed environment, the definitions whose
+    /// result may differ from their last fixpoint evaluation: those still
+    /// dirty and those reading a completed slot. Every other definition
+    /// evaluates as it last did, which merged consistently, and a partial
+    /// keeps the "fired" flag of its last evaluation.
+    fn verify(&mut self, env: &[Res], instant: usize) -> EvalResult<()> {
+        for (e, ceq) in self.ceqs.iter().enumerate() {
+            if !self.dirty[e] {
+                continue;
+            }
+            match ceq {
+                CEq::Def { target, expr } => {
+                    self.work.equations += 1;
+                    let res = eval(expr, env, &self.states, instant)?;
+                    check_total(env, *target, &res, instant, &self.names)?;
+                }
+                CEq::Partial { target, expr } => {
+                    self.work.equations += 1;
+                    let res = eval(expr, env, &self.states, instant)?;
+                    self.fired[e] = res.value().is_some();
+                    check_partial(env, *target, &res, &self.process.name, &self.names)?;
+                }
+                _ => {}
+            }
+        }
+        // A partially-defined signal that is present must have at least one
+        // firing partial definition or be an input.
+        for (target, eqs) in &self.partial_checks {
+            let present = matches!(env[*target as usize], Res::Present(_) | Res::Any(_));
+            if present && !eqs.iter().any(|&e| self.fired[e as usize]) {
+                return Err(Box::new(SignalError::NotExecutable {
+                    instant,
+                    unresolved: vec![self.names[*target as usize].clone()],
+                }));
+            }
+        }
+        Ok(())
+    }
+
+    /// The reference instant behind [`Evaluator::step_reference`].
+    fn reference_step_into(
+        &mut self,
+        instant: usize,
+        input: &TraceStep,
+        env: &mut Vec<Res>,
+    ) -> EvalResult<()> {
+        self.work.instants += 1;
         env.clear();
         env.resize(self.names.len(), Res::Unknown);
         // Inputs are fully specified by the caller: absent unless given.
@@ -475,10 +902,12 @@ impl Evaluator {
         while changed {
             changed = false;
             iterations += 1;
-            if iterations > self.max_iterations {
+            if iterations > MAX_PASSES {
                 break;
             }
+            self.work.passes += 1;
             for ceq in &self.ceqs {
+                self.work.equations += 1;
                 match ceq {
                     CEq::Def { target, expr } => {
                         let res = eval(expr, env, &self.states, instant)?;
@@ -489,100 +918,47 @@ impl Evaluator {
                         changed |= merge_partial(env, *target, res, instant, &self.names)?;
                     }
                     CEq::Sync { signals, label } => {
-                        // Propagate presence/absence across a synchronisation
-                        // class: if any member is decided, undecided members
-                        // follow.
-                        let any_present = signals.iter().any(|&s| env[s as usize].is_present());
-                        let any_absent = signals
-                            .iter()
-                            .any(|&s| matches!(env[s as usize], Res::Absent));
-                        if any_present && any_absent {
-                            return Err(SignalError::SynchronizationViolation {
-                                instant,
-                                detail: format!("signals {label} must be synchronous"),
-                            });
-                        }
-                        if any_present || any_absent {
-                            for &s in signals {
-                                if matches!(env[s as usize], Res::Unknown) {
-                                    env[s as usize] = if any_present {
-                                        Res::PresentUnknown
-                                    } else {
-                                        Res::Absent
-                                    };
-                                    changed = true;
-                                }
-                            }
-                        }
+                        propagate_sync(env, signals, label, instant, |_| changed = true)?;
                     }
                     CEq::Excl { .. } => {}
                 }
             }
         }
 
-        // Signals known present but without a computed value: pure events
-        // carry no value, so presence is enough; anything else is stuck.
-        let mut stuck = Vec::new();
-        for (id, res) in env.iter_mut().enumerate().take(self.decl_count) {
-            if matches!(res, Res::PresentUnknown) {
-                if self.decl_ty[id] == ValueType::Event {
-                    *res = Res::Present(Value::Event);
-                } else {
-                    stuck.push(self.names[id].clone());
-                }
-            }
-        }
-        if !stuck.is_empty() {
-            return Err(SignalError::NotExecutable {
-                instant,
-                unresolved: stuck,
-            });
-        }
-
-        // Default-to-absent completion: any still-unknown signal is assumed
-        // absent, then all equations are re-checked for consistency.
-        for res in env.iter_mut() {
-            if !res.known() {
-                *res = Res::Absent;
-            }
-        }
-        self.verify(env, instant)?;
+        complete(env, &self.decl_ty, &self.names, instant, |_| {})?;
+        self.reference_verify(env, instant)?;
         self.check_constraints(env, instant)?;
-        self.commit(env, instant)
+        commit(
+            &self.ceqs,
+            0..self.ceqs.len(),
+            env,
+            &mut self.states,
+            instant,
+            &mut self.work,
+        )
     }
 
     /// Re-evaluates every definition under the completed environment and
     /// checks consistency.
-    fn verify(&self, env: &[Res], instant: usize) -> Result<(), SignalError> {
+    fn reference_verify(&mut self, env: &[Res], instant: usize) -> EvalResult<()> {
         // Track, per partially-defined signal, whether some partial fired.
         let mut partial_fired = vec![false; self.names.len()];
         let mut partial_targets: Vec<u32> = Vec::new();
         for ceq in &self.ceqs {
             match ceq {
                 CEq::Def { target, expr } => {
+                    self.work.equations += 1;
                     let res = eval(expr, env, &self.states, instant)?;
-                    let current = &env[*target as usize];
-                    if !consistent(current, &res) {
-                        return Err(SignalError::NotExecutable {
-                            instant,
-                            unresolved: vec![self.names[*target as usize].clone()],
-                        });
-                    }
+                    check_total(env, *target, &res, instant, &self.names)?;
                 }
                 CEq::Partial { target, expr } => {
+                    self.work.equations += 1;
                     partial_targets.push(*target);
                     let res = eval(expr, env, &self.states, instant)?;
-                    if let Res::Present(ref v) | Res::Any(ref v) = res {
+                    if res.value().is_some() {
                         partial_fired[*target as usize] = true;
-                        if let Some(cv) = env[*target as usize].value() {
-                            if cv != v {
-                                return Err(SignalError::MultipleDefinitions {
-                                    process: self.process.name.clone(),
-                                    signal: self.names[*target as usize].clone(),
-                                });
-                            }
-                        }
                     }
+                    check_partial(env, *target, &res, &self.process.name, &self.names)?;
                 }
                 _ => {}
             }
@@ -596,16 +972,16 @@ impl Evaluator {
             }
             let present = matches!(env[id], Res::Present(_) | Res::Any(_));
             if present && !self.has_total[id] && !partial_fired[id] {
-                return Err(SignalError::NotExecutable {
+                return Err(Box::new(SignalError::NotExecutable {
                     instant,
                     unresolved: vec![self.names[id].clone()],
-                });
+                }));
             }
         }
         Ok(())
     }
 
-    fn check_constraints(&self, env: &[Res], instant: usize) -> Result<(), SignalError> {
+    fn check_constraints(&self, env: &[Res], instant: usize) -> EvalResult<()> {
         for ceq in &self.ceqs {
             match ceq {
                 CEq::Sync { signals, label } => {
@@ -615,10 +991,10 @@ impl Evaluator {
                         match present {
                             None => present = Some(p),
                             Some(prev) if prev != p => {
-                                return Err(SignalError::SynchronizationViolation {
+                                return Err(Box::new(SignalError::SynchronizationViolation {
                                     instant,
                                     detail: format!("signals {label} must be synchronous"),
-                                });
+                                }));
                             }
                             _ => {}
                         }
@@ -630,10 +1006,10 @@ impl Evaluator {
                         .filter(|&&s| matches!(env[s as usize], Res::Present(_) | Res::Any(_)))
                         .count();
                     if count > 1 {
-                        return Err(SignalError::SynchronizationViolation {
+                        return Err(Box::new(SignalError::SynchronizationViolation {
                             instant,
                             detail: format!("signals {label} must be mutually exclusive"),
-                        });
+                        }));
                     }
                 }
                 _ => {}
@@ -641,26 +1017,146 @@ impl Evaluator {
         }
         Ok(())
     }
+}
 
-    /// Commits the pending state of every `delay`/`cell` operator.
-    fn commit(&mut self, env: &[Res], instant: usize) -> Result<(), SignalError> {
-        // Recompute pending updates under the final environment, then apply.
-        for st in &mut self.states {
-            st.pending = None;
-        }
-        let states = &mut self.states;
-        for ceq in &self.ceqs {
-            if let CEq::Def { expr, .. } | CEq::Partial { expr, .. } = ceq {
-                record_pending(expr, env, states, instant)?;
-            }
-        }
-        for st in states.iter_mut() {
-            if let Some(v) = st.pending.take() {
-                st.current = v;
-            }
-        }
-        Ok(())
+/// Propagates presence or absence across a synchronisation class: if any
+/// member is decided, undecided members follow. `on_set` receives each
+/// member it decides.
+fn propagate_sync(
+    env: &mut [Res],
+    signals: &[u32],
+    label: &str,
+    instant: usize,
+    mut on_set: impl FnMut(u32),
+) -> EvalResult<()> {
+    let any_present = signals.iter().any(|&s| env[s as usize].is_present());
+    let any_absent = signals
+        .iter()
+        .any(|&s| matches!(env[s as usize], Res::Absent));
+    if any_present && any_absent {
+        return Err(Box::new(SignalError::SynchronizationViolation {
+            instant,
+            detail: format!("signals {label} must be synchronous"),
+        }));
     }
+    if any_present || any_absent {
+        for &s in signals {
+            if matches!(env[s as usize], Res::Unknown) {
+                env[s as usize] = if any_present {
+                    Res::PresentUnknown
+                } else {
+                    Res::Absent
+                };
+                on_set(s);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Completes the environment after the fixpoint: a declared event known
+/// present resolves to `Event` (pure events carry no value, so presence is
+/// enough; any other type without a value is stuck), then every
+/// still-unknown signal is assumed absent. `on_change` receives each
+/// completed id.
+fn complete(
+    env: &mut [Res],
+    decl_ty: &[ValueType],
+    names: &[String],
+    instant: usize,
+    mut on_change: impl FnMut(u32),
+) -> EvalResult<()> {
+    let mut stuck = Vec::new();
+    for (id, res) in env.iter_mut().enumerate().take(decl_ty.len()) {
+        if matches!(res, Res::PresentUnknown) {
+            if decl_ty[id] == ValueType::Event {
+                *res = Res::Present(Value::Event);
+                on_change(id as u32);
+            } else {
+                stuck.push(names[id].clone());
+            }
+        }
+    }
+    if !stuck.is_empty() {
+        return Err(Box::new(SignalError::NotExecutable {
+            instant,
+            unresolved: stuck,
+        }));
+    }
+    for (id, res) in env.iter_mut().enumerate() {
+        if !res.known() {
+            *res = Res::Absent;
+            on_change(id as u32);
+        }
+    }
+    Ok(())
+}
+
+/// Commits operator states: recomputes, under the final environment, the
+/// pending update of every `delay`/`cell` inside the equations `eqs`, then
+/// applies them.
+fn commit(
+    ceqs: &[CEq],
+    eqs: impl Iterator<Item = usize>,
+    env: &[Res],
+    states: &mut [OperatorState],
+    instant: usize,
+    work: &mut EvalWork,
+) -> EvalResult<()> {
+    for st in states.iter_mut() {
+        st.pending = None;
+    }
+    for e in eqs {
+        if let CEq::Def { expr, .. } | CEq::Partial { expr, .. } = &ceqs[e] {
+            work.equations += 1;
+            record_pending(expr, env, states, instant)?;
+        }
+    }
+    for st in states.iter_mut() {
+        if let Some(v) = st.pending.take() {
+            st.current = v;
+        }
+    }
+    Ok(())
+}
+
+/// The post-completion check of a total definition: its result must agree
+/// with its target.
+fn check_total(
+    env: &[Res],
+    target: u32,
+    res: &Res,
+    instant: usize,
+    names: &[String],
+) -> EvalResult<()> {
+    if consistent(&env[target as usize], res) {
+        Ok(())
+    } else {
+        Err(Box::new(SignalError::NotExecutable {
+            instant,
+            unresolved: vec![names[target as usize].clone()],
+        }))
+    }
+}
+
+/// The post-completion check of a partial definition: when it fires, its
+/// value must be the target's.
+fn check_partial(
+    env: &[Res],
+    target: u32,
+    res: &Res,
+    process: &str,
+    names: &[String],
+) -> EvalResult<()> {
+    if let (Some(v), Some(cv)) = (res.value(), env[target as usize].value()) {
+        if cv != v {
+            return Err(Box::new(SignalError::MultipleDefinitions {
+                process: process.to_string(),
+                signal: names[target as usize].clone(),
+            }));
+        }
+    }
+    Ok(())
 }
 
 /// Borrow-only view of the last resolved instant of an [`Evaluator`];
@@ -700,12 +1196,7 @@ impl InstantView for ResolvedStep<'_> {
 
 /// Evaluates a compiled expression under the current (possibly partial)
 /// environment.
-fn eval(
-    expr: &CExpr,
-    env: &[Res],
-    states: &[OperatorState],
-    instant: usize,
-) -> Result<Res, SignalError> {
+fn eval(expr: &CExpr, env: &[Res], states: &[OperatorState], instant: usize) -> EvalResult<Res> {
     match expr {
         CExpr::Var(id) => Ok(env[*id as usize].clone()),
         CExpr::Const(v) => Ok(Res::Any(v.clone())),
@@ -761,7 +1252,7 @@ fn record_pending(
     env: &[Res],
     states: &mut [OperatorState],
     instant: usize,
-) -> Result<Res, SignalError> {
+) -> EvalResult<Res> {
     match expr {
         CExpr::Delay(idx, e) => {
             let idx = *idx;
@@ -840,7 +1331,7 @@ fn merge_total(
     res: Res,
     instant: usize,
     names: &[String],
-) -> Result<bool, SignalError> {
+) -> EvalResult<bool> {
     let slot = &mut env[target as usize];
     match (&*slot, &res) {
         (_, Res::Unknown) => Ok(false),
@@ -859,10 +1350,10 @@ fn merge_total(
             if consistent(slot, &res) {
                 Ok(false)
             } else {
-                Err(SignalError::SynchronizationViolation {
+                Err(Box::new(SignalError::SynchronizationViolation {
                     instant,
                     detail: format!("conflicting resolutions for `{}`", names[target as usize]),
-                })
+                }))
             }
         }
     }
@@ -874,7 +1365,7 @@ fn merge_partial(
     res: Res,
     instant: usize,
     names: &[String],
-) -> Result<bool, SignalError> {
+) -> EvalResult<bool> {
     match res {
         Res::Present(v) | Res::Any(v) => {
             let slot = &mut env[target as usize];
@@ -887,13 +1378,13 @@ fn merge_partial(
                     if cv == &v {
                         Ok(false)
                     } else {
-                        Err(SignalError::SynchronizationViolation {
+                        Err(Box::new(SignalError::SynchronizationViolation {
                             instant,
                             detail: format!(
                                 "partial definitions give `{}` two values at the same instant",
                                 names[target as usize]
                             ),
-                        })
+                        }))
                     }
                 }
             }
@@ -989,7 +1480,7 @@ fn clock_when_result(b: &Res) -> Res {
     }
 }
 
-fn apply_unary(op: UnOp, v: &Res) -> Result<Res, SignalError> {
+fn apply_unary(op: UnOp, v: &Res) -> EvalResult<Res> {
     match v {
         Res::Unknown => Ok(Res::Unknown),
         Res::PresentUnknown => Ok(Res::PresentUnknown),
@@ -997,12 +1488,12 @@ fn apply_unary(op: UnOp, v: &Res) -> Result<Res, SignalError> {
         Res::Present(x) | Res::Any(x) => {
             let out = match op {
                 UnOp::Neg => match x {
-                    Value::Int(i) => Value::Int(-i),
+                    Value::Int(i) => Value::Int(i.wrapping_neg()),
                     Value::Real(r) => Value::Real(-r),
                     other => {
-                        return Err(SignalError::TypeError {
+                        return Err(Box::new(SignalError::TypeError {
                             detail: format!("cannot negate {other}"),
-                        })
+                        }))
                     }
                 },
                 UnOp::Not => Value::Bool(!x.as_bool()),
@@ -1015,17 +1506,17 @@ fn apply_unary(op: UnOp, v: &Res) -> Result<Res, SignalError> {
     }
 }
 
-fn apply_binary(op: BinOp, a: &Res, b: &Res, instant: usize) -> Result<Res, SignalError> {
+fn apply_binary(op: BinOp, a: &Res, b: &Res, instant: usize) -> EvalResult<Res> {
     match (a, b) {
         (Res::Unknown, _) | (_, Res::Unknown) => Ok(Res::Unknown),
         (Res::Absent, Res::Absent) => Ok(Res::Absent),
         (Res::Absent, Res::Any(_)) | (Res::Any(_), Res::Absent) => Ok(Res::Absent),
         (Res::Absent, Res::Present(_) | Res::PresentUnknown)
         | (Res::Present(_) | Res::PresentUnknown, Res::Absent) => {
-            Err(SignalError::SynchronizationViolation {
+            Err(Box::new(SignalError::SynchronizationViolation {
                 instant,
                 detail: format!("operands of `{}` are not synchronous", op.symbol()),
-            })
+            }))
         }
         (Res::PresentUnknown, _) | (_, Res::PresentUnknown) => Ok(Res::PresentUnknown),
         (Res::Present(x) | Res::Any(x), Res::Present(y) | Res::Any(y)) => {
@@ -1039,7 +1530,7 @@ fn apply_binary(op: BinOp, a: &Res, b: &Res, instant: usize) -> Result<Res, Sign
     }
 }
 
-fn compute_binary(op: BinOp, x: &Value, y: &Value) -> Result<Value, SignalError> {
+fn compute_binary(op: BinOp, x: &Value, y: &Value) -> EvalResult<Value> {
     use BinOp::*;
     let type_err = || SignalError::TypeError {
         detail: format!("cannot apply `{}` to {x} and {y}", op.symbol()),
@@ -1071,19 +1562,19 @@ fn compute_binary(op: BinOp, x: &Value, y: &Value) -> Result<Value, SignalError>
                     Mul => a.wrapping_mul(*b),
                     Div => {
                         if *b == 0 {
-                            return Err(SignalError::TypeError {
+                            return Err(Box::new(SignalError::TypeError {
                                 detail: "integer division by zero".into(),
-                            });
+                            }));
                         }
-                        a / b
+                        a.wrapping_div(*b)
                     }
                     Mod => {
                         if *b == 0 {
-                            return Err(SignalError::TypeError {
+                            return Err(Box::new(SignalError::TypeError {
                                 detail: "integer modulo by zero".into(),
-                            });
+                            }));
                         }
-                        a.rem_euclid(*b)
+                        a.wrapping_rem_euclid(*b)
                     }
                     _ => unreachable!(),
                 };
@@ -1375,6 +1866,73 @@ mod tests {
         b.instance("child", "c1", &["x"], &["y"]);
         let p = b.build().unwrap();
         assert!(Evaluator::new(&p).is_err());
+    }
+
+    /// `y := f(a, b)` over two integer inputs, stepped once with both
+    /// evaluators, which must agree.
+    fn int_result(f: fn(Expr, Expr) -> Expr, a: i64, b: i64) -> Option<Value> {
+        let mut bld = ProcessBuilder::new("edge");
+        bld.input("a", ValueType::Integer);
+        bld.input("b", ValueType::Integer);
+        bld.output("y", ValueType::Integer);
+        bld.define("y", f(Expr::var("a"), Expr::var("b")));
+        let p = bld.build().unwrap();
+        let mut input = TraceStep::new();
+        input.set("a", Value::Int(a));
+        input.set("b", Value::Int(b));
+        let out = Evaluator::new(&p).unwrap().step(0, &input).unwrap();
+        let reference = Evaluator::new(&p).unwrap().step_reference(0, &input);
+        assert_eq!(reference.unwrap(), out);
+        out.get("y").cloned()
+    }
+
+    #[test]
+    fn integer_division_wraps_on_overflow() {
+        let div = |a, b| Expr::Binary(BinOp::Div, Box::new(a), Box::new(b));
+        assert_eq!(int_result(div, i64::MIN, -1), Some(Value::Int(i64::MIN)));
+        assert_eq!(int_result(div, -7, 2), Some(Value::Int(-3)));
+    }
+
+    #[test]
+    fn integer_modulo_wraps_on_overflow() {
+        let rem = |a, b| Expr::Binary(BinOp::Mod, Box::new(a), Box::new(b));
+        assert_eq!(int_result(rem, i64::MIN, -1), Some(Value::Int(0)));
+        assert_eq!(int_result(rem, -7, 2), Some(Value::Int(1)));
+    }
+
+    #[test]
+    fn integer_negation_wraps_on_overflow() {
+        let neg = |a, _| Expr::Unary(UnOp::Neg, Box::new(a));
+        assert_eq!(int_result(neg, i64::MIN, 0), Some(Value::Int(i64::MIN)));
+        assert_eq!(int_result(neg, 5, 0), Some(Value::Int(-5)));
+    }
+
+    #[test]
+    fn nan_definition_fails_like_the_reference() {
+        // `x := r / r` is NaN when r = 0.0, and a NaN never equals itself:
+        // the reference's second pass rejects its own first merge, so the
+        // change-driven passes must re-evaluate the definition too.
+        let mut b = ProcessBuilder::new("nan");
+        b.input("r", ValueType::Real);
+        b.output("x", ValueType::Real);
+        b.define(
+            "x",
+            Expr::Binary(
+                BinOp::Div,
+                Box::new(Expr::var("r")),
+                Box::new(Expr::var("r")),
+            ),
+        );
+        let p = b.build().unwrap();
+        let mut input = TraceStep::new();
+        input.set("r", Value::Real(0.0));
+        let fast = Evaluator::new(&p).unwrap().step(0, &input).unwrap_err();
+        let slow = Evaluator::new(&p)
+            .unwrap()
+            .step_reference(0, &input)
+            .unwrap_err();
+        assert_eq!(fast, slow);
+        assert!(fast.to_string().contains("conflicting resolutions for `x`"));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub mod view;
 pub use builder::ProcessBuilder;
 pub use clockcalc::{ClockCalculus, ClockClass, DeterminismVerdict};
 pub use error::SignalError;
-pub use eval::{Evaluator, ResolvedStep};
+pub use eval::{EvalWork, Evaluator, ResolvedStep};
 pub use expr::{BinOp, Expr, UnOp};
 pub use process::{Equation, Process, ProcessModel, SignalDecl, SignalRole};
 pub use trace::{Trace, TraceStep};

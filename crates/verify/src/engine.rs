@@ -33,6 +33,7 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
+use signal_moc::eval::EvalWork;
 use signal_moc::trace::{Trace, TraceStep};
 
 use crate::counterexample::Counterexample;
@@ -106,6 +107,10 @@ pub(crate) trait Expander: Sync {
     /// `prev_key`. Must be a pure function of `(prev_key, edge)` — it is
     /// re-invoked during path reconstruction and tie-breaking.
     fn edge_step(&self, prev_key: &[u8], edge: u32) -> TraceStep;
+
+    /// The evaluator work a worker context has done since
+    /// [`Expander::new_ctx`] created it, for the `engine.eval.*` counters.
+    fn eval_work(&self, ctx: &Self::Ctx) -> EvalWork;
 
     /// Names of the properties compiled to monitor automata, for telemetry
     /// attribution. Every monitored property steps the same number of times
@@ -345,7 +350,9 @@ pub(crate) fn explore<E: Expander>(
         let workers = options.workers.max(1).min(frontier.len());
         workers_used = workers_used.max(workers);
         while ctxs.len() < workers {
-            ctxs.push(expander.new_ctx());
+            let ctx = expander.new_ctx();
+            debug_assert_eq!(expander.eval_work(&ctx), EvalWork::default());
+            ctxs.push(ctx);
         }
 
         let mut sinks: Vec<Sink<'_>> = (0..workers).map(|_| Sink::new(&interner)).collect();
@@ -557,6 +564,15 @@ pub(crate) fn explore<E: Expander>(
 
     if obs_enabled {
         c_steals.add(steal_count.load(std::sync::atomic::Ordering::Relaxed) as u64);
+        // Each state is expanded exactly once and an instant's work depends
+        // only on its memory and input, so the sum over the worker contexts
+        // does not depend on the worker count.
+        let work = ctxs.iter().fold(EvalWork::default(), |sum, ctx| {
+            sum + expander.eval_work(ctx)
+        });
+        obs.counter("engine.eval.instants").add(work.instants);
+        obs.counter("engine.eval.passes").add(work.passes);
+        obs.counter("engine.eval.equations").add(work.equations);
         let monitored = expander.monitored_properties();
         if monitor_steps > 0 && !monitored.is_empty() {
             let per_property = (monitor_steps / monitored.len()) as u64;

@@ -10,7 +10,7 @@ use affine_clocks::DispatchFeasibility;
 use serde::{Deserialize, Serialize};
 use signal_moc::clockcalc::ClockCalculus;
 use signal_moc::error::SignalError;
-use signal_moc::eval::Evaluator;
+use signal_moc::eval::{EvalWork, Evaluator};
 use signal_moc::process::Process;
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::{Value, ValueType};
@@ -991,6 +991,10 @@ impl Expander for ThreadExpander<'_> {
             }
             None => self.candidates[edge as usize].clone(),
         }
+    }
+
+    fn eval_work(&self, ctx: &ThreadCtx) -> EvalWork {
+        ctx.evaluator.work()
     }
 
     fn monitored_properties(&self) -> Vec<String> {

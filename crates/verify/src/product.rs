@@ -37,7 +37,7 @@ use std::collections::{HashMap, HashSet};
 
 use polysim::Simulator;
 use serde::{Deserialize, Serialize};
-use signal_moc::eval::Evaluator;
+use signal_moc::eval::{EvalWork, Evaluator};
 use signal_moc::process::Process;
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::Value;
@@ -1229,6 +1229,12 @@ impl Expander for ProductExpander<'_> {
         let phase = u32::from_le_bytes(prev_key[0..4].try_into().expect("phase bytes")) as usize;
         let system = &self.verifier.system;
         system.joint_input(phase % system.horizon)
+    }
+
+    fn eval_work(&self, ctx: &ProductCtx) -> EvalWork {
+        ctx.evaluators
+            .iter()
+            .fold(EvalWork::default(), |sum, evaluator| sum + evaluator.work())
     }
 
     fn monitored_properties(&self) -> Vec<String> {

@@ -1,0 +1,370 @@
+//! Differential oracle of the change-driven evaluator: `Evaluator::step`
+//! must give the same resolved step, the same memory after the step and
+//! the same error text as `Evaluator::step_reference`, the fixpoint that
+//! re-evaluates every equation on every pass — on random flat processes
+//! (partial definitions, constant-defined members of clock constraints,
+//! every equation order), random input steps (absent inputs and the silent
+//! step included) and the memories those steps reach.
+
+use proptest::prelude::*;
+
+use signal_moc::eval::Evaluator;
+use signal_moc::expr::Expr;
+use signal_moc::process::{Equation, Process, SignalDecl, SignalRole};
+use signal_moc::trace::TraceStep;
+use signal_moc::value::{Value, ValueType};
+
+/// A splitmix64 stream: the whole random process and its inputs derive
+/// from one sampled seed.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn chance(&mut self, percent: u64) -> bool {
+        self.next() % 100 < percent
+    }
+}
+
+const TYPES: [ValueType; 3] = [ValueType::Boolean, ValueType::Integer, ValueType::Event];
+
+fn random_value(rng: &mut Rng, ty: ValueType) -> Value {
+    match ty {
+        ValueType::Boolean => Value::Bool(rng.chance(50)),
+        ValueType::Integer => Value::Int([0, 1, -1, 2, 7, i64::MIN][rng.below(6)]),
+        _ => Value::Event,
+    }
+}
+
+/// The initial value of a `delay` or `cell`, of any type.
+fn random_init(rng: &mut Rng) -> Value {
+    let ty = TYPES[rng.below(3)];
+    random_value(rng, ty)
+}
+
+fn random_const(rng: &mut Rng) -> Expr {
+    match rng.below(3) {
+        0 => Expr::bool(rng.chance(50)),
+        1 => Expr::int([0, 1, 2, -1][rng.below(4)]),
+        _ => Expr::event(),
+    }
+}
+
+fn random_expr(rng: &mut Rng, signals: &[SignalDecl], depth: usize) -> Expr {
+    let var = |rng: &mut Rng| Expr::var(signals[rng.below(signals.len())].name.clone());
+    if depth == 0 || rng.chance(30) {
+        return if rng.chance(80) {
+            var(rng)
+        } else {
+            random_const(rng)
+        };
+    }
+    let sub = |rng: &mut Rng| random_expr(rng, signals, depth - 1);
+    match rng.below(13) {
+        0 => Expr::not(sub(rng)),
+        1 => Expr::Unary(signal_moc::expr::UnOp::Neg, Box::new(sub(rng))),
+        2 => Expr::add(sub(rng), sub(rng)),
+        3 => Expr::Binary(
+            signal_moc::expr::BinOp::Div,
+            Box::new(sub(rng)),
+            Box::new(sub(rng)),
+        ),
+        4 => Expr::Binary(
+            signal_moc::expr::BinOp::Mod,
+            Box::new(sub(rng)),
+            Box::new(sub(rng)),
+        ),
+        5 => Expr::eq(sub(rng), sub(rng)),
+        6 => Expr::and(sub(rng), sub(rng)),
+        7 => Expr::delay(sub(rng), random_init(rng)),
+        8 => Expr::when(sub(rng), sub(rng)),
+        9 => Expr::default(sub(rng), sub(rng)),
+        10 => Expr::cell(sub(rng), sub(rng), random_init(rng)),
+        11 => Expr::clock_of(sub(rng)),
+        _ => Expr::clock_when(sub(rng)),
+    }
+}
+
+/// A random flat process: 1–3 inputs, 2–6 locals (each totally defined,
+/// sometimes with an extra partial definition, partially defined by one or
+/// two equations, or left undefined), one
+/// constant-defined local inside a clock constraint, random clock
+/// constraints and exclusions — then its equations shuffled.
+fn random_process(seed: u64) -> Process {
+    let mut rng = Rng(seed);
+    let mut process = Process::new("random");
+    let decl = |name: String, ty: ValueType, role: SignalRole| SignalDecl { name, ty, role };
+    for i in 0..1 + rng.below(3) {
+        let ty = TYPES[rng.below(3)];
+        process
+            .signals
+            .push(decl(format!("i{i}"), ty, SignalRole::Input));
+    }
+    let locals = 2 + rng.below(5);
+    for l in 0..locals {
+        let ty = TYPES[rng.below(3)];
+        process
+            .signals
+            .push(decl(format!("s{l}"), ty, SignalRole::Local));
+    }
+    process
+        .signals
+        .push(decl("k".into(), ValueType::Boolean, SignalRole::Local));
+    let signals = process.signals.clone();
+
+    for l in 0..locals {
+        let target = format!("s{l}");
+        match rng.below(10) {
+            0..=5 => {
+                process.equations.push(Equation::Definition {
+                    target: target.clone(),
+                    expr: random_expr(&mut rng, &signals, 3),
+                });
+                // Occasionally a second writer of the same signal, so a
+                // slot can change under a definition that does not read it.
+                if rng.chance(25) {
+                    process.equations.push(Equation::PartialDefinition {
+                        target,
+                        expr: random_expr(&mut rng, &signals, 3),
+                    });
+                }
+            }
+            6..=8 => {
+                for _ in 0..1 + rng.below(2) {
+                    process.equations.push(Equation::PartialDefinition {
+                        target: target.clone(),
+                        expr: random_expr(&mut rng, &signals, 3),
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    // The `Error := false` shape of the thread template: a constant, free
+    // to take any clock, synchronised with other signals.
+    process.equations.push(Equation::Definition {
+        target: "k".into(),
+        expr: Expr::bool(false),
+    });
+    for _ in 0..1 + rng.below(3) {
+        let mut members: Vec<String> = (0..2 + rng.below(3))
+            .map(|_| signals[rng.below(signals.len())].name.clone())
+            .collect();
+        if rng.chance(50) {
+            members.push("k".into());
+        }
+        members.dedup();
+        process
+            .equations
+            .push(Equation::ClockConstraint { signals: members });
+    }
+    if rng.chance(30) {
+        let members = (0..2)
+            .map(|_| signals[rng.below(signals.len())].name.clone())
+            .collect();
+        process
+            .equations
+            .push(Equation::ClockExclusion { signals: members });
+    }
+    // Fisher–Yates shuffle of the equation order.
+    for i in (1..process.equations.len()).rev() {
+        let j = rng.below(i + 1);
+        process.equations.swap(i, j);
+    }
+    process
+}
+
+/// A random input step: each input present with probability one half, one
+/// step in four silent, and sometimes an entry for a name that is not an
+/// input, which both evaluators must ignore.
+fn random_step(rng: &mut Rng, process: &Process) -> TraceStep {
+    let mut step = TraceStep::new();
+    if rng.chance(25) {
+        return step;
+    }
+    for input in process.inputs() {
+        if rng.chance(50) {
+            step.set(input.name.clone(), random_value(rng, input.ty));
+        }
+    }
+    if rng.chance(20) {
+        step.set(["a", "j", "s0", "zz"][rng.below(4)], Value::Bool(true));
+    }
+    step
+}
+
+/// One instant through both evaluators, compared as text: the resolved
+/// step or the error text, then the memory reached. (Division of booleans
+/// and events goes through reals, so a NaN can appear, and a NaN never
+/// compares equal to itself.)
+fn step_both(changed: &mut Evaluator, reference: &mut Evaluator, t: usize, step: &TraceStep) {
+    let fast = format!("{:?}", changed.step(t, step).map_err(|e| e.to_string()));
+    let slow = format!(
+        "{:?}",
+        reference.step_reference(t, step).map_err(|e| e.to_string())
+    );
+    assert_eq!(fast, slow, "instant {t} on {step:?}");
+    let (fast, slow) = (changed.memory(), reference.memory());
+    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "memory after {t}");
+}
+
+/// Steps both evaluators through `steps` from the initial memory.
+fn assert_equivalent(process: &Process, steps: &[TraceStep]) {
+    let Ok(mut changed) = Evaluator::new(process) else {
+        return;
+    };
+    let mut reference = changed.clone();
+    for (t, step) in steps.iter().enumerate() {
+        step_both(&mut changed, &mut reference, t, step);
+    }
+}
+
+proptest! {
+    #[test]
+    fn change_driven_steps_match_the_reference_fixpoint(seed in any::<u64>()) {
+        let process = random_process(seed);
+        let mut rng = Rng(seed ^ 0xA5A5_A5A5);
+        let steps: Vec<TraceStep> = (0..12).map(|_| random_step(&mut rng, &process)).collect();
+        assert_equivalent(&process, &steps);
+    }
+
+    #[test]
+    fn every_reached_memory_steps_like_the_reference(seed in any::<u64>()) {
+        // Reach a memory along one random run, then try every input of a
+        // second batch from it, restoring the memory before each.
+        let process = random_process(seed);
+        let Ok(mut walker) = Evaluator::new(&process) else {
+            return;
+        };
+        let mut rng = Rng(seed.rotate_left(17));
+        for t in 0..rng.below(8) {
+            let _ = walker.step(t, &random_step(&mut rng, &process));
+        }
+        let memory = walker.memory();
+        let mut changed = walker.clone();
+        let mut reference = walker;
+        for _ in 0..8 {
+            let step = random_step(&mut rng, &process);
+            changed.restore_memory(&memory).unwrap();
+            reference.restore_memory(&memory).unwrap();
+            step_both(&mut changed, &mut reference, 9, &step);
+        }
+    }
+}
+
+/// The case-study producer thread, flattened, with its scheduled trace.
+fn producer_under_schedule() -> (Process, signal_moc::trace::Trace) {
+    use aadl::case_study::producer_consumer_instance;
+    use asme2ssme::thread_under_schedule;
+    use sched::SchedulingPolicy;
+
+    let instance = producer_consumer_instance().unwrap();
+    let (thread_model, schedule) = thread_under_schedule(
+        &instance,
+        "thProducer",
+        SchedulingPolicy::EarliestDeadlineFirst,
+    )
+    .unwrap();
+    let inputs = thread_model.timing_trace(&schedule, 1);
+    (thread_model.flat, inputs)
+}
+
+/// Why the evaluator replays source order instead of evaluating in
+/// dependency order: `Error := false` resolves to a constant, which a
+/// clock constraint counts as present, so on the silent step thProducer
+/// fails its `Dispatch ^= … ^= Error …` constraint in source order, yet
+/// accepts the same instant once the clock constraints come first. Both
+/// evaluators must agree in both orders.
+#[test]
+fn producer_silent_step_depends_on_equation_order_in_both_evaluators() {
+    let (flat, _) = producer_under_schedule();
+    let silent = TraceStep::new();
+
+    let mut source_order = Evaluator::new(&flat).unwrap();
+    let err = source_order.step(0, &silent).unwrap_err().to_string();
+    assert!(
+        err.contains("synchronization violated") && err.contains("Error"),
+        "{err}"
+    );
+    assert_equivalent(&flat, std::slice::from_ref(&silent));
+
+    let mut constraints_first = flat.clone();
+    constraints_first
+        .equations
+        .sort_by_key(|eq| !matches!(eq, Equation::ClockConstraint { .. }));
+    let mut reordered = Evaluator::new(&constraints_first).unwrap();
+    assert!(reordered.step(0, &silent).is_ok());
+    assert_equivalent(&constraints_first, &[silent]);
+}
+
+/// The producer over its scheduled hyper-period: identical outcomes, and
+/// the change-driven evaluator does well under half the reference's
+/// equation evaluations.
+#[test]
+fn producer_schedule_matches_the_reference_with_less_work() {
+    let (flat, inputs) = producer_under_schedule();
+    let steps: Vec<TraceStep> = inputs.iter().cloned().collect();
+    assert_equivalent(&flat, &steps);
+
+    let mut changed = Evaluator::new(&flat).unwrap();
+    let mut reference = changed.clone();
+    for (t, step) in steps.iter().enumerate() {
+        changed.step(t, step).unwrap();
+        reference.step_reference(t, step).unwrap();
+    }
+    let (fast, slow) = (changed.work(), reference.work());
+    assert_eq!(fast.instants, steps.len() as u64);
+    assert_eq!(slow.instants, steps.len() as u64);
+    assert!(
+        fast.equations * 5 < slow.equations * 2,
+        "change-driven {fast:?} vs reference {slow:?}"
+    );
+}
+
+/// A chain `x0 := x1, x1 := x2, …` listed against its dependency order
+/// resolves one link per pass, so a chain longer than the 64-pass cap stops
+/// before it is resolved: the equations the cap leaves dirty must be
+/// re-checked after completion exactly as the reference re-checks them.
+#[test]
+fn the_pass_cap_ends_both_evaluators_alike() {
+    for length in [10, 63, 64, 65, 80] {
+        let mut process = Process::new("chain");
+        let decl = |name: String, role| SignalDecl {
+            name,
+            ty: ValueType::Integer,
+            role,
+        };
+        process
+            .signals
+            .push(decl("input".into(), SignalRole::Input));
+        for k in 0..length {
+            process
+                .signals
+                .push(decl(format!("x{k}"), SignalRole::Local));
+            let next = if k + 1 == length {
+                "input".to_string()
+            } else {
+                format!("x{}", k + 1)
+            };
+            process.equations.push(Equation::Definition {
+                target: format!("x{k}"),
+                expr: Expr::var(next),
+            });
+        }
+        let mut given = TraceStep::new();
+        given.set("input", Value::Int(3));
+        let outcome = Evaluator::new(&process).unwrap().step(0, &given);
+        assert_eq!(outcome.is_ok(), length <= 64, "chain of {length}");
+        assert_equivalent(&process, &[given, TraceStep::new()]);
+    }
+}

@@ -2,7 +2,9 @@
 //! depths/traces and the full `ExplorationStats` must be bit-identical with
 //! collection `Noop`, `Counters` and `Full` (with a live JSON-lines sink
 //! attached), across every worker count — on both the free-mode thread
-//! verifier and the product verifier.
+//! verifier and the product verifier. The evaluator work counters
+//! (`engine.eval.*`) must read the same under every collecting mode and
+//! worker count.
 
 use proptest::prelude::*;
 
@@ -47,6 +49,33 @@ fn fingerprint(outcome: &VerificationOutcome) -> (Vec<u8>, ExplorationStats) {
     let mut stats = outcome.stats.clone();
     stats.workers = 0;
     (verdicts, stats)
+}
+
+/// The evaluator work counters a collecting run recorded; `None` when the
+/// collector does not collect.
+fn eval_counts(collector: &Collector) -> Option<Vec<(String, u64)>> {
+    if !collector.is_enabled() {
+        return None;
+    }
+    Some(
+        collector
+            .counter_values()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("engine.eval."))
+            .collect(),
+    )
+}
+
+/// Asserts that every collecting configuration recorded the same, non-zero
+/// evaluator work: the counts depend only on the explored space.
+fn assert_same_eval_counts(counts: &[Option<Vec<(String, u64)>>]) {
+    let recorded: Vec<&Vec<(String, u64)>> = counts.iter().flatten().collect();
+    let first = recorded[0];
+    assert_eq!(first.len(), 3, "{first:?}");
+    assert!(first.iter().all(|(_, v)| *v > 0), "{first:?}");
+    for other in &recorded[1..] {
+        assert_eq!(first, *other);
+    }
 }
 
 /// A per-input miss counter whose alarm fires once input `d` has been
@@ -166,17 +195,20 @@ proptest! {
         let process = streak_counter(threshold);
         let properties = [Property::NeverRaised("*Alarm*".into()), Property::DeadlockFree];
         let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
+        let mut counts = Vec::new();
         for mode in MODES {
             for workers in WORKER_COUNTS {
+                let collector = collector(mode);
                 let verifier = Verifier::new(
                     &process,
                     VerifyOptions::default()
                         .with_workers(workers)
                         .with_depth_bound(depth)
-                        .with_collector(collector(mode)),
+                        .with_collector(collector.clone()),
                 )
                 .unwrap();
                 let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
+                counts.push(eval_counts(&collector));
                 let print = fingerprint(&outcome);
                 match &reference {
                     None => reference = Some(print),
@@ -190,6 +222,7 @@ proptest! {
                 }
             }
         }
+        assert_same_eval_counts(&counts);
     }
 
     /// Interval-domain exploration: the widened / projected_slots /
@@ -249,17 +282,20 @@ proptest! {
         let system = pipeline_system(component_count, horizon, threshold, period);
         let properties = [Property::NeverRaised("*Alarm*".into()), Property::DeadlockFree];
         let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
+        let mut counts = Vec::new();
         for mode in MODES {
             for workers in WORKER_COUNTS {
+                let collector = collector(mode);
                 let verifier = ProductVerifier::new(
                     system.clone(),
                     VerifyOptions::default()
                         .with_workers(workers)
                         .with_depth_bound(horizon * 2)
-                        .with_collector(collector(mode)),
+                        .with_collector(collector.clone()),
                 )
                 .unwrap();
                 let outcome = verifier.verify(&properties).unwrap();
+                counts.push(eval_counts(&collector));
                 let print = fingerprint(&outcome);
                 match &reference {
                     None => reference = Some(print),
@@ -273,6 +309,7 @@ proptest! {
                 }
             }
         }
+        assert_same_eval_counts(&counts);
     }
 }
 

@@ -15,6 +15,7 @@ use polychrony_core::polyverify::{
     Domain, Formula, InputSpace, LockstepCoSim, LtlProperty, Property, Verdict,
     VerificationOutcome, Verifier, VerifyOptions,
 };
+use polychrony_core::signal_moc::eval::Evaluator;
 use polychrony_core::signal_moc::process::Process;
 use polychrony_core::signal_moc::trace::{Trace, TraceStep};
 use polychrony_core::{end_to_end_response_for, ArtifactCache, CacheOutcome, Simulated};
@@ -64,7 +65,8 @@ fn fail(kind: FindingKind, detail: String) -> Failure {
 }
 
 /// Checks one scenario: builds the system, runs the cache oracle, the
-/// monitor and lockstep oracles, and (in fault mode) the injection stage.
+/// monitor, lockstep, domain and evaluator oracles, and (in fault mode) the
+/// injection stage.
 /// Panics anywhere inside are caught and reported as
 /// [`FindingKind::Panic`] findings. Deterministic in `(spec, seed,
 /// fault)`.
@@ -178,6 +180,10 @@ fn check_spec(
     // Domain oracle: the target unit re-verified under the interval
     // abstraction, with and without counter projection.
     domain_oracle(&simulated, seed)?;
+
+    // Evaluator oracle: the change-driven evaluator against the reference
+    // fixpoint on every thread unit.
+    evaluator_oracle(&simulated)?;
 
     match fault {
         None => Ok(ScenarioOutcome::Passed),
@@ -434,6 +440,80 @@ fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
         &concrete,
         "the scheduled thread",
     )
+}
+
+/// Reached memories from which the evaluator oracle tries every free
+/// candidate: the initial one and two more along the scheduled trace.
+const ORACLE_MEMORIES: usize = 3;
+
+/// Evaluator oracle: each thread unit's scheduled trace, then every free
+/// input candidate from a few memories that trace reaches, stepped through
+/// `Evaluator::step` and `Evaluator::step_reference`. Any difference in
+/// resolved step, memory after the step or error text is a finding.
+fn evaluator_oracle(simulated: &Simulated) -> Result<(), Failure> {
+    for unit in &simulated.thread_units {
+        let process = &unit.model.flat;
+        let mismatch = |detail: String| fail(FindingKind::EvaluatorMismatch, detail);
+        let mut changed = Evaluator::new(process)
+            .map_err(|e| mismatch(format!("evaluator construction failed: {e}")))?;
+        let mut reference = changed.clone();
+        let inputs = unit.model.timing_trace(&simulated.schedule, 1);
+        let stride = inputs.len().div_ceil(ORACLE_MEMORIES).max(1);
+        let mut reached = Vec::new();
+        for (t, step) in inputs.iter().enumerate() {
+            if t % stride == 0 {
+                reached.push((t, changed.memory()));
+            }
+            step_both(&mut changed, &mut reference, t, step)
+                .map_err(|d| mismatch(format!("{} at scheduled instant {t}: {d}", unit.path)))?;
+        }
+        let (candidates, _) = Verifier::new(process, VerifyOptions::default())
+            .and_then(|verifier| verifier.free_candidates())
+            .map_err(|e| mismatch(format!("free candidates of {} failed: {e}", unit.path)))?;
+        for (t, memory) in &reached {
+            for candidate in &candidates {
+                for evaluator in [&mut changed, &mut reference] {
+                    evaluator
+                        .restore_memory(memory)
+                        .map_err(|e| mismatch(format!("memory restore failed: {e}")))?;
+                }
+                step_both(&mut changed, &mut reference, *t, candidate).map_err(|d| {
+                    mismatch(format!(
+                        "{} on free candidate {candidate:?} at instant {t}: {d}",
+                        unit.path
+                    ))
+                })?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// One instant through both evaluators; `Err` describes the first
+/// difference.
+fn step_both(
+    changed: &mut Evaluator,
+    reference: &mut Evaluator,
+    instant: usize,
+    input: &TraceStep,
+) -> Result<(), String> {
+    let fast = changed.step(instant, input).map_err(|e| e.to_string());
+    let slow = reference
+        .step_reference(instant, input)
+        .map_err(|e| e.to_string());
+    if differs(&fast, &slow) {
+        return Err(format!("step gives {fast:?}, reference gives {slow:?}"));
+    }
+    let (fast, slow) = (changed.memory(), reference.memory());
+    if differs(&fast, &slow) {
+        return Err(format!("memory {fast:?}, reference memory {slow:?}"));
+    }
+    Ok(())
+}
+
+/// Inequality that equates NaNs, through the values' rendering.
+fn differs<T: PartialEq + std::fmt::Debug>(a: &T, b: &T) -> bool {
+    a != b && format!("{a:?}") != format!("{b:?}")
 }
 
 fn lockstep_oracle(simulated: &Simulated, hyperperiods: u64) -> Result<(), Failure> {

@@ -154,6 +154,9 @@ pub enum FindingKind {
     /// The concrete and interval verification domains disagreed on a
     /// verdict shape (kind or violation instant).
     DomainMismatch,
+    /// The change-driven evaluator and the reference fixpoint disagreed on
+    /// a resolved step, a memory or an error text.
+    EvaluatorMismatch,
 }
 
 impl fmt::Display for FindingKind {
@@ -166,6 +169,7 @@ impl fmt::Display for FindingKind {
             FindingKind::ReplayFailed => "replay-failed",
             FindingKind::FaultUndetected => "fault-undetected",
             FindingKind::DomainMismatch => "domain-mismatch",
+            FindingKind::EvaluatorMismatch => "evaluator-mismatch",
         })
     }
 }
