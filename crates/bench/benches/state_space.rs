@@ -85,14 +85,6 @@ fn toggle_with_invisible_counter() -> Process {
 /// repetitions of the hyper-period — the headline workload of the
 /// exploration core.
 fn case_study_product(hyperperiods: usize) -> (ProductVerifier, Vec<Property>, usize) {
-    case_study_product_with(hyperperiods, |options| options)
-}
-
-/// Same workload with a caller-tuned [`VerifyOptions`] (memoisation, …) applied on top of the depth bound.
-fn case_study_product_with(
-    hyperperiods: usize,
-    tune: impl FnOnce(VerifyOptions) -> VerifyOptions,
-) -> (ProductVerifier, Vec<Property>, usize) {
     let instance = producer_consumer_instance().unwrap();
     let (models, schedule, connections) =
         system_under_schedule(&instance, SchedulingPolicy::EarliestDeadlineFirst).unwrap();
@@ -111,11 +103,8 @@ fn case_study_product_with(
         Property::NeverRaised("*Alarm*".into()),
         Property::DeadlockFree,
     ];
-    let verifier = ProductVerifier::new(
-        system,
-        tune(VerifyOptions::default().with_depth_bound(bound)),
-    )
-    .unwrap();
+    let verifier =
+        ProductVerifier::new(system, VerifyOptions::default().with_depth_bound(bound)).unwrap();
     (verifier, properties, bound)
 }
 
@@ -351,18 +340,6 @@ fn bench_state_space(c: &mut Criterion) {
     group.throughput(Throughput::Elements(states as u64));
     group.bench_function("case_study_product", |b| {
         b.iter(|| product.verify(black_box(&product_properties)).unwrap())
-    });
-
-    // The same product with the per-component step memoisation disabled —
-    // the cost of re-evaluating every component at every joint instant.
-    let (product_no_memo, _, _) = case_study_product_with(4, |o| o.with_pruning(false));
-    group.throughput(Throughput::Elements(states as u64));
-    group.bench_function("case_study_product_no_memo", |b| {
-        b.iter(|| {
-            product_no_memo
-                .verify(black_box(&product_properties))
-                .unwrap()
-        })
     });
 
     // A synthetic three-stage pipeline product whose per-stage counters keep

@@ -27,14 +27,16 @@
 //! fails (exit 1) when the throughput of a headline benchmark drops more
 //! than 30% below the committed baseline.
 //!
-//! `overhead` measures the telemetry cost on the case-study product: it
-//! runs the workload `reps` times (default 5) under each collection mode
-//! (noop, counters, full), takes the best wall time per mode — a paired,
-//! in-process comparison, so the result is portable across machines where
-//! a committed absolute baseline would not be — and fails (exit 1) when
-//! `counters` collection costs more than 5% over `noop`. The `full` row is
-//! reported for the docs but not gated (event buffering is expected to
-//! cost more, and anyone turning it on asked for a trace).
+//! `overhead` measures the telemetry cost on the case-study product: each
+//! of `reps` rounds (default 10) times the workload once under every
+//! collection mode (noop, counters, full), back to back, so a change in
+//! host speed reaches every mode alike; it takes the best wall time per
+//! mode — a paired, in-process comparison, so the result is portable
+//! across machines where a committed absolute baseline would not be — and
+//! fails (exit 1) when `counters` collection costs more than 5% over
+//! `noop`. The `full` row is reported for the docs but not gated (event
+//! buffering is expected to cost more, and anyone turning it on asked for
+//! a trace).
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -109,7 +111,7 @@ fn main() -> ExitCode {
                             Ok(n)
                         }
                     }),
-                None => Ok(5),
+                None => Ok(10),
             };
             reps.and_then(overhead)
         }
@@ -278,10 +280,12 @@ fn check(capture: &str, baseline_path: &str) -> Result<(), String> {
     }
 }
 
-/// Measures collection overhead on the case-study product. Per mode, the
-/// workload is rebuilt with a fresh collector and verified `reps` times;
-/// the best wall time per mode feeds the comparison, squeezing scheduler
-/// noise out before the ratio is taken.
+/// Measures collection overhead on the case-study product. Each round
+/// builds the workload once per mode with a fresh collector, then verifies
+/// the three back to back, so that brief changes in host speed tend to
+/// reach every mode of the round; the mode timed first rotates from round
+/// to round. The best wall time per mode feeds the comparison, squeezing
+/// scheduler noise out before the ratio is taken.
 fn overhead(reps: usize) -> Result<(), String> {
     type CollectorFactory = fn() -> Collector;
     let modes: [(&str, CollectorFactory); 3] = [
@@ -289,21 +293,26 @@ fn overhead(reps: usize) -> Result<(), String> {
         ("counters", Collector::counters),
         ("full", Collector::full),
     ];
-    let mut results: Vec<(&str, f64, usize)> = Vec::new();
-    for (name, make_collector) in modes {
-        let mut best_wall_s = f64::INFINITY;
-        let mut states = 0usize;
-        for _ in 0..reps {
-            let collector = make_collector();
-            let (verifier, properties) = case_study_product(&collector);
+    let mut results: Vec<(&str, f64, usize)> = modes
+        .iter()
+        .map(|&(name, _)| (name, f64::INFINITY, 0))
+        .collect();
+    for round in 0..reps {
+        let workloads: Vec<_> = modes
+            .iter()
+            .map(|(_, make_collector)| case_study_product(&make_collector()))
+            .collect();
+        for k in 0..modes.len() {
+            let m = (round + k) % modes.len();
+            let (verifier, properties) = &workloads[m];
+            let (name, best_wall_s, states) = &mut results[m];
             let start = Instant::now();
             let outcome = verifier
-                .verify(&properties)
+                .verify(properties)
                 .map_err(|e| format!("{name} verification failed: {e}"))?;
-            best_wall_s = best_wall_s.min(start.elapsed().as_secs_f64());
-            states = outcome.stats.states;
+            *best_wall_s = best_wall_s.min(start.elapsed().as_secs_f64());
+            *states = outcome.stats.states;
         }
-        results.push((name, best_wall_s, states));
     }
 
     let noop_states = results[0].2;

@@ -688,7 +688,6 @@ impl Simulated {
                 self.record.push(timer.finish(&[
                     ("states", product.outcome.stats.states as u64),
                     ("depth", product.outcome.stats.depth as u64),
-                    ("memo_hits", product.outcome.stats.memo_hits as u64),
                 ]));
                 Some(product)
             }

@@ -80,7 +80,7 @@ struct RawViolation {
 /// One model-specific exploration step: how to expand a state and how to
 /// re-derive the input step of a recorded edge.
 pub(crate) trait Expander: Sync {
-    /// Per-worker scratch (evaluators, codecs, memo tables) reused across
+    /// Per-worker scratch (evaluators, codecs, buffers) reused across
     /// levels.
     type Ctx: Send;
 
@@ -135,8 +135,6 @@ pub(crate) struct Sink<'a> {
     transitions: usize,
     infeasible: usize,
     pruned: usize,
-    memo_hits: usize,
-    memo_misses: usize,
     monitor_steps: usize,
     widened: usize,
     fatal: Option<(u32, VerifyError)>,
@@ -154,8 +152,6 @@ impl<'a> Sink<'a> {
             transitions: 0,
             infeasible: 0,
             pruned: 0,
-            memo_hits: 0,
-            memo_misses: 0,
             monitor_steps: 0,
             widened: 0,
             fatal: None,
@@ -215,17 +211,6 @@ impl<'a> Sink<'a> {
         self.pruned += 1;
     }
 
-    /// Counts component steps answered by the product's per-component memo
-    /// table.
-    pub fn memo_hit(&mut self, n: usize) {
-        self.memo_hits += n;
-    }
-
-    /// Counts component steps resolved through the evaluator (memo misses).
-    pub fn memo_miss(&mut self, n: usize) {
-        self.memo_misses += n;
-    }
-
     /// Counts one monitor-automaton step.
     pub fn monitor_step(&mut self) {
         self.monitor_steps += 1;
@@ -283,8 +268,6 @@ pub(crate) fn explore<E: Expander>(
     let mut transitions = 0usize;
     let mut infeasible = 0usize;
     let mut pruned = 0usize;
-    let mut memo_hits = 0usize;
-    let mut memo_misses = 0usize;
     let mut monitor_steps = 0usize;
     let mut widened = 0usize;
     let mut peak_frontier = 0usize;
@@ -304,8 +287,6 @@ pub(crate) fn explore<E: Expander>(
     let c_transitions = obs.counter("engine.transitions");
     let c_infeasible = obs.counter("engine.infeasible");
     let c_pruned = obs.counter("engine.pruned");
-    let c_memo_hits = obs.counter("engine.memo_hits");
-    let c_memo_misses = obs.counter("engine.memo_misses");
     let c_monitor_steps = obs.counter("engine.monitor_steps");
     let c_widened = obs.counter("engine.widened");
     let c_levels = obs.counter("engine.levels");
@@ -419,16 +400,12 @@ pub(crate) fn explore<E: Expander>(
         let mut level_transitions = 0usize;
         let mut level_infeasible = 0usize;
         let mut level_pruned = 0usize;
-        let mut level_memo_hits = 0usize;
-        let mut level_memo_misses = 0usize;
         let mut level_monitor_steps = 0usize;
         let mut level_widened = 0usize;
         for sink in sinks {
             level_transitions += sink.transitions;
             level_infeasible += sink.infeasible;
             level_pruned += sink.pruned;
-            level_memo_hits += sink.memo_hits;
-            level_memo_misses += sink.memo_misses;
             level_monitor_steps += sink.monitor_steps;
             level_widened += sink.widened;
             next.extend(sink.next);
@@ -453,8 +430,6 @@ pub(crate) fn explore<E: Expander>(
         transitions += level_transitions;
         infeasible += level_infeasible;
         pruned += level_pruned;
-        memo_hits += level_memo_hits;
-        memo_misses += level_memo_misses;
         monitor_steps += level_monitor_steps;
         widened += level_widened;
 
@@ -467,8 +442,6 @@ pub(crate) fn explore<E: Expander>(
             c_transitions.add(level_transitions as u64);
             c_infeasible.add(level_infeasible as u64);
             c_pruned.add(level_pruned as u64);
-            c_memo_hits.add(level_memo_hits as u64);
-            c_memo_misses.add(level_memo_misses as u64);
             c_monitor_steps.add(level_monitor_steps as u64);
             c_widened.add(level_widened as u64);
             c_levels.add(1);
@@ -598,8 +571,8 @@ pub(crate) fn explore<E: Expander>(
         peak_frontier,
         pruned,
         frontier_levels,
-        memo_hits,
-        memo_misses,
+        memo_hits: 0,
+        memo_misses: 0,
         widened,
         projected_slots: 0,
         reconcretized: 0,

@@ -47,17 +47,11 @@ pub struct VerifyOptions {
     pub max_branching: usize,
     /// Number of shards of the concurrent seen-set (the state interner).
     pub shards: usize,
-    /// Enables the clock-calculus pruning paths: free-mode candidate
-    /// filtering through the dispatch-feasibility [`VerifyOptions::oracle`]
-    /// and per-component step memoisation in the product verifier. The
-    /// memoisation is always verdict-preserving; the oracle filtering is an
-    /// *environment assumption* (see [`VerifyOptions::with_oracle`]).
-    pub pruning: bool,
-    /// Optional dispatch-feasibility oracle consulted (when
-    /// [`VerifyOptions::pruning`] is on) before enumerating a free-mode
-    /// candidate: a candidate making a signal present at an instant the
-    /// oracle provably excludes is skipped. No effect in scheduled mode,
-    /// where the inputs are already fixed.
+    /// Optional dispatch-feasibility oracle consulted before enumerating a
+    /// free-mode candidate: a candidate making a signal present at an
+    /// instant the oracle provably excludes is skipped. This is an
+    /// *environment assumption* (see [`VerifyOptions::with_oracle`]). No
+    /// effect in scheduled mode, where the inputs are already fixed.
     pub oracle: Option<DispatchFeasibility>,
     /// Telemetry collector receiving engine counters, gauges and per-level
     /// events. Defaults to noop (records nothing, costs nothing). The
@@ -94,7 +88,6 @@ impl Default for VerifyOptions {
             real_domain: vec![0.0, 1.0],
             max_branching: 256,
             shards: 16,
-            pruning: true,
             oracle: None,
             collector: polyobs::Collector::noop(),
             domain: Domain::Concrete,
@@ -129,13 +122,6 @@ impl VerifyOptions {
         self
     }
 
-    /// Enables or disables the clock-calculus pruning paths (see
-    /// [`VerifyOptions::pruning`]).
-    pub fn with_pruning(mut self, pruning: bool) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
     /// Installs a dispatch-feasibility oracle for free-mode candidate
     /// pruning.
     ///
@@ -144,8 +130,8 @@ impl VerifyOptions {
     /// compatible with the exported affine dispatch clocks. Verdicts are
     /// relative to that assumption — a violation only reachable through an
     /// input the schedule can provably never produce will no longer be
-    /// reported. Without an oracle (the default), `pruning` only gates the
-    /// verdict-preserving product memoisation.
+    /// reported. Without an oracle (the default), free mode enumerates every
+    /// clock-calculus candidate.
     pub fn with_oracle(mut self, oracle: DispatchFeasibility) -> Self {
         self.oracle = Some(oracle);
         self
@@ -290,13 +276,13 @@ pub struct ExplorationStats {
     /// (`frontier_levels[0]` is the initial frontier);
     /// [`ExplorationStats::peak_frontier`] is its maximum.
     pub frontier_levels: Vec<u32>,
-    /// Component steps answered by the product verifier's per-component
-    /// memo table (always 0 outside the product verifier or with
-    /// memoisation disabled via [`VerifyOptions::pruning`]).
+    /// Always 0: every component step runs its evaluator. Kept with
+    /// [`ExplorationStats::memo_misses`] because perfbench derives
+    /// `product.memo_hit_ratio` and `eval.share_of_verify` from the pair.
     pub memo_hits: usize,
-    /// Component steps resolved through the evaluator by the product
-    /// verifier — the memo misses (with memoisation disabled this counts
-    /// every component step).
+    /// Component steps the product verifier evaluated: equal to
+    /// [`ExplorationStats::transitions`] for a product exploration, 0 for
+    /// a single-process one.
     pub memo_misses: usize,
     /// Memory slots rewritten to their abstract representative (saturated
     /// at the widening threshold or reset by projection) while
@@ -358,12 +344,6 @@ impl VerificationOutcome {
             },
             self.stats.peak_frontier
         );
-        if self.stats.memo_hits > 0 || self.stats.memo_misses > 0 {
-            out.push_str(&format!(
-                "  component memo: {} hits / {} misses\n",
-                self.stats.memo_hits, self.stats.memo_misses
-            ));
-        }
         if self.stats.widened > 0 || self.stats.projected_slots > 0 {
             out.push_str(&format!(
                 "  interval domain: {} widenings, {} projected slot(s), \
@@ -756,11 +736,7 @@ impl Verifier {
             properties,
             deadlock_idx,
             monitor_count,
-            oracle: if self.options.pruning {
-                self.options.oracle.as_ref()
-            } else {
-                None
-            },
+            oracle: self.options.oracle.as_ref(),
             abstraction,
         };
         engine::explore(

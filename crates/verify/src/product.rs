@@ -33,11 +33,11 @@
 //! co-simulation of the constituent threads — for confirmation outside the
 //! model checker.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use polysim::Simulator;
 use serde::{Deserialize, Serialize};
-use signal_moc::eval::{EvalWork, Evaluator};
+use signal_moc::eval::{EvalWork, Evaluator, ResolvedStep};
 use signal_moc::process::Process;
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::Value;
@@ -49,7 +49,7 @@ use crate::engine::{self, Expander, Sink};
 use crate::explore::{VerificationOutcome, VerifyError, VerifyOptions};
 use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
-use crate::state::{self, KeyCodec, State};
+use crate::state::{KeyCodec, State};
 
 /// One thread of a product: its flattened SIGNAL process and the scheduled
 /// timing trace driving it over the joint hyper-period.
@@ -501,23 +501,25 @@ impl<'a> LockstepCoSim<'a> {
 /// The exploration runs on the shared exploration engine (an interned
 /// chain of joint states); the frontier of the deterministic product is a
 /// single state per level, so the run is sequential regardless of
-/// [`VerifyOptions::workers`]. The per-instant work is cut instead by
-/// *memoizing* each component's resolved instants, keyed by its scheduler
-/// phase and local operator memory (gated by [`VerifyOptions::pruning`]):
-/// whenever a component's local state recurs before the joint product
-/// closes — periods divide the hyper-period, so components cycle much
-/// faster than the product — its cached resolved step and successor memory
-/// are replayed without touching the evaluator. The memo key fully
-/// determines the evaluator result, so verdicts, counterexamples and
-/// exploration counts are bit-identical with the memo on or off; the memo's
-/// own activity is reported in
-/// [`ExplorationStats::memo_hits`](crate::ExplorationStats) and
-/// [`ExplorationStats::memo_misses`](crate::ExplorationStats) (with the
-/// memo off every component step is a miss).
-#[derive(Debug, Clone, PartialEq)]
+/// [`VerifyOptions::workers`]. Each joint instant steps every component's
+/// evaluator once and reads the joint signals straight from the
+/// evaluators' resolved views: no per-component step is materialised.
+#[derive(Debug, Clone)]
 pub struct ProductVerifier {
     system: ProductSystem,
     options: VerifyOptions,
+    /// One evaluator per component, built once by [`ProductVerifier::new`]
+    /// and cloned into every worker context. Never stepped itself, so each
+    /// clone starts from the initial memory with no work counted.
+    evaluators: Vec<Evaluator>,
+}
+
+/// Verifiers compare by system and options: the evaluators are a function
+/// of the system.
+impl PartialEq for ProductVerifier {
+    fn eq(&self, other: &Self) -> bool {
+        self.system == other.system && self.options == other.options
+    }
 }
 
 impl ProductVerifier {
@@ -529,10 +531,16 @@ impl ProductVerifier {
     ///
     /// Propagates per-component validation errors ([`VerifyError::Signal`]).
     pub fn new(system: ProductSystem, options: VerifyOptions) -> Result<Self, VerifyError> {
-        for component in &system.components {
-            Evaluator::new(&component.process)?;
-        }
-        Ok(Self { system, options })
+        let evaluators = system
+            .components
+            .iter()
+            .map(|c| Evaluator::new(&c.process))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self {
+            system,
+            options,
+            evaluators,
+        })
     }
 
     /// The product system under verification.
@@ -603,7 +611,7 @@ impl ProductVerifier {
             return Err(VerifyError::NoProperties);
         }
         if self.options.domain == Domain::Interval {
-            let abstraction = self.analyze_abstraction(properties)?;
+            let abstraction = self.analyze_abstraction(properties);
             if !abstraction.is_identity() {
                 let outcome = self.verify_with(properties, Some(&abstraction))?;
                 return self.reconcile(properties, outcome, &abstraction);
@@ -617,9 +625,9 @@ impl ProductVerifier {
     /// delivered inputs, freeze markers and frozen counts) join its
     /// observable set: link-derived joint signals are computed from them, so
     /// they must stay exact even when no property names them directly.
-    fn analyze_abstraction(&self, properties: &[Property]) -> Result<SlotAbstraction, VerifyError> {
+    fn analyze_abstraction(&self, properties: &[Property]) -> SlotAbstraction {
         let mut parts = Vec::with_capacity(self.system.components.len());
-        for component in &self.system.components {
+        for (component, evaluator) in self.system.components.iter().zip(&self.evaluators) {
             let mut extra_reads: Vec<String> = Vec::new();
             for link in &self.system.links {
                 if link.source == component.name {
@@ -631,7 +639,6 @@ impl ProductVerifier {
                     extra_reads.extend(link.target_count.clone());
                 }
             }
-            let evaluator = Evaluator::new(&component.process)?;
             parts.push(SlotAbstraction::analyze(
                 &component.process,
                 properties,
@@ -642,7 +649,7 @@ impl ProductVerifier {
                 evaluator.memory_len(),
             ));
         }
-        Ok(SlotAbstraction::concat(parts))
+        SlotAbstraction::concat(parts)
     }
 
     /// The strengthen-only gate of the abstract product run: every abstract
@@ -698,97 +705,37 @@ impl ProductVerifier {
             .iter()
             .position(|p| matches!(p, Property::DeadlockFree));
 
-        let evaluators: Vec<Evaluator> = self
-            .system
-            .components
-            .iter()
-            .map(|c| Evaluator::new(&c.process))
-            .collect::<Result<Vec<_>, _>>()?;
-        let widths: Vec<usize> = evaluators.iter().map(Evaluator::memory_len).collect();
-        let link_targets: Vec<usize> = self
-            .system
-            .links
-            .iter()
-            .map(|link| {
-                self.system
-                    .components
-                    .iter()
-                    .position(|c| c.name == link.target)
-                    .expect("validated at construction")
-            })
-            .collect();
-        let comp_prefixes: Vec<String> = self
-            .system
-            .components
-            .iter()
-            .map(|c| format!("{}_", c.name))
-            .collect();
-        let link_prefixes: Vec<String> = self
-            .system
-            .links
-            .iter()
-            .map(|l| format!("{}_", l.name))
-            .collect();
-        // Joint-namespace iteration order: entity prefixes are mutually
-        // prefix-free (validated at construction), so each entity's signals
-        // occupy a contiguous range of the name-sorted joint instant and
-        // sorting the blocks by prefix reproduces the global order.
-        let mut blocks: Vec<JointBlock> = (0..comp_prefixes.len())
-            .map(JointBlock::Component)
-            .chain((0..link_prefixes.len()).map(JointBlock::Link))
-            .collect();
-        blocks.sort_by(|a, b| {
-            let prefix = |block: &JointBlock| match *block {
-                JointBlock::Component(i) => comp_prefixes[i].as_str(),
-                JointBlock::Link(k) => link_prefixes[k].as_str(),
-            };
-            prefix(a).cmp(prefix(b))
-        });
-
         let monitor_count = initial_monitors.len();
-        let mut initial = self.product_state(&evaluators, 0, &initial_monitors);
+        let mut initial = State {
+            memory: self.evaluators.iter().flat_map(Evaluator::memory).collect(),
+            phase: 0,
+            monitors: initial_monitors,
+        };
         if let Some(a) = abstraction {
             a.normalize(&mut initial.memory);
         }
         let expander = ProductExpander {
             verifier: self,
-            evaluators,
-            widths,
-            link_targets,
-            comp_prefixes,
-            link_prefixes,
-            blocks,
+            layout: JointLayout::new(&self.system),
             compiled: &compiled,
             properties,
             deadlock_idx,
             monitor_count,
-            memoize: self.options.pruning,
             abstraction,
         };
         // A dropped delivery makes the wired product an under-approximation
         // of the real periodic system: no closure can then count as a
         // proof, only as a bounded pass.
-        engine::explore(
+        let mut outcome = engine::explore(
             &expander,
             &initial,
             &self.options,
             properties,
             self.system.dropped_deliveries > 0,
-        )
-    }
-
-    /// The canonical product state: concatenated per-component operator
-    /// memories, joint phase, monitor registers.
-    fn product_state(&self, evaluators: &[Evaluator], phase: u32, monitors: &[u32]) -> State {
-        let mut memory = Vec::new();
-        for evaluator in evaluators {
-            memory.extend(evaluator.memory());
-        }
-        State {
-            memory,
-            phase,
-            monitors: monitors.to_vec(),
-        }
+        )?;
+        // Every transition is one evaluated component step.
+        outcome.stats.memo_misses = outcome.stats.transitions;
+        Ok(outcome)
     }
 
     /// Projects a joint counterexample onto one component: the
@@ -911,39 +858,76 @@ enum JointBlock {
     Link(usize),
 }
 
-/// Memo of one component's resolved instants, keyed by scheduler phase and
-/// the component's encoded operator memory — which fully determine the
-/// evaluator result, since the wired input of a phase is fixed.
-#[derive(Default)]
-struct ComponentMemo {
-    index: HashMap<Box<[u8]>, u32>,
-    steps: Vec<TraceStep>,
-    memories: Vec<Vec<Value>>,
-}
-
-/// The [`Expander`] of a synchronous product: one deterministic edge per
-/// state (the wired joint instant of its phase), resolved component by
-/// component through the per-component memo.
-struct ProductExpander<'a> {
-    verifier: &'a ProductVerifier,
-    /// Prototype evaluators, cloned into each worker context.
-    evaluators: Vec<Evaluator>,
-    /// Operator-memory width of each component inside the concatenated
-    /// joint memory.
-    widths: Vec<usize>,
-    /// Component index of each link's target.
-    link_targets: Vec<usize>,
+/// Where each entity's signals sit in the joint namespace of a
+/// [`ProductSystem`].
+struct JointLayout {
     /// `<name>_` joint-namespace prefixes, per component and per link.
     comp_prefixes: Vec<String>,
     link_prefixes: Vec<String>,
+    /// Component index of each link's target.
+    link_targets: Vec<usize>,
     /// Entity blocks sorted by prefix: the global name-sorted iteration
     /// order of a joint instant.
     blocks: Vec<JointBlock>,
+}
+
+impl JointLayout {
+    fn new(system: &ProductSystem) -> Self {
+        let comp_prefixes: Vec<String> = system
+            .components
+            .iter()
+            .map(|c| format!("{}_", c.name))
+            .collect();
+        let link_prefixes: Vec<String> = system
+            .links
+            .iter()
+            .map(|l| format!("{}_", l.name))
+            .collect();
+        let link_targets = system
+            .links
+            .iter()
+            .map(|link| {
+                system
+                    .components
+                    .iter()
+                    .position(|c| c.name == link.target)
+                    .expect("validated at construction")
+            })
+            .collect();
+        // Entity prefixes are mutually prefix-free (validated at
+        // construction), so each entity's signals occupy a contiguous range
+        // of the name-sorted joint instant and sorting the blocks by prefix
+        // reproduces the global order.
+        let mut blocks: Vec<JointBlock> = (0..comp_prefixes.len())
+            .map(JointBlock::Component)
+            .chain((0..link_prefixes.len()).map(JointBlock::Link))
+            .collect();
+        blocks.sort_by(|a, b| {
+            let prefix = |block: &JointBlock| match *block {
+                JointBlock::Component(i) => comp_prefixes[i].as_str(),
+                JointBlock::Link(k) => link_prefixes[k].as_str(),
+            };
+            prefix(a).cmp(prefix(b))
+        });
+        Self {
+            comp_prefixes,
+            link_prefixes,
+            link_targets,
+            blocks,
+        }
+    }
+}
+
+/// The [`Expander`] of a synchronous product: one deterministic edge per
+/// state (the wired joint instant of its phase), every component stepped
+/// on its own evaluator.
+struct ProductExpander<'a> {
+    verifier: &'a ProductVerifier,
+    layout: JointLayout,
     compiled: &'a [CompiledProperty],
     properties: &'a [Property],
     deadlock_idx: Option<usize>,
     monitor_count: usize,
-    memoize: bool,
     /// Interval-domain slot plans over the concatenated joint memory
     /// (`None` = concrete exploration).
     abstraction: Option<&'a SlotAbstraction>,
@@ -951,18 +935,15 @@ struct ProductExpander<'a> {
 
 /// Per-worker scratch of the product expander.
 struct ProductCtx {
+    /// One evaluator per component; after an instant, each holds that
+    /// component's resolved signals.
     evaluators: Vec<Evaluator>,
     codec: KeyCodec,
     monitors: Vec<u32>,
     succ_monitors: Vec<u32>,
     memory: Vec<Value>,
-    memo_key: Vec<u8>,
-    memos: Vec<ComponentMemo>,
-    /// Per-component memo-arena index of the current instant's resolution.
-    resolved: Vec<u32>,
-    /// Per-link `consumed` joint of the current instant (`None` when the
-    /// link does not derive one).
-    consumed: Vec<Option<bool>>,
+    /// One component's memory, on its way into `memory`.
+    component_memory: Vec<Value>,
 }
 
 static BOOL_TRUE: Value = Value::Bool(true);
@@ -976,21 +957,43 @@ fn bool_value(b: bool) -> &'static Value {
     }
 }
 
-/// Borrow-only [`InstantView`] of one joint instant: the per-component
-/// resolved steps (through the memo arena) plus the link-derived joints,
-/// visited in global name-sorted order without materialising the joint
-/// `TraceStep`.
+/// Borrow-only [`InstantView`] of one joint instant: each component's
+/// resolved view plus the link-derived joints, visited in global
+/// name-sorted order without materialising the joint `TraceStep`.
 struct JointView<'a> {
-    expander: &'a ProductExpander<'a>,
-    memos: &'a [ComponentMemo],
-    resolved: &'a [u32],
-    consumed: &'a [Option<bool>],
+    system: &'a ProductSystem,
+    layout: &'a JointLayout,
+    /// Each component's resolved view, in component order.
+    resolved: Vec<ResolvedStep<'a>>,
     phase: usize,
 }
 
-impl JointView<'_> {
-    fn component_step(&self, component: usize) -> &TraceStep {
-        &self.memos[component].steps[self.resolved[component] as usize]
+impl<'a> JointView<'a> {
+    /// The joint instant at `phase` of components whose evaluators each
+    /// hold their resolved step of that instant.
+    fn new(
+        system: &'a ProductSystem,
+        layout: &'a JointLayout,
+        evaluators: &'a [Evaluator],
+        phase: usize,
+    ) -> Self {
+        Self {
+            system,
+            layout,
+            resolved: evaluators.iter().map(Evaluator::resolved).collect(),
+            phase,
+        }
+    }
+
+    /// The `consumed` joint of link `k`: the target's Input Time fired with
+    /// a non-empty frozen FIFO. `None` when the link does not declare both
+    /// signals.
+    fn consumed(&self, k: usize) -> Option<bool> {
+        let link = &self.system.links[k];
+        let (freeze, count) = (link.target_freeze.as_ref()?, link.target_count.as_ref()?);
+        let target = &self.resolved[self.layout.link_targets[k]];
+        let truthy = |name: &str| target.value_of(name).is_some_and(Value::as_bool);
+        Some(truthy(freeze) && truthy(count))
     }
 }
 
@@ -998,19 +1001,18 @@ impl InstantView for JointView<'_> {
     fn value_of(&self, name: &str) -> Option<&Value> {
         // At most one prefix matches: entity names are validated to be
         // prefix-unambiguous at product construction.
-        for (i, prefix) in self.expander.comp_prefixes.iter().enumerate() {
+        for (i, prefix) in self.layout.comp_prefixes.iter().enumerate() {
             if let Some(local) = name.strip_prefix(prefix.as_str()) {
-                return self.component_step(i).get(local);
+                return self.resolved[i].value_of(local);
             }
         }
-        let system = &self.expander.verifier.system;
-        for (k, prefix) in self.expander.link_prefixes.iter().enumerate() {
+        for (k, prefix) in self.layout.link_prefixes.iter().enumerate() {
             if let Some(kind) = name.strip_prefix(prefix.as_str()) {
-                let activity = &system.activity[k];
+                let activity = &self.system.activity[k];
                 return match kind {
                     "sent" => Some(bool_value(activity.sent[self.phase])),
                     "received" => Some(bool_value(activity.received[self.phase])),
-                    "consumed" => self.consumed[k].map(bool_value),
+                    "consumed" => self.consumed(k).map(bool_value),
                     _ => None,
                 };
             }
@@ -1022,31 +1024,31 @@ impl InstantView for JointView<'_> {
         &self,
         accept: &mut dyn FnMut(&str, &Value) -> bool,
     ) -> Option<String> {
-        let system = &self.expander.verifier.system;
         let mut joint = String::new();
-        for block in &self.expander.blocks {
+        for block in &self.layout.blocks {
             match *block {
                 JointBlock::Component(i) => {
-                    let prefix = &self.expander.comp_prefixes[i];
-                    for (local, value) in self.component_step(i).iter() {
+                    let prefix = &self.layout.comp_prefixes[i];
+                    let found = self.resolved[i].first_present_matching(&mut |local, value| {
                         joint.clear();
                         joint.push_str(prefix);
                         joint.push_str(local);
-                        if accept(&joint, value) {
-                            return Some(joint);
-                        }
+                        accept(&joint, value)
+                    });
+                    if found.is_some() {
+                        return Some(joint);
                     }
                 }
                 JointBlock::Link(k) => {
-                    let activity = &system.activity[k];
+                    let activity = &self.system.activity[k];
                     let suffixes = [
-                        self.consumed[k].map(|b| ("consumed", bool_value(b))),
+                        self.consumed(k).map(|b| ("consumed", bool_value(b))),
                         Some(("received", bool_value(activity.received[self.phase]))),
                         Some(("sent", bool_value(activity.sent[self.phase]))),
                     ];
                     for (suffix, value) in suffixes.into_iter().flatten() {
                         joint.clear();
-                        joint.push_str(&self.expander.link_prefixes[k]);
+                        joint.push_str(&self.layout.link_prefixes[k]);
                         joint.push_str(suffix);
                         if accept(&joint, value) {
                             return Some(joint);
@@ -1064,19 +1066,12 @@ impl Expander for ProductExpander<'_> {
 
     fn new_ctx(&self) -> ProductCtx {
         ProductCtx {
-            evaluators: self.evaluators.clone(),
+            evaluators: self.verifier.evaluators.clone(),
             codec: KeyCodec::new(),
             monitors: Vec::new(),
             succ_monitors: Vec::new(),
             memory: Vec::new(),
-            memo_key: Vec::new(),
-            memos: self
-                .evaluators
-                .iter()
-                .map(|_| ComponentMemo::default())
-                .collect(),
-            resolved: Vec::new(),
-            consumed: Vec::new(),
+            component_memory: Vec::new(),
         }
     }
 
@@ -1093,109 +1088,47 @@ impl Expander for ProductExpander<'_> {
         let phase = phase_bits as usize;
         let system = &self.verifier.system;
 
-        // Resolve every component at this phase through its memo; without
-        // memoization the arenas are drained so they only ever hold the
-        // current instant.
-        ctx.resolved.clear();
-        if !self.memoize {
-            for memo in &mut ctx.memos {
-                memo.steps.clear();
-                memo.memories.clear();
-            }
-        }
         let empty = TraceStep::new();
         let mut offset = 0usize;
-        let mut hits = 0usize;
-        for i in 0..self.widths.len() {
-            let width = self.widths[i];
-            let parent = &ctx.codec.parent_memory()[offset..offset + width];
+        for (i, evaluator) in ctx.evaluators.iter_mut().enumerate() {
+            let width = evaluator.memory_len();
+            evaluator.restore_memory(&ctx.codec.parent_memory()[offset..offset + width])?;
             offset += width;
-            ctx.memo_key.clear();
-            ctx.memo_key.extend_from_slice(&phase_bits.to_le_bytes());
-            for value in parent {
-                state::encode_value(value, &mut ctx.memo_key);
-            }
-            if self.memoize {
-                if let Some(&at) = ctx.memos[i].index.get(ctx.memo_key.as_slice()) {
-                    ctx.resolved.push(at);
-                    hits += 1;
-                    continue;
-                }
-            }
-            let evaluator = &mut ctx.evaluators[i];
-            evaluator.restore_memory(parent)?;
             let input = system.wired[i].step(phase).unwrap_or(&empty);
-            match evaluator.step(depth, input) {
-                Ok(step) => {
-                    let memo = &mut ctx.memos[i];
-                    let at = memo.steps.len() as u32;
-                    memo.steps.push(step);
-                    memo.memories.push(evaluator.memory());
-                    if self.memoize {
-                        memo.index.insert(ctx.memo_key.as_slice().into(), at);
+            if let Err(e) = evaluator.step_resolved(depth, input) {
+                // The joint execution cannot continue past a non-executable
+                // step: the path ends here with no successor, which
+                // exhausts the deterministic product. The failing instant
+                // contributes no transitions.
+                sink.infeasible();
+                let witness = format!(
+                    "component `{}` scheduled step not executable: {e}",
+                    system.components[i].name
+                );
+                return match self.deadlock_idx {
+                    Some(idx) => {
+                        sink.violation(idx, Some(0), witness);
+                        Ok(())
                     }
-                    ctx.resolved.push(at);
-                }
-                Err(e) => {
-                    // The joint execution cannot continue past a
-                    // non-executable step: the path ends here with no
-                    // successor, which exhausts the deterministic product.
-                    // The failing instant contributes no transitions.
-                    sink.infeasible();
-                    let witness = format!(
-                        "component `{}` scheduled step not executable: {e}",
-                        system.components[i].name
-                    );
-                    return match self.deadlock_idx {
-                        Some(idx) => {
-                            sink.violation(idx, Some(0), witness);
-                            Ok(())
-                        }
-                        None => Err(VerifyError::Evaluation {
-                            instant: depth,
-                            detail: witness,
-                        }),
-                    };
-                }
+                    None => Err(VerifyError::Evaluation {
+                        instant: depth,
+                        detail: witness,
+                    }),
+                };
             }
         }
-        for _ in 0..self.widths.len() {
+        for _ in 0..ctx.evaluators.len() {
             sink.transition();
-        }
-        sink.memo_hit(hits);
-        sink.memo_miss(self.widths.len() - hits);
-
-        // Link `consumed` joints of this instant: the target's Input Time
-        // fired with a non-empty frozen FIFO. Only derived when the link
-        // declares both signals.
-        ctx.consumed.clear();
-        for (k, link) in system.links.iter().enumerate() {
-            let flag = match (&link.target_freeze, &link.target_count) {
-                (Some(freeze), Some(count)) => {
-                    let step = &ctx.memos[self.link_targets[k]].steps
-                        [ctx.resolved[self.link_targets[k]] as usize];
-                    let froze = step.get(freeze).map(Value::as_bool).unwrap_or(false);
-                    let nonempty = step.get(count).map(Value::as_bool).unwrap_or(false);
-                    Some(froze && nonempty)
-                }
-                _ => None,
-            };
-            ctx.consumed.push(flag);
         }
 
         // Monitor steps on the borrowed joint view (a violating monitor
         // keeps running, so every property gets its earliest
         // counterexample).
-        let view = JointView {
-            expander: self,
-            memos: &ctx.memos,
-            resolved: &ctx.resolved,
-            consumed: &ctx.consumed,
-            phase,
-        };
+        let view = JointView::new(system, &self.layout, &ctx.evaluators, phase);
         ctx.succ_monitors.clear();
         ctx.succ_monitors.extend_from_slice(&ctx.monitors);
         for property in self.compiled {
+            sink.monitor_step();
             let observed = property.step(&mut ctx.succ_monitors, &view);
             if !observed.holds {
                 sink.violation(
@@ -1207,9 +1140,9 @@ impl Expander for ProductExpander<'_> {
         }
 
         ctx.memory.clear();
-        for (i, &at) in ctx.resolved.iter().enumerate() {
-            ctx.memory
-                .extend_from_slice(&ctx.memos[i].memories[at as usize]);
+        for evaluator in &ctx.evaluators {
+            evaluator.memory_into(&mut ctx.component_memory);
+            ctx.memory.extend_from_slice(&ctx.component_memory);
         }
         if let Some(abstraction) = self.abstraction {
             let widened = abstraction.normalize(&mut ctx.memory);
@@ -1249,6 +1182,8 @@ impl Expander for ProductExpander<'_> {
 mod tests {
     use super::*;
     use crate::explore::Verdict;
+    use crate::property::pattern_matches;
+    use proptest::prelude::*;
     use signal_moc::builder::ProcessBuilder;
     use signal_moc::expr::Expr;
     use signal_moc::value::ValueType;
@@ -1575,6 +1510,133 @@ mod tests {
             "{}",
             outcome.verdicts[0].verdict.summary()
         );
+    }
+
+    /// A linear pipeline of event-counting stages, the shape of the
+    /// `pipeline_system` helpers of the determinism suites. With `consumed`,
+    /// every link also derives `<link>_consumed` from the target's
+    /// `Dispatch` and `seen` signals, which fire independently.
+    fn pipeline_system(
+        count: usize,
+        horizon: usize,
+        threshold: i64,
+        periods: &[usize],
+        latency: usize,
+        consumed: bool,
+    ) -> ProductSystem {
+        fn stage(name: &str, threshold: i64) -> Process {
+            let mut b = ProcessBuilder::new(name);
+            b.input("Dispatch", ValueType::Boolean);
+            b.input("out_output_time", ValueType::Boolean);
+            b.input("in_in", ValueType::Boolean);
+            b.output("Alarm", ValueType::Boolean);
+            b.local("seen", ValueType::Integer);
+            let prev = Expr::delay(Expr::var("seen"), Value::Int(0));
+            b.define(
+                "seen",
+                Expr::add(
+                    prev,
+                    Expr::default(Expr::when(Expr::int(1), Expr::var("in_in")), Expr::int(0)),
+                ),
+            );
+            b.define("Alarm", Expr::ge(Expr::var("seen"), Expr::int(threshold)));
+            b.synchronize(&["Dispatch", "out_output_time", "in_in", "seen", "Alarm"]);
+            b.build().unwrap()
+        }
+        let mut components = Vec::new();
+        for (i, period) in periods.iter().take(count).enumerate() {
+            let period = (*period).max(1);
+            let mut schedule = Trace::new();
+            for t in 0..horizon {
+                schedule.set(t, "Dispatch", Value::Bool(t % period == 0));
+                schedule.set(t, "out_output_time", Value::Bool(t % period == period - 1));
+                schedule.set(t, "in_in", Value::Bool(false));
+            }
+            components.push(ProductComponent {
+                name: format!("s{i}"),
+                process: stage(&format!("stage{i}"), threshold),
+                schedule,
+            });
+        }
+        let links = (1..count)
+            .map(|i| PortLink {
+                name: format!("l{}{}", i - 1, i),
+                source: format!("s{}", i - 1),
+                source_signal: "out_output_time".into(),
+                target: format!("s{i}"),
+                target_signal: "in_in".into(),
+                target_freeze: consumed.then(|| "Dispatch".into()),
+                target_count: consumed.then(|| "seen".into()),
+                latency,
+            })
+            .collect();
+        ProductSystem::new(components, links).unwrap()
+    }
+
+    proptest! {
+        /// Differential oracle of the expander's joint instant: at every
+        /// instant of a run, the borrowed view over the component
+        /// evaluators reads exactly like `ProductSystem::joint_resolved`
+        /// over materialised component steps (the path `LockstepCoSim`
+        /// takes) — every joint name, absent names, unknown prefixes, and
+        /// the first present signal under every glob.
+        #[test]
+        fn joint_view_reads_like_the_materialised_joint_step(
+            component_count in 2usize..=3,
+            horizon in 4usize..=8,
+            threshold in 1i64..=4,
+            periods in prop::collection::vec(1usize..=4, 3..4),
+            latency in 0usize..=2,
+            consumed in any::<bool>(),
+        ) {
+            let system =
+                pipeline_system(component_count, horizon, threshold, &periods, latency, consumed);
+            let layout = JointLayout::new(&system);
+            let mut borrowed: Vec<Evaluator> = system
+                .components()
+                .iter()
+                .map(|c| Evaluator::new(&c.process).unwrap())
+                .collect();
+            let mut owned = borrowed.clone();
+            let empty = TraceStep::new();
+            for t in 0..horizon * 2 {
+                let phase = t % horizon;
+                let mut steps = Vec::new();
+                for (i, (fast, slow)) in borrowed.iter_mut().zip(&mut owned).enumerate() {
+                    let input = system.wired[i].step(phase).unwrap_or(&empty);
+                    fast.step_resolved(t, input).unwrap();
+                    steps.push(slow.step(t, input).unwrap());
+                }
+                let joint = system.joint_resolved(phase, &steps);
+                let view = JointView::new(&system, &layout, &borrowed, phase);
+                let absent = [
+                    "s0_nope", "s0_", "s0", "l01_nope", "l01_", "s9_Alarm", "zz_Alarm", "Alarm", "",
+                ];
+                let names = joint
+                    .iter()
+                    .map(|(name, _)| name.as_str())
+                    .chain(absent)
+                    .chain(["l01_consumed", "l12_sent"]);
+                for name in names {
+                    prop_assert_eq!(view.value_of(name), joint.get(name), "{} at {}", name, t);
+                }
+                for pattern in ["*Alarm*", "*_sent", "*Dispatch*", "*"] {
+                    for raised in [false, true] {
+                        let mut accept = |name: &str, value: &Value| {
+                            pattern_matches(pattern, name) && (!raised || value.as_bool())
+                        };
+                        prop_assert_eq!(
+                            view.first_present_matching(&mut accept),
+                            joint.first_present_matching(&mut accept),
+                            "{} (raised: {}) at {}",
+                            pattern,
+                            raised,
+                            t
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Determinism pins on the shared exploration core: verdicts,
 //! counterexample depths and explored-state counts must be bit-identical
-//! across every worker count, and clock-calculus pruning (the product's
-//! per-component memoisation) must never change an outcome — checked on
-//! randomised 2–3 thread systems.
+//! across every worker count — checked on randomised free-mode processes
+//! and 2–3 thread products.
 
 use proptest::prelude::*;
 
@@ -219,10 +218,7 @@ proptest! {
     }
 
     /// Randomised 2–3 thread products: verdicts, counterexample depths and
-    /// explored-state counts are identical for every workers × pruning
-    /// combination. Pruning toggles the product's per-component step
-    /// memoisation, so this doubles as the regression pin that
-    /// clock-calculus pruning never changes a verdict.
+    /// explored-state counts are identical for every worker count.
     #[test]
     fn product_outcome_is_configuration_independent(
         component_count in 2usize..=3,
@@ -235,27 +231,18 @@ proptest! {
         let properties = [Property::NeverRaised("*Alarm*".into()), Property::DeadlockFree];
         let mut reference: Option<Fingerprint> = None;
         for workers in WORKER_COUNTS {
-            for pruning in [true, false] {
-                let verifier = ProductVerifier::new(
-                    system.clone(),
-                    VerifyOptions::default()
-                        .with_workers(workers)
-                        .with_depth_bound(horizon * 2)
-                        .with_pruning(pruning),
-                )
-                .unwrap();
-                let outcome = verifier.verify(&properties).unwrap();
-                let print = fingerprint(&outcome);
-                match &reference {
-                    None => reference = Some(print),
-                    Some(expected) => prop_assert_eq!(
-                        expected,
-                        &print,
-                        "workers={} pruning={}",
-                        workers,
-                        pruning
-                    ),
-                }
+            let verifier = ProductVerifier::new(
+                system.clone(),
+                VerifyOptions::default()
+                    .with_workers(workers)
+                    .with_depth_bound(horizon * 2),
+            )
+            .unwrap();
+            let outcome = verifier.verify(&properties).unwrap();
+            let print = fingerprint(&outcome);
+            match &reference {
+                None => reference = Some(print),
+                Some(expected) => prop_assert_eq!(expected, &print, "workers={}", workers),
             }
         }
     }

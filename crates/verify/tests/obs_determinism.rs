@@ -3,8 +3,9 @@
 //! collection `Noop`, `Counters` and `Full` (with a live JSON-lines sink
 //! attached), across every worker count — on both the free-mode thread
 //! verifier and the product verifier. The evaluator work counters
-//! (`engine.eval.*`) must read the same under every collecting mode and
-//! worker count.
+//! (`engine.eval.*`) and the monitor-step counters
+//! (`engine.monitor_steps*`) must read the same under every collecting mode
+//! and worker count.
 
 use proptest::prelude::*;
 
@@ -51,9 +52,9 @@ fn fingerprint(outcome: &VerificationOutcome) -> (Vec<u8>, ExplorationStats) {
     (verdicts, stats)
 }
 
-/// The evaluator work counters a collecting run recorded; `None` when the
-/// collector does not collect.
-fn eval_counts(collector: &Collector) -> Option<Vec<(String, u64)>> {
+/// The counters a collecting run recorded whose names start with `prefix`;
+/// `None` when the collector does not collect.
+fn counts_with_prefix(collector: &Collector, prefix: &str) -> Option<Vec<(String, u64)>> {
     if !collector.is_enabled() {
         return None;
     }
@@ -61,7 +62,7 @@ fn eval_counts(collector: &Collector) -> Option<Vec<(String, u64)>> {
         collector
             .counter_values()
             .into_iter()
-            .filter(|(name, _)| name.starts_with("engine.eval."))
+            .filter(|(name, _)| name.starts_with(prefix))
             .collect(),
     )
 }
@@ -208,7 +209,7 @@ proptest! {
                 )
                 .unwrap();
                 let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                counts.push(eval_counts(&collector));
+                counts.push(counts_with_prefix(&collector, "engine.eval."));
                 let print = fingerprint(&outcome);
                 match &reference {
                     None => reference = Some(print),
@@ -269,9 +270,9 @@ proptest! {
     }
 
     /// Product exploration: identical outcomes under every collection mode
-    /// × workers combination, including the memo hit/miss stats, which
-    /// count the memo's deterministic activity (pruning fixed on, so the
-    /// memo is live).
+    /// × workers combination. Every joint instant steps every compiled
+    /// monitor once, so the monitor-step counters read joint instants ×
+    /// compiled monitors, split evenly across the monitored properties.
     #[test]
     fn product_outcome_is_collection_mode_independent(
         component_count in 2usize..=3,
@@ -280,7 +281,16 @@ proptest! {
         period in 1usize..=4,
     ) {
         let system = pipeline_system(component_count, horizon, threshold, period);
-        let properties = [Property::NeverRaised("*Alarm*".into()), Property::DeadlockFree];
+        let properties = [
+            Property::NeverRaised("*Alarm*".into()),
+            Property::EndToEndResponse {
+                from: "l01_sent".into(),
+                to: "l01_received".into(),
+                bound: 1,
+            },
+            Property::DeadlockFree,
+        ];
+        let monitors = properties.iter().filter(|p| p.monitor().is_some()).count();
         let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
         let mut counts = Vec::new();
         for mode in MODES {
@@ -295,7 +305,28 @@ proptest! {
                 )
                 .unwrap();
                 let outcome = verifier.verify(&properties).unwrap();
-                counts.push(eval_counts(&collector));
+                counts.push(counts_with_prefix(&collector, "engine.eval."));
+                if let Some(steps) = counts_with_prefix(&collector, "engine.monitor_steps") {
+                    let joint_instants = (outcome.stats.transitions / component_count) as u64;
+                    let per_property = |property: &Property| {
+                        (format!("engine.monitor_steps.{}", property.name()), joint_instants)
+                    };
+                    // Counters come back in name order.
+                    prop_assert_eq!(
+                        steps,
+                        vec![
+                            (
+                                "engine.monitor_steps".to_string(),
+                                joint_instants * monitors as u64,
+                            ),
+                            per_property(&properties[1]),
+                            per_property(&properties[0]),
+                        ],
+                        "mode={:?} workers={}",
+                        mode,
+                        workers
+                    );
+                }
                 let print = fingerprint(&outcome);
                 match &reference {
                     None => reference = Some(print),
@@ -314,8 +345,9 @@ proptest! {
 }
 
 /// The stat-gap fixes ride the same harness: per-level frontier sizes are
-/// recorded with their invariants, and the product's memo hit/miss counts
-/// actually surface.
+/// recorded with their invariants, and the product reports every component
+/// step as evaluated (`memo_misses`), none as answered without its
+/// evaluator (`memo_hits`).
 #[test]
 fn frontier_levels_and_memo_counts_are_populated() {
     let process = streak_counter(2);
@@ -343,38 +375,23 @@ fn frontier_levels_and_memo_counts_are_populated() {
         stats.peak_frontier,
         "peak_frontier is the max over the per-level sizes"
     );
+    assert_eq!(stats.memo_misses, 0, "a single process has no components");
 
-    let system = pipeline_system(2, 6, 2, 2);
     let product = ProductVerifier::new(
-        system.clone(),
-        VerifyOptions::default()
-            .with_depth_bound(12)
-            .with_pruning(true),
-    )
-    .unwrap();
-    let pruned = product.verify(&properties).unwrap();
-    assert!(
-        pruned.stats.memo_hits > 0,
-        "components cycle, so the memo hits"
-    );
-    assert!(pruned.stats.memo_misses > 0, "first encounters always miss");
-    let unpruned = ProductVerifier::new(
-        system,
-        VerifyOptions::default()
-            .with_depth_bound(12)
-            .with_pruning(false),
+        pipeline_system(2, 6, 2, 2),
+        VerifyOptions::default().with_depth_bound(12),
     )
     .unwrap()
     .verify(&properties)
     .unwrap();
-    assert_eq!(unpruned.stats.memo_hits, 0, "memo off: no hits");
+    assert_eq!(product.stats.memo_hits, 0, "no step skips its evaluator");
     assert_eq!(
-        unpruned.stats.memo_misses,
-        pruned.stats.memo_hits + pruned.stats.memo_misses,
-        "memo off: every component step is a miss"
+        product.stats.memo_misses, product.stats.transitions,
+        "every transition is one evaluated component step"
     );
     assert_eq!(
-        pruned.stats.states, unpruned.stats.states,
-        "memoisation never changes the explored space"
+        product.stats.transitions,
+        2 * product.stats.depth,
+        "two components step at every joint instant"
     );
 }
