@@ -668,10 +668,12 @@ impl Simulated {
         }
         let states: usize = outcomes.values().map(|o| o.stats.states).sum();
         let transitions: usize = outcomes.values().map(|o| o.stats.transitions).sum();
+        let sliced: usize = outcomes.values().map(|o| o.stats.projected_slots).sum();
         self.record.push(timer.finish(&[
             ("threads", outcomes.len() as u64),
             ("states", states as u64),
             ("transitions", transitions as u64),
+            ("sliced_slots", sliced as u64),
         ]));
         let verification = Some(VerificationReport {
             workers: self.options.verify.workers,
@@ -688,6 +690,7 @@ impl Simulated {
                 self.record.push(timer.finish(&[
                     ("states", product.outcome.stats.states as u64),
                     ("depth", product.outcome.stats.depth as u64),
+                    ("sliced_slots", product.outcome.stats.projected_slots as u64),
                 ]));
                 Some(product)
             }

@@ -34,29 +34,29 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Profiles every signal of `trace`.
+    /// Profiles every signal of `trace` in one pass over its steps.
     pub fn from_trace(trace: &Trace) -> Self {
+        /// Presence count, active count and largest integer of one signal.
+        type Tally = (usize, usize, Option<i64>);
         let instants = trace.len();
-        let mut signals = BTreeMap::new();
-        for name in trace.signals() {
-            let mut presence = 0usize;
-            let mut active = 0usize;
-            let mut max_int = None;
-            for step in trace.iter() {
-                if let Some(v) = step.get(&name) {
-                    presence += 1;
-                    if v.as_bool() {
-                        active += 1;
-                    }
-                    if let Some(i) = v.as_int() {
-                        max_int = Some(max_int.map_or(i, |m: i64| m.max(i)));
-                    }
+        let mut tallies: BTreeMap<&str, Tally> = BTreeMap::new();
+        for step in trace.iter() {
+            for (name, value) in step.iter() {
+                let (presence, active, max_int) = tallies.entry(name).or_default();
+                *presence += 1;
+                if value.as_bool() {
+                    *active += 1;
+                }
+                if let Some(i) = value.as_int() {
+                    *max_int = Some(max_int.map_or(i, |m| m.max(i)));
                 }
             }
-            signals.insert(
-                name.clone(),
-                SignalProfile {
-                    name,
+        }
+        let signals = tallies
+            .into_iter()
+            .map(|(name, (presence, active, max_int))| {
+                let profile = SignalProfile {
+                    name: name.to_string(),
                     presence_count: presence,
                     active_count: active,
                     presence_rate: if instants == 0 {
@@ -65,9 +65,10 @@ impl ProfileReport {
                         presence as f64 / instants as f64
                     },
                     max_int,
-                },
-            );
-        }
+                };
+                (name.to_string(), profile)
+            })
+            .collect();
         Self { instants, signals }
     }
 
@@ -111,7 +112,7 @@ impl ProfileReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use signal_moc::value::Value;
 
@@ -148,6 +149,72 @@ mod tests {
         let table = report.to_table(10);
         assert!(table.contains("Dispatch"));
         assert!(table.contains("profile over 10 instants"));
+    }
+
+    /// The per-signal profile computation the one-pass `from_trace`
+    /// replaced: one lookup per signal per step.
+    fn reference_profile(trace: &Trace) -> ProfileReport {
+        let instants = trace.len();
+        let mut signals = BTreeMap::new();
+        for name in trace.signals() {
+            let mut presence = 0usize;
+            let mut active = 0usize;
+            let mut max_int = None;
+            for step in trace.iter() {
+                if let Some(v) = step.get(&name) {
+                    presence += 1;
+                    if v.as_bool() {
+                        active += 1;
+                    }
+                    if let Some(i) = v.as_int() {
+                        max_int = Some(max_int.map_or(i, |m: i64| m.max(i)));
+                    }
+                }
+            }
+            signals.insert(
+                name.clone(),
+                SignalProfile {
+                    name,
+                    presence_count: presence,
+                    active_count: active,
+                    presence_rate: if instants == 0 {
+                        0.0
+                    } else {
+                        presence as f64 / instants as f64
+                    },
+                    max_int,
+                },
+            );
+        }
+        ProfileReport { instants, signals }
+    }
+
+    /// A random trace over a few signals of mixed types, some absent.
+    pub(crate) fn random_trace(cells: &[(u8, u8, i64)]) -> Trace {
+        let mut trace = Trace::new();
+        for (i, &(signal, kind, value)) in cells.iter().enumerate() {
+            let t = i / 3;
+            let name = format!("s{signal}");
+            let value = match kind {
+                0 => Value::Bool(value >= 0),
+                1 => Value::Int(value),
+                2 => Value::Real(value as f64 / 4.0),
+                3 => Value::Event,
+                _ => Value::Text(format!("{value}")),
+            };
+            trace.set(t, name, value);
+        }
+        trace
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_pass_profile_matches_the_per_signal_reference(
+            cells in proptest::collection::vec((0u8..6, 0u8..5, -8i64..=8), 0..40),
+        ) {
+            let trace = random_trace(&cells);
+            proptest::prop_assert_eq!(ProfileReport::from_trace(&trace), reference_profile(&trace));
+        }
     }
 
     #[test]

@@ -25,10 +25,10 @@ pub fn write_vcd(trace: &Trace, module: &str, timescale_ns: u64) -> String {
     let _ = writeln!(out, "$timescale {timescale_ns} ns $end");
     let _ = writeln!(out, "$scope module {module} $end");
 
-    // Assign short identifiers.
+    // Assign short identifiers, and each signal its type once.
     let ids: Vec<String> = (0..signals.len()).map(vcd_id).collect();
-    for (signal, id) in signals.iter().zip(&ids) {
-        let (ty, width) = vcd_type(trace, signal);
+    let types: Vec<(&str, usize)> = signals.iter().map(|s| vcd_type(trace, s)).collect();
+    for ((signal, id), (ty, width)) in signals.iter().zip(&ids).zip(&types) {
         let _ = writeln!(out, "$var {ty} {width} {id} {signal} $end");
     }
     let _ = writeln!(out, "$upscope $end");
@@ -37,9 +37,8 @@ pub fn write_vcd(trace: &Trace, module: &str, timescale_ns: u64) -> String {
     // Initial values: everything absent/zero.
     let _ = writeln!(out, "#0");
     let _ = writeln!(out, "$dumpvars");
-    for (signal, id) in signals.iter().zip(&ids) {
-        let (ty, _) = vcd_type(trace, signal);
-        match ty {
+    for (id, (ty, _)) in ids.iter().zip(&types) {
+        match *ty {
             "wire" => {
                 let _ = writeln!(out, "0{id}");
             }
@@ -53,12 +52,18 @@ pub fn write_vcd(trace: &Trace, module: &str, timescale_ns: u64) -> String {
     }
     let _ = writeln!(out, "$end");
 
+    let mut changes = String::new();
     for (t, step) in trace.iter().enumerate() {
-        let mut changes = String::new();
-        for (signal, id) in signals.iter().zip(&ids) {
-            let (ty, _) = vcd_type(trace, signal);
-            match step.get(signal) {
-                Some(value) => match (ty, value) {
+        changes.clear();
+        // Both the step and `signals` are sorted by name, and every present
+        // name is one of `signals`: walk them in step.
+        let mut present = step.iter().peekable();
+        for ((signal, id), (ty, _)) in signals.iter().zip(&ids).zip(&types) {
+            let value = present
+                .next_if(|(name, _)| *name == signal)
+                .map(|(_, value)| value);
+            match value {
+                Some(value) => match (*ty, value) {
                     ("wire", v) => {
                         let bit = if v.as_bool() { '1' } else { '0' };
                         let _ = writeln!(changes, "{bit}{id}");
@@ -74,7 +79,7 @@ pub fn write_vcd(trace: &Trace, module: &str, timescale_ns: u64) -> String {
                 // Absent event/boolean signals fall back to 0 so pulses are
                 // visible; absent value signals keep their previous value.
                 None => {
-                    if ty == "wire" {
+                    if *ty == "wire" {
                         let _ = writeln!(changes, "0{id}");
                     }
                 }
@@ -177,6 +182,87 @@ mod tests {
         assert!(ids
             .iter()
             .all(|id| id.chars().all(|c| ('!'..='~').contains(&c))));
+    }
+
+    /// The writer before types were computed once per signal: a type scan
+    /// and a lookup per signal at every instant.
+    fn reference_vcd(trace: &Trace, module: &str, timescale_ns: u64) -> String {
+        let signals = trace.signals();
+        let mut out = String::new();
+        let _ = writeln!(out, "$date polychrony-aadl reproduction $end");
+        let _ = writeln!(out, "$version polysim 0.1 $end");
+        let _ = writeln!(out, "$timescale {timescale_ns} ns $end");
+        let _ = writeln!(out, "$scope module {module} $end");
+        let ids: Vec<String> = (0..signals.len()).map(vcd_id).collect();
+        for (signal, id) in signals.iter().zip(&ids) {
+            let (ty, width) = vcd_type(trace, signal);
+            let _ = writeln!(out, "$var {ty} {width} {id} {signal} $end");
+        }
+        let _ = writeln!(out, "$upscope $end");
+        let _ = writeln!(out, "$enddefinitions $end");
+        let _ = writeln!(out, "#0");
+        let _ = writeln!(out, "$dumpvars");
+        for (signal, id) in signals.iter().zip(&ids) {
+            let (ty, _) = vcd_type(trace, signal);
+            match ty {
+                "wire" => {
+                    let _ = writeln!(out, "0{id}");
+                }
+                "real" => {
+                    let _ = writeln!(out, "r0 {id}");
+                }
+                _ => {
+                    let _ = writeln!(out, "b0 {id}");
+                }
+            }
+        }
+        let _ = writeln!(out, "$end");
+        for (t, step) in trace.iter().enumerate() {
+            let mut changes = String::new();
+            for (signal, id) in signals.iter().zip(&ids) {
+                let (ty, _) = vcd_type(trace, signal);
+                match step.get(signal) {
+                    Some(value) => match (ty, value) {
+                        ("wire", v) => {
+                            let bit = if v.as_bool() { '1' } else { '0' };
+                            let _ = writeln!(changes, "{bit}{id}");
+                        }
+                        ("real", v) => {
+                            let _ = writeln!(changes, "r{} {id}", v.as_real().unwrap_or(0.0));
+                        }
+                        (_, v) => {
+                            let bits = v.as_int().unwrap_or(0);
+                            let _ = writeln!(changes, "b{bits:b} {id}");
+                        }
+                    },
+                    None => {
+                        if ty == "wire" {
+                            let _ = writeln!(changes, "0{id}");
+                        }
+                    }
+                }
+            }
+            if !changes.is_empty() {
+                let _ = writeln!(out, "#{}", t as u64 * timescale_ns);
+                out.push_str(&changes);
+            }
+        }
+        let _ = writeln!(out, "#{}", trace.len() as u64 * timescale_ns);
+        out
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn vcd_matches_the_per_instant_reference(
+            cells in proptest::collection::vec((0u8..6, 0u8..5, -8i64..=8), 0..40),
+            timescale in 1u64..=1000,
+        ) {
+            let trace = crate::profile::tests::random_trace(&cells);
+            proptest::prop_assert_eq!(
+                write_vcd(&trace, "m", timescale),
+                reference_vcd(&trace, "m", timescale)
+            );
+        }
     }
 
     #[test]

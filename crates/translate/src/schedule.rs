@@ -297,12 +297,12 @@ pub fn schedule_to_timing_trace(
         let base = rep * schedule.hyperperiod;
         for entry in schedule.entries_for(thread) {
             let at = |tick: u64| (base + tick) as usize;
+            // A job completing at or past the hyper-period boundary lands in
+            // the next repetition; only the last one clamps, to the last
+            // tick of the trace.
+            let clamped = |tick: u64| at(tick).min(horizon as usize - 1);
             trace.set(at(entry.dispatch), name("Dispatch"), Value::Bool(true));
-            trace.set(
-                at(entry.completion.min(horizon - 1)),
-                name("Resume"),
-                Value::Bool(true),
-            );
+            trace.set(clamped(entry.completion), name("Resume"), Value::Bool(true));
             if entry.deadline < schedule.hyperperiod {
                 trace.set(at(entry.deadline), name("Deadline"), Value::Bool(true));
             }
@@ -315,7 +315,7 @@ pub fn schedule_to_timing_trace(
             }
             for port in out_ports {
                 trace.set(
-                    at(entry.output_release.min(horizon - 1)),
+                    clamped(entry.output_release),
                     name(&format!("{port}_output_time")),
                     Value::Bool(true),
                 );

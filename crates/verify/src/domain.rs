@@ -36,46 +36,54 @@
 //!   pattern `t := t$1 init k + c` with a positive integer increment;
 //! * [`SlotPlan::Project`] — the slot is dropped from the canonical key
 //!   entirely (reset to its initial value, i.e. the abstract value `⊤`),
-//!   applied to every abstractable slot when `--project-counters` is on.
+//!   applied to every abstractable slot when projection is requested. The
+//!   concrete domain always requests it: the resulting plan is the
+//!   cone-of-influence slice every default exploration runs on.
 //!
 //! A slot is *abstractable* only when its value provably cannot reach any
-//! observable. The analysis computes the forward influence closure `D` of
-//! the slot's defining signal through the equation graph and requires:
+//! observable. The analysis marks every signal an observation depends on,
+//! in one backward-reachability pass over the equation graph from
 //!
-//! * no signal of `D` is read by any checked property (exact names from
+//! * every signal read by a checked property (exact names from
 //!   `Signal`/`Present` atoms, glob patterns from `Raised` atoms matched
 //!   against the property-visible — possibly `<component>_`-prefixed —
-//!   name), and no signal of `D` is touched by a product port link;
-//! * no signal of `D` (and not the slot operator itself) occurs in a
-//!   presence-determining position: a `when` condition, a `cell` trigger, a
-//!   `^e` / `when b` clock expression — value changes there would change
-//!   which transitions are feasible;
-//! * no signal of `D` (and not the slot operator itself) occurs in the
-//!   divisor of `/` or `mod` — saturation there could manufacture or mask a
-//!   division-by-zero evaluation error;
-//! * no signal of `D` has a partial or multiple definition — merged partial
-//!   definitions compare values at runtime;
-//! * the slot memory is integer-typed, and [`Property::DeadlockFree`] is
-//!   not among the checked properties (deadlock freedom quantifies over
-//!   successor *existence*, which the observable-trace argument below does
-//!   not cover).
+//!   name) and every signal a product port link touches;
+//! * every signal in a presence-determining position: a `when` condition,
+//!   a `cell` trigger, a `^e` / `when b` clock expression — value changes
+//!   there would change which transitions are feasible;
+//! * every signal in the divisor of `/` or `mod` — the value there decides
+//!   whether evaluation fails with a division by zero;
+//! * every signal with a partial or multiple definition — merged partial
+//!   definitions compare values at runtime.
+//!
+//! A slot is abstractable when the target of its equation is unmarked, the
+//! slot operator itself sits in no presence or divisor position, and its
+//! initial value is an integer.
 //!
 //! # Soundness
 //!
 //! Under these conditions the abstraction is *exact for observables*: the
-//! value of an abstractable slot flows only into signals of `D`, none of
+//! value of an abstractable slot flows only into unmarked signals, none of
 //! which any monitor reads or any clock condition consumes, so replacing
 //! the slot value by its representative changes neither the feasibility of
-//! any transition nor the value of any observed signal. Abstract and
-//! concrete systems have identical observable trace sets; a `Proved` on the
-//! quotient is a genuine proof and a `PassedBounded` is exactly as strong
-//! as the concrete one. Independently of this argument, the engine enforces
-//! the strengthen-only discipline dynamically: every abstract
-//! counterexample is re-concretized and must replay in the explicit
-//! simulator before being reported, and a failed replay falls back to the
-//! fully concrete exploration (see `docs/SYMBOLIC.md`).
+//! any transition nor the value of any observed signal. Feasibility
+//! includes evaluation errors, which is why [`Property::DeadlockFree`]
+//! needs no exception: integer arithmetic wraps, so division by zero is
+//! the only error a value (rather than a type) can cause, and divisors are
+//! marked; a representative keeps the type of the value it replaces
+//! (projection resets only integer values, widening saturates integers),
+//! so no type error appears or vanishes. Abstract and concrete systems
+//! therefore have identical observable trace sets, and the same executable
+//! instants: a `Proved` on the quotient is a genuine proof, and a violation
+//! is found at the same instant as in the concrete system.
+//!
+//! The interval domain additionally enforces the strengthen-only
+//! discipline dynamically: every abstract counterexample is re-concretized
+//! and must replay in the explicit simulator before being reported, and a
+//! failed replay falls back to the fully concrete exploration (see
+//! `docs/SYMBOLIC.md`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -90,7 +98,8 @@ use crate::Property;
 /// The state-space domain the engine explores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Domain {
-    /// Exact per-slot values — today's explicit engine.
+    /// Exact values of every slot an observation can depend on: the
+    /// explicit engine on the cone-of-influence slice.
     #[default]
     Concrete,
     /// Interval abstraction: monotone counter slots widen to `≥ threshold`
@@ -256,50 +265,42 @@ pub struct SlotAbstraction {
     plans: Vec<SlotPlan>,
     inits: Vec<Value>,
     targets: Vec<String>,
+    /// Indices of the non-concrete plans: the only slots
+    /// [`SlotAbstraction::normalize`] visits.
+    abstracted: Vec<usize>,
 }
 
-/// Everything the analysis needs to know about the observation context of
-/// one process: which signal names are read exactly, which glob patterns
-/// are matched, how the process's signals are spelled in the
-/// property-visible namespace, and whether deadlock freedom is among the
-/// checked properties.
+/// The observation context of one process: which signal names are read
+/// exactly and which glob patterns are matched, in the property-visible
+/// namespace.
 struct ReadSet {
     names: BTreeSet<String>,
     patterns: BTreeSet<String>,
-    deadlock: bool,
 }
 
 impl ReadSet {
     fn of_properties(properties: &[Property]) -> Self {
         let mut names = BTreeSet::new();
         let mut patterns = BTreeSet::new();
-        let mut deadlock = false;
         for property in properties {
-            match property.ltl() {
-                Some(ltl) => collect_atoms(ltl.invariant(), &mut names, &mut patterns),
-                None => deadlock = true,
+            if let Some(ltl) = property.ltl() {
+                collect_atoms(ltl.invariant(), &mut names, &mut patterns);
             }
         }
-        Self {
-            names,
-            patterns,
-            deadlock,
-        }
+        Self { names, patterns }
     }
 
     /// Is the signal spelled `<prefix><signal>` in the property namespace
-    /// read by any atom?
-    fn reads(&self, prefix: &str, signal: &str) -> bool {
-        let visible = if prefix.is_empty() {
-            signal.to_string()
-        } else {
-            format!("{prefix}{signal}")
-        };
-        self.names.contains(&visible)
+    /// read by any atom? `visible` is a reusable buffer for the spelling.
+    fn reads(&self, prefix: &str, signal: &str, visible: &mut String) -> bool {
+        visible.clear();
+        visible.push_str(prefix);
+        visible.push_str(signal);
+        self.names.contains(visible.as_str())
             || self
                 .patterns
                 .iter()
-                .any(|pattern| pattern_matches(pattern, &visible))
+                .any(|pattern| pattern_matches(pattern, visible))
     }
 }
 
@@ -336,8 +337,8 @@ fn collect_atoms(
 /// One `delay`/`cell` operator site discovered by mirroring the
 /// evaluator's slot-allocation walk.
 struct SlotSite {
-    /// Target signal of the containing equation.
-    target: String,
+    /// Signal id of the containing equation's target.
+    target: usize,
     /// Initial value of the slot.
     init: Value,
     /// The operator's own result is consumed in a presence-determining or
@@ -349,62 +350,99 @@ struct SlotSite {
     monotone: bool,
 }
 
-/// Walks `expr` in the evaluator's slot-allocation order (`delay`/`cell`
-/// allocate before their operands are compiled; binary operands
-/// left-to-right), pushing a [`SlotSite`] per operator and collecting every
-/// signal referenced in a presence/divisor position into `forbidden_refs`.
-fn walk_expr(
-    expr: &Expr,
-    target: &str,
-    forbidden: bool,
-    slots: &mut Vec<SlotSite>,
-    forbidden_refs: &mut BTreeSet<String>,
-) {
-    match expr {
-        Expr::Var(name) => {
-            if forbidden {
-                forbidden_refs.insert(name.clone());
+/// The equation graph of one process over dense signal ids, gathered in
+/// one walk that mirrors the evaluator's slot allocation.
+#[derive(Default)]
+struct EquationGraph<'p> {
+    ids: HashMap<&'p str, usize>,
+    names: Vec<&'p str>,
+    /// Per signal: the signals its defining equations read.
+    sources: Vec<Vec<usize>>,
+    /// Per signal: how many equations define it.
+    definitions: Vec<usize>,
+    /// Per signal: whether an observation depends on its value — seeded
+    /// by the walk with presence and divisor reads and partial definitions.
+    observed: Vec<bool>,
+    slots: Vec<SlotSite>,
+}
+
+impl<'p> EquationGraph<'p> {
+    fn id(&mut self, name: &'p str) -> usize {
+        let next = self.names.len();
+        let id = *self.ids.entry(name).or_insert(next);
+        if id == next {
+            self.names.push(name);
+            self.sources.push(Vec::new());
+            self.definitions.push(0);
+            self.observed.push(false);
+        }
+        id
+    }
+
+    /// Records one `target := expr` (or `::=` when `partial`) equation.
+    fn define(&mut self, target: &'p str, expr: &'p Expr, partial: bool) {
+        let target_id = self.id(target);
+        self.definitions[target_id] += 1;
+        self.observed[target_id] |= partial;
+        let first_slot = self.slots.len();
+        self.walk(expr, target_id, false);
+        if !partial && monotone_counter(expr, target) {
+            // The pattern allocates exactly one slot.
+            debug_assert_eq!(self.slots.len(), first_slot + 1);
+            if let Some(site) = self.slots.get_mut(first_slot) {
+                site.monotone = true;
             }
         }
-        Expr::Const(_) => {}
-        Expr::Unary(_, a) => walk_expr(a, target, forbidden, slots, forbidden_refs),
-        Expr::Binary(op, a, b) => {
-            walk_expr(a, target, forbidden, slots, forbidden_refs);
-            let divisor = matches!(op, BinOp::Div | BinOp::Mod);
-            walk_expr(b, target, forbidden || divisor, slots, forbidden_refs);
+    }
+
+    /// Walks `expr` in the evaluator's slot-allocation order (`delay`/`cell`
+    /// allocate before their operands are compiled; binary operands
+    /// left-to-right), pushing a [`SlotSite`] per operator and recording
+    /// every signal read as a source of `target`.
+    fn walk(&mut self, expr: &'p Expr, target: usize, forbidden: bool) {
+        match expr {
+            Expr::Var(name) => {
+                let id = self.id(name);
+                self.sources[target].push(id);
+                self.observed[id] |= forbidden;
+            }
+            Expr::Const(_) => {}
+            Expr::Unary(_, a) => self.walk(a, target, forbidden),
+            Expr::Binary(op, a, b) => {
+                self.walk(a, target, forbidden);
+                let divisor = matches!(op, BinOp::Div | BinOp::Mod);
+                self.walk(b, target, forbidden || divisor);
+            }
+            Expr::Delay(operand, init) => {
+                self.push_slot(target, init, forbidden);
+                self.walk(operand, target, forbidden);
+            }
+            Expr::When(e, b) => {
+                self.walk(e, target, forbidden);
+                self.walk(b, target, true);
+            }
+            Expr::Default(u, v) => {
+                self.walk(u, target, forbidden);
+                self.walk(v, target, forbidden);
+            }
+            Expr::Cell(i, b, init) => {
+                self.push_slot(target, init, forbidden);
+                self.walk(i, target, forbidden);
+                self.walk(b, target, true);
+            }
+            // Clock expressions only observe presence, but a slot feeding them
+            // sits one `when` away from feasibility — treat conservatively.
+            Expr::ClockOf(e) | Expr::ClockWhen(e) => self.walk(e, target, true),
         }
-        Expr::Delay(operand, init) => {
-            slots.push(SlotSite {
-                target: target.to_string(),
-                init: init.clone(),
-                forbidden,
-                monotone: false,
-            });
-            walk_expr(operand, target, forbidden, slots, forbidden_refs);
-        }
-        Expr::When(e, b) => {
-            walk_expr(e, target, forbidden, slots, forbidden_refs);
-            walk_expr(b, target, true, slots, forbidden_refs);
-        }
-        Expr::Default(u, v) => {
-            walk_expr(u, target, forbidden, slots, forbidden_refs);
-            walk_expr(v, target, forbidden, slots, forbidden_refs);
-        }
-        Expr::Cell(i, b, init) => {
-            slots.push(SlotSite {
-                target: target.to_string(),
-                init: init.clone(),
-                forbidden,
-                monotone: false,
-            });
-            walk_expr(i, target, forbidden, slots, forbidden_refs);
-            walk_expr(b, target, true, slots, forbidden_refs);
-        }
-        // Clock expressions only observe presence, but a slot feeding them
-        // sits one `when` away from feasibility — treat conservatively.
-        Expr::ClockOf(e) | Expr::ClockWhen(e) => {
-            walk_expr(e, target, true, slots, forbidden_refs);
-        }
+    }
+
+    fn push_slot(&mut self, target: usize, init: &Value, forbidden: bool) {
+        self.slots.push(SlotSite {
+            target,
+            init: init.clone(),
+            forbidden,
+            monotone: false,
+        });
     }
 }
 
@@ -424,11 +462,11 @@ fn monotone_counter(expr: &Expr, target: &str) -> bool {
 }
 
 impl SlotAbstraction {
-    /// Analyzes `process` and plans the abstraction of each memory slot.
+    /// Analyzes `process` and plans the abstraction of each memory slot, in
+    /// time linear in the size of its equations.
     ///
     /// * `properties` — the properties that will be checked; their atoms
-    ///   (and [`Property::DeadlockFree`], which disables abstraction
-    ///   entirely) define the observable read set.
+    ///   define the observable read set.
     /// * `prefix` — how this process's signals are spelled in the
     ///   property namespace (`""` for a single thread, `"<component>_"`
     ///   inside a product).
@@ -449,89 +487,52 @@ impl SlotAbstraction {
         widen_threshold: i64,
         expected_slots: usize,
     ) -> Self {
-        let reads = ReadSet::of_properties(properties);
-
         // Mirror of the evaluator's allocation walk over the equations.
-        let mut slots: Vec<SlotSite> = Vec::new();
-        let mut forbidden_refs: BTreeSet<String> = BTreeSet::new();
-        let mut def_counts: BTreeMap<&str, (usize, bool)> = BTreeMap::new();
-        let mut influences: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
+        let mut graph = EquationGraph::default();
         for equation in &process.equations {
-            let (target, expr, partial) = match equation {
-                Equation::Definition { target, expr } => (target, expr, false),
-                Equation::PartialDefinition { target, expr } => (target, expr, true),
-                _ => continue,
-            };
-            let first_slot = slots.len();
-            walk_expr(expr, target, false, &mut slots, &mut forbidden_refs);
-            if !partial && monotone_counter(expr, target) {
-                // The pattern allocates exactly one slot.
-                debug_assert_eq!(slots.len(), first_slot + 1);
-                if let Some(site) = slots.get_mut(first_slot) {
-                    site.monotone = true;
-                }
-            }
-            let entry = def_counts.entry(target.as_str()).or_insert((0, false));
-            entry.0 += 1;
-            entry.1 |= partial;
-            for source in expr.referenced_signals() {
-                influences.entry(source).or_default().insert(target);
+            match equation {
+                Equation::Definition { target, expr } => graph.define(target, expr, false),
+                Equation::PartialDefinition { target, expr } => graph.define(target, expr, true),
+                _ => {}
             }
         }
-
-        let identity = |n: usize| Self {
-            plans: vec![SlotPlan::Concrete; n],
-            inits: vec![Value::Event; n],
-            targets: vec![String::new(); n],
-        };
-        if slots.len() != expected_slots {
+        if graph.slots.len() != expected_slots {
             // The mirror walk and the evaluator disagree about slot
             // allocation — never abstract on a guessed layout.
-            return identity(expected_slots);
-        }
-        if reads.deadlock {
-            return identity(expected_slots);
+            return Self::identity(expected_slots);
         }
 
-        let multi_def: BTreeSet<&str> = def_counts
-            .iter()
-            .filter(|(_, (count, partial))| *count > 1 || *partial)
-            .map(|(target, _)| *target)
-            .collect();
+        // Complete the seeds: multiply defined signals, link endpoints and
+        // property atoms.
+        let read_set = ReadSet::of_properties(properties);
+        let mut visible = String::new();
+        for (id, name) in graph.names.iter().enumerate() {
+            graph.observed[id] |= graph.definitions[id] > 1
+                || extra_reads.iter().any(|r| r == name)
+                || read_set.reads(prefix, name, &mut visible);
+        }
 
-        // Forward influence closure of one defining signal.
-        let closure = |start: &str| -> BTreeSet<String> {
-            let mut seen: BTreeSet<String> = BTreeSet::new();
-            let mut frontier = vec![start.to_string()];
-            while let Some(signal) = frontier.pop() {
-                if !seen.insert(signal.clone()) {
-                    continue;
-                }
-                if let Some(targets) = influences.get(signal.as_str()) {
-                    for next in targets {
-                        if !seen.contains(*next) {
-                            frontier.push((*next).to_string());
-                        }
-                    }
+        // Backward reachability: every signal an observed signal's
+        // definition reads is observed too.
+        let observed = &mut graph.observed;
+        let mut stack: Vec<usize> = (0..observed.len()).filter(|&id| observed[id]).collect();
+        while let Some(target) = stack.pop() {
+            for &source in &graph.sources[target] {
+                if !observed[source] {
+                    observed[source] = true;
+                    stack.push(source);
                 }
             }
-            seen
-        };
+        }
 
-        let plans = slots
+        let plans = graph
+            .slots
             .iter()
             .map(|site| {
-                if site.forbidden || !matches!(site.init, Value::Int(_)) {
-                    return SlotPlan::Concrete;
-                }
-                let influenced = closure(&site.target);
-                let leaks = influenced.iter().any(|signal| {
-                    reads.reads(prefix, signal)
-                        || extra_reads.iter().any(|r| r == signal)
-                        || forbidden_refs.contains(signal)
-                        || multi_def.contains(signal.as_str())
-                });
-                if leaks {
+                if site.forbidden
+                    || !matches!(site.init, Value::Int(_))
+                    || graph.observed[site.target]
+                {
                     SlotPlan::Concrete
                 } else if project {
                     SlotPlan::Project
@@ -544,20 +545,37 @@ impl SlotAbstraction {
                 }
             })
             .collect();
+        let targets = graph
+            .slots
+            .iter()
+            .map(|site| graph.names[site.target].to_string())
+            .collect();
+        let inits = graph.slots.into_iter().map(|site| site.init).collect();
+        Self::new(plans, inits, targets)
+    }
+
+    fn new(plans: Vec<SlotPlan>, inits: Vec<Value>, targets: Vec<String>) -> Self {
+        let abstracted = plans
+            .iter()
+            .enumerate()
+            .filter(|(_, plan)| **plan != SlotPlan::Concrete)
+            .map(|(i, _)| i)
+            .collect();
         Self {
             plans,
-            inits: slots.iter().map(|s| s.init.clone()).collect(),
-            targets: slots.iter().map(|s| s.target.clone()).collect(),
+            inits,
+            targets,
+            abstracted,
         }
     }
 
     /// An identity abstraction (all slots concrete) of the given width.
     pub fn identity(slots: usize) -> Self {
-        Self {
-            plans: vec![SlotPlan::Concrete; slots],
-            inits: vec![Value::Event; slots],
-            targets: vec![String::new(); slots],
-        }
+        Self::new(
+            vec![SlotPlan::Concrete; slots],
+            vec![Value::Event; slots],
+            vec![String::new(); slots],
+        )
     }
 
     /// Concatenates per-component abstractions into the joint product
@@ -572,17 +590,13 @@ impl SlotAbstraction {
             inits.extend(part.inits);
             targets.extend(part.targets);
         }
-        Self {
-            plans,
-            inits,
-            targets,
-        }
+        Self::new(plans, inits, targets)
     }
 
-    /// `true` when no slot is abstracted — the interval run would explore
-    /// exactly the concrete space, so callers skip the abstract pass.
+    /// `true` when no slot is abstracted — the abstract run would explore
+    /// exactly the concrete space, so callers skip it.
     pub fn is_identity(&self) -> bool {
-        self.plans.iter().all(|p| *p == SlotPlan::Concrete)
+        self.abstracted.is_empty()
     }
 
     /// The per-slot plans, in evaluator memory order.
@@ -608,41 +622,32 @@ impl SlotAbstraction {
 
     /// Target signals of the non-concrete slots (for reports and tracing).
     pub fn abstracted_targets(&self) -> Vec<&str> {
-        self.plans
+        self.abstracted
             .iter()
-            .zip(&self.targets)
-            .filter(|(p, _)| **p != SlotPlan::Concrete)
-            .map(|(_, t)| t.as_str())
+            .map(|&i| self.targets[i].as_str())
             .collect()
     }
 
     /// Rewrites `memory` into the canonical representative of its abstract
-    /// equivalence class, returning how many slots changed (the engine's
-    /// `widened` counter). Widened slots saturate at their threshold;
-    /// projected slots reset to their initial value.
+    /// equivalence class, returning how many slots saturated at their
+    /// widening threshold (the engine's `widened` counter; projection
+    /// resets are not counted). Projected slots holding an integer reset
+    /// to their initial value; a slot holding a value of another type keeps
+    /// it, so a representative never changes the type of what it replaces.
     pub fn normalize(&self, memory: &mut [Value]) -> usize {
         debug_assert_eq!(memory.len(), self.plans.len());
-        let mut changed = 0;
-        for (i, plan) in self.plans.iter().enumerate() {
-            match plan {
-                SlotPlan::Concrete => {}
-                SlotPlan::Widen { threshold } => {
-                    if let Value::Int(v) = &memory[i] {
-                        if *v > *threshold {
-                            memory[i] = Value::Int(*threshold);
-                            changed += 1;
-                        }
-                    }
+        let mut widened = 0;
+        for &i in &self.abstracted {
+            match (&self.plans[i], &memory[i]) {
+                (SlotPlan::Widen { threshold }, Value::Int(v)) if v > threshold => {
+                    memory[i] = Value::Int(*threshold);
+                    widened += 1;
                 }
-                SlotPlan::Project => {
-                    if memory[i] != self.inits[i] {
-                        memory[i] = self.inits[i].clone();
-                        changed += 1;
-                    }
-                }
+                (SlotPlan::Project, Value::Int(_)) => memory[i] = self.inits[i].clone(),
+                _ => {}
             }
         }
-        changed
+        widened
     }
 
     /// The abstract state denoted by a (representative) concrete memory.
@@ -656,7 +661,10 @@ impl SlotAbstraction {
                     Value::Int(v) if *v >= *threshold => AbstractValue::AtLeast(*threshold),
                     other => AbstractValue::Concrete(other.clone()),
                 },
-                SlotPlan::Project => AbstractValue::AtLeast(i64::MIN),
+                SlotPlan::Project => match value {
+                    Value::Int(_) => AbstractValue::AtLeast(i64::MIN),
+                    other => AbstractValue::Concrete(other.clone()),
+                },
             })
             .collect();
         AbstractState { slots, phase }
@@ -727,8 +735,14 @@ mod tests {
         let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())], true);
         assert_eq!(abs.plans(), &[SlotPlan::Project]);
         let mut memory = vec![Value::Int(41)];
-        assert_eq!(abs.normalize(&mut memory), 1);
+        // A projection reset is not a widening.
+        assert_eq!(abs.normalize(&mut memory), 0);
         assert_eq!(memory, vec![Value::Int(0)]);
+        // A value of another type is kept: the representative never
+        // changes the type flowing downstream.
+        let mut retyped = vec![Value::Bool(true)];
+        abs.normalize(&mut retyped);
+        assert_eq!(retyped, vec![Value::Bool(true)]);
     }
 
     #[test]
@@ -752,18 +766,54 @@ mod tests {
         assert!(!abs.is_identity());
     }
 
-    #[test]
-    fn deadlock_freedom_disables_abstraction() {
-        let process = counter_process();
-        let abs = analyze(
-            &process,
-            &[
-                Property::NeverRaised("*Alarm*".into()),
-                Property::DeadlockFree,
-            ],
-            true,
+    /// `count` feeds `gate` through `role`: nothing, a `when` condition or
+    /// a divisor.
+    fn counter_feeding(role: &str) -> Process {
+        let mut b = ProcessBuilder::new("feeding");
+        b.input("tick", ValueType::Integer);
+        b.output("Alarm", ValueType::Boolean);
+        b.local("count", ValueType::Integer);
+        b.local("gate", ValueType::Integer);
+        b.define(
+            "count",
+            Expr::add(Expr::delay(Expr::var("count"), Value::Int(0)), Expr::int(1)),
         );
-        assert!(abs.is_identity());
+        let gate = match role {
+            "when" => Expr::when(
+                Expr::var("tick"),
+                Expr::ge(Expr::var("count"), Expr::int(3)),
+            ),
+            "divisor" => Expr::Binary(
+                BinOp::Div,
+                Box::new(Expr::var("tick")),
+                Box::new(Expr::var("count")),
+            ),
+            _ => Expr::add(Expr::var("tick"), Expr::var("count")),
+        };
+        b.define("gate", gate);
+        b.define("Alarm", Expr::lt(Expr::var("tick"), Expr::int(0)));
+        b.synchronize(&["tick", "count", "Alarm"]);
+        b.build().expect("valid process")
+    }
+
+    #[test]
+    fn deadlock_freedom_slices_only_counters_that_cannot_decide_execution() {
+        let properties = [
+            Property::NeverRaised("*Alarm*".into()),
+            Property::DeadlockFree,
+        ];
+        // Unobservable: integer arithmetic wraps, so the counter's value
+        // cannot make an instant fail — it is sliced under deadlock
+        // freedom too.
+        let abs = analyze(&counter_feeding("plain"), &properties, true);
+        assert_eq!(abs.plans(), &[SlotPlan::Project]);
+        assert_eq!(abs.abstracted_targets(), vec!["count"]);
+        // Feeding a `when` decides presence; feeding a divisor decides
+        // whether evaluation fails. Both keep the counter concrete.
+        for role in ["when", "divisor"] {
+            let abs = analyze(&counter_feeding(role), &properties, true);
+            assert!(abs.is_identity(), "a counter feeding a {role} must stay");
+        }
     }
 
     #[test]

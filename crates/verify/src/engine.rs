@@ -574,6 +574,7 @@ pub(crate) fn explore<E: Expander>(
         memo_hits: 0,
         memo_misses: 0,
         widened,
+        domain: options.domain,
         projected_slots: 0,
         reconcretized: 0,
     };

@@ -59,8 +59,10 @@ pub struct VerifyOptions {
     /// [`ExplorationStats`] — pinned by the determinism proptests in
     /// `tests/obs_determinism.rs`.
     pub collector: polyobs::Collector,
-    /// The state-space domain: [`Domain::Concrete`] explores exact per-slot
-    /// values; [`Domain::Interval`] widens isolated monotone counters at
+    /// The state-space domain: [`Domain::Concrete`] explores the exact
+    /// value of every slot an observation can depend on (the
+    /// cone-of-influence slice drops the others, see [`crate::domain`]);
+    /// [`Domain::Interval`] widens isolated monotone counters at
     /// [`VerifyOptions::widen_threshold`] so unbounded-counter spaces can
     /// close with a genuine proof (see [`crate::domain`] and
     /// `docs/SYMBOLIC.md`). Abstract counterexamples are re-concretized and
@@ -70,7 +72,7 @@ pub struct VerifyOptions {
     /// Under [`Domain::Interval`], additionally drop every abstractable
     /// counter slot from the canonical key entirely (the `⊤` projection)
     /// instead of only widening the monotone ones. No effect in the
-    /// concrete domain.
+    /// concrete domain, whose slice always projects them.
     pub project_counters: bool,
     /// Saturation point of widened counter slots under
     /// [`Domain::Interval`]: values above it collapse to the abstract
@@ -284,15 +286,18 @@ pub struct ExplorationStats {
     /// [`ExplorationStats::transitions`] for a product exploration, 0 for
     /// a single-process one.
     pub memo_misses: usize,
-    /// Memory slots rewritten to their abstract representative (saturated
-    /// at the widening threshold or reset by projection) while
-    /// canonicalising successors — always 0 in the concrete domain. The
-    /// expansion multiset is worker-independent, so this count is
-    /// deterministic like every other field.
+    /// Memory slots saturated at the widening threshold while
+    /// canonicalising successors — always 0 in the concrete domain, and
+    /// projection resets are not counted. The expansion multiset is
+    /// worker-independent, so this count is deterministic like every other
+    /// field.
     pub widened: usize,
-    /// Number of memory slots dropped from the canonical key by counter
-    /// projection (a static property of the analyzed model and options,
-    /// not a per-transition count).
+    /// The domain the exploration ran in.
+    pub domain: Domain,
+    /// Number of memory slots dropped from the canonical key: the
+    /// cone-of-influence slice in the concrete domain, counter projection
+    /// under the interval domain (a static property of the analyzed model
+    /// and options, not a per-transition count).
     pub projected_slots: usize,
     /// Number of abstract counterexamples re-concretized and replayed in
     /// the explicit simulator by the interval domain's soundness gate.
@@ -344,12 +349,19 @@ impl VerificationOutcome {
             },
             self.stats.peak_frontier
         );
-        if self.stats.widened > 0 || self.stats.projected_slots > 0 {
-            out.push_str(&format!(
-                "  interval domain: {} widenings, {} projected slot(s), \
-                 {} counterexample(s) re-concretized\n",
-                self.stats.widened, self.stats.projected_slots, self.stats.reconcretized
-            ));
+        match self.stats.domain {
+            Domain::Concrete if self.stats.projected_slots > 0 => out.push_str(&format!(
+                "  slice: {} slot(s) no property or control decision reads, \
+                 dropped from the state key\n",
+                self.stats.projected_slots
+            )),
+            Domain::Interval if self.stats.widened > 0 || self.stats.projected_slots > 0 => out
+                .push_str(&format!(
+                    "  interval domain: {} widenings, {} projected slot(s), \
+                     {} counterexample(s) re-concretized\n",
+                    self.stats.widened, self.stats.projected_slots, self.stats.reconcretized
+                )),
+            _ => {}
         }
         for v in &self.verdicts {
             out.push_str(&format!(
@@ -614,6 +626,14 @@ impl Verifier {
     /// are resolved by a canonical edge ordering, and each level's
     /// violations are tie-broken the same way).
     ///
+    /// In the concrete domain the search runs on the cone-of-influence
+    /// slice of the process: every memory slot whose value no property,
+    /// port link, presence decision, divisor or partial definition can
+    /// observe is dropped from the state key (see [`crate::domain`]). The
+    /// slice is exact for observables, so verdicts can only strengthen a
+    /// `PassedBounded` of [`Verifier::verify_reference`] into `Proved`, and
+    /// a violation is found at the same instant.
+    ///
     /// # Errors
     ///
     /// Returns [`VerifyError::NoProperties`] for an empty property list,
@@ -628,20 +648,47 @@ impl Verifier {
         if properties.is_empty() {
             return Err(VerifyError::NoProperties);
         }
-        if self.options.domain == Domain::Interval {
-            let abstraction = SlotAbstraction::analyze(
-                self.process(),
-                properties,
-                "",
-                &[],
-                self.options.project_counters,
-                self.options.widen_threshold,
-                self.evaluator.memory_len(),
-            );
-            if !abstraction.is_identity() {
-                let outcome = self.verify_explicit(space, properties, Some(&abstraction))?;
-                return self.reconcile(space, properties, outcome, &abstraction);
-            }
+        let abstraction = SlotAbstraction::analyze(
+            self.process(),
+            properties,
+            "",
+            &[],
+            self.options.domain == Domain::Concrete || self.options.project_counters,
+            self.options.widen_threshold,
+            self.evaluator.memory_len(),
+        );
+        if abstraction.is_identity() {
+            return self.verify_explicit(space, properties, None);
+        }
+        let outcome = self.verify_explicit(space, properties, Some(&abstraction))?;
+        match self.options.domain {
+            Domain::Concrete => Ok(annotate(
+                outcome,
+                &abstraction,
+                None,
+                &self.options.collector,
+            )),
+            Domain::Interval => self.reconcile(space, properties, outcome, &abstraction),
+        }
+    }
+
+    /// The unsliced exploration: every memory slot stays in the state key,
+    /// whatever the domain. Its verdicts are the reference
+    /// [`Verifier::verify`] must agree with, up to strengthening a
+    /// `PassedBounded` into `Proved`; it exists for differential oracles
+    /// (like [`Evaluator::step_reference`]) and is not meant for production
+    /// runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Verifier::verify`].
+    pub fn verify_reference(
+        &self,
+        space: &InputSpace,
+        properties: &[Property],
+    ) -> Result<VerificationOutcome, VerifyError> {
+        if properties.is_empty() {
+            return Err(VerifyError::NoProperties);
         }
         self.verify_explicit(space, properties, None)
     }
@@ -650,41 +697,29 @@ impl Verifier {
     /// counterexample is re-concretized (its inputs are exact — abstraction
     /// only touches memory slots) and replayed in the explicit simulator.
     /// If all replays reproduce, the abstract outcome stands (annotated
-    /// with the gate's counters); any spurious or erroring replay abandons
-    /// the abstraction and re-runs today's fully concrete exploration, so
-    /// no verdict can get worse than the explicit engine's.
+    /// with the gate's counter); any spurious or erroring replay abandons
+    /// the abstraction and re-runs the fully concrete exploration, so no
+    /// verdict can get worse than the explicit engine's.
     fn reconcile(
         &self,
         space: &InputSpace,
         properties: &[Property],
-        mut outcome: VerificationOutcome,
+        outcome: VerificationOutcome,
         abstraction: &SlotAbstraction,
     ) -> Result<VerificationOutcome, VerifyError> {
         let mut reconcretized = 0usize;
-        let mut confirmed = true;
         for (_, cex) in outcome.violations() {
             reconcretized += 1;
-            match cex.replay(self.process()) {
-                Ok(report) if report.reproduced => {}
-                _ => {
-                    confirmed = false;
-                    break;
-                }
+            if !matches!(cex.replay(self.process()), Ok(report) if report.reproduced) {
+                return self.verify_explicit(space, properties, None);
             }
         }
-        if !confirmed {
-            return self.verify_explicit(space, properties, None);
-        }
-        outcome.stats.projected_slots = abstraction.projected_slots();
-        outcome.stats.reconcretized = reconcretized;
-        let obs = &self.options.collector;
-        if obs.is_enabled() {
-            obs.counter("engine.projected_slots")
-                .add(abstraction.projected_slots() as u64);
-            obs.counter("engine.reconcretized")
-                .add(reconcretized as u64);
-        }
-        Ok(outcome)
+        Ok(annotate(
+            outcome,
+            abstraction,
+            Some(reconcretized),
+            &self.options.collector,
+        ))
     }
 
     /// One exploration pass: concrete when `abstraction` is `None`,
@@ -747,6 +782,31 @@ impl Verifier {
             candidates_truncated,
         )
     }
+}
+
+/// Annotates an outcome explored under `abstraction` with its projected
+/// slot count and, for the interval domain's replay gate, the number of
+/// counterexamples re-concretized — in the stats and on the
+/// `engine.projected_slots` / `engine.reconcretized` counters.
+pub(crate) fn annotate(
+    mut outcome: VerificationOutcome,
+    abstraction: &SlotAbstraction,
+    reconcretized: Option<usize>,
+    collector: &polyobs::Collector,
+) -> VerificationOutcome {
+    outcome.stats.projected_slots = abstraction.projected_slots();
+    outcome.stats.reconcretized = reconcretized.unwrap_or(0);
+    if collector.is_enabled() {
+        collector
+            .counter("engine.projected_slots")
+            .add(outcome.stats.projected_slots as u64);
+        if let Some(reconcretized) = reconcretized {
+            collector
+                .counter("engine.reconcretized")
+                .add(reconcretized as u64);
+        }
+    }
+    outcome
 }
 
 /// The [`Expander`] of one flat process: scheduled steps follow the timing
@@ -1168,7 +1228,10 @@ mod tests {
         let outcome = verifier
             .verify(
                 &InputSpace::Free,
-                &[Property::NeverRaised("*Alarm*".into())],
+                &[
+                    Property::NeverRaised("*Alarm*".into()),
+                    counter_never_zero(),
+                ],
             )
             .unwrap();
         assert_eq!(outcome.stats.depth, 5);
@@ -1207,6 +1270,7 @@ mod tests {
                 &[
                     Property::NeverRaised("*Alarm*".into()),
                     Property::DeadlockFree,
+                    counter_never_zero(),
                 ],
             )
             .unwrap();
@@ -1223,8 +1287,14 @@ mod tests {
         assert!(outcome.summary().contains("truncated"));
     }
 
-    /// `count := count$1 init 0 + 1` — the unbounded monotone counter that
-    /// can never close in the concrete domain.
+    /// "The counter never reads zero": a property that observes `count`, so
+    /// the slice keeps it in the state key and its space stays unbounded.
+    fn counter_never_zero() -> Property {
+        Property::parse_ltl("never (present(count) and not count)").unwrap()
+    }
+
+    /// `count := count$1 init 0 + 1` — the unbounded monotone counter whose
+    /// unsliced space never closes.
     fn unbounded_counter() -> Process {
         let mut b = ProcessBuilder::new("counter");
         b.input("tick", ValueType::Event);
@@ -1241,15 +1311,26 @@ mod tests {
     fn interval_domain_closes_the_unbounded_counter_with_a_proof() {
         let process = unbounded_counter();
         let property = [Property::NeverRaised("*Alarm*".into())];
-        // Concrete domain: the space never closes; a bounded run passes.
+        // Unsliced: the space never closes; a bounded run passes.
+        let reference = Verifier::new(&process, VerifyOptions::default().with_depth_bound(24))
+            .unwrap()
+            .verify_reference(&InputSpace::Free, &property)
+            .unwrap();
+        assert!(matches!(
+            reference.verdicts[0].verdict,
+            Verdict::PassedBounded { .. }
+        ));
+        // Concrete domain: no property reads the counter, so the slice
+        // drops it and the single remaining state closes with a proof.
         let concrete = Verifier::new(&process, VerifyOptions::default().with_depth_bound(24))
             .unwrap()
             .verify(&InputSpace::Free, &property)
             .unwrap();
-        assert!(matches!(
-            concrete.verdicts[0].verdict,
-            Verdict::PassedBounded { .. }
-        ));
+        assert!(concrete.all_proved(), "{}", concrete.summary());
+        assert_eq!(concrete.stats.states, 1);
+        assert_eq!(concrete.stats.projected_slots, 1);
+        assert_eq!(concrete.stats.widened, 0);
+        assert!(concrete.summary().contains("slice: 1 slot(s)"));
         // Interval domain: the counter widens at the threshold, the
         // fixpoint closes, and the verdict is a genuine proof.
         let interval = Verifier::new(
@@ -1263,6 +1344,7 @@ mod tests {
         assert!(!interval.stats.truncated);
         assert!(interval.stats.widened > 0, "{:?}", interval.stats);
         assert_eq!(interval.stats.reconcretized, 0);
+        assert!(interval.summary().contains("interval domain:"));
         // Bit-identical across worker counts.
         for workers in [1usize, 2, 8] {
             let again = Verifier::new(
@@ -1353,16 +1435,14 @@ mod tests {
     }
 
     #[test]
-    fn deadlock_free_requests_run_concrete_under_interval() {
-        // DeadlockFree disables the abstraction: the interval run of the
-        // unbounded counter behaves exactly like the concrete engine (here:
-        // truncated by the depth bound, never widened).
+    fn deadlock_free_requests_are_abstracted_under_interval() {
+        // An unobservable counter cannot decide whether an instant
+        // executes, so deadlock freedom no longer switches the abstraction
+        // off: the interval run of the unbounded counter widens and closes.
         let process = unbounded_counter();
         let outcome = Verifier::new(
             &process,
-            VerifyOptions::default()
-                .with_domain(Domain::Interval)
-                .with_depth_bound(4),
+            VerifyOptions::default().with_domain(Domain::Interval),
         )
         .unwrap()
         .verify(
@@ -1373,8 +1453,9 @@ mod tests {
             ],
         )
         .unwrap();
-        assert_eq!(outcome.stats.widened, 0);
-        assert!(outcome.stats.truncated);
+        assert!(outcome.stats.widened > 0);
+        assert!(!outcome.stats.truncated);
+        assert!(outcome.all_proved(), "{}", outcome.summary());
     }
 
     #[test]
@@ -1450,7 +1531,10 @@ mod tests {
         );
         b.synchronize(&["count", "tick"]);
         let process = b.build().unwrap();
-        let property = [Property::NeverRaised("*Alarm*".into())];
+        let property = [
+            Property::NeverRaised("*Alarm*".into()),
+            counter_never_zero(),
+        ];
         let reference = Verifier::new(
             &process,
             VerifyOptions::default().with_workers(1).with_max_states(3),

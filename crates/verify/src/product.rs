@@ -46,7 +46,7 @@ use signal_moc::InstantView;
 use crate::counterexample::{Counterexample, ReplayReport};
 use crate::domain::{Domain, SlotAbstraction};
 use crate::engine::{self, Expander, Sink};
-use crate::explore::{VerificationOutcome, VerifyError, VerifyOptions};
+use crate::explore::{annotate, VerificationOutcome, VerifyError, VerifyOptions};
 use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
 use crate::state::{KeyCodec, State};
@@ -558,6 +558,13 @@ impl ProductVerifier {
     /// joint namespace (`<component>_`-prefixed signals plus the
     /// link-derived `_sent`/`_received`/`_consumed` joints).
     ///
+    /// In the concrete domain the joint state key holds only the cone of
+    /// influence of the checked properties and the port links: a component
+    /// slot nothing observable reads is dropped (see [`crate::domain`]).
+    /// The slice is exact for observables, so verdicts can only strengthen
+    /// a `PassedBounded` of [`ProductVerifier::verify_reference`] into
+    /// `Proved`, and counterexamples are the same.
+    ///
     /// # Examples
     ///
     /// ```
@@ -610,22 +617,51 @@ impl ProductVerifier {
         if properties.is_empty() {
             return Err(VerifyError::NoProperties);
         }
-        if self.options.domain == Domain::Interval {
-            let abstraction = self.analyze_abstraction(properties);
-            if !abstraction.is_identity() {
-                let outcome = self.verify_with(properties, Some(&abstraction))?;
-                return self.reconcile(properties, outcome, &abstraction);
-            }
+        let abstraction = self.analyze_abstraction(properties);
+        if abstraction.is_identity() {
+            return self.verify_with(properties, None);
+        }
+        let outcome = self.verify_with(properties, Some(&abstraction))?;
+        match self.options.domain {
+            Domain::Concrete => Ok(annotate(
+                outcome,
+                &abstraction,
+                None,
+                &self.options.collector,
+            )),
+            Domain::Interval => self.reconcile(properties, outcome, &abstraction),
+        }
+    }
+
+    /// The unsliced product exploration: every component memory slot stays
+    /// in the joint state key, whatever the domain. Its verdicts are the
+    /// reference [`ProductVerifier::verify`] must agree with, up to
+    /// strengthening a `PassedBounded` into `Proved`; like
+    /// [`crate::Verifier::verify_reference`], it exists for differential
+    /// oracles and is not meant for production runs.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProductVerifier::verify`].
+    pub fn verify_reference(
+        &self,
+        properties: &[Property],
+    ) -> Result<VerificationOutcome, VerifyError> {
+        if properties.is_empty() {
+            return Err(VerifyError::NoProperties);
         }
         self.verify_with(properties, None)
     }
 
     /// Per-component abstraction analysis, concatenated into the joint
-    /// memory layout. A component's link-touched signals (emission markers,
+    /// memory layout: the cone-of-influence slice in the concrete domain,
+    /// the widening (or, with projection, the slice) under the interval
+    /// domain. A component's link-touched signals (emission markers,
     /// delivered inputs, freeze markers and frozen counts) join its
     /// observable set: link-derived joint signals are computed from them, so
     /// they must stay exact even when no property names them directly.
     fn analyze_abstraction(&self, properties: &[Property]) -> SlotAbstraction {
+        let project = self.options.domain == Domain::Concrete || self.options.project_counters;
         let mut parts = Vec::with_capacity(self.system.components.len());
         for (component, evaluator) in self.system.components.iter().zip(&self.evaluators) {
             let mut extra_reads: Vec<String> = Vec::new();
@@ -644,7 +680,7 @@ impl ProductVerifier {
                 properties,
                 &format!("{}_", component.name),
                 &extra_reads,
-                self.options.project_counters,
+                project,
                 self.options.widen_threshold,
                 evaluator.memory_len(),
             ));
@@ -652,42 +688,31 @@ impl ProductVerifier {
         SlotAbstraction::concat(parts)
     }
 
-    /// The strengthen-only gate of the abstract product run: every abstract
-    /// counterexample must reproduce in a [`LockstepCoSim`] replay — an
-    /// execution path independent of the abstraction — before the outcome
-    /// is reported. A failed replay discards the abstraction and re-runs
-    /// the fully concrete product exploration.
+    /// The strengthen-only gate of the abstract product run under the
+    /// interval domain: every abstract counterexample must reproduce in a
+    /// [`LockstepCoSim`] replay — an execution path independent of the
+    /// abstraction — before the outcome is reported. A failed replay
+    /// discards the abstraction and re-runs the fully concrete product
+    /// exploration.
     fn reconcile(
         &self,
         properties: &[Property],
-        mut outcome: VerificationOutcome,
+        outcome: VerificationOutcome,
         abstraction: &SlotAbstraction,
     ) -> Result<VerificationOutcome, VerifyError> {
         let mut reconcretized = 0usize;
-        let mut confirmed = true;
         for (_, cex) in outcome.violations() {
             reconcretized += 1;
-            match self.replay(cex) {
-                Ok(report) if report.reproduced => {}
-                _ => {
-                    confirmed = false;
-                    break;
-                }
+            if !matches!(self.replay(cex), Ok(report) if report.reproduced) {
+                return self.verify_with(properties, None);
             }
         }
-        if !confirmed {
-            return self.verify_with(properties, None);
-        }
-        outcome.stats.projected_slots = abstraction.projected_slots();
-        outcome.stats.reconcretized = reconcretized;
-        let obs = &self.options.collector;
-        if obs.is_enabled() {
-            obs.counter("engine.projected_slots")
-                .add(abstraction.projected_slots() as u64);
-            obs.counter("engine.reconcretized")
-                .add(reconcretized as u64);
-        }
-        Ok(outcome)
+        Ok(annotate(
+            outcome,
+            abstraction,
+            Some(reconcretized),
+            &self.options.collector,
+        ))
     }
 
     /// One product exploration pass: concrete when `abstraction` is `None`,
@@ -1496,8 +1521,12 @@ mod tests {
         .unwrap();
         let verifier =
             ProductVerifier::new(system, VerifyOptions::default().with_depth_bound(6)).unwrap();
+        // The second property observes the counter, so the slice keeps it.
         let outcome = verifier
-            .verify(&[Property::NeverRaised("*Alarm*".into())])
+            .verify(&[
+                Property::NeverRaised("*Alarm*".into()),
+                Property::parse_ltl("never (present(c_count) and not c_count)").unwrap(),
+            ])
             .unwrap();
         assert!(outcome.stats.truncated);
         assert_eq!(

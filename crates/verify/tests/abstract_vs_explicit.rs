@@ -1,10 +1,12 @@
-//! Cross-validation of the interval abstraction against the explicit
-//! engine (see `docs/SYMBOLIC.md`): on randomised free processes and
-//! 2–3-thread products,
+//! Cross-validation of the interval abstraction and the concrete slice
+//! against the unsliced explicit engine (`verify_reference`, see
+//! `docs/SYMBOLIC.md`): on randomised free processes and 2–3-thread
+//! products,
 //!
-//! * interval-domain verdicts agree with explicit verdicts wherever the
-//!   explicit engine terminates (same verdict kind, same violation
-//!   instant, same explored depth);
+//! * interval-domain and sliced concrete verdicts agree with the unsliced
+//!   verdicts wherever the unsliced engine terminates (same verdict kind,
+//!   same violation instant, same explored depth), except that either may
+//!   strengthen a `passed-bounded` into `proved`;
 //! * every counterexample found abstractly replays concretely (the
 //!   strengthen-only gate is not just an internal check — the reported
 //!   artifacts reproduce);
@@ -73,7 +75,7 @@ fn unreachable_alarm() -> Process {
     b.build().unwrap()
 }
 
-/// What must agree between the two domains: the verdict kind, the instant
+/// What must agree between the domains: the verdict kind, the instant
 /// of a violation and the explored depth — not the state counts (the
 /// abstraction merges states by design) and not the byte-identical
 /// counterexample path (both replay, but through different interners).
@@ -89,35 +91,80 @@ fn verdict_shape(outcome: &VerificationOutcome) -> Vec<String> {
         .collect()
 }
 
+/// `Ok` when `other`, explored under the depth bound `bound`, agrees with
+/// the unsliced `reference` verdict for verdict and explores no more
+/// states. Two differences are strengthenings, not disagreements: a
+/// `proved` where the reference is bounded, and a bounded verdict whose
+/// exploration closed below the bound — every reachable state was seen,
+/// but an under-approximation (a delivery dropped past the horizon)
+/// forbids calling the closure a proof.
+fn strengthens(
+    reference: &VerificationOutcome,
+    other: &VerificationOutcome,
+    bound: usize,
+) -> Result<(), String> {
+    let (expected, found) = (verdict_shape(reference), verdict_shape(other));
+    let closed_below_bound = other.stats.depth < bound;
+    let agrees = expected.len() == found.len()
+        && expected.iter().zip(&found).all(|(r, o)| {
+            r == o
+                || (r.starts_with("passed-bounded")
+                    && (o == "proved" || (closed_below_bound && o.starts_with("passed-bounded"))))
+        });
+    if !agrees {
+        return Err(format!(
+            "{found:?} does not strengthen the reference {expected:?}"
+        ));
+    }
+    if other.stats.states > reference.stats.states {
+        return Err(format!(
+            "{} states explored, the reference needed {}",
+            other.stats.states, reference.stats.states
+        ));
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Wherever the explicit engine terminates (here: at a depth bound),
-    /// the interval domain reaches the same verdicts at the same instants,
-    /// while genuinely merging states.
+    /// Wherever the unsliced engine terminates (here: at a depth bound),
+    /// the interval domain and the concrete slice reach the same verdicts
+    /// at the same instants — or a proof where the reference is bounded —
+    /// while genuinely merging states; their counterexamples replay.
     #[test]
     fn interval_verdicts_agree_with_explicit(
         threshold in 1i64..=5,
         depth in 3usize..=6,
+        deadlock in any::<bool>(),
     ) {
         let process = mixed_counter(threshold);
-        let properties = [Property::NeverRaised("*Alarm*".into())];
-        let explicit = Verifier::new(
-            &process,
-            VerifyOptions::default().with_depth_bound(depth),
-        )
-        .unwrap()
-        .verify(&InputSpace::Free, &properties)
-        .unwrap();
-        let interval = Verifier::new(
-            &process,
-            VerifyOptions::default()
-                .with_depth_bound(depth)
-                .with_domain(Domain::Interval),
-        )
-        .unwrap()
-        .verify(&InputSpace::Free, &properties)
-        .unwrap();
-        prop_assert_eq!(verdict_shape(&explicit), verdict_shape(&interval));
-        prop_assert!(interval.stats.states <= explicit.stats.states);
+        let mut properties = vec![Property::NeverRaised("*Alarm*".into())];
+        if deadlock {
+            properties.push(Property::DeadlockFree);
+        }
+        let options = VerifyOptions::default().with_depth_bound(depth);
+        let reference = Verifier::new(&process, options.clone())
+            .unwrap()
+            .verify_reference(&InputSpace::Free, &properties)
+            .unwrap();
+        let sliced = Verifier::new(&process, options.clone())
+            .unwrap()
+            .verify(&InputSpace::Free, &properties)
+            .unwrap();
+        let interval = Verifier::new(&process, options.with_domain(Domain::Interval))
+            .unwrap()
+            .verify(&InputSpace::Free, &properties)
+            .unwrap();
+        for (name, outcome) in [("sliced", &sliced), ("interval", &interval)] {
+            if let Err(e) = strengthens(&reference, outcome, depth) {
+                panic!("{name}: {e}");
+            }
+            for (_, cex) in outcome.violations() {
+                let report = cex.replay(&process).unwrap();
+                prop_assert!(report.reproduced, "{}: {}", name, report.detail);
+            }
+        }
+        // The slice drops `total`, which nothing reads.
+        prop_assert_eq!(sliced.stats.projected_slots, 1);
     }
 
     /// Every counterexample the abstract engine reports replays in the
@@ -181,9 +228,10 @@ proptest! {
         prop_assert_eq!(concrete.violations().count(), 0);
     }
 
-    /// Products: per-component invisible counters widen inside the joint
-    /// memory, and the joint verdicts agree with the concrete product
-    /// wherever it terminates.
+    /// Products: per-component invisible counters widen (interval) or are
+    /// sliced away (concrete) inside the joint memory, and the joint
+    /// verdicts agree with the unsliced product wherever it terminates, up
+    /// to strengthening; counterexamples replay in lockstep.
     #[test]
     fn product_interval_verdicts_agree_with_explicit(
         component_count in 2usize..=3,
@@ -191,27 +239,34 @@ proptest! {
         threshold in 1i64..=4,
         periods in prop::collection::vec(1usize..=3, 3..4),
         latency in 0usize..=2,
+        deadlock in any::<bool>(),
     ) {
         let system = pipeline_system(component_count, horizon, threshold, &periods, latency);
-        let properties = [Property::NeverRaised("*Alarm*".into())];
-        let explicit = ProductVerifier::new(
-            system.clone(),
-            VerifyOptions::default().with_depth_bound(horizon * 2),
-        )
-        .unwrap()
-        .verify(&properties)
-        .unwrap();
-        let interval = ProductVerifier::new(
-            system,
-            VerifyOptions::default()
-                .with_depth_bound(horizon * 2)
-                .with_domain(Domain::Interval),
-        )
-        .unwrap()
-        .verify(&properties)
-        .unwrap();
-        prop_assert_eq!(verdict_shape(&explicit), verdict_shape(&interval));
-        prop_assert!(interval.stats.states <= explicit.stats.states);
+        let mut properties = vec![Property::NeverRaised("*Alarm*".into())];
+        if deadlock {
+            properties.push(Property::DeadlockFree);
+        }
+        let options = VerifyOptions::default().with_depth_bound(horizon * 2);
+        let reference = ProductVerifier::new(system.clone(), options.clone())
+            .unwrap()
+            .verify_reference(&properties)
+            .unwrap();
+        let sliced_verifier = ProductVerifier::new(system.clone(), options.clone()).unwrap();
+        let sliced = sliced_verifier.verify(&properties).unwrap();
+        let interval = ProductVerifier::new(system, options.with_domain(Domain::Interval))
+            .unwrap()
+            .verify(&properties)
+            .unwrap();
+        for (name, outcome) in [("sliced", &sliced), ("interval", &interval)] {
+            if let Err(e) = strengthens(&reference, outcome, horizon * 2) {
+                panic!("{name}: {e}");
+            }
+            for (_, cex) in outcome.violations() {
+                let report = sliced_verifier.replay(cex).unwrap();
+                prop_assert!(report.reproduced, "{}: {}", name, report.detail);
+            }
+        }
+        prop_assert_eq!(sliced.stats.projected_slots, component_count);
     }
 }
 

@@ -12,8 +12,8 @@ use polychrony_core::polyverify::ltl::first_violation;
 use polychrony_core::polyverify::{
     inject_connection_latency, inject_counter_drift, inject_deadline_overrun,
     inject_dispatch_jitter, inject_dropped_delivery, inject_schedule_corruption, Counterexample,
-    Domain, Formula, InputSpace, LockstepCoSim, LtlProperty, Property, Verdict,
-    VerificationOutcome, Verifier, VerifyOptions,
+    Domain, Formula, InputSpace, LockstepCoSim, LtlProperty, ProductSystem, ProductVerifier,
+    Property, Verdict, VerificationOutcome, Verifier, VerifyOptions,
 };
 use polychrony_core::signal_moc::eval::Evaluator;
 use polychrony_core::signal_moc::process::Process;
@@ -177,8 +177,9 @@ fn check_spec(
         lockstep_oracle(&simulated, spec.hyperperiods)?;
     }
 
-    // Domain oracle: the target unit re-verified under the interval
-    // abstraction, with and without counter projection.
+    // Domain oracle: the target unit (and the product, when wired)
+    // verified without slicing, then under the concrete slice and the
+    // interval abstraction with and without counter projection.
     domain_oracle(&simulated, seed)?;
 
     // Evaluator oracle: the change-driven evaluator against the reference
@@ -328,9 +329,9 @@ fn replay_in_simulator(cex: &Counterexample, process: &Process, what: &str) -> R
     }
 }
 
-/// The verdict shapes two verification domains must agree on: the verdict
-/// kind and the instant of a violation — not state counts (the abstraction
-/// merges states by design).
+/// The verdict shapes every verification domain must agree on: the verdict
+/// kind and the instant of a violation — not state counts (the slice and
+/// the abstraction merge states by design).
 fn verdict_shapes(outcome: &VerificationOutcome) -> Vec<String> {
     outcome
         .verdicts
@@ -343,103 +344,179 @@ fn verdict_shapes(outcome: &VerificationOutcome) -> Vec<String> {
         .collect()
 }
 
-/// Re-verifies `process` under the interval abstraction — once plain, once
-/// with counter projection — and demands agreement with the already
-/// computed `concrete` outcome. The abstraction may *strengthen* a
-/// `PassedBounded` into a genuine `Proved` (widening closed a space the
-/// depth bound truncated); every other shape difference — above all a
-/// missed or displaced violation — is a finding. Every abstract
-/// counterexample must replay in the simulator: projection must never mask
-/// a property that reads the projected slot.
-fn interval_agreement(
+/// Demands that `outcome`, explored under the depth bound `bound`, agree
+/// with the unsliced `reference` (`verify_reference`) verdict for verdict.
+/// Only strengthening is allowed: a `proved` where the reference is
+/// bounded, or a bounded verdict whose exploration closed below the bound
+/// (every reachable state seen, but a delivery dropped past the horizon
+/// forbids a proof). A missed or displaced violation is a finding.
+fn strengthens_reference(
+    reference: &VerificationOutcome,
+    outcome: &VerificationOutcome,
+    bound: usize,
+    what: &str,
+) -> Result<(), Failure> {
+    let (expected, found) = (verdict_shapes(reference), verdict_shapes(outcome));
+    let closed_below_bound = outcome.stats.depth < bound;
+    let agrees = expected.len() == found.len()
+        && expected.iter().zip(&found).all(|(r, o)| {
+            r == o
+                || (r.starts_with("passed-bounded")
+                    && (o == "proved" || (closed_below_bound && o.starts_with("passed-bounded"))))
+        });
+    if agrees {
+        Ok(())
+    } else {
+        Err(fail(
+            FindingKind::DomainMismatch,
+            format!("{what} says {found:?} where the unsliced engine says {expected:?}"),
+        ))
+    }
+}
+
+/// The engine options the domain oracles compare: one worker, the given
+/// depth bound, and the concrete slice, the interval domain or the
+/// interval domain with counter projection.
+fn domain_runs(bound: usize) -> [(&'static str, VerifyOptions); 3] {
+    let options = VerifyOptions::default()
+        .with_workers(1)
+        .with_depth_bound(bound);
+    [
+        ("the concrete slice", options.clone()),
+        (
+            "the interval domain",
+            options.clone().with_domain(Domain::Interval),
+        ),
+        (
+            "the interval domain with projection",
+            options
+                .with_domain(Domain::Interval)
+                .with_project_counters(true),
+        ),
+    ]
+}
+
+/// Verifies `process` on `inputs` without slicing, then once per entry of
+/// [`domain_runs`], and demands that each run strengthen the unsliced
+/// verdicts only. Every counterexample must replay in the simulator: the
+/// slice and projection must never mask a property that reads a dropped
+/// slot.
+fn domain_agreement(
     process: &Process,
     inputs: &Trace,
     properties: &[Property],
-    concrete: &VerificationOutcome,
     context: &str,
 ) -> Result<(), Failure> {
-    let reference = verdict_shapes(concrete);
-    let agrees = |abstracted: &str, concrete: &str| {
-        abstracted == concrete || (abstracted == "proved" && concrete.starts_with("passed-bounded"))
-    };
-    for project in [false, true] {
-        let verifier = Verifier::new(
-            process,
-            VerifyOptions::default()
-                .with_workers(1)
-                .with_depth_bound(inputs.len())
-                .with_domain(Domain::Interval)
-                .with_project_counters(project),
-        )
-        .map_err(|e| {
+    let space = InputSpace::Scheduled(inputs.clone());
+    let verifier_for = |options: VerifyOptions| {
+        Verifier::new(process, options).map_err(|e| {
             fail(
                 FindingKind::DomainMismatch,
-                format!("interval verifier construction failed on {context}: {e}"),
+                format!("verifier construction failed on {context}: {e}"),
             )
-        })?;
-        let interval = verifier
-            .verify(&InputSpace::Scheduled(inputs.clone()), properties)
-            .map_err(|e| {
-                fail(
-                    FindingKind::DomainMismatch,
-                    format!("interval verification of {context} failed: {e}"),
-                )
-            })?;
-        let shapes = verdict_shapes(&interval);
-        let mismatch = shapes.len() != reference.len()
-            || shapes.iter().zip(&reference).any(|(a, c)| !agrees(a, c));
-        if mismatch {
-            return Err(fail(
-                FindingKind::DomainMismatch,
-                format!(
-                    "on {context} the interval domain (project_counters={project}) says \
-                     {shapes:?} where the concrete engine says {reference:?}"
-                ),
-            ));
-        }
-        for (property, cex) in interval.violations() {
+        })
+    };
+    let verification_failed = |what: &str, e: &dyn std::fmt::Display| {
+        fail(
+            FindingKind::DomainMismatch,
+            format!("{what} of {context} failed: {e}"),
+        )
+    };
+    // `verify_reference` ignores the domain: any run's options serve.
+    let runs = domain_runs(inputs.len());
+    let reference = verifier_for(runs[0].1.clone())?
+        .verify_reference(&space, properties)
+        .map_err(|e| verification_failed("unsliced verification", &e))?;
+    for (what, options) in runs {
+        let outcome = verifier_for(options)?
+            .verify(&space, properties)
+            .map_err(|e| verification_failed(what, &e))?;
+        strengthens_reference(
+            &reference,
+            &outcome,
+            inputs.len(),
+            &format!("on {context} {what}"),
+        )?;
+        for (property, cex) in outcome.violations() {
             replay_in_simulator(cex, process, &property.name())?;
         }
     }
     Ok(())
 }
 
-/// Domain oracle: the target unit's scheduled behaviour verified by the
-/// concrete engine, then cross-checked against the interval abstraction.
+/// Domain oracle: the target unit's scheduled behaviour — and, when the
+/// system has port connections, the product of every unit — verified
+/// without slicing, then cross-checked against the concrete slice and the
+/// interval abstraction.
 fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
     let unit = &simulated.thread_units[target_unit(simulated, seed)];
     let inputs = unit.model.timing_trace(&simulated.schedule, 1);
-    if inputs.is_empty() {
+    if !inputs.is_empty() {
+        let properties = [Property::NeverRaised("*Alarm*".into())];
+        domain_agreement(
+            &unit.model.flat,
+            &inputs,
+            &properties,
+            "the scheduled thread",
+        )?;
+    }
+    if simulated.connections.is_empty() {
         return Ok(());
     }
-    let properties = [Property::NeverRaised("*Alarm*".into())];
-    let verifier = Verifier::new(
-        &unit.model.flat,
-        VerifyOptions::default()
-            .with_workers(1)
-            .with_depth_bound(inputs.len()),
-    )
-    .map_err(|e| {
+    product_domain_agreement(simulated)
+}
+
+/// [`domain_agreement`] for the wired product of every unit: each run's
+/// counterexamples must replay in the lockstep co-simulation.
+fn product_domain_agreement(simulated: &Simulated) -> Result<(), Failure> {
+    let links = simulated.product_links();
+    let properties = simulated.product_properties(&links).map_err(|e| {
         fail(
             FindingKind::DomainMismatch,
-            format!("verifier construction failed on the scheduled thread: {e}"),
+            format!("product properties failed to build: {e}"),
         )
     })?;
-    let concrete = verifier
-        .verify(&InputSpace::Scheduled(inputs.clone()), &properties)
-        .map_err(|e| {
+    let system = ProductSystem::new(simulated.product_components(), links).map_err(|e| {
+        fail(
+            FindingKind::DomainMismatch,
+            format!("product assembly failed: {e}"),
+        )
+    })?;
+    let bound = system.horizon();
+    let verifier_for = |options: VerifyOptions| {
+        ProductVerifier::new(system.clone(), options).map_err(|e| {
             fail(
                 FindingKind::DomainMismatch,
-                format!("concrete verification of the scheduled thread failed: {e}"),
+                format!("product verifier construction failed: {e}"),
             )
-        })?;
-    interval_agreement(
-        &unit.model.flat,
-        &inputs,
-        &properties,
-        &concrete,
-        "the scheduled thread",
-    )
+        })
+    };
+    let verification_failed = |what: &str, e: &dyn std::fmt::Display| {
+        fail(
+            FindingKind::DomainMismatch,
+            format!("{what} of the product failed: {e}"),
+        )
+    };
+    let runs = domain_runs(bound);
+    let reference = verifier_for(runs[0].1.clone())?
+        .verify_reference(&properties)
+        .map_err(|e| verification_failed("unsliced verification", &e))?;
+    for (what, options) in runs {
+        let verifier = verifier_for(options)?;
+        let outcome = verifier
+            .verify(&properties)
+            .map_err(|e| verification_failed(what, &e))?;
+        strengthens_reference(
+            &reference,
+            &outcome,
+            bound,
+            &format!("on the product {what}"),
+        )?;
+        for (property, cex) in outcome.violations() {
+            replay_in_lockstep(&verifier, cex, &format!("{} under {what}", property.name()))?;
+        }
+    }
+    Ok(())
 }
 
 /// Reached memories from which the evaluator oracle tries every free
@@ -546,31 +623,33 @@ fn lockstep_oracle(simulated: &Simulated, hyperperiods: u64) -> Result<(), Failu
             ));
         }
         if let Verdict::Violated(cex) = &pv.verdict {
-            match verified.verifier.replay(cex) {
-                Ok(replay) if replay.reproduced => {}
-                Ok(replay) => {
-                    return Err(fail(
-                        FindingKind::ReplayFailed,
-                        format!(
-                            "product counterexample of {} did not reproduce: {}",
-                            pv.property.name(),
-                            replay.detail
-                        ),
-                    ))
-                }
-                Err(e) => {
-                    return Err(fail(
-                        FindingKind::ReplayFailed,
-                        format!(
-                            "product counterexample of {} failed to replay: {e}",
-                            pv.property.name()
-                        ),
-                    ))
-                }
-            }
+            replay_in_lockstep(&verified.verifier, cex, &pv.property.name())?;
         }
     }
     Ok(())
+}
+
+/// A product counterexample of `what` must reproduce in the lockstep
+/// co-simulation.
+fn replay_in_lockstep(
+    verifier: &ProductVerifier,
+    cex: &Counterexample,
+    what: &str,
+) -> Result<(), Failure> {
+    match verifier.replay(cex) {
+        Ok(replay) if replay.reproduced => Ok(()),
+        Ok(replay) => Err(fail(
+            FindingKind::ReplayFailed,
+            format!(
+                "product counterexample of {what} did not reproduce: {}",
+                replay.detail
+            ),
+        )),
+        Err(e) => Err(fail(
+            FindingKind::ReplayFailed,
+            format!("product counterexample of {what} failed to replay: {e}"),
+        )),
+    }
 }
 
 /// Re-derives a property's earliest violation instant from the joint
@@ -760,12 +839,12 @@ fn inject_and_check(
             let inputs = unit.model.timing_trace(&simulated.schedule, 1);
             // Two properties: the usual alarm check, and a probe that
             // *reads* the drifted signal (an integer signal is `true`-ish
-            // when non-zero). The probe forces the drifted slot concrete
-            // under counter projection — projection must never mask a
+            // when non-zero). The probe keeps the drifted slot concrete
+            // under the slice and counter projection — neither may mask a
             // property that reads the slot — and makes the drift
             // detectable whenever the signal becomes non-zero. The oracle
-            // is dual-domain agreement on the drifted process; any
-            // violation must still replay.
+            // is agreement of every domain with the unsliced run on the
+            // drifted process; any violation must still replay.
             let properties = [
                 Property::NeverRaised("*Alarm*".into()),
                 Property::Ltl(LtlProperty::never(Formula::signal(&drifted.signal))),
@@ -793,13 +872,7 @@ fn inject_and_check(
                         })
                     }
                 };
-            interval_agreement(
-                &process,
-                &inputs,
-                &properties,
-                &concrete,
-                "the drifted thread",
-            )?;
+            domain_agreement(&process, &inputs, &properties, "the drifted thread")?;
             let first = concrete
                 .violations()
                 .next()

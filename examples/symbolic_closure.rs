@@ -1,19 +1,20 @@
-//! Symbolic closure: the interval domain proving an unbounded-counter
-//! system that the concrete engine can only pass bounded.
+//! Symbolic closure: the cone-of-influence slice proving an
+//! unbounded-counter system that the unsliced engine can only pass bounded.
 //!
 //! ```bash
 //! cargo run --example symbolic_closure
 //! ```
 //!
-//! The process is the smallest space the explicit engine can never close:
-//! a monotone step counter (`count := count$1 init 0 + 1`) mints a fresh
-//! delay memory on every tick, so concrete exploration visits one new
-//! state per depth level forever and any bounded run ends in
-//! `passed-bounded`. No checked property reads the counter, so under
-//! `--domain interval` the widening folds its tail into the abstract class
-//! `≥ threshold`, the quotient space closes after a handful of states, and
-//! the verdict is a genuine `proved` — bit-identical across worker counts.
-//! With `--project-counters` the slot drops out of the state key entirely.
+//! The process is the smallest space the unsliced explicit engine can never
+//! close: a monotone step counter (`count := count$1 init 0 + 1`) mints a
+//! fresh delay memory on every tick, so the reference exploration
+//! (`Verifier::verify_reference`) visits one new state per depth level
+//! forever and any bounded run ends in `passed-bounded`. No checked
+//! property reads the counter, so the default concrete exploration slices
+//! it out of the state key: one state remains, the space closes, and the
+//! verdict is a genuine `proved` — bit-identical across worker counts.
+//! `--domain interval` reaches the same proof by widening the counter's
+//! tail into the abstract class `≥ threshold`.
 //! Design and soundness argument: docs/SYMBOLIC.md.
 
 use polychrony_core::polyverify::{Domain, InputSpace, Property, Verdict, Verifier, VerifyOptions};
@@ -39,24 +40,35 @@ fn unbounded_counter() -> Process {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let process = unbounded_counter();
     let properties = [Property::NeverRaised("*Alarm*".into())];
+    let bounded = VerifyOptions::default().with_depth_bound(24);
 
     println!("== Symbolic closure of an unbounded counter (docs/SYMBOLIC.md) ==\n");
 
-    // Concrete domain: the fixpoint never closes; a depth bound is the only
-    // way to terminate, and the verdict is merely bounded.
-    let concrete = Verifier::new(&process, VerifyOptions::default().with_depth_bound(24))?
-        .verify(&InputSpace::Free, &properties)?;
-    println!("concrete, depth bound 24:");
-    println!("{}\n", concrete.summary());
-    assert!(matches!(
-        concrete.verdicts[0].verdict,
-        Verdict::PassedBounded { .. }
-    ));
-    assert!(concrete.stats.truncated);
+    // Unsliced reference: the fixpoint never closes; the depth bound is the
+    // only way to terminate, and the verdict is merely bounded.
+    let reference = Verifier::new(&process, bounded.clone())?
+        .verify_reference(&InputSpace::Free, &properties)?;
+    println!("unsliced reference, depth bound 24:");
+    println!("{}\n", reference.summary());
+    assert_eq!(
+        reference.verdicts[0].verdict,
+        Verdict::PassedBounded { depth: 24 }
+    );
+    assert!(reference.stats.truncated);
 
-    // Interval domain: the counter is invisible to the checked property,
-    // so widening folds its tail and the space closes with a real proof —
-    // no depth bound needed.
+    // Default concrete exploration: the counter is invisible to the checked
+    // property, so the slice drops it from the state key and the single
+    // remaining state closes with a real proof under the same bound.
+    let sliced =
+        Verifier::new(&process, bounded.clone())?.verify(&InputSpace::Free, &properties)?;
+    println!("default (sliced), depth bound 24:");
+    println!("{}\n", sliced.summary());
+    assert!(sliced.all_proved());
+    assert!(!sliced.stats.truncated);
+    assert_eq!(sliced.stats.states, 1);
+    assert_eq!(sliced.stats.projected_slots, 1);
+
+    // The interval domain proves it too, by widening the counter's tail.
     let interval = Verifier::new(
         &process,
         VerifyOptions::default().with_domain(Domain::Interval),
@@ -65,45 +77,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("interval domain, no depth bound:");
     println!("{}\n", interval.summary());
     assert!(interval.all_proved());
-    assert!(!interval.stats.truncated);
     assert!(interval.stats.widened > 0);
 
-    // Counter projection drops the slot from the state key entirely.
-    let projected = Verifier::new(
-        &process,
-        VerifyOptions::default()
-            .with_domain(Domain::Interval)
-            .with_project_counters(true),
-    )?
-    .verify(&InputSpace::Free, &properties)?;
-    println!("interval domain + counter projection:");
-    println!("{}\n", projected.summary());
-    assert!(projected.all_proved());
-    assert_eq!(projected.stats.projected_slots, 1);
-    assert!(projected.stats.states < interval.stats.states);
-
-    // The abstract exploration inherits the engine's determinism: verdicts
+    // The sliced exploration inherits the engine's determinism: verdicts
     // and stats are bit-identical for every worker count.
     for workers in [2usize, 8] {
-        let again = Verifier::new(
-            &process,
-            VerifyOptions::default()
-                .with_domain(Domain::Interval)
-                .with_workers(workers),
-        )?
-        .verify(&InputSpace::Free, &properties)?;
-        assert_eq!(again.verdicts, interval.verdicts);
-        assert_eq!(again.stats.states, interval.stats.states);
-        assert_eq!(again.stats.widened, interval.stats.widened);
+        let again = Verifier::new(&process, bounded.clone().with_workers(workers))?
+            .verify(&InputSpace::Free, &properties)?;
+        assert_eq!(again.verdicts, sliced.verdicts);
+        assert_eq!(again.stats.states, sliced.stats.states);
+        assert_eq!(again.stats.projected_slots, sliced.stats.projected_slots);
     }
     println!("deterministic: verdicts and stats bit-identical across 1/2/8 workers");
     println!(
-        "\nconcrete passed-bounded with {} states explored and no proof;",
-        concrete.stats.states
+        "\nunsliced passed-bounded with {} states explored and no proof;",
+        reference.stats.states
     );
     println!(
-        "interval proved with {} states ({} widenings), projection with {}.",
-        interval.stats.states, interval.stats.widened, projected.stats.states
+        "the slice proved with {} state, the interval domain with {} ({} widenings).",
+        sliced.stats.states, interval.stats.states, interval.stats.widened
     );
     Ok(())
 }

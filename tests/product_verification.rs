@@ -358,3 +358,69 @@ fn projection_matches_the_wired_trace_prefix() {
         }
     }
 }
+
+/// The paper's case study closes in concrete mode: the cone-of-influence
+/// slice drops the unobservable `dispatch_count` and frozen-count slots,
+/// so every thread recurs after one hyper-period and the product after 33
+/// instants. A two-hyper-period session therefore proves all 16 built-in
+/// verdicts (2 per thread, 8 joint). The connection-latency fault is
+/// still caught at instant 9, and its counterexample replays.
+#[test]
+fn case_study_proves_every_verdict_within_two_hyperperiods() {
+    use polychrony_core::{Session, SessionOptions, VerificationScope};
+
+    let mut options = SessionOptions::default();
+    options.verify.hyperperiods = 2;
+    options.verify.scope = VerificationScope::Product;
+    let verified = Session::with_options(options)
+        .unwrap()
+        .parse_case_study()
+        .unwrap()
+        .instantiate("sysProdCons.impl")
+        .unwrap()
+        .schedule()
+        .unwrap()
+        .translate()
+        .unwrap()
+        .analyze()
+        .unwrap()
+        .simulate()
+        .unwrap()
+        .verify()
+        .unwrap();
+    let report = verified.verification.as_ref().expect("verification ran");
+    assert_eq!(report.outcomes.len(), 4);
+    let mut proved = 0;
+    for (thread, outcome) in &report.outcomes {
+        assert!(outcome.all_proved(), "{thread}: {}", outcome.summary());
+        assert!(
+            outcome.stats.states <= 24,
+            "{thread}: {}",
+            outcome.summary()
+        );
+        assert!(outcome.stats.projected_slots > 0, "{thread}");
+        proved += outcome.verdicts.len();
+    }
+    let product = verified.product.as_ref().expect("product scope");
+    assert!(
+        product.outcome.all_proved(),
+        "{}",
+        product.outcome.summary()
+    );
+    assert!(product.outcome.stats.states <= 33);
+    proved += product.outcome.verdicts.len();
+    assert_eq!(proved, 16);
+
+    let simulated = &verified.simulated;
+    let mut links = simulated.product_links();
+    inject_connection_latency(&mut links, "cProdStartTimer", 8).expect("the link exists");
+    let tampered = simulated.verify_product_with_links(links).unwrap();
+    let (_, cex) = tampered
+        .outcome
+        .violations()
+        .find(|(property, _)| matches!(property, Property::EndToEndResponse { .. }))
+        .expect("the delayed connection is caught");
+    assert_eq!(cex.violation_instant, 9);
+    let replay = tampered.verifier.replay(cex).unwrap();
+    assert!(replay.reproduced, "{}", replay.detail);
+}

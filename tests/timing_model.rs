@@ -129,3 +129,116 @@ fn output_port_releases_at_output_time_only() {
         assert_eq!(sent[1], 1, "{port} not released at Output Time");
     }
 }
+
+/// Two threads whose second job of `th0` (released at 4, deadline 8)
+/// runs 6–8 behind `th1`: it completes exactly at the hyper-period
+/// boundary.
+const BOUNDARY_MODEL: &str = "package Boundary
+public
+  thread th0
+  features
+    out_link : out event data port;
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 4 ms;
+    Deadline => 4 ms;
+    Compute_Execution_Time => 2 ms .. 2 ms;
+    Priority => 2;
+  end th0;
+  thread th1
+  features
+    in_link : in event data port;
+  properties
+    Dispatch_Protocol => Periodic;
+    Period => 8 ms;
+    Deadline => 8 ms;
+    Compute_Execution_Time => 4 ms .. 4 ms;
+    Priority => 1;
+  end th1;
+  process worker
+  end worker;
+  process implementation worker.impl
+  subcomponents
+    t0 : thread th0;
+    t1 : thread th1;
+  connections
+    link : port t0.out_link -> t1.in_link;
+  end worker.impl;
+  processor cpu
+  end cpu;
+  system top
+  end top;
+  system implementation top.impl
+  subcomponents
+    app : process worker.impl;
+    cpu0 : processor cpu;
+  properties
+    Actual_Processor_Binding => (reference (cpu0)) applies to app;
+  end top.impl;
+end Boundary;
+";
+
+/// A job completing at the hyper-period boundary lands in the next
+/// repetition of a multi-period trace, never past its end: every trace
+/// spans exactly k hyper-periods with every controlled signal at every
+/// instant, and a two-hyper-period simulation runs through.
+#[test]
+fn jobs_completing_at_the_boundary_stay_inside_multi_period_traces() {
+    use polychrony_core::{Session, SessionOptions};
+
+    let analyzed = Session::new()
+        .parse(BOUNDARY_MODEL)
+        .unwrap()
+        .instantiate("top.impl")
+        .unwrap()
+        .schedule()
+        .unwrap()
+        .translate()
+        .unwrap()
+        .analyze()
+        .unwrap();
+    let horizon = analyzed.schedule.hyperperiod as usize;
+    assert_eq!(horizon, 8);
+    assert!(
+        analyzed
+            .schedule
+            .entries
+            .iter()
+            .any(|entry| entry.completion as usize >= horizon),
+        "the model must schedule a job completing at the boundary: {:?}",
+        analyzed.schedule.entries
+    );
+    for unit in &analyzed.thread_units {
+        let controlled = unit.model.timing_trace(&analyzed.schedule, 1).signals();
+        for k in 1..=4u64 {
+            let trace = unit.model.timing_trace(&analyzed.schedule, k);
+            assert_eq!(trace.len(), k as usize * horizon, "{} k={k}", unit.path);
+            for step in trace.iter() {
+                for signal in &controlled {
+                    assert!(step.is_present(signal), "{} k={k}: {signal}", unit.path);
+                }
+            }
+        }
+    }
+
+    let mut options = SessionOptions::default();
+    options.simulate.hyperperiods = 2;
+    let simulated = Session::with_options(options)
+        .unwrap()
+        .parse(BOUNDARY_MODEL)
+        .unwrap()
+        .instantiate("top.impl")
+        .unwrap()
+        .schedule()
+        .unwrap()
+        .translate()
+        .unwrap()
+        .analyze()
+        .unwrap()
+        .simulate()
+        .expect("a two-hyper-period simulation runs through the boundary job");
+    assert_eq!(simulated.simulations.len(), 2);
+    for report in simulated.simulations.values() {
+        assert_eq!(report.instants, 2 * horizon);
+    }
+}
