@@ -265,9 +265,6 @@ pub struct SlotAbstraction {
     plans: Vec<SlotPlan>,
     inits: Vec<Value>,
     targets: Vec<String>,
-    /// Indices of the non-concrete plans: the only slots
-    /// [`SlotAbstraction::normalize`] visits.
-    abstracted: Vec<usize>,
 }
 
 /// The observation context of one process: which signal names are read
@@ -291,16 +288,14 @@ impl ReadSet {
     }
 
     /// Is the signal spelled `<prefix><signal>` in the property namespace
-    /// read by any atom? `visible` is a reusable buffer for the spelling.
-    fn reads(&self, prefix: &str, signal: &str, visible: &mut String) -> bool {
-        visible.clear();
-        visible.push_str(prefix);
-        visible.push_str(signal);
-        self.names.contains(visible.as_str())
+    /// read by any atom?
+    fn reads(&self, prefix: &str, signal: &str) -> bool {
+        let visible = [prefix, signal].concat();
+        self.names.contains(&visible)
             || self
                 .patterns
                 .iter()
-                .any(|pattern| pattern_matches(pattern, visible))
+                .any(|pattern| pattern_matches(pattern, &visible))
     }
 }
 
@@ -505,11 +500,10 @@ impl SlotAbstraction {
         // Complete the seeds: multiply defined signals, link endpoints and
         // property atoms.
         let read_set = ReadSet::of_properties(properties);
-        let mut visible = String::new();
         for (id, name) in graph.names.iter().enumerate() {
             graph.observed[id] |= graph.definitions[id] > 1
                 || extra_reads.iter().any(|r| r == name)
-                || read_set.reads(prefix, name, &mut visible);
+                || read_set.reads(prefix, name);
         }
 
         // Backward reachability: every signal an observed signal's
@@ -551,31 +545,20 @@ impl SlotAbstraction {
             .map(|site| graph.names[site.target].to_string())
             .collect();
         let inits = graph.slots.into_iter().map(|site| site.init).collect();
-        Self::new(plans, inits, targets)
-    }
-
-    fn new(plans: Vec<SlotPlan>, inits: Vec<Value>, targets: Vec<String>) -> Self {
-        let abstracted = plans
-            .iter()
-            .enumerate()
-            .filter(|(_, plan)| **plan != SlotPlan::Concrete)
-            .map(|(i, _)| i)
-            .collect();
         Self {
             plans,
             inits,
             targets,
-            abstracted,
         }
     }
 
     /// An identity abstraction (all slots concrete) of the given width.
     pub fn identity(slots: usize) -> Self {
-        Self::new(
-            vec![SlotPlan::Concrete; slots],
-            vec![Value::Event; slots],
-            vec![String::new(); slots],
-        )
+        Self {
+            plans: vec![SlotPlan::Concrete; slots],
+            inits: vec![Value::Event; slots],
+            targets: vec![String::new(); slots],
+        }
     }
 
     /// Concatenates per-component abstractions into the joint product
@@ -590,13 +573,17 @@ impl SlotAbstraction {
             inits.extend(part.inits);
             targets.extend(part.targets);
         }
-        Self::new(plans, inits, targets)
+        Self {
+            plans,
+            inits,
+            targets,
+        }
     }
 
     /// `true` when no slot is abstracted — the abstract run would explore
     /// exactly the concrete space, so callers skip it.
     pub fn is_identity(&self) -> bool {
-        self.abstracted.is_empty()
+        self.plans.iter().all(|p| *p == SlotPlan::Concrete)
     }
 
     /// The per-slot plans, in evaluator memory order.
@@ -622,9 +609,11 @@ impl SlotAbstraction {
 
     /// Target signals of the non-concrete slots (for reports and tracing).
     pub fn abstracted_targets(&self) -> Vec<&str> {
-        self.abstracted
+        self.plans
             .iter()
-            .map(|&i| self.targets[i].as_str())
+            .zip(&self.targets)
+            .filter(|(p, _)| **p != SlotPlan::Concrete)
+            .map(|(_, t)| t.as_str())
             .collect()
     }
 
@@ -637,13 +626,13 @@ impl SlotAbstraction {
     pub fn normalize(&self, memory: &mut [Value]) -> usize {
         debug_assert_eq!(memory.len(), self.plans.len());
         let mut widened = 0;
-        for &i in &self.abstracted {
-            match (&self.plans[i], &memory[i]) {
+        for ((plan, slot), init) in self.plans.iter().zip(memory.iter_mut()).zip(&self.inits) {
+            match (plan, &*slot) {
                 (SlotPlan::Widen { threshold }, Value::Int(v)) if v > threshold => {
-                    memory[i] = Value::Int(*threshold);
+                    *slot = Value::Int(*threshold);
                     widened += 1;
                 }
-                (SlotPlan::Project, Value::Int(_)) => memory[i] = self.inits[i].clone(),
+                (SlotPlan::Project, Value::Int(_)) => *slot = init.clone(),
                 _ => {}
             }
         }

@@ -574,9 +574,15 @@ pub(crate) fn explore<E: Expander>(
         memo_hits: 0,
         memo_misses: 0,
         widened,
-        domain: options.domain,
         projected_slots: 0,
         reconcretized: 0,
+    };
+    // A pre-truncated search whose frontier emptied saw every state of its
+    // partial model, so its bounded claim holds up to the depth bound it was
+    // given, not only to the depth at which it closed.
+    let bounded_depth = match options.depth_bound {
+        Some(bound) if frontier.is_empty() => bound,
+        _ => depth,
     };
     let verdicts = properties
         .iter()
@@ -585,7 +591,9 @@ pub(crate) fn explore<E: Expander>(
             property: property.clone(),
             verdict: match cex {
                 Some(cex) => Verdict::Violated(cex),
-                None if truncated => Verdict::PassedBounded { depth },
+                None if truncated => Verdict::PassedBounded {
+                    depth: bounded_depth,
+                },
                 None => Verdict::Proved,
             },
         })

@@ -198,7 +198,9 @@ pub enum Verdict {
     /// truncated exploration reports this variant — never [`Verdict::Proved`]
     /// — so a depth-bound fallback can never masquerade as a proof.
     PassedBounded {
-        /// Number of instants fully explored.
+        /// Number of instants the search covers: the depth explored, or the
+        /// depth bound when an already partial search (dropped deliveries,
+        /// a truncated candidate enumeration) closed before reaching it.
         depth: usize,
     },
     /// The property is violated; the counterexample replays in the
@@ -292,8 +294,6 @@ pub struct ExplorationStats {
     /// worker-independent, so this count is deterministic like every other
     /// field.
     pub widened: usize,
-    /// The domain the exploration ran in.
-    pub domain: Domain,
     /// Number of memory slots dropped from the canonical key: the
     /// cone-of-influence slice in the concrete domain, counter projection
     /// under the interval domain (a static property of the analyzed model
@@ -349,19 +349,18 @@ impl VerificationOutcome {
             },
             self.stats.peak_frontier
         );
-        match self.stats.domain {
-            Domain::Concrete if self.stats.projected_slots > 0 => out.push_str(&format!(
+        if self.stats.projected_slots > 0 {
+            out.push_str(&format!(
                 "  slice: {} slot(s) no property or control decision reads, \
                  dropped from the state key\n",
                 self.stats.projected_slots
-            )),
-            Domain::Interval if self.stats.widened > 0 || self.stats.projected_slots > 0 => out
-                .push_str(&format!(
-                    "  interval domain: {} widenings, {} projected slot(s), \
-                     {} counterexample(s) re-concretized\n",
-                    self.stats.widened, self.stats.projected_slots, self.stats.reconcretized
-                )),
-            _ => {}
+            ));
+        }
+        if self.stats.widened > 0 || self.stats.reconcretized > 0 {
+            out.push_str(&format!(
+                "  interval domain: {} widenings, {} counterexample(s) re-concretized\n",
+                self.stats.widened, self.stats.reconcretized
+            ));
         }
         for v in &self.verdicts {
             out.push_str(&format!(
@@ -1331,6 +1330,7 @@ mod tests {
         assert_eq!(concrete.stats.projected_slots, 1);
         assert_eq!(concrete.stats.widened, 0);
         assert!(concrete.summary().contains("slice: 1 slot(s)"));
+        assert!(!concrete.summary().contains("interval domain:"));
         // Interval domain: the counter widens at the threshold, the
         // fixpoint closes, and the verdict is a genuine proof.
         let interval = Verifier::new(

@@ -1367,7 +1367,7 @@ mod tests {
         // the next period), so even though the wired product closes with no
         // alarm, the verdict must stay bounded — never a proof.
         assert_eq!(system.dropped_deliveries(), 1);
-        let verifier = ProductVerifier::new(system, VerifyOptions::default()).unwrap();
+        let verifier = ProductVerifier::new(system.clone(), VerifyOptions::default()).unwrap();
         let outcome = verifier
             .verify(&[Property::NeverRaised("*Alarm*".into())])
             .unwrap();
@@ -1378,6 +1378,19 @@ mod tests {
             outcome.verdicts[0].verdict,
             Verdict::PassedBounded { .. }
         ));
+        // Under a depth bound the product still closes well before it, and
+        // every one of its states was seen: the bounded claim names the
+        // bound, not the closure depth.
+        let bounded =
+            ProductVerifier::new(system, VerifyOptions::default().with_depth_bound(12)).unwrap();
+        let outcome = bounded
+            .verify(&[Property::NeverRaised("*Alarm*".into())])
+            .unwrap();
+        assert!(outcome.stats.depth < 12, "{:?}", outcome.stats);
+        assert_eq!(
+            outcome.verdicts[0].verdict,
+            Verdict::PassedBounded { depth: 12 }
+        );
     }
 
     #[test]

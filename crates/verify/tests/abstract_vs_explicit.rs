@@ -91,26 +91,16 @@ fn verdict_shape(outcome: &VerificationOutcome) -> Vec<String> {
         .collect()
 }
 
-/// `Ok` when `other`, explored under the depth bound `bound`, agrees with
-/// the unsliced `reference` verdict for verdict and explores no more
-/// states. Two differences are strengthenings, not disagreements: a
-/// `proved` where the reference is bounded, and a bounded verdict whose
-/// exploration closed below the bound — every reachable state was seen,
-/// but an under-approximation (a delivery dropped past the horizon)
-/// forbids calling the closure a proof.
-fn strengthens(
-    reference: &VerificationOutcome,
-    other: &VerificationOutcome,
-    bound: usize,
-) -> Result<(), String> {
+/// `Ok` when `other` agrees with the unsliced `reference` verdict for
+/// verdict and explores no more states. The one allowed difference is a
+/// strengthening: a `proved` where the reference is bounded.
+fn strengthens(reference: &VerificationOutcome, other: &VerificationOutcome) -> Result<(), String> {
     let (expected, found) = (verdict_shape(reference), verdict_shape(other));
-    let closed_below_bound = other.stats.depth < bound;
     let agrees = expected.len() == found.len()
-        && expected.iter().zip(&found).all(|(r, o)| {
-            r == o
-                || (r.starts_with("passed-bounded")
-                    && (o == "proved" || (closed_below_bound && o.starts_with("passed-bounded"))))
-        });
+        && expected
+            .iter()
+            .zip(&found)
+            .all(|(r, o)| r == o || (r.starts_with("passed-bounded") && o == "proved"));
     if !agrees {
         return Err(format!(
             "{found:?} does not strengthen the reference {expected:?}"
@@ -155,7 +145,7 @@ proptest! {
             .verify(&InputSpace::Free, &properties)
             .unwrap();
         for (name, outcome) in [("sliced", &sliced), ("interval", &interval)] {
-            if let Err(e) = strengthens(&reference, outcome, depth) {
+            if let Err(e) = strengthens(&reference, outcome) {
                 panic!("{name}: {e}");
             }
             for (_, cex) in outcome.violations() {
@@ -258,7 +248,7 @@ proptest! {
             .verify(&properties)
             .unwrap();
         for (name, outcome) in [("sliced", &sliced), ("interval", &interval)] {
-            if let Err(e) = strengthens(&reference, outcome, horizon * 2) {
+            if let Err(e) = strengthens(&reference, outcome) {
                 panic!("{name}: {e}");
             }
             for (_, cex) in outcome.violations() {

@@ -344,26 +344,21 @@ fn verdict_shapes(outcome: &VerificationOutcome) -> Vec<String> {
         .collect()
 }
 
-/// Demands that `outcome`, explored under the depth bound `bound`, agree
-/// with the unsliced `reference` (`verify_reference`) verdict for verdict.
-/// Only strengthening is allowed: a `proved` where the reference is
-/// bounded, or a bounded verdict whose exploration closed below the bound
-/// (every reachable state seen, but a delivery dropped past the horizon
-/// forbids a proof). A missed or displaced violation is a finding.
+/// Demands that `outcome` agree with the unsliced `reference`
+/// (`verify_reference`) verdict for verdict. The one allowed difference is
+/// a strengthening: a `proved` where the reference is bounded. A missed or
+/// displaced violation is a finding.
 fn strengthens_reference(
     reference: &VerificationOutcome,
     outcome: &VerificationOutcome,
-    bound: usize,
     what: &str,
 ) -> Result<(), Failure> {
     let (expected, found) = (verdict_shapes(reference), verdict_shapes(outcome));
-    let closed_below_bound = outcome.stats.depth < bound;
     let agrees = expected.len() == found.len()
-        && expected.iter().zip(&found).all(|(r, o)| {
-            r == o
-                || (r.starts_with("passed-bounded")
-                    && (o == "proved" || (closed_below_bound && o.starts_with("passed-bounded"))))
-        });
+        && expected
+            .iter()
+            .zip(&found)
+            .all(|(r, o)| r == o || (r.starts_with("passed-bounded") && o == "proved"));
     if agrees {
         Ok(())
     } else {
@@ -374,30 +369,17 @@ fn strengthens_reference(
     }
 }
 
-/// The engine options the domain oracles compare: one worker, the given
-/// depth bound, and the concrete slice, the interval domain or the
-/// interval domain with counter projection.
-fn domain_runs(bound: usize) -> [(&'static str, VerifyOptions); 3] {
-    let options = VerifyOptions::default()
+/// One worker under the depth bound `bound`: the options every domain
+/// oracle run starts from.
+fn oracle_options(bound: usize) -> VerifyOptions {
+    VerifyOptions::default()
         .with_workers(1)
-        .with_depth_bound(bound);
-    [
-        ("the concrete slice", options.clone()),
-        (
-            "the interval domain",
-            options.clone().with_domain(Domain::Interval),
-        ),
-        (
-            "the interval domain with projection",
-            options
-                .with_domain(Domain::Interval)
-                .with_project_counters(true),
-        ),
-    ]
+        .with_depth_bound(bound)
 }
 
-/// Verifies `process` on `inputs` without slicing, then once per entry of
-/// [`domain_runs`], and demands that each run strengthen the unsliced
+/// Verifies `process` on `inputs` without slicing, then with the default
+/// concrete slice, the interval domain and the interval domain with
+/// counter projection, and demands that each run strengthen the unsliced
 /// verdicts only. Every counterexample must replay in the simulator: the
 /// slice and projection must never mask a property that reads a dropped
 /// slot.
@@ -422,21 +404,24 @@ fn domain_agreement(
             format!("{what} of {context} failed: {e}"),
         )
     };
-    // `verify_reference` ignores the domain: any run's options serve.
-    let runs = domain_runs(inputs.len());
-    let reference = verifier_for(runs[0].1.clone())?
+    let options = oracle_options(inputs.len());
+    let reference = verifier_for(options.clone())?
         .verify_reference(&space, properties)
         .map_err(|e| verification_failed("unsliced verification", &e))?;
+    let interval = options.clone().with_domain(Domain::Interval);
+    let runs = [
+        ("the concrete slice", options),
+        ("the interval domain", interval.clone()),
+        (
+            "the interval domain with projection",
+            interval.with_project_counters(true),
+        ),
+    ];
     for (what, options) in runs {
         let outcome = verifier_for(options)?
             .verify(&space, properties)
             .map_err(|e| verification_failed(what, &e))?;
-        strengthens_reference(
-            &reference,
-            &outcome,
-            inputs.len(),
-            &format!("on {context} {what}"),
-        )?;
+        strengthens_reference(&reference, &outcome, &format!("on {context} {what}"))?;
         for (property, cex) in outcome.violations() {
             replay_in_simulator(cex, process, &property.name())?;
         }
@@ -444,10 +429,10 @@ fn domain_agreement(
     Ok(())
 }
 
-/// Domain oracle: the target unit's scheduled behaviour — and, when the
-/// system has port connections, the product of every unit — verified
-/// without slicing, then cross-checked against the concrete slice and the
-/// interval abstraction.
+/// Domain oracle: the target unit's scheduled behaviour verified without
+/// slicing, then cross-checked against the concrete slice and the interval
+/// abstraction; when the system has port connections, the product of
+/// every unit cross-checked the same way against its concrete slice.
 fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
     let unit = &simulated.thread_units[target_unit(simulated, seed)];
     let inputs = unit.model.timing_trace(&simulated.schedule, 1);
@@ -466,8 +451,10 @@ fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
     product_domain_agreement(simulated)
 }
 
-/// [`domain_agreement`] for the wired product of every unit: each run's
-/// counterexamples must replay in the lockstep co-simulation.
+/// The wired product of every unit, verified without slicing and with the
+/// default concrete slice: the slice may only strengthen the unsliced
+/// verdicts, and its counterexamples must replay in the lockstep
+/// co-simulation.
 fn product_domain_agreement(simulated: &Simulated) -> Result<(), Failure> {
     let links = simulated.product_links();
     let properties = simulated.product_properties(&links).map_err(|e| {
@@ -483,38 +470,27 @@ fn product_domain_agreement(simulated: &Simulated) -> Result<(), Failure> {
         )
     })?;
     let bound = system.horizon();
-    let verifier_for = |options: VerifyOptions| {
-        ProductVerifier::new(system.clone(), options).map_err(|e| {
-            fail(
-                FindingKind::DomainMismatch,
-                format!("product verifier construction failed: {e}"),
-            )
-        })
-    };
+    let verifier = ProductVerifier::new(system, oracle_options(bound)).map_err(|e| {
+        fail(
+            FindingKind::DomainMismatch,
+            format!("product verifier construction failed: {e}"),
+        )
+    })?;
     let verification_failed = |what: &str, e: &dyn std::fmt::Display| {
         fail(
             FindingKind::DomainMismatch,
             format!("{what} of the product failed: {e}"),
         )
     };
-    let runs = domain_runs(bound);
-    let reference = verifier_for(runs[0].1.clone())?
+    let reference = verifier
         .verify_reference(&properties)
         .map_err(|e| verification_failed("unsliced verification", &e))?;
-    for (what, options) in runs {
-        let verifier = verifier_for(options)?;
-        let outcome = verifier
-            .verify(&properties)
-            .map_err(|e| verification_failed(what, &e))?;
-        strengthens_reference(
-            &reference,
-            &outcome,
-            bound,
-            &format!("on the product {what}"),
-        )?;
-        for (property, cex) in outcome.violations() {
-            replay_in_lockstep(&verifier, cex, &format!("{} under {what}", property.name()))?;
-        }
+    let sliced = verifier
+        .verify(&properties)
+        .map_err(|e| verification_failed("sliced verification", &e))?;
+    strengthens_reference(&reference, &sliced, "on the product the concrete slice")?;
+    for (property, cex) in sliced.violations() {
+        replay_in_lockstep(&verifier, cex, &property.name())?;
     }
     Ok(())
 }

@@ -77,6 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("interval domain, no depth bound:");
     println!("{}\n", interval.summary());
     assert!(interval.all_proved());
+    assert!(!interval.stats.truncated);
     assert!(interval.stats.widened > 0);
 
     // The sliced exploration inherits the engine's determinism: verdicts
