@@ -12,8 +12,8 @@ use asme2ssme::{system_under_schedule, thread_under_schedule};
 use polychrony_core::affine_clocks::AffineRelation;
 use polychrony_core::port_link_for;
 use polyverify::{
-    DispatchFeasibility, Domain, InputSpace, PortLink, ProductComponent, ProductSystem,
-    ProductVerifier, Property, Verifier, VerifyOptions,
+    DispatchFeasibility, InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier,
+    Property, Verifier, VerifyOptions,
 };
 use sched::SchedulingPolicy;
 use signal_moc::builder::ProcessBuilder;
@@ -51,32 +51,6 @@ fn wide_watcher(width: usize) -> Process {
     let mut sync: Vec<&str> = sync_names.iter().map(String::as_str).collect();
     sync.push("Alarm");
     b.synchronize(&sync);
-    b.build().unwrap()
-}
-
-/// A bounded observable toggle plus an unbounded invisible step counter —
-/// the symbolic-closure workload. Concretely the space never closes (the
-/// counter mints a fresh state per tick); under the interval domain the
-/// widening folds the counter tail and exploration finishes with `proved`.
-fn toggle_with_invisible_counter() -> Process {
-    let mut b = ProcessBuilder::new("toggle");
-    b.input("d", ValueType::Boolean);
-    b.output("Alarm", ValueType::Boolean);
-    b.local("flag", ValueType::Boolean);
-    b.local("total", ValueType::Integer);
-    b.define(
-        "flag",
-        Expr::not(Expr::delay(Expr::var("flag"), Value::Bool(false))),
-    );
-    b.define(
-        "total",
-        Expr::add(Expr::delay(Expr::var("total"), Value::Int(0)), Expr::int(1)),
-    );
-    b.define(
-        "Alarm",
-        Expr::and(Expr::var("d"), Expr::not(Expr::var("d"))),
-    );
-    b.synchronize(&["d", "flag", "total", "Alarm"]);
     b.build().unwrap()
 }
 
@@ -247,53 +221,6 @@ fn bench_state_space(c: &mut Criterion) {
         group.bench_function("free_bfs_pruned_oracle", |b| {
             b.iter(|| {
                 verifier
-                    .verify(black_box(&InputSpace::Free), black_box(&properties))
-                    .unwrap()
-            })
-        });
-    }
-
-    // Symbolic closure (docs/SYMBOLIC.md): the interval domain folding an
-    // unbounded invisible counter into a closed quotient with a genuine
-    // proof, versus the concrete engine exploring the same process to a
-    // depth bound and only passing bounded.
-    {
-        let toggle = toggle_with_invisible_counter();
-        let interval = Verifier::new(
-            &toggle,
-            VerifyOptions::default()
-                .with_workers(2)
-                .with_domain(Domain::Interval),
-        )
-        .unwrap();
-        let outcome = interval.verify(&InputSpace::Free, &properties).unwrap();
-        assert!(outcome.all_proved(), "the quotient space must close");
-        assert!(outcome.stats.widened > 0, "the counter must widen");
-        group.throughput(Throughput::Elements(outcome.stats.states as u64));
-        group.bench_function("interval_closure_proved", |b| {
-            b.iter(|| {
-                interval
-                    .verify(black_box(&InputSpace::Free), black_box(&properties))
-                    .unwrap()
-            })
-        });
-
-        let concrete = Verifier::new(
-            &toggle,
-            VerifyOptions::default()
-                .with_workers(2)
-                .with_depth_bound(24),
-        )
-        .unwrap();
-        let states = concrete
-            .verify(&InputSpace::Free, &properties)
-            .unwrap()
-            .stats
-            .states;
-        group.throughput(Throughput::Elements(states as u64));
-        group.bench_function("interval_closure_concrete_bounded", |b| {
-            b.iter(|| {
-                concrete
                     .verify(black_box(&InputSpace::Free), black_box(&properties))
                     .unwrap()
             })

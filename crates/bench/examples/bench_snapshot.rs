@@ -15,10 +15,7 @@
 //! time, measures the `daemon_warm_vs_cold` headline (an 8-variant
 //! verification sweep over one model, uncached vs. through the
 //! content-addressed artifact cache — asserting report equality and the
-//! ≥3x warm speedup on the way), measures the `symbolic_closure` headline
-//! (an unbounded invisible counter: concrete bounded exploration vs. the
-//! interval domain closing the quotient with a proof — docs/SYMBOLIC.md),
-//! and emits a `BENCH_<n>.json` snapshot
+//! ≥3x warm speedup on the way), and emits a `BENCH_<n>.json` snapshot
 //! (one benchmark entry per line, so the file diffs and greps cleanly
 //! without a JSON parser); `--sha` stamps the snapshot with the git
 //! revision it was measured at.
@@ -48,8 +45,7 @@ use polychrony_core::{
     port_link_for, ArtifactCache, BatchJob, CacheOutcome, PropertySpec, SessionOptions,
 };
 use polyverify::{
-    Collector, Domain, InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier,
-    Property, Verifier, VerifyOptions,
+    Collector, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property, VerifyOptions,
 };
 use sched::SchedulingPolicy;
 use signal_moc::builder::ProcessBuilder;
@@ -211,25 +207,14 @@ fn write(captures: &[String], out_path: &str, sha: Option<&str>) -> Result<(), S
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
         let stats = &outcome.stats;
         let states_per_sec = stats.states as f64 / (wall_ms / 1e3);
-        let _ = i;
+        let sep = if i + 1 == workloads.len() { "" } else { "," };
         json.push_str(&format!(
             "    {{\"id\": \"{name}\", \"states\": {}, \"transitions\": {}, \
              \"depth\": {}, \"peak_frontier\": {}, \"pruned\": {}, \
-             \"wall_ms\": {wall_ms:.2}, \"states_per_sec\": {states_per_sec:.0}}},\n",
+             \"wall_ms\": {wall_ms:.2}, \"states_per_sec\": {states_per_sec:.0}}}{sep}\n",
             stats.states, stats.transitions, stats.depth, stats.peak_frontier, stats.pruned
         ));
     }
-    let closure = symbolic_closure_headline()?;
-    json.push_str(&format!(
-        "    {{\"id\": \"symbolic_closure\", \"concrete_bounded_states\": {}, \
-         \"interval_states\": {}, \"widened\": {}, \"projected_states\": {}, \
-         \"proved\": true, \"wall_ms\": {:.2}}}\n",
-        closure.concrete_states,
-        closure.interval_states,
-        closure.widened,
-        closure.projected_states,
-        closure.wall_ms
-    ));
     let daemon = daemon_warm_vs_cold()?;
     json.push_str(&format!(
         "  ],\n  \"daemon\": {{\"id\": \"daemon_warm_vs_cold\", \"variants\": {}, \
@@ -382,74 +367,6 @@ struct DaemonHeadline {
     cold_ms: f64,
     warm_ms: f64,
     speedup: f64,
-}
-
-/// Measurements of the `symbolic_closure` headline.
-struct SymbolicClosureHeadline {
-    concrete_states: usize,
-    interval_states: usize,
-    widened: usize,
-    projected_states: usize,
-    wall_ms: f64,
-}
-
-/// The `symbolic_closure` headline (docs/SYMBOLIC.md): an unbounded
-/// invisible counter explored concretely to a depth bound (never closes,
-/// `passed-bounded`) and under the interval domain (widening closes the
-/// quotient with a genuine `proved`), plus the `--project-counters`
-/// variant. Fails unless the interval runs really prove and really widen.
-fn symbolic_closure_headline() -> Result<SymbolicClosureHeadline, String> {
-    let mut b = ProcessBuilder::new("toggle");
-    b.input("d", ValueType::Boolean);
-    b.output("Alarm", ValueType::Boolean);
-    b.local("flag", ValueType::Boolean);
-    b.local("total", ValueType::Integer);
-    b.define(
-        "flag",
-        Expr::not(Expr::delay(Expr::var("flag"), Value::Bool(false))),
-    );
-    b.define(
-        "total",
-        Expr::add(Expr::delay(Expr::var("total"), Value::Int(0)), Expr::int(1)),
-    );
-    b.define(
-        "Alarm",
-        Expr::and(Expr::var("d"), Expr::not(Expr::var("d"))),
-    );
-    b.synchronize(&["d", "flag", "total", "Alarm"]);
-    let process = b.build().map_err(|e| format!("toggle fixture: {e}"))?;
-    let properties = [Property::NeverRaised("*Alarm*".into())];
-    let run = |options: VerifyOptions| {
-        Verifier::new(&process, options)
-            .map_err(|e| format!("symbolic_closure verifier: {e}"))?
-            .verify(&InputSpace::Free, &properties)
-            .map_err(|e| format!("symbolic_closure verification: {e}"))
-    };
-    let concrete = run(VerifyOptions::default()
-        .with_workers(2)
-        .with_depth_bound(24))?;
-    let start = Instant::now();
-    let interval = run(VerifyOptions::default()
-        .with_workers(2)
-        .with_domain(Domain::Interval))?;
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let projected = run(VerifyOptions::default()
-        .with_workers(2)
-        .with_domain(Domain::Interval)
-        .with_project_counters(true))?;
-    if !interval.all_proved() || !projected.all_proved() {
-        return Err("symbolic_closure: the interval domain failed to prove".into());
-    }
-    if interval.stats.widened == 0 {
-        return Err("symbolic_closure: nothing widened".into());
-    }
-    Ok(SymbolicClosureHeadline {
-        concrete_states: concrete.stats.states,
-        interval_states: interval.stats.states,
-        widened: interval.stats.widened,
-        projected_states: projected.stats.states,
-        wall_ms,
-    })
 }
 
 /// The `daemon_warm_vs_cold` headline: the same model swept through 8

@@ -601,7 +601,6 @@ mod tests {
     #[test]
     fn each_option_moves_exactly_the_keys_that_include_its_group() {
         use crate::options::{PropertySpec, VerificationScope, FIELDS};
-        use polyverify::Domain;
 
         // One mutation per field of the option table, tagged with its group.
         type Mutation = (&'static str, fn(&mut SessionOptions));
@@ -621,9 +620,6 @@ mod tests {
             ("verify", |o| {
                 o.verify.properties = vec![PropertySpec::new("never Alarm")]
             }),
-            ("verify", |o| o.verify.domain = Domain::Interval),
-            ("verify", |o| o.verify.project_counters = true),
-            ("verify", |o| o.verify.widen_threshold = 3),
         ];
         assert_eq!(mutations.len(), FIELDS.len(), "one mutation per field");
 

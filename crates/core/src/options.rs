@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use serde::{Deserialize, Serialize};
 
 use polyobs::json::Json;
-use polyverify::{Domain, Property};
+use polyverify::Property;
 use sched::SchedulingPolicy;
 
 use crate::error::CoreError;
@@ -207,17 +207,6 @@ pub struct VerificationOptions {
     /// standard safety properties in every scope (per-thread and product).
     /// Each expression must parse (see [`PropertySpec::parse`]).
     pub properties: Vec<PropertySpec>,
-    /// The state-space domain: [`Domain::Concrete`] explores exact states,
-    /// [`Domain::Interval`] widens property-invisible monotone counters so
-    /// unbounded-counter spaces can close with a genuine proof (see
-    /// `docs/SYMBOLIC.md`).
-    pub domain: Domain,
-    /// Under [`Domain::Interval`], drops every property-invisible counter
-    /// slot from the canonical state key instead of widening it.
-    pub project_counters: bool,
-    /// Widening threshold of the interval domain: counter values above it
-    /// saturate. Must be at least 1.
-    pub widen_threshold: i64,
 }
 
 impl Default for VerificationOptions {
@@ -228,9 +217,6 @@ impl Default for VerificationOptions {
             hyperperiods: 1,
             scope: VerificationScope::PerThread,
             properties: Vec::new(),
-            domain: Domain::Concrete,
-            project_counters: false,
-            widen_threshold: 8,
         }
     }
 }
@@ -255,12 +241,6 @@ impl VerificationOptions {
             return Err(CoreError::InvalidOptions(
                 "verify.hyperperiods must be at least 1 (got 0)".into(),
             ));
-        }
-        if self.widen_threshold < 1 {
-            return Err(CoreError::InvalidOptions(format!(
-                "verify.widen_threshold must be at least 1 (got {})",
-                self.widen_threshold
-            )));
         }
         for spec in &self.properties {
             spec.parse()?;
@@ -352,7 +332,7 @@ fn label(text: &str) -> Json {
 }
 
 /// Every result-relevant option, once. Enum values use the CLI's stable
-/// labels (`edf`, `per-thread`, `interval`, …).
+/// labels (`edf`, `per-thread`, `product`, …).
 pub(crate) const FIELDS: &[Field] = &[
     Field {
         group: "schedule",
@@ -470,33 +450,6 @@ pub(crate) const FIELDS: &[Field] = &[
             Some(())
         },
     },
-    Field {
-        group: "verify",
-        key: "domain",
-        encode: |o| label(o.verify.domain.as_str()),
-        decode: |o, v| {
-            o.verify.domain = Domain::parse(v.as_str()?)?;
-            Some(())
-        },
-    },
-    Field {
-        group: "verify",
-        key: "project_counters",
-        encode: |o| Json::Bool(o.verify.project_counters),
-        decode: |o, v| {
-            o.verify.project_counters = flag(v)?;
-            Some(())
-        },
-    },
-    Field {
-        group: "verify",
-        key: "widen_threshold",
-        encode: |o| Json::Num(o.verify.widen_threshold as f64),
-        decode: |o, v| {
-            o.verify.widen_threshold = i64::try_from(v.as_u64()?).ok()?;
-            Some(())
-        },
-    },
 ];
 
 /// Encodes the options of the named groups as one JSON object with an
@@ -609,9 +562,6 @@ mod tests {
         options.schedule.policy = SchedulingPolicy::RateMonotonic;
         options.simulate.vcd = VcdCapture::Thread("prod".to_string());
         options.verify.scope = VerificationScope::Product;
-        options.verify.domain = Domain::Interval;
-        options.verify.project_counters = true;
-        options.verify.widen_threshold = 12;
         options.verify.properties = vec![PropertySpec::new("never raised(*Alarm*)")];
         let decoded = options_from_json(&options_to_json(&options)).unwrap();
         assert_eq!(decoded, options);

@@ -806,9 +806,6 @@ impl Simulated {
         VerifyOptions::default()
             .with_workers(verify.workers)
             .with_depth_bound(horizon * verify.hyperperiods as usize)
-            .with_domain(verify.domain)
-            .with_project_counters(verify.project_counters)
-            .with_widen_threshold(verify.widen_threshold)
             .with_collector(self.options.collector.clone())
     }
 

@@ -1,5 +1,5 @@
-//! The interval abstraction over delay/cell memories: symbolic closure for
-//! unbounded-counter state spaces.
+//! The cone-of-influence slice over delay/cell memories: symbolic closure
+//! for unbounded-counter state spaces.
 //!
 //! The explicit engine canonicalises a state as the exact memory of every
 //! `delay`/`cell` operator. A monotone counter (`count := count$1 + 1`)
@@ -8,37 +8,19 @@
 //! closes. This module closes it *soundly* for the common case: counters
 //! whose value can never influence anything a property observes.
 //!
-//! # The domain
+//! The engine runs on *representatives*: [`SlotAbstraction::normalize`]
+//! resets every sliced slot to its initial value, and the untouched
+//! [`crate::state::KeyCodec`] then encodes the representative, so a sliced
+//! slot drops out of the state key.
 //!
-//! [`AbstractValue`] is the per-slot domain of the abstract state: a slot
-//! holds either an exact [`Value`], a saturated lower bound `≥ lo`
-//! ([`AbstractValue::AtLeast`]) or a bounded interval `[lo, hi]`
-//! ([`AbstractValue::Range`]). [`AbstractState`] is a vector of abstract
-//! slots plus the scheduler phase, with a canonical byte encoding that
-//! extends the concrete [`crate::state`] encoding with two new tags — so
-//! abstract keys can never collide with concrete ones.
+//! # Which slots may be sliced
 //!
-//! The engine itself runs on *representatives*: [`SlotAbstraction::normalize`]
-//! rewrites a concrete memory into the canonical representative of its
-//! abstract class (saturating widened slots at the threshold, resetting
-//! projected slots to their initial value) and the untouched
-//! [`crate::state::KeyCodec`] then encodes the representative. Two concrete
-//! states merge exactly when they map to the same [`AbstractState`].
+//! [`SlotAbstraction::analyze`] decides, per slot, between two plans:
 //!
-//! # Which slots may be abstracted
-//!
-//! [`SlotAbstraction::analyze`] decides, per slot, between three plans:
-//!
-//! * [`SlotPlan::Concrete`] — the slot stays exact (the default);
-//! * [`SlotPlan::Widen`] — values above the widening threshold saturate
-//!   (`v ≥ W` becomes the representative `W`, i.e. the abstract value
-//!   `≥ W`), applied to slots matching the syntactic monotone-counter
-//!   pattern `t := t$1 init k + c` with a positive integer increment;
+//! * [`SlotPlan::Concrete`] — the slot stays exact;
 //! * [`SlotPlan::Project`] — the slot is dropped from the canonical key
-//!   entirely (reset to its initial value, i.e. the abstract value `⊤`),
-//!   applied to every abstractable slot when projection is requested. The
-//!   concrete domain always requests it: the resulting plan is the
-//!   cone-of-influence slice every default exploration runs on.
+//!   entirely (reset to its initial value), applied to every abstractable
+//!   slot.
 //!
 //! A slot is *abstractable* only when its value provably cannot reach any
 //! observable. The analysis marks every signal an observation depends on,
@@ -62,29 +44,22 @@
 //!
 //! # Soundness
 //!
-//! Under these conditions the abstraction is *exact for observables*: the
-//! value of an abstractable slot flows only into unmarked signals, none of
-//! which any monitor reads or any clock condition consumes, so replacing
-//! the slot value by its representative changes neither the feasibility of
+//! Under these conditions the slice is *exact for observables*: the value
+//! of an abstractable slot flows only into unmarked signals, none of which
+//! any monitor reads or any clock condition consumes, so replacing the
+//! slot value by its representative changes neither the feasibility of
 //! any transition nor the value of any observed signal. Feasibility
 //! includes evaluation errors, which is why [`Property::DeadlockFree`]
 //! needs no exception: integer arithmetic wraps, so division by zero is
 //! the only error a value (rather than a type) can cause, and divisors are
 //! marked; a representative keeps the type of the value it replaces
-//! (projection resets only integer values, widening saturates integers),
-//! so no type error appears or vanishes. Abstract and concrete systems
-//! therefore have identical observable trace sets, and the same executable
-//! instants: a `Proved` on the quotient is a genuine proof, and a violation
-//! is found at the same instant as in the concrete system.
-//!
-//! The interval domain additionally enforces the strengthen-only
-//! discipline dynamically: every abstract counterexample is re-concretized
-//! and must replay in the explicit simulator before being reported, and a
-//! failed replay falls back to the fully concrete exploration (see
-//! `docs/SYMBOLIC.md`).
+//! (projection resets only integer values), so no type error appears or
+//! vanishes. Sliced and unsliced systems therefore have identical
+//! observable trace sets, and the same executable instants: a `Proved` on
+//! the quotient is a genuine proof, and a violation is found at the same
+//! instant as in the unsliced system (see `docs/SYMBOLIC.md`).
 
 use std::collections::{BTreeSet, HashMap};
-use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use signal_moc::expr::{BinOp, Expr};
@@ -92,169 +67,16 @@ use signal_moc::process::{Equation, Process};
 use signal_moc::value::Value;
 
 use crate::property::pattern_matches;
-use crate::state::encode_value;
 use crate::Property;
 
-/// The state-space domain the engine explores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Domain {
-    /// Exact values of every slot an observation can depend on: the
-    /// explicit engine on the cone-of-influence slice.
-    #[default]
-    Concrete,
-    /// Interval abstraction: monotone counter slots widen to `≥ threshold`
-    /// and (with projection enabled) property-invisible counter slots are
-    /// dropped from the canonical key, so unbounded-counter state spaces
-    /// can close with a genuine [`crate::Verdict::Proved`].
-    Interval,
-}
-
-impl Domain {
-    /// Parses the CLI spelling (`concrete` | `interval`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "concrete" => Some(Domain::Concrete),
-            "interval" => Some(Domain::Interval),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Domain::Concrete => "concrete",
-            Domain::Interval => "interval",
-        }
-    }
-}
-
-impl fmt::Display for Domain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One slot of an [`AbstractState`]: an exact value or an integer interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AbstractValue {
-    /// The slot holds exactly this value.
-    Concrete(Value),
-    /// The slot holds an integer `≥ lo` (the widened form of a saturated
-    /// monotone counter; `AtLeast(i64::MIN)` is the domain's `⊤`).
-    AtLeast(i64),
-    /// The slot holds an integer in `[lo, hi]`.
-    Range {
-        /// Inclusive lower bound.
-        lo: i64,
-        /// Inclusive upper bound.
-        hi: i64,
-    },
-}
-
-/// Canonical encoding tag for [`AbstractValue::AtLeast`], disjoint from the
-/// concrete value tags (0–4) of `state::encode_value`.
-const TAG_AT_LEAST: u8 = 5;
-/// Canonical encoding tag for [`AbstractValue::Range`].
-const TAG_RANGE: u8 = 6;
-
-impl AbstractValue {
-    /// Does the abstract slot contain this concrete value?
-    pub fn contains(&self, value: &Value) -> bool {
-        match self {
-            AbstractValue::Concrete(v) => v == value,
-            AbstractValue::AtLeast(lo) => matches!(value, Value::Int(i) if i >= lo),
-            AbstractValue::Range { lo, hi } => {
-                matches!(value, Value::Int(i) if i >= lo && i <= hi)
-            }
-        }
-    }
-
-    /// The least abstract slot covering both operands (integer slots join
-    /// into intervals; incompatible values widen to `⊤`).
-    pub fn join(&self, other: &AbstractValue) -> AbstractValue {
-        fn bounds(v: &AbstractValue) -> Option<(i64, Option<i64>)> {
-            match v {
-                AbstractValue::Concrete(Value::Int(i)) => Some((*i, Some(*i))),
-                AbstractValue::AtLeast(lo) => Some((*lo, None)),
-                AbstractValue::Range { lo, hi } => Some((*lo, Some(*hi))),
-                AbstractValue::Concrete(_) => None,
-            }
-        }
-        if self == other {
-            return self.clone();
-        }
-        match (bounds(self), bounds(other)) {
-            (Some((alo, ahi)), Some((blo, bhi))) => {
-                let lo = alo.min(blo);
-                match (ahi, bhi) {
-                    (Some(a), Some(b)) => AbstractValue::Range { lo, hi: a.max(b) },
-                    _ => AbstractValue::AtLeast(lo),
-                }
-            }
-            // Joining non-integer values loses everything we can express.
-            _ => AbstractValue::AtLeast(i64::MIN),
-        }
-    }
-
-    /// Appends the canonical byte encoding: concrete values use the exact
-    /// `state` encoding (tags 0–4), intervals the disjoint tags 5–6.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            AbstractValue::Concrete(v) => encode_value(v, out),
-            AbstractValue::AtLeast(lo) => {
-                out.push(TAG_AT_LEAST);
-                out.extend_from_slice(&lo.to_le_bytes());
-            }
-            AbstractValue::Range { lo, hi } => {
-                out.push(TAG_RANGE);
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
-            }
-        }
-    }
-}
-
-/// An abstract execution state: one [`AbstractValue`] per memory slot plus
-/// the scheduler phase. This is the denotation the engine's representative
-/// states stand for; [`SlotAbstraction::abstract_state`] maps a concrete
-/// memory into it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AbstractState {
-    /// Per-slot abstract values, in evaluator memory order.
-    pub slots: Vec<AbstractValue>,
-    /// Scheduler phase (same role as [`crate::State::phase`]).
-    pub phase: u32,
-}
-
-impl AbstractState {
-    /// Canonical byte key of the abstract state (slot encodings in order,
-    /// then the phase) — the abstract counterpart of
-    /// [`crate::State::key`].
-    pub fn key(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.slots.len() * 9 + 4);
-        for slot in &self.slots {
-            slot.encode(&mut out);
-        }
-        out.extend_from_slice(&self.phase.to_le_bytes());
-        out
-    }
-}
-
-/// The per-slot abstraction decision of one analyzed process.
+/// The per-slot decision of one analyzed process.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SlotPlan {
-    /// Keep the exact value (the default, and the only sound choice for
-    /// slots whose value can reach an observable).
+    /// Keep the exact value (the only sound choice for slots whose value
+    /// can reach an observable).
     Concrete,
-    /// Saturate values above `threshold`: the representative of every
-    /// concrete value `v ≥ threshold` is `threshold` itself, denoting the
-    /// abstract slot `≥ threshold`.
-    Widen {
-        /// Saturation point of the monotone counter.
-        threshold: i64,
-    },
-    /// Drop the slot from the canonical key: every value maps to the
-    /// initial value, denoting the abstract slot `⊤`.
+    /// Drop the slot from the canonical key: every integer value maps to
+    /// the initial value.
     Project,
 }
 
@@ -339,10 +161,6 @@ struct SlotSite {
     /// The operator's own result is consumed in a presence-determining or
     /// divisor position.
     forbidden: bool,
-    /// The containing equation is exactly the monotone-counter pattern
-    /// `target := target$1 init k + c` with integer `c ≥ 1`, and this slot
-    /// is its delay.
-    monotone: bool,
 }
 
 /// The equation graph of one process over dense signal ids, gathered in
@@ -379,15 +197,7 @@ impl<'p> EquationGraph<'p> {
         let target_id = self.id(target);
         self.definitions[target_id] += 1;
         self.observed[target_id] |= partial;
-        let first_slot = self.slots.len();
         self.walk(expr, target_id, false);
-        if !partial && monotone_counter(expr, target) {
-            // The pattern allocates exactly one slot.
-            debug_assert_eq!(self.slots.len(), first_slot + 1);
-            if let Some(site) = self.slots.get_mut(first_slot) {
-                site.monotone = true;
-            }
-        }
     }
 
     /// Walks `expr` in the evaluator's slot-allocation order (`delay`/`cell`
@@ -436,29 +246,14 @@ impl<'p> EquationGraph<'p> {
             target,
             init: init.clone(),
             forbidden,
-            monotone: false,
         });
     }
 }
 
-/// Does `expr` match `Var(target)$1 init Int + Const(Int c)` with `c ≥ 1`
-/// (either operand order)? The shape guarantees the equation allocates
-/// exactly one slot — the counter's delay.
-fn monotone_counter(expr: &Expr, target: &str) -> bool {
-    let Expr::Binary(BinOp::Add, a, b) = expr else {
-        return false;
-    };
-    let is_counter_delay = |e: &Expr| {
-        matches!(e, Expr::Delay(operand, Value::Int(_))
-            if matches!(operand.as_ref(), Expr::Var(name) if name == target))
-    };
-    let is_positive_step = |e: &Expr| matches!(e, Expr::Const(Value::Int(c)) if *c >= 1);
-    (is_counter_delay(a) && is_positive_step(b)) || (is_positive_step(a) && is_counter_delay(b))
-}
-
 impl SlotAbstraction {
-    /// Analyzes `process` and plans the abstraction of each memory slot, in
-    /// time linear in the size of its equations.
+    /// Analyzes `process` and plans the slice of each memory slot, in time
+    /// linear in the size of its equations: every abstractable slot is
+    /// planned [`SlotPlan::Project`].
     ///
     /// * `properties` — the properties that will be checked; their atoms
     ///   define the observable read set.
@@ -467,9 +262,6 @@ impl SlotAbstraction {
     ///   inside a product).
     /// * `extra_reads` — additional observable signal names in the
     ///   *process* namespace (port-link endpoints of a product component).
-    /// * `project` — plan [`SlotPlan::Project`] for every abstractable
-    ///   slot instead of widening only the monotone ones.
-    /// * `widen_threshold` — the saturation point for widened slots.
     /// * `expected_slots` — the evaluator's `memory_len()`; if the mirror
     ///   walk disagrees, the analysis degrades to the identity (all
     ///   concrete) rather than guessing at slot positions.
@@ -478,8 +270,6 @@ impl SlotAbstraction {
         properties: &[Property],
         prefix: &str,
         extra_reads: &[String],
-        project: bool,
-        widen_threshold: i64,
         expected_slots: usize,
     ) -> Self {
         // Mirror of the evaluator's allocation walk over the equations.
@@ -528,14 +318,8 @@ impl SlotAbstraction {
                     || graph.observed[site.target]
                 {
                     SlotPlan::Concrete
-                } else if project {
-                    SlotPlan::Project
-                } else if site.monotone {
-                    SlotPlan::Widen {
-                        threshold: widen_threshold,
-                    }
                 } else {
-                    SlotPlan::Concrete
+                    SlotPlan::Project
                 }
             })
             .collect();
@@ -580,8 +364,8 @@ impl SlotAbstraction {
         }
     }
 
-    /// `true` when no slot is abstracted — the abstract run would explore
-    /// exactly the concrete space, so callers skip it.
+    /// `true` when no slot is sliced — the sliced run would explore exactly
+    /// the unsliced space, so callers skip the normalisation.
     pub fn is_identity(&self) -> bool {
         self.plans.iter().all(|p| *p == SlotPlan::Concrete)
     }
@@ -589,14 +373,6 @@ impl SlotAbstraction {
     /// The per-slot plans, in evaluator memory order.
     pub fn plans(&self) -> &[SlotPlan] {
         &self.plans
-    }
-
-    /// Number of slots planned for widening.
-    pub fn widened_slots(&self) -> usize {
-        self.plans
-            .iter()
-            .filter(|p| matches!(p, SlotPlan::Widen { .. }))
-            .count()
     }
 
     /// Number of slots dropped from the canonical key by projection.
@@ -617,46 +393,17 @@ impl SlotAbstraction {
             .collect()
     }
 
-    /// Rewrites `memory` into the canonical representative of its abstract
-    /// equivalence class, returning how many slots saturated at their
-    /// widening threshold (the engine's `widened` counter; projection
-    /// resets are not counted). Projected slots holding an integer reset
-    /// to their initial value; a slot holding a value of another type keeps
-    /// it, so a representative never changes the type of what it replaces.
-    pub fn normalize(&self, memory: &mut [Value]) -> usize {
+    /// Rewrites `memory` into the canonical representative of its sliced
+    /// equivalence class: projected slots holding an integer reset to their
+    /// initial value; a slot holding a value of another type keeps it, so a
+    /// representative never changes the type of what it replaces.
+    pub fn normalize(&self, memory: &mut [Value]) {
         debug_assert_eq!(memory.len(), self.plans.len());
-        let mut widened = 0;
         for ((plan, slot), init) in self.plans.iter().zip(memory.iter_mut()).zip(&self.inits) {
-            match (plan, &*slot) {
-                (SlotPlan::Widen { threshold }, Value::Int(v)) if v > threshold => {
-                    *slot = Value::Int(*threshold);
-                    widened += 1;
-                }
-                (SlotPlan::Project, Value::Int(_)) => *slot = init.clone(),
-                _ => {}
+            if *plan == SlotPlan::Project && matches!(slot, Value::Int(_)) {
+                *slot = init.clone();
             }
         }
-        widened
-    }
-
-    /// The abstract state denoted by a (representative) concrete memory.
-    pub fn abstract_state(&self, memory: &[Value], phase: u32) -> AbstractState {
-        let slots = memory
-            .iter()
-            .zip(&self.plans)
-            .map(|(value, plan)| match plan {
-                SlotPlan::Concrete => AbstractValue::Concrete(value.clone()),
-                SlotPlan::Widen { threshold } => match value {
-                    Value::Int(v) if *v >= *threshold => AbstractValue::AtLeast(*threshold),
-                    other => AbstractValue::Concrete(other.clone()),
-                },
-                SlotPlan::Project => match value {
-                    Value::Int(_) => AbstractValue::AtLeast(i64::MIN),
-                    other => AbstractValue::Concrete(other.clone()),
-                },
-            })
-            .collect();
-        AbstractState { slots, phase }
     }
 }
 
@@ -686,46 +433,18 @@ mod tests {
         b.build().expect("valid process")
     }
 
-    fn analyze(process: &Process, properties: &[Property], project: bool) -> SlotAbstraction {
+    fn analyze(process: &Process, properties: &[Property]) -> SlotAbstraction {
         let evaluator = Evaluator::new(process).expect("evaluates");
-        SlotAbstraction::analyze(
-            process,
-            properties,
-            "",
-            &[],
-            project,
-            8,
-            evaluator.memory_len(),
-        )
-    }
-
-    #[test]
-    fn isolated_monotone_counter_widens() {
-        let process = counter_process();
-        let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())], false);
-        assert_eq!(abs.plans(), &[SlotPlan::Widen { threshold: 8 }]);
-        assert_eq!(abs.widened_slots(), 1);
-        assert_eq!(abs.projected_slots(), 0);
-        assert_eq!(abs.abstracted_targets(), vec!["count"]);
-
-        let mut memory = vec![Value::Int(12)];
-        assert_eq!(abs.normalize(&mut memory), 1);
-        assert_eq!(memory, vec![Value::Int(8)]);
-        // Already saturated: canonical, nothing to widen.
-        assert_eq!(abs.normalize(&mut memory), 0);
-        let mut below = vec![Value::Int(3)];
-        assert_eq!(abs.normalize(&mut below), 0);
-        assert_eq!(below, vec![Value::Int(3)]);
+        SlotAbstraction::analyze(process, properties, "", &[], evaluator.memory_len())
     }
 
     #[test]
     fn projection_resets_isolated_slots_to_init() {
         let process = counter_process();
-        let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())], true);
+        let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())]);
         assert_eq!(abs.plans(), &[SlotPlan::Project]);
         let mut memory = vec![Value::Int(41)];
-        // A projection reset is not a widening.
-        assert_eq!(abs.normalize(&mut memory), 0);
+        abs.normalize(&mut memory);
         assert_eq!(memory, vec![Value::Int(0)]);
         // A value of another type is kept: the representative never
         // changes the type flowing downstream.
@@ -743,14 +462,13 @@ mod tests {
             Property::parse_ltl("never raised(cou*)").unwrap(),
             Property::parse_ltl("never raised(*ount*)").unwrap(),
         ] {
-            let abs = analyze(&process, std::slice::from_ref(&property), true);
+            let abs = analyze(&process, std::slice::from_ref(&property));
             assert!(abs.is_identity(), "{property:?} must pin the slot");
         }
         // A glob that does not cover the counter leaves it abstractable.
         let abs = analyze(
             &process,
             &[Property::parse_ltl("never raised(*Alarm*)").unwrap()],
-            false,
         );
         assert!(!abs.is_identity());
     }
@@ -794,13 +512,13 @@ mod tests {
         // Unobservable: integer arithmetic wraps, so the counter's value
         // cannot make an instant fail — it is sliced under deadlock
         // freedom too.
-        let abs = analyze(&counter_feeding("plain"), &properties, true);
+        let abs = analyze(&counter_feeding("plain"), &properties);
         assert_eq!(abs.plans(), &[SlotPlan::Project]);
         assert_eq!(abs.abstracted_targets(), vec!["count"]);
         // Feeding a `when` decides presence; feeding a divisor decides
         // whether evaluation fails. Both keep the counter concrete.
         for role in ["when", "divisor"] {
-            let abs = analyze(&counter_feeding(role), &properties, true);
+            let abs = analyze(&counter_feeding(role), &properties);
             assert!(abs.is_identity(), "a counter feeding a {role} must stay");
         }
     }
@@ -825,7 +543,7 @@ mod tests {
         b.define("out", Expr::when(Expr::var("tick"), Expr::var("gate")));
         b.synchronize(&["tick", "count", "gate"]);
         let process = b.build().expect("valid process");
-        let abs = analyze(&process, &[Property::NeverRaised("*never*".into())], true);
+        let abs = analyze(&process, &[Property::NeverRaised("*never*".into())]);
         assert!(abs.is_identity(), "count flows into a when-condition");
     }
 
@@ -844,14 +562,10 @@ mod tests {
         b.define("shadow", Expr::add(Expr::var("count"), Expr::int(0)));
         b.synchronize(&["tick", "count", "shadow"]);
         let process = b.build().expect("valid process");
-        let abs = analyze(
-            &process,
-            &[Property::parse_ltl("never shadow").unwrap()],
-            true,
-        );
+        let abs = analyze(&process, &[Property::parse_ltl("never shadow").unwrap()]);
         assert!(abs.is_identity());
         // With an unrelated property both slots abstract away.
-        let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())], true);
+        let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())]);
         assert_eq!(abs.projected_slots(), 1);
     }
 
@@ -863,8 +577,6 @@ mod tests {
             &[Property::NeverRaised("*Alarm*".into())],
             "",
             &[],
-            false,
-            8,
             7, // wrong width
         );
         assert!(abs.is_identity());
@@ -881,8 +593,6 @@ mod tests {
             &[Property::parse_ltl("never th_count").unwrap()],
             "th_",
             &[],
-            true,
-            8,
             evaluator.memory_len(),
         );
         assert!(reads_counter.is_identity());
@@ -891,61 +601,8 @@ mod tests {
             &[Property::NeverRaised("*Alarm*".into())],
             "th_",
             &["count".to_string()],
-            true,
-            8,
             evaluator.memory_len(),
         );
         assert!(link_touches_counter.is_identity());
-    }
-
-    #[test]
-    fn abstract_values_encode_canonically_and_join() {
-        let mut concrete = Vec::new();
-        AbstractValue::Concrete(Value::Int(8)).encode(&mut concrete);
-        let mut widened = Vec::new();
-        AbstractValue::AtLeast(8).encode(&mut widened);
-        assert_ne!(concrete, widened, "tags keep exact and widened apart");
-        let mut range = Vec::new();
-        AbstractValue::Range { lo: 1, hi: 8 }.encode(&mut range);
-        assert_ne!(widened, range);
-
-        assert!(AbstractValue::AtLeast(8).contains(&Value::Int(100)));
-        assert!(!AbstractValue::AtLeast(8).contains(&Value::Int(7)));
-        assert!(AbstractValue::Range { lo: 1, hi: 3 }.contains(&Value::Int(2)));
-        assert_eq!(
-            AbstractValue::Concrete(Value::Int(2)).join(&AbstractValue::Concrete(Value::Int(5))),
-            AbstractValue::Range { lo: 2, hi: 5 }
-        );
-        assert_eq!(
-            AbstractValue::Range { lo: 0, hi: 4 }.join(&AbstractValue::AtLeast(2)),
-            AbstractValue::AtLeast(0)
-        );
-        assert_eq!(
-            AbstractValue::Concrete(Value::Bool(true)).join(&AbstractValue::AtLeast(0)),
-            AbstractValue::AtLeast(i64::MIN)
-        );
-    }
-
-    #[test]
-    fn abstract_state_keys_separate_phases_and_slots() {
-        let process = counter_process();
-        let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())], false);
-        let a = abs.abstract_state(&[Value::Int(8)], 0);
-        let b = abs.abstract_state(&[Value::Int(11)], 0);
-        assert_eq!(a, b, "saturated counters denote the same abstract state");
-        assert_eq!(a.key(), b.key());
-        let c = abs.abstract_state(&[Value::Int(3)], 0);
-        assert_ne!(a.key(), c.key());
-        let d = abs.abstract_state(&[Value::Int(3)], 1);
-        assert_ne!(c.key(), d.key());
-    }
-
-    #[test]
-    fn domain_parses_its_cli_spellings() {
-        assert_eq!(Domain::parse("concrete"), Some(Domain::Concrete));
-        assert_eq!(Domain::parse("interval"), Some(Domain::Interval));
-        assert_eq!(Domain::parse("symbolic"), None);
-        assert_eq!(Domain::Interval.to_string(), "interval");
-        assert_eq!(Domain::default(), Domain::Concrete);
     }
 }

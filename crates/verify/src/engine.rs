@@ -136,7 +136,6 @@ pub(crate) struct Sink<'a> {
     infeasible: usize,
     pruned: usize,
     monitor_steps: usize,
-    widened: usize,
     fatal: Option<(u32, VerifyError)>,
 }
 
@@ -153,7 +152,6 @@ impl<'a> Sink<'a> {
             infeasible: 0,
             pruned: 0,
             monitor_steps: 0,
-            widened: 0,
             fatal: None,
         }
     }
@@ -216,12 +214,6 @@ impl<'a> Sink<'a> {
         self.monitor_steps += 1;
     }
 
-    /// Counts memory slots rewritten to their abstract representative
-    /// (saturated or reset) while canonicalising one successor.
-    pub fn widened(&mut self, n: usize) {
-        self.widened += n;
-    }
-
     /// Records a fatal error for the current state, keeping the error of
     /// the smallest erroring state (by key bytes) so the reported error
     /// does not depend on scheduling.
@@ -269,7 +261,6 @@ pub(crate) fn explore<E: Expander>(
     let mut infeasible = 0usize;
     let mut pruned = 0usize;
     let mut monitor_steps = 0usize;
-    let mut widened = 0usize;
     let mut peak_frontier = 0usize;
     let mut frontier_levels: Vec<u32> = Vec::new();
     let mut truncated = pre_truncated;
@@ -288,7 +279,6 @@ pub(crate) fn explore<E: Expander>(
     let c_infeasible = obs.counter("engine.infeasible");
     let c_pruned = obs.counter("engine.pruned");
     let c_monitor_steps = obs.counter("engine.monitor_steps");
-    let c_widened = obs.counter("engine.widened");
     let c_levels = obs.counter("engine.levels");
     let c_steals = obs.counter("engine.steals");
     let g_frontier = obs.gauge("engine.frontier");
@@ -401,13 +391,11 @@ pub(crate) fn explore<E: Expander>(
         let mut level_infeasible = 0usize;
         let mut level_pruned = 0usize;
         let mut level_monitor_steps = 0usize;
-        let mut level_widened = 0usize;
         for sink in sinks {
             level_transitions += sink.transitions;
             level_infeasible += sink.infeasible;
             level_pruned += sink.pruned;
             level_monitor_steps += sink.monitor_steps;
-            level_widened += sink.widened;
             next.extend(sink.next);
             ties.extend(sink.ties);
             violations.extend(sink.violations);
@@ -431,7 +419,6 @@ pub(crate) fn explore<E: Expander>(
         infeasible += level_infeasible;
         pruned += level_pruned;
         monitor_steps += level_monitor_steps;
-        widened += level_widened;
 
         // Flush this level's deltas to the collector — once per barrier, so
         // the amortised hot-loop cost stays at ~one relaxed atomic per
@@ -443,7 +430,6 @@ pub(crate) fn explore<E: Expander>(
             c_infeasible.add(level_infeasible as u64);
             c_pruned.add(level_pruned as u64);
             c_monitor_steps.add(level_monitor_steps as u64);
-            c_widened.add(level_widened as u64);
             c_levels.add(1);
             g_depth.set(depth as u64 + 1);
             g_frontier.set(next.len() as u64);
@@ -573,9 +559,7 @@ pub(crate) fn explore<E: Expander>(
         frontier_levels,
         memo_hits: 0,
         memo_misses: 0,
-        widened,
         projected_slots: 0,
-        reconcretized: 0,
     };
     // A pre-truncated search whose frontier emptied saw every state of its
     // partial model, so its bounded claim holds up to the depth bound it was

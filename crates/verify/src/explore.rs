@@ -16,7 +16,7 @@ use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::{Value, ValueType};
 
 use crate::counterexample::Counterexample;
-use crate::domain::{Domain, SlotAbstraction};
+use crate::domain::SlotAbstraction;
 use crate::engine::{self, Expander, Sink};
 use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
@@ -59,25 +59,6 @@ pub struct VerifyOptions {
     /// [`ExplorationStats`] — pinned by the determinism proptests in
     /// `tests/obs_determinism.rs`.
     pub collector: polyobs::Collector,
-    /// The state-space domain: [`Domain::Concrete`] explores the exact
-    /// value of every slot an observation can depend on (the
-    /// cone-of-influence slice drops the others, see [`crate::domain`]);
-    /// [`Domain::Interval`] widens isolated monotone counters at
-    /// [`VerifyOptions::widen_threshold`] so unbounded-counter spaces can
-    /// close with a genuine proof (see [`crate::domain`] and
-    /// `docs/SYMBOLIC.md`). Abstract counterexamples are re-concretized and
-    /// must replay before being reported; a failed replay falls back to the
-    /// concrete exploration, so verdicts can only strengthen.
-    pub domain: Domain,
-    /// Under [`Domain::Interval`], additionally drop every abstractable
-    /// counter slot from the canonical key entirely (the `⊤` projection)
-    /// instead of only widening the monotone ones. No effect in the
-    /// concrete domain, whose slice always projects them.
-    pub project_counters: bool,
-    /// Saturation point of widened counter slots under
-    /// [`Domain::Interval`]: values above it collapse to the abstract
-    /// `≥ threshold`.
-    pub widen_threshold: i64,
 }
 
 impl Default for VerifyOptions {
@@ -92,9 +73,6 @@ impl Default for VerifyOptions {
             shards: 16,
             oracle: None,
             collector: polyobs::Collector::noop(),
-            domain: Domain::Concrete,
-            project_counters: false,
-            widen_threshold: 8,
         }
     }
 }
@@ -143,27 +121,6 @@ impl VerifyOptions {
     /// it never changes verdicts, counterexamples or stats.
     pub fn with_collector(mut self, collector: polyobs::Collector) -> Self {
         self.collector = collector;
-        self
-    }
-
-    /// Selects the exploration domain (see [`VerifyOptions::domain`]).
-    pub fn with_domain(mut self, domain: Domain) -> Self {
-        self.domain = domain;
-        self
-    }
-
-    /// Enables or disables counter projection under the interval domain
-    /// (see [`VerifyOptions::project_counters`]).
-    pub fn with_project_counters(mut self, project: bool) -> Self {
-        self.project_counters = project;
-        self
-    }
-
-    /// Sets the widening threshold of the interval domain (clamped to at
-    /// least 1 so a saturated counter stays distinguishable from its
-    /// initial value in the common `init 0` case).
-    pub fn with_widen_threshold(mut self, threshold: i64) -> Self {
-        self.widen_threshold = threshold.max(1);
         self
     }
 }
@@ -288,20 +245,10 @@ pub struct ExplorationStats {
     /// [`ExplorationStats::transitions`] for a product exploration, 0 for
     /// a single-process one.
     pub memo_misses: usize,
-    /// Memory slots saturated at the widening threshold while
-    /// canonicalising successors — always 0 in the concrete domain, and
-    /// projection resets are not counted. The expansion multiset is
-    /// worker-independent, so this count is deterministic like every other
-    /// field.
-    pub widened: usize,
-    /// Number of memory slots dropped from the canonical key: the
-    /// cone-of-influence slice in the concrete domain, counter projection
-    /// under the interval domain (a static property of the analyzed model
-    /// and options, not a per-transition count).
+    /// Number of memory slots the cone-of-influence slice dropped from the
+    /// canonical key (a static property of the analyzed model and
+    /// properties, not a per-transition count).
     pub projected_slots: usize,
-    /// Number of abstract counterexamples re-concretized and replayed in
-    /// the explicit simulator by the interval domain's soundness gate.
-    pub reconcretized: usize,
 }
 
 /// Everything one [`Verifier::verify`] call learned.
@@ -354,12 +301,6 @@ impl VerificationOutcome {
                 "  slice: {} slot(s) no property or control decision reads, \
                  dropped from the state key\n",
                 self.stats.projected_slots
-            ));
-        }
-        if self.stats.widened > 0 || self.stats.reconcretized > 0 {
-            out.push_str(&format!(
-                "  interval domain: {} widenings, {} counterexample(s) re-concretized\n",
-                self.stats.widened, self.stats.reconcretized
             ));
         }
         for v in &self.verdicts {
@@ -625,13 +566,13 @@ impl Verifier {
     /// are resolved by a canonical edge ordering, and each level's
     /// violations are tie-broken the same way).
     ///
-    /// In the concrete domain the search runs on the cone-of-influence
-    /// slice of the process: every memory slot whose value no property,
-    /// port link, presence decision, divisor or partial definition can
-    /// observe is dropped from the state key (see [`crate::domain`]). The
-    /// slice is exact for observables, so verdicts can only strengthen a
-    /// `PassedBounded` of [`Verifier::verify_reference`] into `Proved`, and
-    /// a violation is found at the same instant.
+    /// The search runs on the cone-of-influence slice of the process: every
+    /// memory slot whose value no property, port link, presence decision,
+    /// divisor or partial definition can observe is dropped from the state
+    /// key (see [`crate::domain`]). The slice is exact for observables, so
+    /// verdicts can only strengthen a `PassedBounded` of
+    /// [`Verifier::verify_reference`] into `Proved`, and a violation is
+    /// found at the same instant.
     ///
     /// # Errors
     ///
@@ -652,31 +593,20 @@ impl Verifier {
             properties,
             "",
             &[],
-            self.options.domain == Domain::Concrete || self.options.project_counters,
-            self.options.widen_threshold,
             self.evaluator.memory_len(),
         );
         if abstraction.is_identity() {
             return self.verify_explicit(space, properties, None);
         }
         let outcome = self.verify_explicit(space, properties, Some(&abstraction))?;
-        match self.options.domain {
-            Domain::Concrete => Ok(annotate(
-                outcome,
-                &abstraction,
-                None,
-                &self.options.collector,
-            )),
-            Domain::Interval => self.reconcile(space, properties, outcome, &abstraction),
-        }
+        Ok(annotate(outcome, &abstraction, &self.options.collector))
     }
 
-    /// The unsliced exploration: every memory slot stays in the state key,
-    /// whatever the domain. Its verdicts are the reference
-    /// [`Verifier::verify`] must agree with, up to strengthening a
-    /// `PassedBounded` into `Proved`; it exists for differential oracles
-    /// (like [`Evaluator::step_reference`]) and is not meant for production
-    /// runs.
+    /// The unsliced exploration: every memory slot stays in the state key.
+    /// Its verdicts are the reference [`Verifier::verify`] must agree with,
+    /// up to strengthening a `PassedBounded` into `Proved`; it exists for
+    /// differential oracles (like [`Evaluator::step_reference`]) and is not
+    /// meant for production runs.
     ///
     /// # Errors
     ///
@@ -692,37 +622,8 @@ impl Verifier {
         self.verify_explicit(space, properties, None)
     }
 
-    /// The strengthen-only gate of the interval domain: every abstract
-    /// counterexample is re-concretized (its inputs are exact — abstraction
-    /// only touches memory slots) and replayed in the explicit simulator.
-    /// If all replays reproduce, the abstract outcome stands (annotated
-    /// with the gate's counter); any spurious or erroring replay abandons
-    /// the abstraction and re-runs the fully concrete exploration, so no
-    /// verdict can get worse than the explicit engine's.
-    fn reconcile(
-        &self,
-        space: &InputSpace,
-        properties: &[Property],
-        outcome: VerificationOutcome,
-        abstraction: &SlotAbstraction,
-    ) -> Result<VerificationOutcome, VerifyError> {
-        let mut reconcretized = 0usize;
-        for (_, cex) in outcome.violations() {
-            reconcretized += 1;
-            if !matches!(cex.replay(self.process()), Ok(report) if report.reproduced) {
-                return self.verify_explicit(space, properties, None);
-            }
-        }
-        Ok(annotate(
-            outcome,
-            abstraction,
-            Some(reconcretized),
-            &self.options.collector,
-        ))
-    }
-
-    /// One exploration pass: concrete when `abstraction` is `None`,
-    /// abstract (normalising every state to its representative) otherwise.
+    /// One exploration pass: unsliced when `abstraction` is `None`, sliced
+    /// (normalising every state to its representative) otherwise.
     fn verify_explicit(
         &self,
         space: &InputSpace,
@@ -784,26 +685,17 @@ impl Verifier {
 }
 
 /// Annotates an outcome explored under `abstraction` with its projected
-/// slot count and, for the interval domain's replay gate, the number of
-/// counterexamples re-concretized — in the stats and on the
-/// `engine.projected_slots` / `engine.reconcretized` counters.
+/// slot count, in the stats and on the `engine.projected_slots` counter.
 pub(crate) fn annotate(
     mut outcome: VerificationOutcome,
     abstraction: &SlotAbstraction,
-    reconcretized: Option<usize>,
     collector: &polyobs::Collector,
 ) -> VerificationOutcome {
     outcome.stats.projected_slots = abstraction.projected_slots();
-    outcome.stats.reconcretized = reconcretized.unwrap_or(0);
     if collector.is_enabled() {
         collector
             .counter("engine.projected_slots")
             .add(outcome.stats.projected_slots as u64);
-        if let Some(reconcretized) = reconcretized {
-            collector
-                .counter("engine.reconcretized")
-                .add(reconcretized as u64);
-        }
     }
     outcome
 }
@@ -820,7 +712,7 @@ struct ThreadExpander<'a> {
     deadlock_idx: Option<usize>,
     monitor_count: usize,
     oracle: Option<&'a DispatchFeasibility>,
-    /// Interval-domain slot plans; `None` explores the concrete domain.
+    /// Slice slot plans; `None` explores the unsliced space.
     abstraction: Option<&'a SlotAbstraction>,
 }
 
@@ -892,13 +784,10 @@ impl ThreadExpander<'_> {
                 // levels instead.
                 ctx.evaluator.memory_into(&mut ctx.memory);
                 if let Some(abstraction) = self.abstraction {
-                    // Canonicalise to the abstract representative before
-                    // interning: saturated counters collapse into one state
-                    // and the fixpoint can close.
-                    let widened = abstraction.normalize(&mut ctx.memory);
-                    if widened > 0 {
-                        sink.widened(widened);
-                    }
+                    // Canonicalise to the sliced representative before
+                    // interning: states differing only in sliced counters
+                    // collapse into one and the fixpoint can close.
+                    abstraction.normalize(&mut ctx.memory);
                 }
                 let (hash, bytes) =
                     ctx.codec
@@ -1307,7 +1196,7 @@ mod tests {
     }
 
     #[test]
-    fn interval_domain_closes_the_unbounded_counter_with_a_proof() {
+    fn slice_closes_the_unbounded_counter_with_a_proof() {
         let process = unbounded_counter();
         let property = [Property::NeverRaised("*Alarm*".into())];
         // Unsliced: the space never closes; a bounded run passes.
@@ -1319,141 +1208,68 @@ mod tests {
             reference.verdicts[0].verdict,
             Verdict::PassedBounded { .. }
         ));
-        // Concrete domain: no property reads the counter, so the slice
-        // drops it and the single remaining state closes with a proof.
-        let concrete = Verifier::new(&process, VerifyOptions::default().with_depth_bound(24))
+        // No property reads the counter, so the slice drops it and the
+        // single remaining state closes with a proof.
+        let sliced = Verifier::new(&process, VerifyOptions::default().with_depth_bound(24))
             .unwrap()
             .verify(&InputSpace::Free, &property)
             .unwrap();
-        assert!(concrete.all_proved(), "{}", concrete.summary());
-        assert_eq!(concrete.stats.states, 1);
-        assert_eq!(concrete.stats.projected_slots, 1);
-        assert_eq!(concrete.stats.widened, 0);
-        assert!(concrete.summary().contains("slice: 1 slot(s)"));
-        assert!(!concrete.summary().contains("interval domain:"));
-        // Interval domain: the counter widens at the threshold, the
-        // fixpoint closes, and the verdict is a genuine proof.
-        let interval = Verifier::new(
-            &process,
-            VerifyOptions::default().with_domain(Domain::Interval),
-        )
-        .unwrap()
-        .verify(&InputSpace::Free, &property)
-        .unwrap();
-        assert!(interval.all_proved(), "{}", interval.summary());
-        assert!(!interval.stats.truncated);
-        assert!(interval.stats.widened > 0, "{:?}", interval.stats);
-        assert_eq!(interval.stats.reconcretized, 0);
-        assert!(interval.summary().contains("interval domain:"));
+        assert!(sliced.all_proved(), "{}", sliced.summary());
+        assert!(!sliced.stats.truncated);
+        assert_eq!(sliced.stats.states, 1);
+        assert_eq!(sliced.stats.projected_slots, 1);
+        assert!(sliced.summary().contains("slice: 1 slot(s)"));
         // Bit-identical across worker counts.
         for workers in [1usize, 2, 8] {
             let again = Verifier::new(
                 &process,
                 VerifyOptions::default()
-                    .with_domain(Domain::Interval)
+                    .with_depth_bound(24)
                     .with_workers(workers),
             )
             .unwrap()
             .verify(&InputSpace::Free, &property)
             .unwrap();
-            assert_eq!(interval.verdicts, again.verdicts);
-            assert_eq!(interval.stats, again.stats, "workers={workers}");
+            assert_eq!(sliced.verdicts, again.verdicts);
+            assert_eq!(sliced.stats, again.stats, "workers={workers}");
         }
     }
 
     #[test]
-    fn projection_drops_the_counter_entirely() {
-        let process = unbounded_counter();
-        let property = [Property::NeverRaised("*Alarm*".into())];
-        let widened = Verifier::new(
-            &process,
-            VerifyOptions::default().with_domain(Domain::Interval),
-        )
-        .unwrap()
-        .verify(&InputSpace::Free, &property)
-        .unwrap();
-        let projected = Verifier::new(
-            &process,
-            VerifyOptions::default()
-                .with_domain(Domain::Interval)
-                .with_project_counters(true),
-        )
-        .unwrap()
-        .verify(&InputSpace::Free, &property)
-        .unwrap();
-        assert!(projected.all_proved(), "{}", projected.summary());
-        assert_eq!(projected.stats.projected_slots, 1);
-        assert!(
-            projected.stats.states < widened.stats.states,
-            "projection ({}) must merge harder than widening ({})",
-            projected.stats.states,
-            widened.stats.states
-        );
-    }
-
-    #[test]
-    fn interval_domain_closes_scheduled_unbounded_counters() {
+    fn slice_closes_scheduled_unbounded_counters() {
         let process = unbounded_counter();
         let mut trace = Trace::new();
         for t in 0..3usize {
             trace.set(t, "tick", Value::Event);
         }
-        let outcome = Verifier::new(
-            &process,
-            VerifyOptions::default().with_domain(Domain::Interval),
-        )
-        .unwrap()
-        .verify(
-            &InputSpace::Scheduled(trace),
-            &[Property::NeverRaised("*Alarm*".into())],
-        )
-        .unwrap();
+        let outcome = Verifier::new(&process, VerifyOptions::default())
+            .unwrap()
+            .verify(
+                &InputSpace::Scheduled(trace),
+                &[Property::NeverRaised("*Alarm*".into())],
+            )
+            .unwrap();
         assert!(outcome.all_proved(), "{}", outcome.summary());
         assert!(!outcome.stats.truncated);
     }
 
     #[test]
-    fn interval_domain_still_finds_and_replays_real_violations() {
-        // The watcher's alarm is reachable; the interval domain must report
-        // it with the same minimal counterexample after the replay gate.
-        let process = watcher();
-        let property = [Property::NeverRaised("*Alarm*".into())];
-        let concrete = Verifier::new(&process, VerifyOptions::default())
-            .unwrap()
-            .verify(&InputSpace::Free, &property)
-            .unwrap();
-        let interval = Verifier::new(
-            &process,
-            VerifyOptions::default().with_domain(Domain::Interval),
-        )
-        .unwrap()
-        .verify(&InputSpace::Free, &property)
-        .unwrap();
-        assert_eq!(concrete.verdicts, interval.verdicts);
-        let (_, cex) = interval.violations().next().expect("alarm reachable");
-        assert!(cex.replay(&process).unwrap().reproduced);
-    }
-
-    #[test]
-    fn deadlock_free_requests_are_abstracted_under_interval() {
+    fn deadlock_free_requests_are_sliced() {
         // An unobservable counter cannot decide whether an instant
-        // executes, so deadlock freedom no longer switches the abstraction
-        // off: the interval run of the unbounded counter widens and closes.
+        // executes, so deadlock freedom does not switch the slice off: the
+        // unbounded counter is dropped and the space closes.
         let process = unbounded_counter();
-        let outcome = Verifier::new(
-            &process,
-            VerifyOptions::default().with_domain(Domain::Interval),
-        )
-        .unwrap()
-        .verify(
-            &InputSpace::Free,
-            &[
-                Property::NeverRaised("*Alarm*".into()),
-                Property::DeadlockFree,
-            ],
-        )
-        .unwrap();
-        assert!(outcome.stats.widened > 0);
+        let outcome = Verifier::new(&process, VerifyOptions::default())
+            .unwrap()
+            .verify(
+                &InputSpace::Free,
+                &[
+                    Property::NeverRaised("*Alarm*".into()),
+                    Property::DeadlockFree,
+                ],
+            )
+            .unwrap();
+        assert_eq!(outcome.stats.projected_slots, 1);
         assert!(!outcome.stats.truncated);
         assert!(outcome.all_proved(), "{}", outcome.summary());
     }

@@ -262,10 +262,10 @@ pub struct InjectedDriftFault {
 /// from `seed` and its initial value shifted by `drift`, as if persisted
 /// counter state had decayed between runs. The pick is deterministic — the
 /// same seed drifts the same memory — so a finding shrinks and replays.
-/// Both verification domains must agree on the drifted process: the
-/// interval abstraction may widen the drifted slot, but never at the cost
-/// of a verdict a property that *reads* the slot would have produced
-/// concretely.
+/// The sliced and unsliced explorations must agree on the drifted
+/// process: the slice may drop the drifted slot, but never at the cost of
+/// a verdict a property that *reads* the slot would have produced
+/// unsliced.
 ///
 /// Returns `None` when `drift` is 0 or the process has no
 /// integer-initialised memory (nothing to inject).

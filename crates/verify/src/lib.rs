@@ -34,14 +34,12 @@
 //!   latency properties become checkable — with counterexamples that
 //!   project back to per-thread traces and replay in a lockstep
 //!   co-simulation ([`LockstepCoSim`]);
-//! * an interval abstraction over delay memories ([`domain`],
-//!   [`Domain::Interval`]) that widens unobservable monotone counters at a
-//!   saturation threshold — and, with
-//!   [`VerifyOptions::with_project_counters`], drops them from the state
-//!   key — so unbounded-counter spaces close with a genuine
-//!   [`Verdict::Proved`]. Strengthen-only: abstract counterexamples are
-//!   re-concretized and must replay before being reported, and a failed
-//!   replay falls back to the fully concrete exploration
+//! * a cone-of-influence slice over delay memories ([`domain`]) that
+//!   drops every counter no property, port link, clock or divisor reads
+//!   from the state key, so unbounded-counter spaces close with a genuine
+//!   [`Verdict::Proved`]; the slice is exact for observables, and the
+//!   unsliced exploration stays available as
+//!   [`Verifier::verify_reference`] for differential oracles
 //!   (`docs/SYMBOLIC.md`).
 //!
 //! # Quick start
@@ -88,7 +86,7 @@ pub mod state;
 
 pub use affine_clocks::DispatchFeasibility;
 pub use counterexample::{Counterexample, ReplayReport};
-pub use domain::{AbstractState, AbstractValue, Domain, SlotAbstraction, SlotPlan};
+pub use domain::{SlotAbstraction, SlotPlan};
 pub use explore::{
     ExplorationStats, InputSpace, PropertyVerdict, Verdict, VerificationOutcome, Verifier,
     VerifyError, VerifyOptions,

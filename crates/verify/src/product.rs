@@ -44,7 +44,7 @@ use signal_moc::value::Value;
 use signal_moc::InstantView;
 
 use crate::counterexample::{Counterexample, ReplayReport};
-use crate::domain::{Domain, SlotAbstraction};
+use crate::domain::SlotAbstraction;
 use crate::engine::{self, Expander, Sink};
 use crate::explore::{annotate, VerificationOutcome, VerifyError, VerifyOptions};
 use crate::monitor::{compile_properties, CompiledProperty};
@@ -558,12 +558,12 @@ impl ProductVerifier {
     /// joint namespace (`<component>_`-prefixed signals plus the
     /// link-derived `_sent`/`_received`/`_consumed` joints).
     ///
-    /// In the concrete domain the joint state key holds only the cone of
-    /// influence of the checked properties and the port links: a component
-    /// slot nothing observable reads is dropped (see [`crate::domain`]).
-    /// The slice is exact for observables, so verdicts can only strengthen
-    /// a `PassedBounded` of [`ProductVerifier::verify_reference`] into
-    /// `Proved`, and counterexamples are the same.
+    /// The joint state key holds only the cone of influence of the checked
+    /// properties and the port links: a component slot nothing observable
+    /// reads is dropped (see [`crate::domain`]). The slice is exact for
+    /// observables, so verdicts can only strengthen a `PassedBounded` of
+    /// [`ProductVerifier::verify_reference`] into `Proved`, and
+    /// counterexamples are the same.
     ///
     /// # Examples
     ///
@@ -622,21 +622,13 @@ impl ProductVerifier {
             return self.verify_with(properties, None);
         }
         let outcome = self.verify_with(properties, Some(&abstraction))?;
-        match self.options.domain {
-            Domain::Concrete => Ok(annotate(
-                outcome,
-                &abstraction,
-                None,
-                &self.options.collector,
-            )),
-            Domain::Interval => self.reconcile(properties, outcome, &abstraction),
-        }
+        Ok(annotate(outcome, &abstraction, &self.options.collector))
     }
 
     /// The unsliced product exploration: every component memory slot stays
-    /// in the joint state key, whatever the domain. Its verdicts are the
-    /// reference [`ProductVerifier::verify`] must agree with, up to
-    /// strengthening a `PassedBounded` into `Proved`; like
+    /// in the joint state key. Its verdicts are the reference
+    /// [`ProductVerifier::verify`] must agree with, up to strengthening a
+    /// `PassedBounded` into `Proved`; like
     /// [`crate::Verifier::verify_reference`], it exists for differential
     /// oracles and is not meant for production runs.
     ///
@@ -653,15 +645,12 @@ impl ProductVerifier {
         self.verify_with(properties, None)
     }
 
-    /// Per-component abstraction analysis, concatenated into the joint
-    /// memory layout: the cone-of-influence slice in the concrete domain,
-    /// the widening (or, with projection, the slice) under the interval
-    /// domain. A component's link-touched signals (emission markers,
+    /// Per-component slice analysis, concatenated into the joint memory
+    /// layout. A component's link-touched signals (emission markers,
     /// delivered inputs, freeze markers and frozen counts) join its
     /// observable set: link-derived joint signals are computed from them, so
     /// they must stay exact even when no property names them directly.
     fn analyze_abstraction(&self, properties: &[Property]) -> SlotAbstraction {
-        let project = self.options.domain == Domain::Concrete || self.options.project_counters;
         let mut parts = Vec::with_capacity(self.system.components.len());
         for (component, evaluator) in self.system.components.iter().zip(&self.evaluators) {
             let mut extra_reads: Vec<String> = Vec::new();
@@ -680,43 +669,14 @@ impl ProductVerifier {
                 properties,
                 &format!("{}_", component.name),
                 &extra_reads,
-                project,
-                self.options.widen_threshold,
                 evaluator.memory_len(),
             ));
         }
         SlotAbstraction::concat(parts)
     }
 
-    /// The strengthen-only gate of the abstract product run under the
-    /// interval domain: every abstract counterexample must reproduce in a
-    /// [`LockstepCoSim`] replay — an execution path independent of the
-    /// abstraction — before the outcome is reported. A failed replay
-    /// discards the abstraction and re-runs the fully concrete product
-    /// exploration.
-    fn reconcile(
-        &self,
-        properties: &[Property],
-        outcome: VerificationOutcome,
-        abstraction: &SlotAbstraction,
-    ) -> Result<VerificationOutcome, VerifyError> {
-        let mut reconcretized = 0usize;
-        for (_, cex) in outcome.violations() {
-            reconcretized += 1;
-            if !matches!(self.replay(cex), Ok(report) if report.reproduced) {
-                return self.verify_with(properties, None);
-            }
-        }
-        Ok(annotate(
-            outcome,
-            abstraction,
-            Some(reconcretized),
-            &self.options.collector,
-        ))
-    }
-
-    /// One product exploration pass: concrete when `abstraction` is `None`,
-    /// abstract (normalising every joint state to its representative)
+    /// One product exploration pass: unsliced when `abstraction` is `None`,
+    /// sliced (normalising every joint state to its representative)
     /// otherwise.
     fn verify_with(
         &self,
@@ -953,8 +913,8 @@ struct ProductExpander<'a> {
     properties: &'a [Property],
     deadlock_idx: Option<usize>,
     monitor_count: usize,
-    /// Interval-domain slot plans over the concatenated joint memory
-    /// (`None` = concrete exploration).
+    /// Slice slot plans over the concatenated joint memory (`None` =
+    /// unsliced exploration).
     abstraction: Option<&'a SlotAbstraction>,
 }
 
@@ -1170,10 +1130,7 @@ impl Expander for ProductExpander<'_> {
             ctx.memory.extend_from_slice(&ctx.component_memory);
         }
         if let Some(abstraction) = self.abstraction {
-            let widened = abstraction.normalize(&mut ctx.memory);
-            if widened > 0 {
-                sink.widened(widened);
-            }
+            abstraction.normalize(&mut ctx.memory);
         }
         let next_phase = ((phase + 1) % system.horizon) as u32;
         let (hash, bytes) = ctx

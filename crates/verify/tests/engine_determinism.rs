@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use polyverify::{
-    Domain, InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property,
+    InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property,
     VerificationOutcome, Verifier, VerifyOptions,
 };
 use signal_moc::builder::ProcessBuilder;
@@ -46,10 +46,8 @@ fn streak_counter(threshold: i64) -> Process {
 
 /// Strips the fields that legitimately differ between configurations (the
 /// worker count actually used) and returns everything that must not —
-/// including the interval-domain counters (widenings, projected slots,
-/// re-concretized counterexamples), which are all zero under the concrete
-/// domain.
-type Fingerprint = (Vec<u8>, [usize; 7], bool);
+/// including the number of slots the slice dropped.
+type Fingerprint = (Vec<u8>, [usize; 5], bool);
 
 fn fingerprint(outcome: &VerificationOutcome) -> Fingerprint {
     let mut verdicts = Vec::new();
@@ -64,16 +62,14 @@ fn fingerprint(outcome: &VerificationOutcome) -> Fingerprint {
             outcome.stats.transitions,
             outcome.stats.depth,
             outcome.stats.infeasible,
-            outcome.stats.widened,
             outcome.stats.projected_slots,
-            outcome.stats.reconcretized,
         ],
         outcome.stats.truncated,
     )
 }
 
 /// The streak counter plus an unbounded monotone step counter no property
-/// reads — what the interval domain widens (or projects) away.
+/// reads — what the slice drops.
 fn streak_with_invisible_counter(threshold: i64) -> Process {
     let mut b = ProcessBuilder::new("streaktotal");
     b.input("d", ValueType::Boolean);
@@ -102,8 +98,8 @@ fn streak_with_invisible_counter(threshold: i64) -> Process {
 }
 
 /// A bounded observable part (a toggle flag) plus the invisible unbounded
-/// counter: the only reason the concrete space cannot close is the
-/// counter, so the interval domain must close it.
+/// counter: the only reason the unsliced space cannot close is the
+/// counter, so the slice must close it.
 fn toggle_with_invisible_counter(alarm_reachable: bool) -> Process {
     let mut b = ProcessBuilder::new("toggletotal");
     b.input("d", ValueType::Boolean);
@@ -160,19 +156,18 @@ proptest! {
         }
     }
 
-    /// Interval-domain exploration of a system with an invisible unbounded
-    /// counter: verdicts, counterexample depths and the widened/projected/
-    /// re-concretized counters are bit-identical across workers ×
-    /// projection, with and without a depth bound.
+    /// Sliced exploration of a system with an invisible unbounded counter:
+    /// verdicts, counterexample depths and the projected-slot count are
+    /// bit-identical across workers, with and without a depth bound.
     #[test]
-    fn interval_exploration_is_configuration_independent(
+    fn sliced_exploration_is_configuration_independent(
         threshold in 1i64..=4,
         closed in any::<bool>(),
         alarm_reachable in any::<bool>(),
     ) {
-        // `closed`: observable part bounded — the unbounded interval run
-        // must close (no truncation). Otherwise the observable streak is
-        // itself unbounded and a depth bound applies to both domains.
+        // `closed`: observable part bounded — the unbounded sliced run must
+        // close (no truncation). Otherwise the observable streak is itself
+        // unbounded and a depth bound applies.
         let (process, bound) = if closed {
             (toggle_with_invisible_counter(alarm_reachable), None)
         } else {
@@ -182,37 +177,27 @@ proptest! {
             )
         };
         let properties = [Property::NeverRaised("*Alarm*".into())];
-        for project in [false, true] {
-            let mut reference: Option<Fingerprint> = None;
-            for workers in WORKER_COUNTS {
-                let mut options = VerifyOptions::default()
-                    .with_workers(workers)
-                    .with_domain(Domain::Interval)
-                    .with_project_counters(project);
-                if let Some(bound) = bound {
-                    options = options.with_depth_bound(bound);
-                }
-                let verifier = Verifier::new(&process, options).unwrap();
-                let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                if closed && !alarm_reachable {
-                    // The invisible counter is abstracted away, so the
-                    // unbounded violation-free run closes with a proof
-                    // instead of diverging. (A violating run stops early,
-                    // which the engine reports as truncated.)
-                    prop_assert!(!outcome.stats.truncated);
-                    prop_assert!(outcome.all_proved());
-                }
-                let print = fingerprint(&outcome);
-                match &reference {
-                    None => reference = Some(print),
-                    Some(expected) => prop_assert_eq!(
-                        expected,
-                        &print,
-                        "workers={} project={}",
-                        workers,
-                        project
-                    ),
-                }
+        let mut reference: Option<Fingerprint> = None;
+        for workers in WORKER_COUNTS {
+            let mut options = VerifyOptions::default().with_workers(workers);
+            if let Some(bound) = bound {
+                options = options.with_depth_bound(bound);
+            }
+            let verifier = Verifier::new(&process, options).unwrap();
+            let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
+            prop_assert_eq!(outcome.stats.projected_slots, 1);
+            if closed && !alarm_reachable {
+                // The invisible counter is sliced away, so the unbounded
+                // violation-free run closes with a proof instead of
+                // diverging. (A violating run stops early, which the
+                // engine reports as truncated.)
+                prop_assert!(!outcome.stats.truncated);
+                prop_assert!(outcome.all_proved());
+            }
+            let print = fingerprint(&outcome);
+            match &reference {
+                None => reference = Some(print),
+                Some(expected) => prop_assert_eq!(expected, &print, "workers={}", workers),
             }
         }
     }

@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 
 use polyverify::{
-    CollectionMode, Collector, Domain, ExplorationStats, InputSpace, JsonLinesSink, PortLink,
+    CollectionMode, Collector, ExplorationStats, InputSpace, JsonLinesSink, PortLink,
     ProductComponent, ProductSystem, ProductVerifier, Property, VerificationOutcome, Verifier,
     VerifyOptions,
 };
@@ -105,8 +105,7 @@ fn streak_counter(threshold: i64) -> Process {
 }
 
 /// The streak counter plus an unbounded monotone step counter no property
-/// reads — exercises the interval domain's widening/projection counters
-/// under telemetry.
+/// reads — exercises the slice's projected-slot count under telemetry.
 fn streak_with_invisible_counter(threshold: i64) -> Process {
     let mut b = ProcessBuilder::new("streaktotal");
     b.input("d", ValueType::Boolean);
@@ -226,44 +225,40 @@ proptest! {
         assert_same_eval_counts(&counts);
     }
 
-    /// Interval-domain exploration: the widened / projected_slots /
-    /// reconcretized counters and the full verdict rendering are identical
-    /// under every collection mode × workers × projection combination —
-    /// telemetry never perturbs the abstraction either.
+    /// Sliced exploration of a process with an invisible counter: the
+    /// projected_slots count and the full verdict rendering are identical
+    /// under every collection mode × workers combination — telemetry never
+    /// perturbs the slice either.
     #[test]
-    fn interval_outcome_is_collection_mode_independent(
+    fn sliced_outcome_is_collection_mode_independent(
         threshold in 1i64..=4,
         depth in 3usize..=5,
     ) {
         let process = streak_with_invisible_counter(threshold);
         let properties = [Property::NeverRaised("*Alarm*".into())];
-        for project in [false, true] {
-            let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
-            for mode in MODES {
-                for workers in WORKER_COUNTS {
-                    let verifier = Verifier::new(
-                        &process,
-                        VerifyOptions::default()
-                            .with_workers(workers)
-                            .with_depth_bound(depth)
-                            .with_domain(Domain::Interval)
-                            .with_project_counters(project)
-                            .with_collector(collector(mode)),
-                    )
-                    .unwrap();
-                    let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                    let print = fingerprint(&outcome);
-                    match &reference {
-                        None => reference = Some(print),
-                        Some(expected) => prop_assert_eq!(
-                            expected,
-                            &print,
-                            "mode={:?} workers={} project={}",
-                            mode,
-                            workers,
-                            project
-                        ),
-                    }
+        let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
+        for mode in MODES {
+            for workers in WORKER_COUNTS {
+                let verifier = Verifier::new(
+                    &process,
+                    VerifyOptions::default()
+                        .with_workers(workers)
+                        .with_depth_bound(depth)
+                        .with_collector(collector(mode)),
+                )
+                .unwrap();
+                let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
+                prop_assert_eq!(outcome.stats.projected_slots, 1);
+                let print = fingerprint(&outcome);
+                match &reference {
+                    None => reference = Some(print),
+                    Some(expected) => prop_assert_eq!(
+                        expected,
+                        &print,
+                        "mode={:?} workers={}",
+                        mode,
+                        workers
+                    ),
                 }
             }
         }

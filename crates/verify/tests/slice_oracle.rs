@@ -12,7 +12,10 @@
 //!   inputs and witness, deadlock witnesses included; free-mode
 //!   counterexamples violate at the same instant and replay;
 //! * the slice never explores more states than the reference, and drops
-//!   exactly the unobservable counters.
+//!   exactly the unobservable counters;
+//! * a product that drops a delivery and closes below its depth bound
+//!   once its counters are sliced still names that bound, like the
+//!   reference.
 
 use proptest::prelude::*;
 
@@ -120,13 +123,13 @@ fn streak_with_counter(threshold: i64, role: Role, k: i64, modulus: Option<i64>)
     b.build().unwrap()
 }
 
-/// The alarm and deadlock properties, plus `never <prefix>cbig` when the
-/// counter feeds an atom.
-fn properties(atoms: &[String]) -> Vec<Property> {
-    let mut properties = vec![
-        Property::NeverRaised("*Alarm*".into()),
-        Property::DeadlockFree,
-    ];
+/// The alarm property, the deadlock property when `deadlock` is set, plus
+/// `never <prefix>cbig` when the counter feeds an atom.
+fn properties(deadlock: bool, atoms: &[String]) -> Vec<Property> {
+    let mut properties = vec![Property::NeverRaised("*Alarm*".into())];
+    if deadlock {
+        properties.push(Property::DeadlockFree);
+    }
     for atom in atoms {
         properties.push(Property::parse_ltl(&format!("never {atom}")).unwrap());
     }
@@ -308,6 +311,40 @@ fn pipeline(
     (ProductSystem::new(components, links).unwrap(), roles)
 }
 
+/// Checks the sliced product against its unsliced reference under the
+/// depth bound `bound`: identical counterexamples (deadlock witnesses
+/// included), proofs confirmed by a lockstep co-simulation to four times
+/// the bound, replayable violations, and exactly `invisible` counters
+/// sliced.
+fn check_product(system: &ProductSystem, properties: &[Property], bound: usize, invisible: usize) {
+    let verifier = ProductVerifier::new(
+        system.clone(),
+        VerifyOptions::default().with_depth_bound(bound),
+    )
+    .unwrap();
+    let reference = verifier.verify_reference(properties).unwrap();
+    let sliced = verifier.verify(properties).unwrap();
+    assert_eq!(sliced.stats.projected_slots, invisible);
+    let strengthened = compare(&reference, &sliced, true);
+    if !strengthened.is_empty() {
+        let (joint, failure) = LockstepCoSim::new(system).unwrap().run(bound * 4);
+        let steps: Vec<TraceStep> = joint.iter().cloned().collect();
+        let failed_at = failure.map(|f| f.tick);
+        for i in strengthened {
+            assert_eq!(
+                first_violation(&properties[i], &steps, failed_at),
+                None,
+                "{} proved",
+                properties[i].name()
+            );
+        }
+    }
+    for (_, cex) in sliced.violations() {
+        let replay = verifier.replay(cex).unwrap();
+        assert!(replay.reproduced, "{}", replay.detail);
+    }
+}
+
 proptest! {
     /// Free inputs: same verdict shapes up to strengthening, the same
     /// violation instants, replayable counterexamples.
@@ -318,11 +355,12 @@ proptest! {
         k in 1i64..=4,
         modulus in prop::option::of(2i64..=5),
         depth in 3usize..=6,
+        deadlock in any::<bool>(),
     ) {
         let role = role(role_index);
         let process = streak_with_counter(threshold, role, k, modulus);
         let atoms = if role == Role::Atom { vec!["cbig".to_string()] } else { vec![] };
-        let properties = properties(&atoms);
+        let properties = properties(deadlock, &atoms);
         let options = VerifyOptions::default().with_depth_bound(depth);
         let verifier = Verifier::new(&process, options.clone()).unwrap();
         let reference = verifier.verify_reference(&InputSpace::Free, &properties).unwrap();
@@ -363,7 +401,7 @@ proptest! {
         let role = role(role_index);
         let process = streak_with_counter(threshold, role, k, modulus);
         let atoms = if role == Role::Atom { vec!["cbig".to_string()] } else { vec![] };
-        let properties = properties(&atoms);
+        let properties = properties(true, &atoms);
         let schedule = schedule(&steps);
         let bound = schedule.len() * hyperperiods;
         let verifier =
@@ -416,7 +454,7 @@ proptest! {
             .filter(|(_, role)| **role == Role::Atom)
             .map(|(i, _)| format!("s{i}_cbig"))
             .collect();
-        let mut properties = properties(&atoms);
+        let mut properties = properties(true, &atoms);
         for link in system.links() {
             properties.push(Property::EndToEndResponse {
                 from: link.sent_signal(),
@@ -424,33 +462,27 @@ proptest! {
                 bound: response,
             });
         }
-        let bound = horizon * hyperperiods;
-        let verifier =
-            ProductVerifier::new(system.clone(), VerifyOptions::default().with_depth_bound(bound))
-                .unwrap();
-        let reference = verifier.verify_reference(&properties).unwrap();
-        let sliced = verifier.verify(&properties).unwrap();
-        prop_assert_eq!(
-            sliced.stats.projected_slots,
-            roles.iter().filter(|role| **role == Role::Invisible).count()
-        );
-        let strengthened = compare(&reference, &sliced, true);
-        if !strengthened.is_empty() {
-            let (joint, failure) = LockstepCoSim::new(&system).unwrap().run(bound * 4);
-            let steps: Vec<TraceStep> = joint.iter().cloned().collect();
-            let failed_at = failure.map(|f| f.tick);
-            for i in strengthened {
-                prop_assert_eq!(
-                    first_violation(&properties[i], &steps, failed_at),
-                    None,
-                    "{} proved",
-                    properties[i].name()
-                );
-            }
-        }
-        for (_, cex) in sliced.violations() {
-            let replay = verifier.replay(cex).unwrap();
-            prop_assert!(replay.reproduced, "{}", replay.detail);
-        }
+        let invisible = roles.iter().filter(|role| **role == Role::Invisible).count();
+        check_product(&system, &properties, horizon * hyperperiods, invisible);
+    }
+
+    /// Products of 2–3 stages that each hold an unbounded invisible
+    /// counter, explored to two hyper-periods: once the counters are
+    /// sliced, a product whose latency drops a delivery closes below the
+    /// bound, and its bounded verdicts must still name the bound.
+    #[test]
+    fn product_with_invisible_counters_agrees_with_the_reference(
+        horizon in 4usize..=6,
+        threshold in 1i64..=4,
+        periods in prop::collection::vec(1usize..=3, 2..4),
+        latency in 0usize..=2,
+        deadlock in any::<bool>(),
+    ) {
+        let stages: Vec<_> = periods
+            .iter()
+            .map(|&period| (period, Role::Invisible, 1, None))
+            .collect();
+        let (system, _) = pipeline(horizon, threshold, &stages, latency);
+        check_product(&system, &properties(deadlock, &[]), horizon * 2, stages.len());
     }
 }

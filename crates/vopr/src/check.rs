@@ -12,8 +12,8 @@ use polychrony_core::polyverify::ltl::first_violation;
 use polychrony_core::polyverify::{
     inject_connection_latency, inject_counter_drift, inject_deadline_overrun,
     inject_dispatch_jitter, inject_dropped_delivery, inject_schedule_corruption, Counterexample,
-    Domain, Formula, InputSpace, LockstepCoSim, LtlProperty, ProductSystem, ProductVerifier,
-    Property, Verdict, VerificationOutcome, Verifier, VerifyOptions,
+    Formula, InputSpace, LockstepCoSim, LtlProperty, ProductSystem, ProductVerifier, Property,
+    Verdict, VerificationOutcome, Verifier, VerifyOptions,
 };
 use polychrony_core::signal_moc::eval::Evaluator;
 use polychrony_core::signal_moc::process::Process;
@@ -178,8 +178,7 @@ fn check_spec(
     }
 
     // Domain oracle: the target unit (and the product, when wired)
-    // verified without slicing, then under the concrete slice and the
-    // interval abstraction with and without counter projection.
+    // verified without slicing, then under the slice.
     domain_oracle(&simulated, seed)?;
 
     // Evaluator oracle: the change-driven evaluator against the reference
@@ -329,9 +328,9 @@ fn replay_in_simulator(cex: &Counterexample, process: &Process, what: &str) -> R
     }
 }
 
-/// The verdict shapes every verification domain must agree on: the verdict
-/// kind and the instant of a violation — not state counts (the slice and
-/// the abstraction merge states by design).
+/// The verdict shapes the sliced and unsliced explorations must agree on:
+/// the verdict kind and the instant of a violation — not state counts (the
+/// slice merges states by design).
 fn verdict_shapes(outcome: &VerificationOutcome) -> Vec<String> {
     outcome
         .verdicts
@@ -369,8 +368,8 @@ fn strengthens_reference(
     }
 }
 
-/// One worker under the depth bound `bound`: the options every domain
-/// oracle run starts from.
+/// One worker under the depth bound `bound`: the options of every domain
+/// oracle run.
 fn oracle_options(bound: usize) -> VerifyOptions {
     VerifyOptions::default()
         .with_workers(1)
@@ -378,11 +377,9 @@ fn oracle_options(bound: usize) -> VerifyOptions {
 }
 
 /// Verifies `process` on `inputs` without slicing, then with the default
-/// concrete slice, the interval domain and the interval domain with
-/// counter projection, and demands that each run strengthen the unsliced
-/// verdicts only. Every counterexample must replay in the simulator: the
-/// slice and projection must never mask a property that reads a dropped
-/// slot.
+/// slice, and demands that the slice strengthen the unsliced verdicts
+/// only. Every counterexample must replay in the simulator: the slice must
+/// never mask a property that reads a dropped slot.
 fn domain_agreement(
     process: &Process,
     inputs: &Trace,
@@ -390,49 +387,34 @@ fn domain_agreement(
     context: &str,
 ) -> Result<(), Failure> {
     let space = InputSpace::Scheduled(inputs.clone());
-    let verifier_for = |options: VerifyOptions| {
-        Verifier::new(process, options).map_err(|e| {
-            fail(
-                FindingKind::DomainMismatch,
-                format!("verifier construction failed on {context}: {e}"),
-            )
-        })
-    };
+    let verifier = Verifier::new(process, oracle_options(inputs.len())).map_err(|e| {
+        fail(
+            FindingKind::DomainMismatch,
+            format!("verifier construction failed on {context}: {e}"),
+        )
+    })?;
     let verification_failed = |what: &str, e: &dyn std::fmt::Display| {
         fail(
             FindingKind::DomainMismatch,
             format!("{what} of {context} failed: {e}"),
         )
     };
-    let options = oracle_options(inputs.len());
-    let reference = verifier_for(options.clone())?
+    let reference = verifier
         .verify_reference(&space, properties)
         .map_err(|e| verification_failed("unsliced verification", &e))?;
-    let interval = options.clone().with_domain(Domain::Interval);
-    let runs = [
-        ("the concrete slice", options),
-        ("the interval domain", interval.clone()),
-        (
-            "the interval domain with projection",
-            interval.with_project_counters(true),
-        ),
-    ];
-    for (what, options) in runs {
-        let outcome = verifier_for(options)?
-            .verify(&space, properties)
-            .map_err(|e| verification_failed(what, &e))?;
-        strengthens_reference(&reference, &outcome, &format!("on {context} {what}"))?;
-        for (property, cex) in outcome.violations() {
-            replay_in_simulator(cex, process, &property.name())?;
-        }
+    let sliced = verifier
+        .verify(&space, properties)
+        .map_err(|e| verification_failed("sliced verification", &e))?;
+    strengthens_reference(&reference, &sliced, &format!("on {context} the slice"))?;
+    for (property, cex) in sliced.violations() {
+        replay_in_simulator(cex, process, &property.name())?;
     }
     Ok(())
 }
 
 /// Domain oracle: the target unit's scheduled behaviour verified without
-/// slicing, then cross-checked against the concrete slice and the interval
-/// abstraction; when the system has port connections, the product of
-/// every unit cross-checked the same way against its concrete slice.
+/// slicing, then cross-checked against the slice; when the system has port
+/// connections, the product of every unit cross-checked the same way.
 fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
     let unit = &simulated.thread_units[target_unit(simulated, seed)];
     let inputs = unit.model.timing_trace(&simulated.schedule, 1);
@@ -452,7 +434,7 @@ fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
 }
 
 /// The wired product of every unit, verified without slicing and with the
-/// default concrete slice: the slice may only strengthen the unsliced
+/// default slice: the slice may only strengthen the unsliced
 /// verdicts, and its counterexamples must replay in the lockstep
 /// co-simulation.
 fn product_domain_agreement(simulated: &Simulated) -> Result<(), Failure> {
@@ -488,7 +470,7 @@ fn product_domain_agreement(simulated: &Simulated) -> Result<(), Failure> {
     let sliced = verifier
         .verify(&properties)
         .map_err(|e| verification_failed("sliced verification", &e))?;
-    strengthens_reference(&reference, &sliced, "on the product the concrete slice")?;
+    strengthens_reference(&reference, &sliced, "on the product the slice")?;
     for (property, cex) in sliced.violations() {
         replay_in_lockstep(&verifier, cex, &property.name())?;
     }
@@ -816,11 +798,11 @@ fn inject_and_check(
             // Two properties: the usual alarm check, and a probe that
             // *reads* the drifted signal (an integer signal is `true`-ish
             // when non-zero). The probe keeps the drifted slot concrete
-            // under the slice and counter projection — neither may mask a
-            // property that reads the slot — and makes the drift
-            // detectable whenever the signal becomes non-zero. The oracle
-            // is agreement of every domain with the unsliced run on the
-            // drifted process; any violation must still replay.
+            // under the slice — which may never mask a property that reads
+            // the slot — and makes the drift detectable whenever the signal
+            // becomes non-zero. The oracle is agreement of the slice with
+            // the unsliced run on the drifted process; any violation must
+            // still replay.
             let properties = [
                 Property::NeverRaised("*Alarm*".into()),
                 Property::Ltl(LtlProperty::never(Formula::signal(&drifted.signal))),

@@ -18,10 +18,10 @@
 //!   by the reference trace semantics over the simulator's resolved trace;
 //! * **lockstep oracle** — every product verdict is re-derived from a
 //!   brute-force lockstep co-simulation of the wired thread product;
-//! * **domain oracle** — one thread's behaviour is verified under the
-//!   concrete engine and under the interval abstraction (with and without
-//!   counter projection); the verdict shapes must match and abstract
-//!   counterexamples must replay;
+//! * **domain oracle** — one thread's behaviour (and, when the system is
+//!   wired, the thread product) is verified without slicing and under the
+//!   cone-of-influence slice; the slice may only strengthen a bounded
+//!   verdict into a proof, and its counterexamples must replay;
 //! * **replay oracle** — every counterexample must reproduce in the
 //!   simulator.
 //!
@@ -82,8 +82,8 @@ pub enum FaultKind {
     /// ([`inject_schedule_corruption`](polychrony_core::polyverify::inject_schedule_corruption)).
     CorruptedSchedule,
     /// Shift one integer memory init of a thread's behaviour, as if
-    /// persisted counter state had decayed; both verification domains must
-    /// still agree on the drifted process
+    /// persisted counter state had decayed; the sliced and unsliced
+    /// explorations must still agree on the drifted process
     /// ([`inject_counter_drift`](polychrony_core::polyverify::inject_counter_drift)).
     CounterDrift,
 }
@@ -151,8 +151,8 @@ pub enum FindingKind {
     ReplayFailed,
     /// An injected fault produced no violation where one was guaranteed.
     FaultUndetected,
-    /// The concrete and interval verification domains disagreed on a
-    /// verdict shape (kind or violation instant).
+    /// The sliced and unsliced explorations disagreed on a verdict shape
+    /// (kind or violation instant).
     DomainMismatch,
     /// The change-driven evaluator and the reference fixpoint disagreed on
     /// a resolved step, a memory or an error text.

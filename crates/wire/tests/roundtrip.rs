@@ -4,7 +4,6 @@
 
 use std::io::BufReader;
 
-use polychrony_core::polyverify::Domain;
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{PropertySpec, SessionOptions, VcdCapture, VerificationScope};
 use polyobs::ProgressUpdate;
@@ -37,13 +36,7 @@ fn roundtrip(frame: &Frame) -> Frame {
     decoded
 }
 
-fn options_variant(
-    policy: usize,
-    scope: bool,
-    interval: bool,
-    vcd: usize,
-    n: u64,
-) -> SessionOptions {
+fn options_variant(policy: usize, scope: bool, vcd: usize, n: u64) -> SessionOptions {
     let mut options = SessionOptions::default();
     options.schedule.policy = match policy % 3 {
         0 => SchedulingPolicy::RateMonotonic,
@@ -65,11 +58,6 @@ fn options_variant(
     } else {
         VerificationScope::PerThread
     };
-    if interval {
-        options.verify.domain = Domain::Interval;
-        options.verify.project_counters = !n.is_multiple_of(3);
-        options.verify.widen_threshold = (n % 1000 + 1) as i64;
-    }
     if n % 2 == 1 {
         options.verify.properties = vec![
             PropertySpec::new("never raised(*Alarm*)"),
@@ -86,7 +74,7 @@ proptest! {
     #[test]
     fn submit_frames_round_trip(
         (policy, vcd) in (0usize..3, 0usize..3),
-        (scope, interval, watch) in (any::<bool>(), any::<bool>(), any::<bool>()),
+        (scope, watch) in (any::<bool>(), any::<bool>()),
         n in 0u64..10_000,
         name in prop::sample::select(names()),
         source in prop::option::of(prop::sample::select(names())),
@@ -96,7 +84,7 @@ proptest! {
                 name: name.to_string(),
                 source: source.map(str::to_string),
                 root: "sysProdCons.impl".to_string(),
-                options: options_variant(policy, scope, interval, vcd, n),
+                options: options_variant(policy, scope, vcd, n),
             },
             watch,
         };
@@ -201,7 +189,7 @@ proptest! {
     }
 }
 
-/// Daemon job logs written before three verify options were retired still
+/// Daemon job logs written before six verify options were retired still
 /// carry their keys. Unknown keys are ignored, so such a line decodes to
 /// the same spec as one without them and the log replays.
 #[test]
@@ -210,7 +198,8 @@ fn retired_option_keys_still_decode() {
         "options":{"verify":{"workers":1,"hyperperiods":2,"scope":"product"}}}"#;
     let retired = r#"{"name":"old","source":null,"root":"sysProdCons.impl",
         "options":{"verify":{"workers":1,"hyperperiods":2,"scope":"product",
-        "frontier":"barrier","pruning":false,"interner_capacity":1}}}"#;
+        "frontier":"barrier","pruning":false,"interner_capacity":1,
+        "domain":"interval","project_counters":true,"widen_threshold":3}}}"#;
     let decode = |text: &str| JobSpec::from_json(&polyobs::json::parse(text).unwrap()).unwrap();
     let spec = decode(current);
     assert_eq!(spec.options.verify.hyperperiods, 2);

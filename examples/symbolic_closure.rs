@@ -13,11 +13,9 @@
 //! property reads the counter, so the default concrete exploration slices
 //! it out of the state key: one state remains, the space closes, and the
 //! verdict is a genuine `proved` — bit-identical across worker counts.
-//! `--domain interval` reaches the same proof by widening the counter's
-//! tail into the abstract class `≥ threshold`.
 //! Design and soundness argument: docs/SYMBOLIC.md.
 
-use polychrony_core::polyverify::{Domain, InputSpace, Property, Verdict, Verifier, VerifyOptions};
+use polychrony_core::polyverify::{InputSpace, Property, Verdict, Verifier, VerifyOptions};
 use polychrony_core::signal_moc::builder::ProcessBuilder;
 use polychrony_core::signal_moc::expr::Expr;
 use polychrony_core::signal_moc::process::Process;
@@ -68,18 +66,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(sliced.stats.states, 1);
     assert_eq!(sliced.stats.projected_slots, 1);
 
-    // The interval domain proves it too, by widening the counter's tail.
-    let interval = Verifier::new(
-        &process,
-        VerifyOptions::default().with_domain(Domain::Interval),
-    )?
-    .verify(&InputSpace::Free, &properties)?;
-    println!("interval domain, no depth bound:");
-    println!("{}\n", interval.summary());
-    assert!(interval.all_proved());
-    assert!(!interval.stats.truncated);
-    assert!(interval.stats.widened > 0);
-
     // The sliced exploration inherits the engine's determinism: verdicts
     // and stats are bit-identical for every worker count.
     for workers in [2usize, 8] {
@@ -94,9 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nunsliced passed-bounded with {} states explored and no proof;",
         reference.stats.states
     );
-    println!(
-        "the slice proved with {} state, the interval domain with {} ({} widenings).",
-        sliced.stats.states, interval.stats.states, interval.stats.widened
-    );
+    println!("the slice proved with {} state.", sliced.stats.states);
     Ok(())
 }

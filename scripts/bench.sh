@@ -6,12 +6,9 @@
 #
 #   scripts/bench.sh
 #
-# The snapshot records every report line of both suites (including the
-# interval_closure_* pair that pits the interval domain's widening closure
-# against bounded concrete exploration — docs/SYMBOLIC.md) plus exact
-# state counts, peak frontier and wall time of the headline workloads,
-# daemon warm-vs-cold and the symbolic_closure headline (see
-# crates/bench/examples/bench_snapshot.rs). Numbered
+# The snapshot records every report line of both suites plus exact state
+# counts, peak frontier and wall time of the headline workloads, and
+# daemon warm-vs-cold (see crates/bench/examples/bench_snapshot.rs). Numbered
 # snapshots accumulate as the performance trajectory of the repo: BENCH_1
 # is the baseline CI gates against, later indices track where each
 # optimisation landed. CI replays the state_space suite and fails when a

@@ -8,7 +8,6 @@
 //! polychrony simulate [--hyperperiods N] [--vcd]
 //! polychrony verify   [--workers N] [--hyperperiods N] [--product]
 //!                     [--property EXPR]...
-//!                     [--domain concrete|interval] [--project-counters]
 //!                     [--inject-deadline-bug] [--inject-connection-bug]
 //!                     [--progress] [--trace-out FILE]
 //! polychrony batch    [--jobs N] [--workers N] [--property EXPR]...
@@ -23,7 +22,6 @@
 //! ```bash
 //! polychrony submit (--socket PATH | --tcp ADDR) [--name NAME]
 //!                   [--workers N] [--hyperperiods N] [--product]
-//!                   [--domain concrete|interval] [--project-counters]
 //!                   [--property EXPR]... [--detach]
 //! polychrony status (--socket PATH | --tcp ADDR) [--id N]
 //! polychrony watch  (--socket PATH | --tcp ADDR) --id N
@@ -47,7 +45,7 @@ use std::process::ExitCode;
 
 use polychrony_client::{ClientError, Endpoint};
 use polychrony_core::aadl::synth::SyntheticSpec;
-use polychrony_core::polyverify::{Domain, Property};
+use polychrony_core::polyverify::Property;
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{
     BatchJob, BatchRunner, Collector, CoreError, JsonLinesSink, ProgressReporter, ProgressUpdate,
@@ -204,7 +202,6 @@ USAGE:
     polychrony simulate [--hyperperiods N] [--vcd]
     polychrony verify   [--workers N] [--hyperperiods N] [--product]
                         [--property EXPR]...
-                        [--domain concrete|interval] [--project-counters]
                         [--inject-deadline-bug] [--inject-connection-bug]
                         [--progress] [--trace-out FILE]
     polychrony batch    [--jobs N] [--workers N] [--property EXPR]...
@@ -215,7 +212,6 @@ USAGE:
                         [--iterations N] [--max-threads N]
     polychrony submit   (--socket PATH | --tcp ADDR) [--name NAME]
                         [--workers N] [--hyperperiods N] [--product]
-                        [--domain concrete|interval] [--project-counters]
                         [--property EXPR]... [--detach]
     polychrony status   (--socket PATH | --tcp ADDR) [--id N]
     polychrony watch    (--socket PATH | --tcp ADDR) --id N
@@ -252,13 +248,11 @@ COMMANDS:
                simulator replay; with --inject-connection-bug, delay the
                producer's start-timer connection past the timer's input
                freeze and confirm the cross-thread counterexample by
-               lockstep co-simulation; --domain interval switches the
-               engine to the interval abstraction (property-invisible monotone
-               counters widen, so unbounded-counter spaces can close with a
-               genuine proof — see docs/SYMBOLIC.md) and --project-counters
-               additionally drops such counters from the state key; both
-               are strengthen-only (abstract counterexamples must replay
-               concretely before being reported)
+               lockstep co-simulation; every exploration drops the counters
+               no property, port link, clock or divisor reads from the state
+               key (the cone-of-influence slice, exact for observables), so
+               unbounded-counter spaces can close with a genuine proof —
+               see docs/SYMBOLIC.md
     batch      run N models (the case study + synthetic workloads) through
                the whole pipeline concurrently on a bounded worker pool and
                print one timed report line per job; --property adds a user
@@ -268,7 +262,7 @@ COMMANDS:
                full pipeline and cross-check independent oracles (cached
                vs uncached runs, compiled LTL monitors vs the reference
                trace semantics, product verdicts vs lockstep
-               co-simulation, concrete vs interval-domain verdicts,
+               co-simulation, sliced vs unsliced verdicts,
                counterexample replay); --fault injects one of
                deadline-overrun, connection-latency, dropped-delivery,
                dispatch-jitter, corrupted-schedule, counter-drift into
@@ -684,8 +678,8 @@ fn simulate(args: &[String]) -> Result<ExitCode, CliError> {
 }
 
 /// Applies the verification flags `verify` and `submit` share
-/// (`--workers`, `--hyperperiods`, `--product`, `--domain`,
-/// `--project-counters`, `--property`) on top of `verify`'s defaults.
+/// (`--workers`, `--hyperperiods`, `--product`, `--property`) on top of
+/// `verify`'s defaults.
 fn apply_verification_flags(
     args: &[String],
     verify: &mut VerificationOptions,
@@ -695,13 +689,6 @@ fn apply_verification_flags(
     if has_flag(args, "--product") {
         verify.scope = VerificationScope::Product;
     }
-    let domain_label = flag_value(args, "--domain", verify.domain.as_str().to_string())?;
-    verify.domain = Domain::parse(&domain_label).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown domain `{domain_label}` (use concrete or interval)"
-        ))
-    })?;
-    verify.project_counters = has_flag(args, "--project-counters");
     verify.properties = flag_values(args, "--property")?
         .into_iter()
         .map(PropertySpec::new)
@@ -714,8 +701,6 @@ fn verify(args: &[String]) -> Result<ExitCode, CliError> {
         ("--workers", true),
         ("--hyperperiods", true),
         ("--product", false),
-        ("--domain", true),
-        ("--project-counters", false),
         ("--property", true),
         ("--inject-deadline-bug", false),
         ("--inject-connection-bug", false),
@@ -938,8 +923,6 @@ fn submit(args: &[String]) -> Result<ExitCode, CliError> {
         ("--workers", true),
         ("--hyperperiods", true),
         ("--product", false),
-        ("--domain", true),
-        ("--project-counters", false),
         ("--property", true),
         ("--detach", false),
     ];

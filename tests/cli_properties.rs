@@ -1,7 +1,7 @@
 //! CLI contract of `polychrony verify --property`: user-supplied past-time
 //! LTL expressions get per-property verdicts, and malformed expressions
 //! fail with a clean span-annotated usage error (exit 1, no `Debug`
-//! panic).
+//! panic). Flags of the retired interval domain are usage errors too.
 
 use std::process::Command;
 
@@ -41,6 +41,32 @@ fn cli_malformed_property_is_a_clean_usage_error() {
         !stderr.contains("panicked") && !stderr.contains("RUST_BACKTRACE"),
         "no Debug-format panic: {stderr}"
     );
+}
+
+/// The interval domain's flags are gone: `--domain` and
+/// `--project-counters` are unknown arguments (exit 1, no panic), and
+/// `submit` rejects them before it contacts any daemon.
+#[test]
+fn cli_retired_domain_flags_are_clean_usage_errors() {
+    for (args, flag) in [
+        (&["verify", "--domain", "interval"][..], "--domain"),
+        (
+            &["submit", "--socket", "unused.sock", "--project-counters"][..],
+            "--project-counters",
+        ),
+    ] {
+        let (code, stdout, stderr) = run_cli(args);
+        assert_eq!(
+            code,
+            Some(1),
+            "--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("unknown argument `{flag}`")),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "no panic: {stderr}");
+    }
 }
 
 /// A well-formed user property rides through the whole pipeline and gets

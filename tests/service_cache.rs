@@ -7,10 +7,8 @@
 //! (`RunRecord` compares its phase-name sequence), so `assert_eq!` on the
 //! full report is exactly the "identical modulo timings" check.
 
-use polychrony_core::polyverify::Domain;
 use polychrony_core::{
-    job_content_hash, ArtifactCache, BatchJob, CacheOutcome, PropertySpec, SessionOptions,
-    VerificationScope,
+    ArtifactCache, BatchJob, CacheOutcome, PropertySpec, SessionOptions, VerificationScope,
 };
 
 /// The 8-variant sweep from the acceptance criteria: same source, options
@@ -85,64 +83,6 @@ fn warm_product_scope_reports_match_cold_runs() {
         .expect("warm product report");
     assert_eq!(cold_product, warm_product);
     assert_eq!(cold, warm);
-}
-
-#[test]
-fn the_content_hash_separates_verification_domains() {
-    // Regression: the job content hash (the daemon's cache key and the
-    // batch runner's dedupe key) must include the verification domain and
-    // the counter-projection switch — otherwise an interval-domain job
-    // could be served a concrete-domain report.
-    let concrete = BatchJob::case_study("hash").with_options(SessionOptions::quick());
-    let mut interval_options = SessionOptions::quick();
-    interval_options.verify.domain = Domain::Interval;
-    let interval = BatchJob::case_study("hash").with_options(interval_options.clone());
-    assert_ne!(
-        job_content_hash(&concrete),
-        job_content_hash(&interval),
-        "the verify domain must be part of the content hash"
-    );
-    let mut projected_options = interval_options;
-    projected_options.verify.project_counters = true;
-    let projected = BatchJob::case_study("hash").with_options(projected_options);
-    assert_ne!(
-        job_content_hash(&interval),
-        job_content_hash(&projected),
-        "counter projection must be part of the content hash"
-    );
-}
-
-#[test]
-fn warm_interval_domain_runs_match_their_own_cold_runs() {
-    // Prime the cache with a concrete-domain run, then run the same model
-    // under the interval domain warm: the frontend/simulated artifacts are
-    // legitimately shared (the domain only affects verification), but the
-    // verification must be recomputed under the interval options and match
-    // an uncached interval run exactly.
-    let cache = ArtifactCache::new();
-    let (_, outcome) = BatchJob::case_study("domain-prime")
-        .with_options(SessionOptions::quick())
-        .run_cached(&cache)
-        .expect("concrete prime run");
-    assert_eq!(outcome, CacheOutcome::Miss);
-
-    for project in [false, true] {
-        let mut options = SessionOptions::quick();
-        options.verify.domain = Domain::Interval;
-        options.verify.project_counters = project;
-        let job = BatchJob::case_study("domain-warm").with_options(options);
-        let cold = job.run().expect("cold interval run");
-        let (warm, outcome) = job.run_cached(&cache).expect("warm interval run");
-        assert_eq!(
-            outcome,
-            CacheOutcome::SimulatedHit,
-            "domain changes must not invalidate the simulated artifact"
-        );
-        assert_eq!(
-            cold, warm,
-            "warm interval run (project_counters={project}) diverged from its cold run"
-        );
-    }
 }
 
 #[test]

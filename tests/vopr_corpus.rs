@@ -49,9 +49,8 @@ const CORPUS: [CorpusEntry; 6] = [
         property_fragment: "end-to-end-response",
     },
     // Drifted counter state is flagged by the probe property that reads
-    // the drifted signal — which also forces the slot concrete under the
-    // interval domain's counter projection (the dual-domain oracle runs on
-    // every scenario, drifted or not).
+    // the drifted signal — which also keeps the slot in the slice (the
+    // domain oracle runs on every scenario, drifted or not).
     CorpusEntry {
         fault: FaultKind::CounterDrift,
         seed: 0x5ec8_97b9_a1e7_c2fa,
