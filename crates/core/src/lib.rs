@@ -92,7 +92,7 @@ pub use polyobs::{
 pub use report::{ProductVerificationReport, ToolChainReport, VerificationReport};
 pub use session::{
     end_to_end_response_for, port_link_for, Analyzed, Instantiated, Parsed, Scheduled, Session,
-    Simulated, ThreadUnit, Translated, Verified, VerifiedProduct,
+    Simulated, ThreadUnit, Translated, Verified, VerifiedProduct, VCD_TIMESCALE_NS,
 };
 
 // Re-export the main entry points of every layer so that downstream users

@@ -50,7 +50,7 @@ use asme2ssme::{
     ThreadConnection, TranslatedSystem, Translator,
 };
 use polyobs::{Collector, PhaseRecord, RunRecord};
-use polysim::{SimulationReport, Simulator};
+use polysim::{simulate_folded, SimulationReport};
 use polyverify::{
     InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property,
     VerificationOutcome, Verifier, VerifyOptions,
@@ -68,7 +68,7 @@ use crate::report::{ProductVerificationReport, ToolChainReport, VerificationRepo
 
 /// VCD timescale used by the simulation phase: the case-study processor has
 /// a 1 ms clock period, so one simulated tick is one millisecond.
-const VCD_TIMESCALE_NS: u64 = 1_000_000;
+pub const VCD_TIMESCALE_NS: u64 = 1_000_000;
 
 /// Times one pipeline phase: opens a `phase.<name>` span on the session's
 /// collector (so trace sinks and progress reporters see phase boundaries)
@@ -509,7 +509,9 @@ impl Analyzed {
 
     /// Phase 6: co-simulates every thread unit under the synthesised
     /// schedule, capturing the VCD waveform selected by
-    /// [`SimulateOptions::vcd`].
+    /// [`SimulateOptions::vcd`]. Each thread's instants are folded into its
+    /// report (and the captured waveform) as they resolve
+    /// ([`simulate_folded`]); no trace is kept.
     ///
     /// # Errors
     ///
@@ -525,16 +527,16 @@ impl Analyzed {
             let inputs = unit
                 .model
                 .timing_trace(&self.schedule, self.options.simulate.hyperperiods);
-            let mut simulator = Simulator::new(&unit.model.flat)?;
-            simulator.run(&inputs)?;
-            simulations.insert(unit.path.clone(), simulator.report());
             let capture = match &self.options.simulate.vcd {
                 VcdCapture::Off => false,
                 VcdCapture::First => vcd_thread.is_none(),
                 VcdCapture::Thread(name) => unit.model.thread_name == *name,
             };
-            if capture {
-                vcd = simulator.to_vcd(&unit.model.thread_name, VCD_TIMESCALE_NS);
+            let module = capture.then_some((unit.model.thread_name.as_str(), VCD_TIMESCALE_NS));
+            let (report, waveform) = simulate_folded(&unit.model.flat, &inputs, module)?;
+            simulations.insert(unit.path.clone(), report);
+            if let Some(waveform) = waveform {
+                vcd = waveform;
                 vcd_thread = Some(unit.model.thread_name.clone());
             }
         }
@@ -1150,6 +1152,55 @@ mod tests {
             .unwrap();
         assert_eq!(simulated.vcd_thread.as_deref(), Some("thConsumer"));
         assert!(simulated.vcd.contains("thConsumer"));
+    }
+
+    /// The folded phase gives every thread the report, and the captured
+    /// thread the waveform, of the reference simulator, for every capture
+    /// mode and horizon.
+    #[test]
+    fn simulate_phase_agrees_with_the_reference_simulator() {
+        let analyzed = Session::new()
+            .parse_case_study()
+            .unwrap()
+            .instantiate("sysProdCons.impl")
+            .unwrap()
+            .schedule()
+            .unwrap()
+            .translate()
+            .unwrap()
+            .analyze()
+            .unwrap();
+        for (hyperperiods, vcd, captured) in [
+            (1, VcdCapture::First, Some("thProducer")),
+            (
+                2,
+                VcdCapture::Thread("thConsumer".into()),
+                Some("thConsumer"),
+            ),
+            (3, VcdCapture::Off, None),
+        ] {
+            let mut run = analyzed.clone();
+            let mut options = run.options().clone();
+            options.simulate = SimulateOptions { hyperperiods, vcd };
+            run.adopt_options(options);
+            let simulated = run.simulate().unwrap();
+            assert_eq!(simulated.vcd_thread.as_deref(), captured);
+            assert_eq!(simulated.simulations.len(), 4);
+            for unit in &simulated.thread_units {
+                let mut simulator = polysim::Simulator::new(&unit.model.flat).unwrap();
+                simulator
+                    .run(&unit.model.timing_trace(&simulated.schedule, hyperperiods))
+                    .unwrap();
+                assert_eq!(simulated.simulations[&unit.path], simulator.report());
+                if captured == Some(unit.model.thread_name.as_str()) {
+                    let vcd = simulator.to_vcd(&unit.model.thread_name, VCD_TIMESCALE_NS);
+                    assert_eq!(simulated.vcd, vcd);
+                }
+            }
+            if captured.is_none() {
+                assert!(simulated.vcd.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -1170,6 +1170,24 @@ pub struct ResolvedStep<'a> {
     sorted_ids: &'a [u32],
 }
 
+impl<'a> ResolvedStep<'a> {
+    /// The name of every signal, indexed by id: the same table at every
+    /// instant of one evaluator.
+    pub fn names(&self) -> &'a [String] {
+        self.names
+    }
+
+    /// The present signals of this instant in id order, each with its
+    /// value: a signal is present when it resolved to a value, the rule of
+    /// the step [`Evaluator::step`] materialises.
+    pub fn present(&self) -> impl Iterator<Item = (usize, &'a Value)> {
+        self.env
+            .iter()
+            .enumerate()
+            .filter_map(|(id, res)| res.value().map(|value| (id, value)))
+    }
+}
+
 impl InstantView for ResolvedStep<'_> {
     fn value_of(&self, name: &str) -> Option<&Value> {
         self.ids
@@ -1961,5 +1979,13 @@ mod tests {
         // Name-sorted visit order, like a TraceStep's BTreeMap.
         let first = view.first_present_matching(&mut |_, _| true);
         assert_eq!(first.as_deref(), Some("count"));
+        // The id-ordered read names exactly the materialised signals.
+        let mut present: Vec<(&str, &Value)> = view
+            .present()
+            .map(|(id, value)| (view.names()[id].as_str(), value))
+            .collect();
+        present.sort_by_key(|&(name, _)| name);
+        let expected: Vec<(&str, &Value)> = step.iter().map(|(n, v)| (n.as_str(), v)).collect();
+        assert_eq!(present, expected);
     }
 }

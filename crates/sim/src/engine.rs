@@ -1,15 +1,23 @@
 //! The simulation engine: repeated execution of a flat SIGNAL process over
 //! scheduler-provided timing traces, with alarm monitoring, profiling and
 //! VCD export.
+//!
+//! [`simulate_folded`] is the production path: it steps the evaluator on
+//! borrowed instants and folds each one, by signal id, into the report and
+//! the waveform, so no trace is kept. [`Simulator`] keeps the whole
+//! history as owned steps; it is the reference path (counterexample
+//! replay, lockstep co-simulation, the differential oracles) and reports
+//! over its history through the same fold, so each rule is written once.
 
 use serde::{Deserialize, Serialize};
 use signal_moc::error::SignalError;
 use signal_moc::eval::Evaluator;
 use signal_moc::process::Process;
-use signal_moc::trace::Trace;
+use signal_moc::trace::{Trace, TraceStep};
+use signal_moc::value::Value;
 
-use crate::profile::ProfileReport;
-use crate::vcd::write_vcd;
+use crate::profile::{ProfileReport, SignalProfile};
+use crate::vcd::{write_vcd, VcdRecorder};
 
 /// Summary of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,11 +38,161 @@ impl SimulationReport {
     }
 }
 
-/// A simulator for a flat SIGNAL process.
+/// Presence count, active count and largest integer of one signal.
+#[derive(Debug, Clone, Copy, Default)]
+struct SignalTally {
+    presence: usize,
+    active: usize,
+    max_int: Option<i64>,
+}
+
+/// A [`SimulationReport`] folded one instant at a time from the present
+/// signals, each keyed by its index in a name table: the evaluator's
+/// signal ids in [`simulate_folded`], a trace's sorted signal names in
+/// [`Simulator::report`].
+#[derive(Debug, Clone)]
+pub(crate) struct SimulationTally {
+    /// Per index: whether the signal's name contains `Alarm`.
+    alarm: Vec<bool>,
+    signals: Vec<SignalTally>,
+    instants: usize,
+    alarm_instants: usize,
+}
+
+impl SimulationTally {
+    /// An empty tally over the signals of `names` (index → name).
+    pub(crate) fn new(names: &[String]) -> Self {
+        Self {
+            alarm: names.iter().map(|name| name.contains("Alarm")).collect(),
+            signals: vec![SignalTally::default(); names.len()],
+            instants: 0,
+            alarm_instants: 0,
+        }
+    }
+
+    /// Folds one instant: an alarm instant has some present signal whose
+    /// name contains `Alarm` and whose value reads true.
+    pub(crate) fn record<'v>(&mut self, present: impl IntoIterator<Item = (usize, &'v Value)>) {
+        self.instants += 1;
+        let mut alarm = false;
+        for (index, value) in present {
+            let tally = &mut self.signals[index];
+            tally.presence += 1;
+            if value.as_bool() {
+                tally.active += 1;
+                alarm |= self.alarm[index];
+            }
+            if let Some(i) = value.as_int() {
+                tally.max_int = Some(tally.max_int.map_or(i, |m| m.max(i)));
+            }
+        }
+        if alarm {
+            self.alarm_instants += 1;
+        }
+    }
+
+    /// The report, each signal present at least once named by `names`,
+    /// the table the tally was created over.
+    pub(crate) fn finish(self, names: &[String]) -> SimulationReport {
+        let instants = self.instants;
+        let signals = self
+            .signals
+            .iter()
+            .zip(names)
+            .filter(|(tally, _)| tally.presence > 0)
+            .map(|(tally, name)| {
+                let profile = SignalProfile {
+                    name: name.clone(),
+                    presence_count: tally.presence,
+                    active_count: tally.active,
+                    presence_rate: if instants == 0 {
+                        0.0
+                    } else {
+                        tally.presence as f64 / instants as f64
+                    },
+                    max_int: tally.max_int,
+                };
+                (name.clone(), profile)
+            })
+            .collect();
+        SimulationReport {
+            instants,
+            alarm_instants: self.alarm_instants,
+            profile: ProfileReport { instants, signals },
+        }
+    }
+}
+
+/// The present signals of `step`, each keyed by its index in `names`: the
+/// sorted signal names of the step's trace ([`Trace::signals`]), which
+/// hold every name of the step.
+pub(crate) fn indexed<'a>(
+    step: &'a TraceStep,
+    names: &'a [String],
+) -> impl Iterator<Item = (usize, &'a Value)> {
+    // Both the step and `names` are sorted by name: walk them in step.
+    let mut index = 0;
+    step.iter().map(move |(name, value)| {
+        while names[index] != *name {
+            index += 1;
+        }
+        (index, value)
+    })
+}
+
+/// The report of a whole trace, folded step by step.
+pub(crate) fn report_over(trace: &Trace) -> SimulationReport {
+    let names = trace.signals();
+    let mut tally = SimulationTally::new(&names);
+    for step in trace.iter() {
+        tally.record(indexed(step, &names));
+    }
+    tally.finish(&names)
+}
+
+/// Simulates `process` (flat) over `inputs` on borrowed instants: each
+/// instant is resolved by [`Evaluator::step_resolved`] and folded, by
+/// signal id, into the report and, when `vcd` gives a module name and a
+/// timescale in nanoseconds, into a VCD waveform. No step is materialised
+/// and no history is kept.
+///
+/// The report, the waveform and the error are those of
+/// [`Simulator::run`] followed by [`Simulator::report`] and
+/// [`Simulator::to_vcd`] on a fresh simulator.
+///
+/// # Errors
+///
+/// Propagates evaluator construction errors and the error of the first
+/// failing instant.
+pub fn simulate_folded(
+    process: &Process,
+    inputs: &Trace,
+    vcd: Option<(&str, u64)>,
+) -> Result<(SimulationReport, Option<String>), SignalError> {
+    let mut evaluator = Evaluator::new(process)?;
+    let mut tally = SimulationTally::new(evaluator.resolved().names());
+    let mut recorder = vcd.map(|_| VcdRecorder::new(evaluator.resolved().names().len()));
+    for (t, input) in inputs.iter().enumerate() {
+        let step = evaluator.step_resolved(t, input)?;
+        tally.record(step.present());
+        if let Some(recorder) = &mut recorder {
+            recorder.record(step.present());
+        }
+    }
+    let names = evaluator.resolved().names();
+    let waveform = recorder
+        .zip(vcd)
+        .map(|(recorder, (module, timescale_ns))| recorder.finish(names, module, timescale_ns));
+    Ok((tally.finish(names), waveform))
+}
+
+/// A simulator for a flat SIGNAL process that keeps its whole history.
 ///
 /// The simulator owns the evaluator state, so successive calls to
 /// [`Simulator::run`] continue the execution (delays keep their values),
-/// which is how multiple hyper-periods are chained.
+/// which is how multiple hyper-periods are chained. It is the reference
+/// path of [`simulate_folded`], and the one counterexample replay and
+/// lockstep co-simulation read owned steps from.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     evaluator: Evaluator,
@@ -82,19 +240,7 @@ impl Simulator {
 
     /// Builds a report over the accumulated history.
     pub fn report(&self) -> SimulationReport {
-        let alarm_instants = self
-            .history
-            .iter()
-            .filter(|step| {
-                step.iter()
-                    .any(|(name, value)| name.contains("Alarm") && value.as_bool())
-            })
-            .count();
-        SimulationReport {
-            instants: self.history.len(),
-            alarm_instants,
-            profile: ProfileReport::from_trace(&self.history),
-        }
+        report_over(&self.history)
     }
 
     /// Exports the accumulated history as VCD text (one instant =

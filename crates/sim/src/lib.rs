@@ -10,6 +10,6 @@ pub mod engine;
 pub mod profile;
 pub mod vcd;
 
-pub use engine::{SimulationReport, Simulator};
+pub use engine::{simulate_folded, SimulationReport, Simulator};
 pub use profile::{ProfileReport, SignalProfile};
 pub use vcd::write_vcd;

@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use signal_moc::trace::Trace;
 
 /// Activity profile of one signal over a simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,44 +33,6 @@ pub struct ProfileReport {
 }
 
 impl ProfileReport {
-    /// Profiles every signal of `trace` in one pass over its steps.
-    pub fn from_trace(trace: &Trace) -> Self {
-        /// Presence count, active count and largest integer of one signal.
-        type Tally = (usize, usize, Option<i64>);
-        let instants = trace.len();
-        let mut tallies: BTreeMap<&str, Tally> = BTreeMap::new();
-        for step in trace.iter() {
-            for (name, value) in step.iter() {
-                let (presence, active, max_int) = tallies.entry(name).or_default();
-                *presence += 1;
-                if value.as_bool() {
-                    *active += 1;
-                }
-                if let Some(i) = value.as_int() {
-                    *max_int = Some(max_int.map_or(i, |m| m.max(i)));
-                }
-            }
-        }
-        let signals = tallies
-            .into_iter()
-            .map(|(name, (presence, active, max_int))| {
-                let profile = SignalProfile {
-                    name: name.to_string(),
-                    presence_count: presence,
-                    active_count: active,
-                    presence_rate: if instants == 0 {
-                        0.0
-                    } else {
-                        presence as f64 / instants as f64
-                    },
-                    max_int,
-                };
-                (name.to_string(), profile)
-            })
-            .collect();
-        Self { instants, signals }
-    }
-
     /// Profile of one signal.
     pub fn signal(&self, name: &str) -> Option<&SignalProfile> {
         self.signals.get(name)
@@ -114,7 +75,14 @@ impl ProfileReport {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use signal_moc::trace::Trace;
     use signal_moc::value::Value;
+
+    /// The profile of a whole trace, folded as [`crate::Simulator::report`]
+    /// folds its history.
+    fn profile(trace: &Trace) -> ProfileReport {
+        crate::engine::report_over(trace).profile
+    }
 
     fn trace() -> Trace {
         let mut tr = Trace::new();
@@ -129,7 +97,7 @@ pub(crate) mod tests {
 
     #[test]
     fn counts_and_rates() {
-        let report = ProfileReport::from_trace(&trace());
+        let report = profile(&trace());
         assert_eq!(report.instants, 10);
         let dispatch = report.signal("Dispatch").unwrap();
         assert_eq!(dispatch.presence_count, 10);
@@ -144,15 +112,15 @@ pub(crate) mod tests {
 
     #[test]
     fn suffix_query_and_table() {
-        let report = ProfileReport::from_trace(&trace());
+        let report = profile(&trace());
         assert_eq!(report.signals_with_suffix("Dispatch").len(), 1);
         let table = report.to_table(10);
         assert!(table.contains("Dispatch"));
         assert!(table.contains("profile over 10 instants"));
     }
 
-    /// The per-signal profile computation the one-pass `from_trace`
-    /// replaced: one lookup per signal per step.
+    /// The per-signal profile computation the one-pass fold replaced: one
+    /// lookup per signal per step.
     fn reference_profile(trace: &Trace) -> ProfileReport {
         let instants = trace.len();
         let mut signals = BTreeMap::new();
@@ -213,13 +181,13 @@ pub(crate) mod tests {
             cells in proptest::collection::vec((0u8..6, 0u8..5, -8i64..=8), 0..40),
         ) {
             let trace = random_trace(&cells);
-            proptest::prop_assert_eq!(ProfileReport::from_trace(&trace), reference_profile(&trace));
+            proptest::prop_assert_eq!(profile(&trace), reference_profile(&trace));
         }
     }
 
     #[test]
     fn empty_trace_profile() {
-        let report = ProfileReport::from_trace(&Trace::new());
+        let report = profile(&Trace::new());
         assert_eq!(report.instants, 0);
         assert!(report.signals.is_empty());
     }

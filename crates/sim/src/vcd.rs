@@ -3,95 +3,157 @@
 //! The paper demonstrates co-simulation of AADL specifications "using the
 //! VCD technique": the simulated signals are dumped in the standard IEEE
 //! 1364 VCD format so that any waveform viewer can display the polychronous
-//! execution. This module converts a [`Trace`] to VCD text.
+//! execution. This module converts a [`Trace`] to VCD text, and folds the
+//! same text one resolved instant at a time for
+//! [`simulate_folded`](crate::simulate_folded).
 
 use std::fmt::Write as _;
 
 use signal_moc::trace::Trace;
 use signal_moc::value::Value;
 
+use crate::engine::indexed;
+
 /// Converts a trace to VCD text.
 ///
-/// Each signal becomes a VCD variable; booleans and events are 1-bit wires
-/// (an event is dumped as a one-tick pulse), integers are 64-bit registers,
-/// reals use the VCD `real` type, and strings are dumped as `real 0`
-/// placeholders (VCD has no string type). One trace instant corresponds to
-/// `timescale_ns` nanoseconds.
+/// Each signal present at least once becomes a VCD variable, listed in
+/// name order and typed by its first present value: booleans and events
+/// are 1-bit wires (an event is dumped as a one-tick pulse), integers are
+/// 64-bit registers, reals use the VCD `real` type, and strings are dumped
+/// as `real 0` placeholders (VCD has no string type). One trace instant
+/// corresponds to `timescale_ns` nanoseconds.
 pub fn write_vcd(trace: &Trace, module: &str, timescale_ns: u64) -> String {
-    let signals = trace.signals();
-    let mut out = String::new();
-    let _ = writeln!(out, "$date polychrony-aadl reproduction $end");
-    let _ = writeln!(out, "$version polysim 0.1 $end");
-    let _ = writeln!(out, "$timescale {timescale_ns} ns $end");
-    let _ = writeln!(out, "$scope module {module} $end");
-
-    // Assign short identifiers, and each signal its type once.
-    let ids: Vec<String> = (0..signals.len()).map(vcd_id).collect();
-    let types: Vec<(&str, usize)> = signals.iter().map(|s| vcd_type(trace, s)).collect();
-    for ((signal, id), (ty, width)) in signals.iter().zip(&ids).zip(&types) {
-        let _ = writeln!(out, "$var {ty} {width} {id} {signal} $end");
+    let names = trace.signals();
+    let mut recorder = VcdRecorder::new(names.len());
+    for step in trace.iter() {
+        recorder.record(indexed(step, &names));
     }
-    let _ = writeln!(out, "$upscope $end");
-    let _ = writeln!(out, "$enddefinitions $end");
+    recorder.finish(&names, module, timescale_ns)
+}
 
-    // Initial values: everything absent/zero.
-    let _ = writeln!(out, "#0");
-    let _ = writeln!(out, "$dumpvars");
-    for (id, (ty, _)) in ids.iter().zip(&types) {
-        match *ty {
-            "wire" => {
-                let _ = writeln!(out, "0{id}");
-            }
-            "real" => {
-                let _ = writeln!(out, "r0 {id}");
-            }
-            _ => {
-                let _ = writeln!(out, "b0 {id}");
-            }
+/// A VCD waveform folded one instant at a time from the present signals,
+/// each keyed by its index in a name table, and written out once the run
+/// ends (the header needs every signal the run shows).
+#[derive(Debug, Clone)]
+pub(crate) struct VcdRecorder {
+    /// Per index: the instants the signal is present at, with its value.
+    columns: Vec<Vec<(usize, Value)>>,
+    instants: usize,
+}
+
+impl VcdRecorder {
+    /// An empty waveform over `signals` indices.
+    pub(crate) fn new(signals: usize) -> Self {
+        Self {
+            columns: vec![Vec::new(); signals],
+            instants: 0,
         }
     }
-    let _ = writeln!(out, "$end");
 
-    let mut changes = String::new();
-    for (t, step) in trace.iter().enumerate() {
-        changes.clear();
-        // Both the step and `signals` are sorted by name, and every present
-        // name is one of `signals`: walk them in step.
-        let mut present = step.iter().peekable();
-        for ((signal, id), (ty, _)) in signals.iter().zip(&ids).zip(&types) {
-            let value = present
-                .next_if(|(name, _)| *name == signal)
-                .map(|(_, value)| value);
-            match value {
-                Some(value) => match (*ty, value) {
-                    ("wire", v) => {
-                        let bit = if v.as_bool() { '1' } else { '0' };
-                        let _ = writeln!(changes, "{bit}{id}");
-                    }
-                    ("real", v) => {
-                        let _ = writeln!(changes, "r{} {id}", v.as_real().unwrap_or(0.0));
-                    }
-                    (_, v) => {
-                        let bits = v.as_int().unwrap_or(0);
-                        let _ = writeln!(changes, "b{bits:b} {id}");
-                    }
-                },
-                // Absent event/boolean signals fall back to 0 so pulses are
-                // visible; absent value signals keep their previous value.
-                None => {
-                    if *ty == "wire" {
-                        let _ = writeln!(changes, "0{id}");
-                    }
+    /// Folds one instant.
+    pub(crate) fn record<'v>(&mut self, present: impl IntoIterator<Item = (usize, &'v Value)>) {
+        for (index, value) in present {
+            self.columns[index].push((self.instants, value.clone()));
+        }
+        self.instants += 1;
+    }
+
+    /// The VCD text, each signal named by `names`, the table the recorder
+    /// was fed over.
+    pub(crate) fn finish(self, names: &[String], module: &str, timescale_ns: u64) -> String {
+        // The signals present at least once, in name order.
+        let mut order: Vec<usize> = (0..self.columns.len())
+            .filter(|&index| !self.columns[index].is_empty())
+            .collect();
+        order.sort_by(|&a, &b| names[a].cmp(&names[b]));
+        let columns: Vec<&[(usize, Value)]> = order
+            .iter()
+            .map(|&index| self.columns[index].as_slice())
+            .collect();
+
+        let mut out = String::new();
+        let _ = writeln!(out, "$date polychrony-aadl reproduction $end");
+        let _ = writeln!(out, "$version polysim 0.1 $end");
+        let _ = writeln!(out, "$timescale {timescale_ns} ns $end");
+        let _ = writeln!(out, "$scope module {module} $end");
+
+        // Assign short identifiers, and each signal its type once.
+        let ids: Vec<String> = (0..order.len()).map(vcd_id).collect();
+        let types: Vec<(&str, usize)> = columns
+            .iter()
+            .map(|column| vcd_type(&column[0].1))
+            .collect();
+        for ((&index, id), (ty, width)) in order.iter().zip(&ids).zip(&types) {
+            let _ = writeln!(out, "$var {ty} {width} {id} {} $end", names[index]);
+        }
+        let _ = writeln!(out, "$upscope $end");
+        let _ = writeln!(out, "$enddefinitions $end");
+
+        // Initial values: everything absent/zero.
+        let _ = writeln!(out, "#0");
+        let _ = writeln!(out, "$dumpvars");
+        for (id, (ty, _)) in ids.iter().zip(&types) {
+            match *ty {
+                "wire" => {
+                    let _ = writeln!(out, "0{id}");
+                }
+                "real" => {
+                    let _ = writeln!(out, "r0 {id}");
+                }
+                _ => {
+                    let _ = writeln!(out, "b0 {id}");
                 }
             }
         }
-        if !changes.is_empty() {
-            let _ = writeln!(out, "#{}", t as u64 * timescale_ns);
-            out.push_str(&changes);
+        let _ = writeln!(out, "$end");
+
+        let mut changes = String::new();
+        // Per column: how many of its values earlier instants dumped.
+        let mut dumped = vec![0usize; columns.len()];
+        for t in 0..self.instants {
+            changes.clear();
+            for (((column, next), id), (ty, _)) in
+                columns.iter().zip(&mut dumped).zip(&ids).zip(&types)
+            {
+                let value = match column.get(*next) {
+                    Some((at, value)) if *at == t => {
+                        *next += 1;
+                        Some(value)
+                    }
+                    _ => None,
+                };
+                match value {
+                    Some(value) => match (*ty, value) {
+                        ("wire", v) => {
+                            let bit = if v.as_bool() { '1' } else { '0' };
+                            let _ = writeln!(changes, "{bit}{id}");
+                        }
+                        ("real", v) => {
+                            let _ = writeln!(changes, "r{} {id}", v.as_real().unwrap_or(0.0));
+                        }
+                        (_, v) => {
+                            let bits = v.as_int().unwrap_or(0);
+                            let _ = writeln!(changes, "b{bits:b} {id}");
+                        }
+                    },
+                    // Absent event/boolean signals fall back to 0 so pulses
+                    // are visible; absent value signals keep their previous
+                    // value.
+                    None => {
+                        if *ty == "wire" {
+                            let _ = writeln!(changes, "0{id}");
+                        }
+                    }
+                }
+            }
+            if !changes.is_empty() {
+                let _ = writeln!(out, "#{}", t as u64 * timescale_ns);
+                out.push_str(&changes);
+            }
         }
+        let _ = writeln!(out, "#{}", self.instants as u64 * timescale_ns);
+        out
     }
-    let _ = writeln!(out, "#{}", trace.len() as u64 * timescale_ns);
-    out
 }
 
 fn vcd_id(index: usize) -> String {
@@ -108,19 +170,13 @@ fn vcd_id(index: usize) -> String {
     id
 }
 
-fn vcd_type(trace: &Trace, signal: &str) -> (&'static str, usize) {
-    // Inspect the first present value to choose a VCD type.
-    for step in trace.iter() {
-        if let Some(v) = step.get(signal) {
-            return match v {
-                Value::Event | Value::Bool(_) => ("wire", 1),
-                Value::Int(_) => ("reg", 64),
-                Value::Real(_) => ("real", 64),
-                Value::Text(_) => ("real", 64),
-            };
-        }
+/// The VCD type of a signal whose first present value is `first`.
+fn vcd_type(first: &Value) -> (&'static str, usize) {
+    match first {
+        Value::Event | Value::Bool(_) => ("wire", 1),
+        Value::Int(_) => ("reg", 64),
+        Value::Real(_) | Value::Text(_) => ("real", 64),
     }
-    ("wire", 1)
 }
 
 #[cfg(test)]
@@ -184,6 +240,22 @@ mod tests {
             .all(|id| id.chars().all(|c| ('!'..='~').contains(&c))));
     }
 
+    /// The type scan of the writer before types were computed once per
+    /// signal: the first present value, or a wire.
+    fn reference_type(trace: &Trace, signal: &str) -> (&'static str, usize) {
+        for step in trace.iter() {
+            if let Some(v) = step.get(signal) {
+                return match v {
+                    Value::Event | Value::Bool(_) => ("wire", 1),
+                    Value::Int(_) => ("reg", 64),
+                    Value::Real(_) => ("real", 64),
+                    Value::Text(_) => ("real", 64),
+                };
+            }
+        }
+        ("wire", 1)
+    }
+
     /// The writer before types were computed once per signal: a type scan
     /// and a lookup per signal at every instant.
     fn reference_vcd(trace: &Trace, module: &str, timescale_ns: u64) -> String {
@@ -195,7 +267,7 @@ mod tests {
         let _ = writeln!(out, "$scope module {module} $end");
         let ids: Vec<String> = (0..signals.len()).map(vcd_id).collect();
         for (signal, id) in signals.iter().zip(&ids) {
-            let (ty, width) = vcd_type(trace, signal);
+            let (ty, width) = reference_type(trace, signal);
             let _ = writeln!(out, "$var {ty} {width} {id} {signal} $end");
         }
         let _ = writeln!(out, "$upscope $end");
@@ -203,7 +275,7 @@ mod tests {
         let _ = writeln!(out, "#0");
         let _ = writeln!(out, "$dumpvars");
         for (signal, id) in signals.iter().zip(&ids) {
-            let (ty, _) = vcd_type(trace, signal);
+            let (ty, _) = reference_type(trace, signal);
             match ty {
                 "wire" => {
                     let _ = writeln!(out, "0{id}");
@@ -220,7 +292,7 @@ mod tests {
         for (t, step) in trace.iter().enumerate() {
             let mut changes = String::new();
             for (signal, id) in signals.iter().zip(&ids) {
-                let (ty, _) = vcd_type(trace, signal);
+                let (ty, _) = reference_type(trace, signal);
                 match step.get(signal) {
                     Some(value) => match (ty, value) {
                         ("wire", v) => {

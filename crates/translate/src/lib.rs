@@ -37,8 +37,9 @@ pub use library::{
     standard_library,
 };
 pub use schedule::{
-    schedule_to_timing_trace, scheduled_thread_model, system_under_schedule, task_set_from_threads,
-    thread_under_schedule, ScheduledThreadModel, ThreadUnderScheduleError, TICKS_PER_MILLISECOND,
+    schedule_to_timing_trace, schedule_to_timing_trace_reference, scheduled_thread_model,
+    system_under_schedule, task_set_from_threads, thread_under_schedule, ScheduledThreadModel,
+    ThreadUnderScheduleError, TICKS_PER_MILLISECOND,
 };
 pub use thread::{thread_to_process, ThreadTranslation};
 pub use translator::{TranslatedSystem, TranslationError, Translator};

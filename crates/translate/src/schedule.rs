@@ -8,7 +8,7 @@ use aadl::properties::DispatchProtocol;
 use sched::{PeriodicTask, SchedulingPolicy, StaticSchedule, TaskSet, TaskSetError};
 use signal_moc::error::SignalError;
 use signal_moc::process::{Process, ProcessModel};
-use signal_moc::trace::Trace;
+use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::Value;
 
 use crate::thread::thread_to_process;
@@ -268,8 +268,80 @@ pub fn task_set_from_threads(threads: &[ThreadInstance]) -> Result<TaskSet, Task
 ///   output-release tick.
 ///
 /// Signal names are prefixed with `prefix` (empty for a stand-alone thread
-/// process, `instanceLabel_` for signals of a flattened container).
+/// process, `instanceLabel_` for signals of a flattened container). Each
+/// name is built once: the all-false step is built once and cloned per
+/// tick.
 pub fn schedule_to_timing_trace(
+    schedule: &StaticSchedule,
+    thread: &str,
+    prefix: &str,
+    in_ports: &[String],
+    out_ports: &[String],
+    hyperperiods: u64,
+) -> Trace {
+    let horizon = schedule.hyperperiod * hyperperiods;
+    let name = |signal: &str| format!("{prefix}{signal}");
+    let dispatch = name("Dispatch");
+    let resume = name("Resume");
+    let deadline = name("Deadline");
+    let frozen: Vec<String> = in_ports
+        .iter()
+        .map(|port| name(&format!("{port}_frozen_time")))
+        .collect();
+    let released: Vec<String> = out_ports
+        .iter()
+        .map(|port| name(&format!("{port}_output_time")))
+        .collect();
+    // Every controlled signal is false at every tick a job does not set.
+    let mut idle = TraceStep::new();
+    for signal in [&dispatch, &resume, &deadline]
+        .into_iter()
+        .chain(&frozen)
+        .chain(&released)
+    {
+        idle.set(signal.as_str(), Value::Bool(false));
+    }
+    for port in in_ports {
+        idle.set(name(&format!("{port}_in")), Value::Bool(false));
+    }
+    let mut trace: Trace = std::iter::repeat_n(idle, horizon as usize).collect();
+    for rep in 0..hyperperiods {
+        let base = rep * schedule.hyperperiod;
+        for entry in schedule.entries_for(thread) {
+            let at = |tick: u64| (base + tick) as usize;
+            // A job completing at or past the hyper-period boundary lands in
+            // the next repetition; only the last one clamps, to the last
+            // tick of the trace.
+            let clamped = |tick: u64| at(tick).min(horizon as usize - 1);
+            trace.set(at(entry.dispatch), dispatch.as_str(), Value::Bool(true));
+            trace.set(
+                clamped(entry.completion),
+                resume.as_str(),
+                Value::Bool(true),
+            );
+            if entry.deadline < schedule.hyperperiod {
+                trace.set(at(entry.deadline), deadline.as_str(), Value::Bool(true));
+            }
+            for signal in &frozen {
+                trace.set(at(entry.input_freeze), signal.as_str(), Value::Bool(true));
+            }
+            for signal in &released {
+                trace.set(
+                    clamped(entry.output_release),
+                    signal.as_str(),
+                    Value::Bool(true),
+                );
+            }
+        }
+    }
+    trace
+}
+
+/// The per-tick construction [`schedule_to_timing_trace`] replaced: every
+/// controlled signal's name formatted and inserted at every tick. Kept as
+/// the oracle the differential tests hold it to; both give equal traces on
+/// every schedule.
+pub fn schedule_to_timing_trace_reference(
     schedule: &StaticSchedule,
     thread: &str,
     prefix: &str,
@@ -396,6 +468,44 @@ mod tests {
             })
             .collect();
         assert_eq!(resumes.len(), 12);
+    }
+
+    /// The once-named construction equals the per-tick reference on every
+    /// case-study thread, under both policies, over one to three
+    /// hyper-periods, with and without a prefix.
+    #[test]
+    fn timing_trace_matches_the_per_tick_reference() {
+        type Build = fn(&StaticSchedule, &str, &str, &[String], &[String], u64) -> Trace;
+        let instance = producer_consumer_instance().unwrap();
+        for policy in [
+            SchedulingPolicy::EarliestDeadlineFirst,
+            SchedulingPolicy::RateMonotonic,
+        ] {
+            let (models, schedule, _) = crate::system_under_schedule(&instance, policy).unwrap();
+            assert_eq!(models.len(), 4);
+            for model in &models {
+                for hyperperiods in 1..=3 {
+                    for prefix in ["", "th_"] {
+                        let build = |f: Build| {
+                            f(
+                                &schedule,
+                                &model.thread_name,
+                                prefix,
+                                &model.in_ports,
+                                &model.out_ports,
+                                hyperperiods,
+                            )
+                        };
+                        assert_eq!(
+                            build(schedule_to_timing_trace),
+                            build(schedule_to_timing_trace_reference),
+                            "{} at {hyperperiods} hyper-period(s), prefix {prefix:?}",
+                            model.thread_name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -262,8 +262,8 @@ impl ProductSystem {
             }
             if !components[source]
                 .schedule
-                .signals()
-                .contains(&link.source_signal)
+                .iter()
+                .any(|step| step.is_present(&link.source_signal))
             {
                 return Err(VerifyError::InvalidProduct(format!(
                     "link `{}`: source schedule of `{}` has no signal `{}`",
@@ -1430,6 +1430,21 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("shadows"), "{err}");
+        // Source signal the sender's schedule never carries.
+        let mut silent = link();
+        silent.source_signal = "never_emitted".into();
+        let err = ProductSystem::new(
+            vec![
+                component("tx", sender(), tx.clone()),
+                component("rx", receiver(), rx.clone()),
+            ],
+            vec![silent],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid product system: link `c1`: source schedule of `tx` has no signal `never_emitted`"
+        );
         // Unknown target input.
         let mut missing = link();
         missing.target_signal = "nonexistent".into();

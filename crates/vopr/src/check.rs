@@ -5,8 +5,10 @@
 //! the shrinker's reproduction predicate and `--replay`, so a finding can
 //! never depend on which of the three asked.
 
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use polychrony_core::polysim::SimulationReport;
 use polychrony_core::polysim::Simulator;
 use polychrony_core::polyverify::ltl::first_violation;
 use polychrony_core::polyverify::{
@@ -18,7 +20,10 @@ use polychrony_core::polyverify::{
 use polychrony_core::signal_moc::eval::Evaluator;
 use polychrony_core::signal_moc::process::Process;
 use polychrony_core::signal_moc::trace::{Trace, TraceStep};
-use polychrony_core::{end_to_end_response_for, ArtifactCache, CacheOutcome, Simulated};
+use polychrony_core::{
+    end_to_end_response_for, ArtifactCache, BatchJob, CacheOutcome, SimulateOptions, Simulated,
+    VcdCapture, VCD_TIMESCALE_NS,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -65,8 +70,8 @@ fn fail(kind: FindingKind, detail: String) -> Failure {
 }
 
 /// Checks one scenario: builds the system, runs the cache oracle, the
-/// monitor, lockstep, domain and evaluator oracles, and (in fault mode) the
-/// injection stage.
+/// monitor, lockstep, domain, evaluator and simulation oracles, and (in
+/// fault mode) the injection stage.
 /// Panics anywhere inside are caught and reported as
 /// [`FindingKind::Panic`] findings. Deterministic in `(spec, seed,
 /// fault)`.
@@ -184,6 +189,10 @@ fn check_spec(
     // Evaluator oracle: the change-driven evaluator against the reference
     // fixpoint on every thread unit.
     evaluator_oracle(&simulated)?;
+
+    // Simulation oracle: the folded reports and waveform against every
+    // thread unit re-run through the reference simulator.
+    simulation_oracle(&simulated, &cache, &job, seed)?;
 
     match fault {
         None => Ok(ScenarioOutcome::Passed),
@@ -549,6 +558,122 @@ fn step_both(
 /// Inequality that equates NaNs, through the values' rendering.
 fn differs<T: PartialEq + std::fmt::Debug>(a: &T, b: &T) -> bool {
     a != b && format!("{a:?}") != format!("{b:?}")
+}
+
+/// Simulation oracle: the scenario's simulated artifact, then the same
+/// front end re-simulated (through the cache) under seeded simulate
+/// options — one to three hyper-periods, each VCD capture mode in turn —
+/// each checked against every thread unit re-run through `Simulator`.
+fn simulation_oracle(
+    simulated: &Simulated,
+    cache: &ArtifactCache,
+    job: &BatchJob,
+    seed: u64,
+) -> Result<(), Failure> {
+    simulation_agreement(simulated, &job.options.simulate)?;
+    let vcd = match seed % 3 {
+        0 => VcdCapture::First,
+        1 => {
+            let unit = &simulated.thread_units[target_unit(simulated, seed)];
+            VcdCapture::Thread(unit.model.thread_name.clone())
+        }
+        _ => VcdCapture::Off,
+    };
+    let mut options = job.options.clone();
+    options.simulate = SimulateOptions {
+        hyperperiods: 1 + (seed / 3) % 3,
+        vcd,
+    };
+    let (resimulated, _) = cache
+        .simulated_for(&job.source, &job.root, &options)
+        .map_err(|e| {
+            fail(
+                FindingKind::SimulationMismatch,
+                format!("re-simulation under {:?} failed: {e}", options.simulate),
+            )
+        })?;
+    simulation_agreement(&resimulated, &options.simulate)
+}
+
+/// Every thread unit of `simulated` run through `Simulator` under
+/// `options`: each report must equal the simulate phase's, and the
+/// captured waveform its `vcd`.
+fn simulation_agreement(simulated: &Simulated, options: &SimulateOptions) -> Result<(), Failure> {
+    let mismatch = |detail: String| fail(FindingKind::SimulationMismatch, detail);
+    let mut vcd = String::new();
+    let mut vcd_thread = None;
+    for unit in &simulated.thread_units {
+        let inputs = unit
+            .model
+            .timing_trace(&simulated.schedule, options.hyperperiods);
+        let mut simulator = Simulator::new(&unit.model.flat)
+            .map_err(|e| mismatch(format!("simulator construction failed: {e}")))?;
+        simulator.run(&inputs).map_err(|e| {
+            mismatch(format!(
+                "{} fails in the simulator ({e}) but passed the simulate phase",
+                unit.path
+            ))
+        })?;
+        let report = simulator.report();
+        let folded = simulated.simulations.get(&unit.path);
+        if folded != Some(&report) {
+            return Err(mismatch(format!(
+                "{} over {} hyper-period(s): {}",
+                unit.path,
+                options.hyperperiods,
+                report_difference(folded, &report)
+            )));
+        }
+        let capture = match &options.vcd {
+            VcdCapture::Off => false,
+            VcdCapture::First => vcd_thread.is_none(),
+            VcdCapture::Thread(name) => unit.model.thread_name == *name,
+        };
+        if capture {
+            vcd = simulator.to_vcd(&unit.model.thread_name, VCD_TIMESCALE_NS);
+            vcd_thread = Some(unit.model.thread_name.clone());
+        }
+    }
+    if simulated.vcd_thread != vcd_thread || simulated.vcd != vcd {
+        let first_diff = simulated
+            .vcd
+            .lines()
+            .zip(vcd.lines())
+            .position(|(a, b)| a != b);
+        return Err(mismatch(format!(
+            "capture {:?} over {} hyper-period(s): simulate phase dumps {:?} ({} lines), \
+             the simulator {vcd_thread:?} ({} lines), first differing line {first_diff:?}",
+            options.vcd,
+            options.hyperperiods,
+            simulated.vcd_thread,
+            simulated.vcd.lines().count(),
+            vcd.lines().count()
+        )));
+    }
+    Ok(())
+}
+
+/// What a simulate-phase report (if any) and the simulator's disagree on,
+/// for finding details.
+fn report_difference(folded: Option<&SimulationReport>, reference: &SimulationReport) -> String {
+    let Some(folded) = folded else {
+        return "the simulate phase has no report".into();
+    };
+    let names: BTreeSet<&String> = folded
+        .profile
+        .signals
+        .keys()
+        .chain(reference.profile.signals.keys())
+        .collect();
+    let differing: Vec<&String> = names
+        .into_iter()
+        .filter(|name| folded.profile.signal(name) != reference.profile.signal(name))
+        .collect();
+    format!(
+        "simulate phase reports {} instant(s) and {} alarm instant(s), the simulator {} and {}; \
+         signal profiles differ on {differing:?}",
+        folded.instants, folded.alarm_instants, reference.instants, reference.alarm_instants
+    )
 }
 
 fn lockstep_oracle(simulated: &Simulated, hyperperiods: u64) -> Result<(), Failure> {
@@ -1037,5 +1162,50 @@ mod tests {
             }
             other => panic!("expected a detected fault, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_drifted_simulation_is_a_simulation_mismatch() {
+        let spec = SystemSpec {
+            threads: vec![
+                crate::ThreadSpec {
+                    period_ms: 4,
+                    wcet_ms: 1,
+                },
+                crate::ThreadSpec {
+                    period_ms: 8,
+                    wcet_ms: 1,
+                },
+            ],
+            connections: vec![],
+            workers: 1,
+            hyperperiods: 1,
+        };
+        let job = spec.batch_job(3);
+        let cache = ArtifactCache::new();
+        let (simulated, _) = cache
+            .simulated_for(&job.source, &job.root, &job.options)
+            .unwrap();
+        // Every seed residue: each capture mode, one to three hyper-periods.
+        for seed in 0..9 {
+            simulation_oracle(&simulated, &cache, &job, seed).expect("no finding");
+        }
+
+        let mut drifted = simulated.clone();
+        let report = drifted.simulations.values_mut().next().unwrap();
+        report.alarm_instants += 1;
+        let failure = simulation_agreement(&drifted, &job.options.simulate).unwrap_err();
+        assert_eq!(failure.kind, FindingKind::SimulationMismatch);
+        assert!(
+            failure.detail.contains("alarm instant"),
+            "{}",
+            failure.detail
+        );
+
+        let mut drifted = simulated;
+        drifted.vcd.push_str("#0\n");
+        let failure = simulation_agreement(&drifted, &job.options.simulate).unwrap_err();
+        assert_eq!(failure.kind, FindingKind::SimulationMismatch);
+        assert!(failure.detail.contains("capture Off"), "{}", failure.detail);
     }
 }

@@ -254,6 +254,56 @@ mod tests {
         }
     }
 
+    /// The timing traces of generated schedules equal the per-tick
+    /// reference construction over one to three hyper-periods.
+    #[test]
+    fn generated_timing_traces_match_the_per_tick_reference() {
+        use polychrony_core::asme2ssme::{
+            schedule_to_timing_trace, schedule_to_timing_trace_reference,
+        };
+        use polychrony_core::sched::StaticSchedule;
+        use polychrony_core::signal_moc::trace::Trace;
+        use polychrony_core::Session;
+        type Build = fn(&StaticSchedule, &str, &str, &[String], &[String], u64) -> Trace;
+
+        let mut compared = 0;
+        for seed in 0..12 {
+            let spec = SystemSpec::generate(seed, 6, None);
+            let translated = Session::with_options(spec.session_options())
+                .and_then(|session| session.parse(&spec.to_aadl()))
+                .and_then(|parsed| parsed.instantiate("top.impl"))
+                .and_then(|instantiated| instantiated.schedule())
+                .and_then(|scheduled| scheduled.translate());
+            // An unschedulable draw has no schedule to compare.
+            let Ok(translated) = translated else {
+                continue;
+            };
+            for unit in &translated.thread_units {
+                let model = &unit.model;
+                for hyperperiods in 1..=3 {
+                    let build = |f: Build| {
+                        f(
+                            &translated.schedule,
+                            &model.thread_name,
+                            "",
+                            &model.in_ports,
+                            &model.out_ports,
+                            hyperperiods,
+                        )
+                    };
+                    assert_eq!(
+                        build(schedule_to_timing_trace),
+                        build(schedule_to_timing_trace_reference),
+                        "seed {seed}, {} over {hyperperiods} hyper-period(s)",
+                        unit.path
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 30, "only {compared} trace(s) compared");
+    }
+
     #[test]
     fn link_faults_force_a_wired_product() {
         for seed in 0..32 {

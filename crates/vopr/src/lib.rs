@@ -157,6 +157,9 @@ pub enum FindingKind {
     /// The change-driven evaluator and the reference fixpoint disagreed on
     /// a resolved step, a memory or an error text.
     EvaluatorMismatch,
+    /// The simulate phase's folded reports or waveform and a re-run
+    /// through the reference `Simulator` disagreed.
+    SimulationMismatch,
 }
 
 impl fmt::Display for FindingKind {
@@ -170,6 +173,7 @@ impl fmt::Display for FindingKind {
             FindingKind::FaultUndetected => "fault-undetected",
             FindingKind::DomainMismatch => "domain-mismatch",
             FindingKind::EvaluatorMismatch => "evaluator-mismatch",
+            FindingKind::SimulationMismatch => "simulation-mismatch",
         })
     }
 }
