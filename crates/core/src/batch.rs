@@ -7,7 +7,9 @@
 //! them across a bounded pool of shared-nothing workers — every job builds
 //! its own [`Session`], so no state crosses job boundaries — and returns
 //! one [`BatchReport`] per job, **in submission order and independent of
-//! the worker count**, with per-job wall-clock timing.
+//! the worker count**, with per-job wall-clock timing. Jobs with equal
+//! content (source, root classifier and result-relevant options) share one
+//! execution.
 //!
 //! ```
 //! use polychrony_core::{BatchJob, BatchRunner};
@@ -101,13 +103,14 @@ impl BatchJob {
             .into_report())
     }
 
-    /// Runs this job's chain through `cache`: the deepest cached pipeline
-    /// prefix (frontend or simulated artifact) whose content key matches
-    /// this job is reused, the remaining phases run under this job's own
-    /// options, and the cache is populated for the next job. Verdicts and
-    /// reports are identical to [`BatchJob::run`] — only the wall time (and
-    /// the phase timings inside the [`RunRecord`], which equality ignores)
-    /// can differ.
+    /// Runs this job's chain through `cache`: a cached
+    /// [`Simulated`](crate::Simulated) artifact whose content key matches
+    /// this job is reused and only the verification phase runs, under this
+    /// job's own options; otherwise the whole chain runs and its simulated
+    /// artifact is stored for the next job. Verdicts and reports are
+    /// identical to [`BatchJob::run`] — only the wall time (and the phase
+    /// timings inside the [`RunRecord`], which equality ignores) can
+    /// differ.
     ///
     /// # Errors
     ///
@@ -134,9 +137,6 @@ pub struct BatchReport {
     pub duration: Duration,
     /// The aggregated report, or the error of the phase that failed.
     pub outcome: Result<ToolChainReport, CoreError>,
-    /// How the job resolved against the runner's [`ArtifactCache`]
-    /// (`None` when the runner has no cache installed).
-    pub cache: Option<CacheOutcome>,
 }
 
 impl BatchReport {
@@ -158,17 +158,12 @@ impl BatchReport {
             Ok(_) => "CHECKS FAILED".to_string(),
             Err(e) => format!("ERROR: {e}"),
         };
-        let cache = match self.cache {
-            Some(outcome) => format!("  [cache: {outcome}]"),
-            None => String::new(),
-        };
         format!(
-            "#{:<3} {:<24} {:>8.1} ms  {}{}",
+            "#{:<3} {:<24} {:>8.1} ms  {}",
             self.index,
             self.job,
             self.duration.as_secs_f64() * 1e3,
-            verdict,
-            cache
+            verdict
         )
     }
 }
@@ -237,17 +232,20 @@ impl BatchResults {
 /// its own options, so verdicts depend only on the job, never on worker
 /// interleaving — the same batch run with 1 or 8 workers yields equal
 /// reports in the same order (only the timings differ).
+///
+/// Jobs with equal source, root classifier and result-relevant options
+/// share one execution, and every duplicate receives a clone of the
+/// representative's report under its own index and label. Verdicts are
+/// unaffected — a duplicate job would have produced the identical report by
+/// itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchRunner {
     workers: usize,
     collector: Collector,
-    cache: Option<ArtifactCache>,
-    dedupe: bool,
 }
 
 impl Default for BatchRunner {
     /// Sizes the pool to the machine's available parallelism, capped at 8.
-    /// Content-hash deduplication is on; no artifact cache is installed.
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism()
@@ -255,8 +253,6 @@ impl Default for BatchRunner {
                 .unwrap_or(2)
                 .min(8),
             collector: Collector::noop(),
-            cache: None,
-            dedupe: true,
         }
     }
 }
@@ -292,28 +288,6 @@ impl BatchRunner {
         self
     }
 
-    /// Installs a shared [`ArtifactCache`]: every job runs through
-    /// [`BatchJob::run_cached`], so jobs whose source and front-end options
-    /// match a cached artifact skip the already-computed pipeline prefix.
-    /// Each report's [`BatchReport::cache`] records how its job resolved.
-    #[must_use]
-    pub fn with_cache(mut self, cache: ArtifactCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Enables or disables content-hash deduplication (on by default):
-    /// jobs with equal source, root classifier and result-relevant options
-    /// share one execution, and every duplicate receives a clone of the
-    /// representative's report under its own index and label. Verdicts are
-    /// unaffected — a duplicate job would have produced the identical
-    /// report by itself.
-    #[must_use]
-    pub fn with_dedupe(mut self, dedupe: bool) -> Self {
-        self.dedupe = dedupe;
-        self
-    }
-
     /// Runs every job across the worker pool and returns the reports in
     /// submission order.
     ///
@@ -335,7 +309,7 @@ impl BatchRunner {
         // with identical content; only representatives (`canonical[i] == i`)
         // enter the work queue, duplicates get a clone of the
         // representative's report afterwards.
-        let canonical = self.canonical_indices(jobs);
+        let canonical = Self::canonical_indices(jobs);
         let work: Vec<usize> = (0..jobs.len()).filter(|&i| canonical[i] == i).collect();
         let deduped = jobs.len() - work.len();
         let slots: Vec<Mutex<Option<BatchReport>>> =
@@ -358,13 +332,10 @@ impl BatchRunner {
                         span.attr("index", index);
                         span.attr("job", job.name.as_str());
                         let job_started = Instant::now();
-                        let (outcome, cache) = self.execute(job);
+                        let outcome = self.execute(job);
                         c_jobs.incr();
                         if !matches!(&outcome, Ok(report) if report.all_checks_passed()) {
                             c_failures.incr();
-                        }
-                        if let Some(cache) = cache {
-                            span.attr("cache", cache.label());
                         }
                         drop(span);
                         *slots[index].lock().expect("job slot poisoned") = Some(BatchReport {
@@ -372,7 +343,6 @@ impl BatchRunner {
                             job: job.name.clone(),
                             duration: job_started.elapsed(),
                             outcome,
-                            cache,
                         });
                     });
                 }
@@ -395,7 +365,6 @@ impl BatchRunner {
                     job: jobs[i].name.clone(),
                     duration: representative.duration,
                     outcome: representative.outcome,
-                    cache: representative.cache,
                 });
             }
         }
@@ -410,39 +379,24 @@ impl BatchRunner {
         })
     }
 
-    /// Runs one job, through the cache when one is installed, with the
-    /// runner's collector riding into the job's session when enabled (so
-    /// phase spans and engine counters from all jobs aggregate in one
-    /// place).
-    fn execute(
-        &self,
-        job: &BatchJob,
-    ) -> (Result<ToolChainReport, CoreError>, Option<CacheOutcome>) {
-        let run = |job: &BatchJob| match &self.cache {
-            Some(cache) => match job.run_cached(cache) {
-                Ok((report, outcome)) => (Ok(report), Some(outcome)),
-                Err(e) => (Err(e), None),
-            },
-            None => (job.run(), None),
-        };
-        if self.collector.is_enabled() {
-            let mut job = job.clone();
-            job.options.collector = self.collector.clone();
-            run(&job)
-        } else {
-            run(job)
+    /// Runs one job, with the runner's collector riding into the job's
+    /// session when enabled (so phase spans and engine counters from all
+    /// jobs aggregate in one place).
+    fn execute(&self, job: &BatchJob) -> Result<ToolChainReport, CoreError> {
+        if !self.collector.is_enabled() {
+            return job.run();
         }
+        let mut job = job.clone();
+        job.options.collector = self.collector.clone();
+        job.run()
     }
 
     /// Maps every job index to the index of the first job with identical
     /// content (source, root and result-relevant options — the collector is
     /// excluded). Hash buckets are confirmed field-by-field, so a 64-bit
     /// collision cannot merge distinct jobs.
-    fn canonical_indices(&self, jobs: &[BatchJob]) -> Vec<usize> {
+    fn canonical_indices(jobs: &[BatchJob]) -> Vec<usize> {
         let mut canonical: Vec<usize> = (0..jobs.len()).collect();
-        if !self.dedupe {
-            return canonical;
-        }
         let mut seen: std::collections::HashMap<u64, Vec<usize>> = std::collections::HashMap::new();
         for i in 0..jobs.len() {
             let group = seen.entry(job_content_hash(&jobs[i])).or_default();
@@ -552,26 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn dedupe_can_be_disabled() {
-        let collector = Collector::counters();
-        let jobs = vec![
-            BatchJob::case_study("first").with_options(quick_options()),
-            BatchJob::case_study("second").with_options(quick_options()),
-        ];
-        let results = BatchRunner::new()
-            .with_workers(2)
-            .with_dedupe(false)
-            .with_collector(collector.clone())
-            .run(&jobs)
-            .unwrap();
-        assert!(results.all_passed());
-        let counters: std::collections::BTreeMap<String, u64> =
-            collector.counter_values().into_iter().collect();
-        assert_eq!(counters.get("batch.deduped"), None);
-        assert_eq!(counters.get("batch.jobs"), Some(&2));
-    }
-
-    #[test]
     fn jobs_differing_only_in_verify_options_are_not_deduped() {
         let mut other = quick_options();
         other.verify.hyperperiods = 2;
@@ -579,39 +513,7 @@ mod tests {
             BatchJob::case_study("a").with_options(quick_options()),
             BatchJob::case_study("b").with_options(other),
         ];
-        let runner = BatchRunner::new().with_workers(1);
-        assert_eq!(runner.canonical_indices(&jobs), vec![0, 1]);
-    }
-
-    #[test]
-    fn a_cached_runner_reports_per_job_cache_outcomes() {
-        let cache = crate::ArtifactCache::new();
-        let mut sweep = quick_options();
-        sweep.verify.hyperperiods = 2;
-        let jobs = vec![
-            BatchJob::case_study("cold").with_options(quick_options()),
-            BatchJob::case_study("warm").with_options(sweep),
-        ];
-        // One worker so the cold job populates the cache before the warm
-        // job looks it up (with more workers both could race to a miss —
-        // still correct, just not a deterministic assertion).
-        let results = BatchRunner::new()
-            .with_workers(1)
-            .with_cache(cache.clone())
-            .run(&jobs)
-            .unwrap();
-        assert!(results.all_passed());
-        assert_eq!(results.reports[0].cache, Some(crate::CacheOutcome::Miss));
-        assert_eq!(
-            results.reports[1].cache,
-            Some(crate::CacheOutcome::SimulatedHit)
-        );
-        assert!(results.reports[1]
-            .summary()
-            .contains("[cache: simulated-hit]"));
-        // An uncached rerun of the warm job yields the identical report.
-        let uncached = jobs[1].run().unwrap();
-        assert_eq!(results.reports[1].outcome.as_ref().unwrap(), &uncached);
+        assert_eq!(BatchRunner::canonical_indices(&jobs), vec![0, 1]);
     }
 
     #[test]

@@ -3,23 +3,17 @@
 //! Property sweeps are the common shape of verification workloads: the same
 //! AADL source checked under many [`VerificationOptions`](crate::VerificationOptions) variants. Every
 //! such variant pays the identical front end — parse, instantiate,
-//! schedule, translate, analyze — and, when the simulation options also
-//! match, the identical co-simulation. An [`ArtifactCache`] memoizes those
-//! prefixes of the chain as typed artifacts, keyed by **content**: the hash
-//! of the source text, the root classifier, and a fingerprint of exactly
-//! the options that influence the cached phases. Two jobs that differ only
-//! in verification options therefore share one front end; two jobs that
-//! differ only in the collector share everything (telemetry never changes
-//! results — see the determinism contract in `polyobs`).
-//!
-//! Two levels are kept:
-//!
-//! * **frontend** — the [`Analyzed`] artifact, keyed by source ×
-//!   root × (schedule, translate) options. A hit skips
-//!   parse-through-analyze.
-//! * **simulated** — the [`Simulated`] artifact, keyed by source ×
-//!   root × (schedule, translate, simulate) options. A hit additionally
-//!   skips the co-simulation, leaving only the verification phase to run.
+//! schedule, translate, analyze — and the identical co-simulation. An
+//! [`ArtifactCache`] memoizes that prefix of the chain as one typed
+//! artifact, the [`Simulated`] artifact, keyed by **content**: the hash of
+//! the source text, the root classifier, and a fingerprint of exactly the
+//! options that influence the cached phases (the `schedule`, `translate`
+//! and `simulate` groups). Two jobs that differ only in verification
+//! options therefore share one front end and one co-simulation, leaving
+//! only the verification phase to run; two jobs that differ only in the
+//! collector share everything (telemetry never changes results — see the
+//! determinism contract in `polyobs`). A job that changes any cached group
+//! is a miss and runs the whole chain.
 //!
 //! Cached artifacts keep their original [`RunRecord`](crate::RunRecord) phase sequence, so a
 //! warm run's report compares equal to a cold run's (record equality is the
@@ -51,9 +45,9 @@ use polyobs::Collector;
 use crate::batch::BatchJob;
 use crate::error::CoreError;
 use crate::options::{groups_to_json, options_to_json, SessionOptions};
-use crate::session::{Analyzed, Session, Simulated};
+use crate::session::{Session, Simulated};
 
-/// Default number of entries kept per cache level.
+/// Default number of entries kept.
 const DEFAULT_CAPACITY: usize = 64;
 
 /// FNV-1a 64-bit: the zero-dependency content hash of the cache. Small,
@@ -97,25 +91,22 @@ impl Fnv64 {
 /// How a cached run resolved against the [`ArtifactCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Nothing reusable: the full chain ran (and populated both levels).
+    /// Nothing reusable: the full chain ran (and populated the cache).
     Miss,
-    /// The [`Analyzed`] front end was reused; simulate and verify ran.
-    FrontendHit,
     /// The [`Simulated`] artifact was reused; only verify ran.
     SimulatedHit,
 }
 
 impl CacheOutcome {
-    /// Returns `true` for either hit level.
+    /// Returns `true` for a hit.
     pub fn is_hit(&self) -> bool {
-        !matches!(self, CacheOutcome::Miss)
+        matches!(self, CacheOutcome::SimulatedHit)
     }
 
     /// The stable label used on the wire, in logs and in CLI output.
     pub fn label(&self) -> &'static str {
         match self {
             CacheOutcome::Miss => "miss",
-            CacheOutcome::FrontendHit => "frontend-hit",
             CacheOutcome::SimulatedHit => "simulated-hit",
         }
     }
@@ -124,7 +115,6 @@ impl CacheOutcome {
     pub fn from_label(label: &str) -> Option<Self> {
         match label {
             "miss" => Some(CacheOutcome::Miss),
-            "frontend-hit" => Some(CacheOutcome::FrontendHit),
             "simulated-hit" => Some(CacheOutcome::SimulatedHit),
             _ => None,
         }
@@ -137,17 +127,10 @@ impl fmt::Display for CacheOutcome {
     }
 }
 
-/// The fingerprint of the options that influence the front end
-/// (parse through analyze): the JSON text of the `schedule` and
-/// `translate` option groups. Rendered as text so it doubles as the
-/// collision check and as the human-readable cache-key component in logs.
-pub fn frontend_fingerprint(options: &SessionOptions) -> String {
-    groups_to_json(options, &["schedule", "translate"]).to_string()
-}
-
 /// The fingerprint of the options that influence parse through simulate:
-/// the frontend groups plus the `simulate` group (horizon and VCD
-/// selection).
+/// the JSON text of the `schedule`, `translate` and `simulate` option
+/// groups. Rendered as text so it doubles as the collision check and as
+/// the human-readable cache-key component in logs.
 pub fn simulated_fingerprint(options: &SessionOptions) -> String {
     groups_to_json(options, &["schedule", "translate", "simulate"]).to_string()
 }
@@ -168,44 +151,37 @@ pub fn job_content_hash(job: &BatchJob) -> u64 {
 /// One stored artifact plus the full content it was keyed by, re-checked on
 /// every hit so hash collisions degrade to misses.
 #[derive(Debug, Clone)]
-struct Entry<T> {
+struct Entry {
     source: String,
     root: String,
     fingerprint: String,
-    artifact: T,
+    artifact: Simulated,
 }
 
-impl<T> Entry<T> {
+impl Entry {
     fn matches(&self, source: &str, root: &str, fingerprint: &str) -> bool {
         self.source == source && self.root == root && self.fingerprint == fingerprint
     }
 }
 
-/// One bounded cache level: least-recently-used eviction once `capacity`
-/// is exceeded. `order` is the recency queue — front is the eviction
-/// victim, back is the most recently inserted *or hit* key.
-#[derive(Debug)]
-struct Level<T> {
-    entries: BTreeMap<u64, Entry<T>>,
+/// The bounded store: least-recently-used eviction once `capacity` is
+/// exceeded. `order` is the recency queue — front is the eviction victim,
+/// back is the most recently inserted *or hit* key.
+#[derive(Debug, Default)]
+struct Lru {
+    entries: BTreeMap<u64, Entry>,
     order: VecDeque<u64>,
 }
 
-impl<T: Clone> Level<T> {
-    fn new() -> Self {
-        Level {
-            entries: BTreeMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    fn get(&mut self, key: u64, source: &str, root: &str, fingerprint: &str) -> Option<T> {
+impl Lru {
+    fn get(&mut self, key: u64, source: &str, root: &str, fingerprint: &str) -> Option<Simulated> {
         let artifact = self
             .entries
             .get(&key)
             .filter(|e| e.matches(source, root, fingerprint))
             .map(|e| e.artifact.clone())?;
         // Promote on hit: a hot entry swept on every run must outlive
-        // colder entries once the level runs over capacity (LRU, not
+        // colder entries once the cache runs over capacity (LRU, not
         // insertion-order FIFO).
         if let Some(position) = self.order.iter().position(|&k| k == key) {
             self.order.remove(position);
@@ -214,7 +190,7 @@ impl<T: Clone> Level<T> {
         Some(artifact)
     }
 
-    fn insert(&mut self, key: u64, entry: Entry<T>, capacity: usize) {
+    fn insert(&mut self, key: u64, entry: Entry, capacity: usize) {
         if self.entries.insert(key, entry).is_none() {
             self.order.push_back(key);
         } else if let Some(position) = self.order.iter().position(|&k| k == key) {
@@ -229,28 +205,18 @@ impl<T: Clone> Level<T> {
             self.entries.remove(&oldest);
         }
     }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-#[derive(Debug)]
-struct CacheState {
-    frontend: Level<Analyzed>,
-    simulated: Level<Simulated>,
 }
 
 #[derive(Debug)]
 struct CacheInner {
     capacity: usize,
     collector: Collector,
-    state: Mutex<CacheState>,
+    state: Mutex<Lru>,
 }
 
-/// A thread-safe, content-addressed cache of pipeline-prefix artifacts,
+/// A thread-safe, content-addressed cache of [`Simulated`] artifacts,
 /// shared by cloning (clones see the same entries). See the module docs for
-/// the key structure and the reuse levels.
+/// the key structure.
 #[derive(Debug, Clone)]
 pub struct ArtifactCache {
     inner: Arc<CacheInner>,
@@ -271,23 +237,23 @@ impl Default for ArtifactCache {
 }
 
 impl ArtifactCache {
-    /// A cache holding up to 64 entries per level, with no telemetry.
+    /// A cache holding up to 64 entries, with no telemetry.
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A cache holding up to `capacity` entries per level (least-recently-
-    /// used eviction, where both inserts and hits refresh recency; a zero
+    /// A cache holding up to `capacity` entries (least-recently-used
+    /// eviction, where both inserts and hits refresh recency; a zero
     /// capacity disables storing, turning every run into a miss).
     pub fn with_capacity(capacity: usize) -> Self {
         Self::build(capacity, Collector::noop())
     }
 
-    /// Installs a telemetry collector: `cache.hits.frontend`,
-    /// `cache.hits.simulated` and `cache.misses` counters plus the
-    /// `cache.entries` gauge are recorded on it. Returns a new handle with
-    /// the same capacity and **empty** state — call this while configuring
-    /// the cache, before sharing clones.
+    /// Installs a telemetry collector: the `cache.hits.simulated` and
+    /// `cache.misses` counters plus the `cache.entries` gauge are recorded
+    /// on it. Returns a new handle with the same capacity and **empty**
+    /// state — call this while configuring the cache, before sharing
+    /// clones.
     #[must_use]
     pub fn with_collector(self, collector: Collector) -> Self {
         Self::build(self.inner.capacity, collector)
@@ -298,18 +264,14 @@ impl ArtifactCache {
             inner: Arc::new(CacheInner {
                 capacity,
                 collector,
-                state: Mutex::new(CacheState {
-                    frontend: Level::new(),
-                    simulated: Level::new(),
-                }),
+                state: Mutex::new(Lru::default()),
             }),
         }
     }
 
-    /// Total number of cached artifacts across both levels.
+    /// Number of cached artifacts.
     pub fn len(&self) -> usize {
-        let state = self.lock();
-        state.frontend.len() + state.simulated.len()
+        self.lock().entries.len()
     }
 
     /// Returns `true` when nothing is cached yet.
@@ -317,7 +279,7 @@ impl ArtifactCache {
         self.len() == 0
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, CacheState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Lru> {
         // A panic while holding the lock leaves only telemetry-grade state
         // behind; recover the guard rather than poisoning every later job.
         match self.inner.state.lock() {
@@ -340,10 +302,11 @@ impl ArtifactCache {
     }
 
     /// Produces the [`Simulated`] artifact for `source`/`root` under
-    /// `options`, reusing the deepest cached prefix available and
-    /// populating both levels on the way. The returned artifact carries
-    /// `options` (including its collector), so the verification phase that
-    /// follows behaves exactly as in an uncached run.
+    /// `options`, reusing a cached one when its content key matches and
+    /// otherwise running the whole chain and storing its result. The
+    /// returned artifact carries `options` (including its collector), so
+    /// the verification phase that follows behaves exactly as in an
+    /// uncached run.
     ///
     /// # Errors
     ///
@@ -356,15 +319,13 @@ impl ArtifactCache {
         options: &SessionOptions,
     ) -> Result<(Simulated, CacheOutcome), CoreError> {
         options.validate()?;
-        let front_fp = frontend_fingerprint(options);
-        let sim_fp = simulated_fingerprint(options);
-        let front_key = Self::key(source, root, &front_fp);
-        let sim_key = Self::key(source, root, &sim_fp);
+        let fingerprint = simulated_fingerprint(options);
+        let key = Self::key(source, root, &fingerprint);
 
-        // Bind each lookup before matching on it: an `if let` over
+        // Bind the lookup before matching on it: an `if let` over
         // `self.lock().…` would keep the guard alive for the whole body,
-        // and the frontend branch re-locks in `store_simulated`.
-        let cached = self.lock().simulated.get(sim_key, source, root, &sim_fp);
+        // and the miss path re-locks in `store`.
+        let cached = self.lock().get(key, source, root, &fingerprint);
         if let Some(mut simulated) = cached {
             simulated.adopt_options(options.clone());
             self.inner.collector.counter("cache.hits.simulated").incr();
@@ -374,34 +335,20 @@ impl ArtifactCache {
             return Ok((simulated, CacheOutcome::SimulatedHit));
         }
 
-        let cached = self.lock().frontend.get(front_key, source, root, &front_fp);
-        if let Some(mut analyzed) = cached {
-            analyzed.adopt_options(options.clone());
-            let simulated = analyzed.simulate()?;
-            self.store_simulated(sim_key, source, root, &sim_fp, &simulated);
-            self.inner.collector.counter("cache.hits.frontend").incr();
-            self.inner
-                .collector
-                .event("cache.hit", vec![("level".into(), "frontend".into())]);
-            self.update_entries_gauge();
-            return Ok((simulated, CacheOutcome::FrontendHit));
-        }
-
-        let analyzed = Session::with_options(options.clone())?
+        let simulated = Session::with_options(options.clone())?
             .parse(source)?
             .instantiate(root)?
             .schedule()?
             .translate()?
-            .analyze()?;
-        self.store_frontend(front_key, source, root, &front_fp, &analyzed);
-        let simulated = analyzed.simulate()?;
-        self.store_simulated(sim_key, source, root, &sim_fp, &simulated);
+            .analyze()?
+            .simulate()?;
+        self.store(key, source, root, &fingerprint, &simulated);
         self.inner.collector.counter("cache.misses").incr();
         self.update_entries_gauge();
         Ok((simulated, CacheOutcome::Miss))
     }
 
-    fn store_frontend(&self, key: u64, source: &str, root: &str, fp: &str, artifact: &Analyzed) {
+    fn store(&self, key: u64, source: &str, root: &str, fp: &str, artifact: &Simulated) {
         if self.inner.capacity == 0 {
             return;
         }
@@ -411,27 +358,7 @@ impl ArtifactCache {
         let mut options = stored.options().clone();
         options.collector = Collector::noop();
         stored.adopt_options(options);
-        self.lock().frontend.insert(
-            key,
-            Entry {
-                source: source.to_string(),
-                root: root.to_string(),
-                fingerprint: fp.to_string(),
-                artifact: stored,
-            },
-            self.inner.capacity,
-        );
-    }
-
-    fn store_simulated(&self, key: u64, source: &str, root: &str, fp: &str, artifact: &Simulated) {
-        if self.inner.capacity == 0 {
-            return;
-        }
-        let mut stored = artifact.clone();
-        let mut options = stored.options().clone();
-        options.collector = Collector::noop();
-        stored.adopt_options(options);
-        self.lock().simulated.insert(
+        self.lock().insert(
             key,
             Entry {
                 source: source.to_string(),
@@ -454,12 +381,12 @@ mod tests {
     }
 
     #[test]
-    fn repeated_runs_hit_the_simulated_level() {
+    fn repeated_runs_hit_the_simulated_artifact() {
         let cache = ArtifactCache::new();
         let job = BatchJob::case_study("a").with_options(quick());
         let (cold, outcome) = job.run_cached(&cache).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
-        assert_eq!(cache.len(), 2, "both levels populated on a miss");
+        assert_eq!(cache.len(), 1, "a miss stores one artifact");
         let (warm, outcome) = job.run_cached(&cache).unwrap();
         assert_eq!(outcome, CacheOutcome::SimulatedHit);
         assert_eq!(cold, warm, "warm report equals cold report");
@@ -467,12 +394,12 @@ mod tests {
     }
 
     #[test]
-    fn changed_verify_options_still_hit_changed_simulate_options_fall_back() {
+    fn changed_verify_options_still_hit_changed_simulate_options_miss() {
         let cache = ArtifactCache::new();
         let base = BatchJob::case_study("base").with_options(quick());
         base.run_cached(&cache).unwrap();
 
-        // Different verification options: deepest prefix still applies.
+        // Different verification options: the simulated artifact applies.
         let mut sweep = quick();
         sweep.verify.workers = 2;
         sweep.verify.hyperperiods = 2;
@@ -480,7 +407,7 @@ mod tests {
         let (_, outcome) = job.run_cached(&cache).unwrap();
         assert_eq!(outcome, CacheOutcome::SimulatedHit);
 
-        // Different simulate options: only the front end is reusable.
+        // Different simulate options: nothing is reusable.
         let mut sim = quick();
         sim.simulate = SimulateOptions {
             hyperperiods: 2,
@@ -488,7 +415,7 @@ mod tests {
         };
         let job = BatchJob::case_study("sim").with_options(sim);
         let (_, outcome) = job.run_cached(&cache).unwrap();
-        assert_eq!(outcome, CacheOutcome::FrontendHit);
+        assert_eq!(outcome, CacheOutcome::Miss);
 
         // Different schedule options: nothing is reusable.
         let mut resched = quick();
@@ -515,8 +442,8 @@ mod tests {
     #[test]
     fn a_repeatedly_hit_entry_survives_an_over_capacity_sweep() {
         use aadl::synth::SyntheticSpec;
-        // Capacity 2 per level; `hot` is inserted first but hit before the
-        // level overflows, so the eviction victim must be the colder
+        // Capacity 2; `hot` is inserted first but hit before the cache
+        // overflows, so the eviction victim must be the colder
         // `filler` entry — under the old insertion-order FIFO the sweep
         // evicted `hot` despite its hit.
         let cache = ArtifactCache::with_capacity(2);
@@ -530,7 +457,7 @@ mod tests {
         let (_, outcome) = hot.run_cached(&cache).unwrap();
         assert_eq!(outcome, CacheOutcome::SimulatedHit, "hot entry warms up");
 
-        // Third distinct job overflows the level: LRU must evict `filler`.
+        // Third distinct job overflows the cache: LRU must evict `filler`.
         newcomer.run_cached(&cache).unwrap();
         let (_, outcome) = hot.run_cached(&cache).unwrap();
         assert_eq!(
@@ -538,14 +465,11 @@ mod tests {
             CacheOutcome::SimulatedHit,
             "the repeatedly-hit entry must survive the over-capacity sweep"
         );
-        // `filler` lost its simulated entry (the LRU victim); its frontend
-        // entry survived because that level evicted `hot`'s never-re-read
-        // front end instead.
         let (_, outcome) = filler.run_cached(&cache).unwrap();
         assert_eq!(
             outcome,
-            CacheOutcome::FrontendHit,
-            "the least-recently-used simulated entry was the eviction victim"
+            CacheOutcome::Miss,
+            "the least-recently-used entry was the eviction victim"
         );
     }
 
@@ -587,15 +511,11 @@ mod tests {
         assert_eq!(report.verification.as_ref().unwrap().hyperperiods, 3);
     }
 
-    /// The three keys of a job: frontend fingerprint, simulated fingerprint
-    /// and whole-job content hash.
-    fn keys(options: &SessionOptions) -> (String, String, u64) {
+    /// The two keys of a job: simulated fingerprint and whole-job content
+    /// hash.
+    fn keys(options: &SessionOptions) -> (String, u64) {
         let job = BatchJob::case_study("keys").with_options(options.clone());
-        (
-            frontend_fingerprint(options),
-            simulated_fingerprint(options),
-            job_content_hash(&job),
-        )
+        (simulated_fingerprint(options), job_content_hash(&job))
     }
 
     #[test]
@@ -624,14 +544,12 @@ mod tests {
         assert_eq!(mutations.len(), FIELDS.len(), "one mutation per field");
 
         let base = quick();
-        let (front, sim, job) = keys(&base);
+        let (sim, job) = keys(&base);
         for (group, mutate) in mutations {
             let mut changed = base.clone();
             mutate(&mut changed);
-            let (front2, sim2, job2) = keys(&changed);
-            let in_front = matches!(group, "schedule" | "translate");
-            let in_sim = in_front || group == "simulate";
-            assert_eq!(front != front2, in_front, "{group}: frontend fingerprint");
+            let (sim2, job2) = keys(&changed);
+            let in_sim = group != "verify";
             assert_eq!(sim != sim2, in_sim, "{group}: simulated fingerprint");
             assert_ne!(job, job2, "{group}: job content hash");
         }
@@ -639,6 +557,6 @@ mod tests {
         // Telemetry never changes a result, so it changes no key either.
         let mut traced = base.clone();
         traced.collector = Collector::full();
-        assert_eq!(keys(&traced), (front, sim, job));
+        assert_eq!(keys(&traced), (sim, job));
     }
 }

@@ -73,9 +73,7 @@ pub mod report;
 pub mod session;
 
 pub use batch::{BatchJob, BatchReport, BatchResults, BatchRunner};
-pub use cache::{
-    frontend_fingerprint, job_content_hash, simulated_fingerprint, ArtifactCache, CacheOutcome,
-};
+pub use cache::{job_content_hash, simulated_fingerprint, ArtifactCache, CacheOutcome};
 pub use demo::{
     connection_latency_demo, deadline_overrun_demo, ConnectionLatencyDemo, DeadlineOverrunDemo,
 };

@@ -493,20 +493,6 @@ pub struct Analyzed {
 }
 
 impl Analyzed {
-    /// The options this artifact will hand to later phases. Used by the
-    /// artifact cache to fingerprint and scrub stored artifacts.
-    pub(crate) fn options(&self) -> &SessionOptions {
-        &self.options
-    }
-
-    /// Replaces the artifact's options wholesale. The artifact cache uses
-    /// this to re-home a cached front end under the requesting job's
-    /// options (and collector) before the remaining phases run, and to
-    /// scrub stored copies down to a noop collector.
-    pub(crate) fn adopt_options(&mut self, options: SessionOptions) {
-        self.options = options;
-    }
-
     /// Phase 6: co-simulates every thread unit under the synthesised
     /// schedule, capturing the VCD waveform selected by
     /// [`SimulateOptions::vcd`]. Each thread's instants are folded into its
@@ -605,13 +591,16 @@ impl Simulated {
         &self.record
     }
 
-    /// The options this artifact will hand to the verification phase.
+    /// The options this artifact will hand to the verification phase. Used
+    /// by the artifact cache to scrub stored artifacts.
     pub(crate) fn options(&self) -> &SessionOptions {
         &self.options
     }
 
-    /// Replaces the artifact's options wholesale (see
-    /// [`Analyzed::adopt_options`]).
+    /// Replaces the artifact's options wholesale. The artifact cache uses
+    /// this to re-home a cached artifact under the requesting job's
+    /// options (and collector) before verification runs, and to scrub
+    /// stored copies down to a noop collector.
     pub(crate) fn adopt_options(&mut self, options: SessionOptions) {
         self.options = options;
     }
@@ -670,7 +659,7 @@ impl Simulated {
         }
         let states: usize = outcomes.values().map(|o| o.stats.states).sum();
         let transitions: usize = outcomes.values().map(|o| o.stats.transitions).sum();
-        let sliced: usize = outcomes.values().map(|o| o.stats.projected_slots).sum();
+        let sliced: usize = outcomes.values().map(|o| o.stats.sliced_slots).sum();
         self.record.push(timer.finish(&[
             ("threads", outcomes.len() as u64),
             ("states", states as u64),
@@ -692,7 +681,7 @@ impl Simulated {
                 self.record.push(timer.finish(&[
                     ("states", product.outcome.stats.states as u64),
                     ("depth", product.outcome.stats.depth as u64),
-                    ("sliced_slots", product.outcome.stats.projected_slots as u64),
+                    ("sliced_slots", product.outcome.stats.sliced_slots as u64),
                 ]));
                 Some(product)
             }
@@ -1159,17 +1148,6 @@ mod tests {
     /// mode and horizon.
     #[test]
     fn simulate_phase_agrees_with_the_reference_simulator() {
-        let analyzed = Session::new()
-            .parse_case_study()
-            .unwrap()
-            .instantiate("sysProdCons.impl")
-            .unwrap()
-            .schedule()
-            .unwrap()
-            .translate()
-            .unwrap()
-            .analyze()
-            .unwrap();
         for (hyperperiods, vcd, captured) in [
             (1, VcdCapture::First, Some("thProducer")),
             (
@@ -1179,11 +1157,20 @@ mod tests {
             ),
             (3, VcdCapture::Off, None),
         ] {
-            let mut run = analyzed.clone();
-            let mut options = run.options().clone();
-            options.simulate = SimulateOptions { hyperperiods, vcd };
-            run.adopt_options(options);
-            let simulated = run.simulate().unwrap();
+            let simulated = Session::new()
+                .simulate_options(SimulateOptions { hyperperiods, vcd })
+                .parse_case_study()
+                .unwrap()
+                .instantiate("sysProdCons.impl")
+                .unwrap()
+                .schedule()
+                .unwrap()
+                .translate()
+                .unwrap()
+                .analyze()
+                .unwrap()
+                .simulate()
+                .unwrap();
             assert_eq!(simulated.vcd_thread.as_deref(), captured);
             assert_eq!(simulated.simulations.len(), 4);
             for unit in &simulated.thread_units {

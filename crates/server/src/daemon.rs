@@ -18,7 +18,7 @@ use crate::ServerError;
 pub struct DaemonConfig {
     /// Worker threads draining the job queue.
     pub workers: usize,
-    /// Entries kept per level of the shared artifact cache (0 disables
+    /// Simulated artifacts kept by the shared artifact cache (0 disables
     /// caching entirely).
     pub cache_capacity: usize,
     /// Path of the append-only job log; `None` runs without persistence.

@@ -43,11 +43,9 @@ pub struct ReplayReport {
 }
 
 impl Counterexample {
-    /// Replays the counterexample in a fresh [`Simulator`] over `process`,
-    /// using default [`crate::VerifyOptions`] when a free-mode dead end has
-    /// to re-enumerate candidate valuations. If the violation was found
-    /// under custom value domains or branching caps, use
-    /// [`Counterexample::replay_with_options`] with the same options.
+    /// Replays the counterexample in a fresh [`Simulator`] over `process`:
+    /// [`Counterexample::replay_with_options`] under default
+    /// [`crate::VerifyOptions`].
     ///
     /// # Errors
     ///
@@ -62,12 +60,11 @@ impl Counterexample {
     ///
     /// For a free-mode dead-end counterexample (a `DeadlockFree` violation
     /// whose `violation_instant` lies past the end of `inputs`), the
-    /// candidate input valuations are re-enumerated under `options` — pass
-    /// the options the verification ran with so the probed candidate set
-    /// matches — and each is probed in a cloned simulator: the dead end
-    /// counts as reproduced only when every progress candidate is rejected,
-    /// so a pruning bug in the checker cannot be rubber-stamped by its own
-    /// replay.
+    /// candidate input valuations are re-enumerated by a verifier built
+    /// under `options`, and each is probed in a cloned simulator: the dead
+    /// end counts as reproduced only when every progress candidate is
+    /// rejected, so a pruning bug in the checker cannot be rubber-stamped by
+    /// its own replay.
     ///
     /// # Errors
     ///

@@ -375,8 +375,8 @@ impl SlotAbstraction {
         &self.plans
     }
 
-    /// Number of slots dropped from the canonical key by projection.
-    pub fn projected_slots(&self) -> usize {
+    /// Number of slots the slice drops from the canonical key.
+    pub fn sliced_slots(&self) -> usize {
         self.plans
             .iter()
             .filter(|p| matches!(p, SlotPlan::Project))
@@ -566,7 +566,7 @@ mod tests {
         assert!(abs.is_identity());
         // With an unrelated property both slots abstract away.
         let abs = analyze(&process, &[Property::NeverRaised("*Alarm*".into())]);
-        assert_eq!(abs.projected_slots(), 1);
+        assert_eq!(abs.sliced_slots(), 1);
     }
 
     #[test]

@@ -50,6 +50,9 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 /// grows on demand, so this only sizes the first allocation.
 const INTERNER_CAPACITY: usize = 4096;
 
+/// Number of independently locked shards of each exploration's interner.
+const INTERNER_SHARDS: usize = 16;
+
 /// Parent link of an interned state: how it was first reached (subject to
 /// the deterministic same-depth tie-break at the level barrier).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,7 +248,8 @@ pub(crate) fn explore<E: Expander>(
     properties: &[Property],
     pre_truncated: bool,
 ) -> Result<VerificationOutcome, VerifyError> {
-    let interner: StateInterner<ParentLink> = StateInterner::new(options.shards, INTERNER_CAPACITY);
+    let interner: StateInterner<ParentLink> =
+        StateInterner::new(INTERNER_SHARDS, INTERNER_CAPACITY);
     let initial_key = initial.key();
     let mut seed_codec = crate::state::KeyCodec::new();
     let initial_hash = seed_codec.seed_state(initial);
@@ -559,7 +563,7 @@ pub(crate) fn explore<E: Expander>(
         frontier_levels,
         memo_hits: 0,
         memo_misses: 0,
-        projected_slots: 0,
+        sliced_slots: 0,
     };
     // A pre-truncated search whose frontier emptied saw every state of its
     // partial model, so its bounded claim holds up to the depth bound it was

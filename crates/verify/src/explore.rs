@@ -22,6 +22,17 @@ use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
 use crate::state::{KeyCodec, State};
 
+/// Values enumerated for free integer inputs.
+const INT_DOMAIN: [i64; 2] = [0, 1];
+
+/// Values enumerated for free real inputs.
+const REAL_DOMAIN: [f64; 2] = [0.0, 1.0];
+
+/// Cap on the number of distinct input valuations enumerated per instant in
+/// free mode; exceeding it truncates the enumeration (and downgrades
+/// `Proved` to a bounded verdict).
+const MAX_BRANCHING: usize = 256;
+
 /// Tuning knobs of the exploration engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyOptions {
@@ -37,16 +48,6 @@ pub struct VerifyOptions {
     /// results stay deterministic under any worker count); the final level
     /// may therefore overshoot it by one level's worth of successors.
     pub max_states: usize,
-    /// Values enumerated for free integer inputs.
-    pub int_domain: Vec<i64>,
-    /// Values enumerated for free real inputs.
-    pub real_domain: Vec<f64>,
-    /// Cap on the number of distinct input valuations enumerated per instant
-    /// in free mode; exceeding it truncates the enumeration (and downgrades
-    /// `Proved` to a bounded verdict).
-    pub max_branching: usize,
-    /// Number of shards of the concurrent seen-set (the state interner).
-    pub shards: usize,
     /// Optional dispatch-feasibility oracle consulted before enumerating a
     /// free-mode candidate: a candidate making a signal present at an
     /// instant the oracle provably excludes is skipped. This is an
@@ -67,10 +68,6 @@ impl Default for VerifyOptions {
             workers: 2,
             depth_bound: None,
             max_states: 1 << 20,
-            int_domain: vec![0, 1],
-            real_domain: vec![0.0, 1.0],
-            max_branching: 256,
-            shards: 16,
             oracle: None,
             collector: polyobs::Collector::noop(),
         }
@@ -248,7 +245,7 @@ pub struct ExplorationStats {
     /// Number of memory slots the cone-of-influence slice dropped from the
     /// canonical key (a static property of the analyzed model and
     /// properties, not a per-transition count).
-    pub projected_slots: usize,
+    pub sliced_slots: usize,
 }
 
 /// Everything one [`Verifier::verify`] call learned.
@@ -296,11 +293,11 @@ impl VerificationOutcome {
             },
             self.stats.peak_frontier
         );
-        if self.stats.projected_slots > 0 {
+        if self.stats.sliced_slots > 0 {
             out.push_str(&format!(
                 "  slice: {} slot(s) no property or control decision reads, \
                  dropped from the state key\n",
-                self.stats.projected_slots
+                self.stats.sliced_slots
             ));
         }
         for v in &self.verdicts {
@@ -433,8 +430,8 @@ impl Verifier {
     /// mode, pruned by the clock calculus: synchronisation classes are
     /// all-or-nothing, mutually exclusive classes are never co-present, and a
     /// sub-clock is never present without its super-clock. Returns the
-    /// candidates and whether the enumeration was truncated by
-    /// [`VerifyOptions::max_branching`].
+    /// candidates and whether the enumeration was truncated by the cap of
+    /// 256 valuations per instant.
     ///
     /// # Errors
     ///
@@ -499,11 +496,11 @@ impl Verifier {
             let slots: Vec<(&str, Vec<Value>)> = present
                 .iter()
                 .flat_map(|&gi| group_list[gi].1.iter())
-                .map(|&(name, ty)| (name, self.domain_of(ty)))
+                .map(|&(name, ty)| (name, Self::domain_of(ty)))
                 .collect();
             let mut indices = vec![0usize; slots.len()];
             loop {
-                if candidates.len() >= self.options.max_branching {
+                if candidates.len() >= MAX_BRANCHING {
                     truncated = true;
                     break 'masks;
                 }
@@ -533,22 +530,12 @@ impl Verifier {
         Ok((candidates, truncated))
     }
 
-    fn domain_of(&self, ty: ValueType) -> Vec<Value> {
+    fn domain_of(ty: ValueType) -> Vec<Value> {
         match ty {
             ValueType::Event => vec![Value::Event],
             ValueType::Boolean => vec![Value::Bool(false), Value::Bool(true)],
-            ValueType::Integer => self
-                .options
-                .int_domain
-                .iter()
-                .map(|&i| Value::Int(i))
-                .collect(),
-            ValueType::Real => self
-                .options
-                .real_domain
-                .iter()
-                .map(|&r| Value::Real(r))
-                .collect(),
+            ValueType::Integer => INT_DOMAIN.map(Value::Int).to_vec(),
+            ValueType::Real => REAL_DOMAIN.map(Value::Real).to_vec(),
             ValueType::Text => vec![Value::Text(String::new())],
         }
     }
@@ -684,18 +671,18 @@ impl Verifier {
     }
 }
 
-/// Annotates an outcome explored under `abstraction` with its projected
-/// slot count, in the stats and on the `engine.projected_slots` counter.
+/// Annotates an outcome explored under `abstraction` with its sliced-slot
+/// count, in the stats and on the `engine.sliced_slots` counter.
 pub(crate) fn annotate(
     mut outcome: VerificationOutcome,
     abstraction: &SlotAbstraction,
     collector: &polyobs::Collector,
 ) -> VerificationOutcome {
-    outcome.stats.projected_slots = abstraction.projected_slots();
+    outcome.stats.sliced_slots = abstraction.sliced_slots();
     if collector.is_enabled() {
         collector
-            .counter("engine.projected_slots")
-            .add(outcome.stats.projected_slots as u64);
+            .counter("engine.sliced_slots")
+            .add(outcome.stats.sliced_slots as u64);
     }
     outcome
 }
@@ -1217,7 +1204,7 @@ mod tests {
         assert!(sliced.all_proved(), "{}", sliced.summary());
         assert!(!sliced.stats.truncated);
         assert_eq!(sliced.stats.states, 1);
-        assert_eq!(sliced.stats.projected_slots, 1);
+        assert_eq!(sliced.stats.sliced_slots, 1);
         assert!(sliced.summary().contains("slice: 1 slot(s)"));
         // Bit-identical across worker counts.
         for workers in [1usize, 2, 8] {
@@ -1269,7 +1256,7 @@ mod tests {
                 ],
             )
             .unwrap();
-        assert_eq!(outcome.stats.projected_slots, 1);
+        assert_eq!(outcome.stats.sliced_slots, 1);
         assert!(!outcome.stats.truncated);
         assert!(outcome.all_proved(), "{}", outcome.summary());
     }

@@ -62,7 +62,7 @@ fn fingerprint(outcome: &VerificationOutcome) -> Fingerprint {
             outcome.stats.transitions,
             outcome.stats.depth,
             outcome.stats.infeasible,
-            outcome.stats.projected_slots,
+            outcome.stats.sliced_slots,
         ],
         outcome.stats.truncated,
     )
@@ -157,7 +157,7 @@ proptest! {
     }
 
     /// Sliced exploration of a system with an invisible unbounded counter:
-    /// verdicts, counterexample depths and the projected-slot count are
+    /// verdicts, counterexample depths and the sliced-slot count are
     /// bit-identical across workers, with and without a depth bound.
     #[test]
     fn sliced_exploration_is_configuration_independent(
@@ -185,7 +185,7 @@ proptest! {
             }
             let verifier = Verifier::new(&process, options).unwrap();
             let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-            prop_assert_eq!(outcome.stats.projected_slots, 1);
+            prop_assert_eq!(outcome.stats.sliced_slots, 1);
             if closed && !alarm_reachable {
                 // The invisible counter is sliced away, so the unbounded
                 // violation-free run closes with a proof instead of

@@ -4,7 +4,8 @@
 //! re-evaluates every equation on every pass — on random flat processes
 //! (partial definitions, constant-defined members of clock constraints,
 //! every equation order), random input steps (absent inputs and the silent
-//! step included) and the memories those steps reach.
+//! step included), runs of accepted steps and the memories those steps
+//! reach.
 
 use proptest::prelude::*;
 
@@ -15,7 +16,7 @@ use signal_moc::trace::TraceStep;
 use signal_moc::value::{Value, ValueType};
 
 mod random_process;
-use random_process::{random_process, random_step, Rng};
+use random_process::{accepted_steps, random_process, random_step, Rng};
 
 /// One instant through both evaluators, compared as text: the resolved
 /// step or the error text, then the memory reached. (Division of booleans
@@ -50,6 +51,25 @@ proptest! {
         let mut rng = Rng(seed ^ 0xA5A5_A5A5);
         let steps: Vec<TraceStep> = (0..12).map(|_| random_step(&mut rng, &process)).collect();
         assert_equivalent(&process, &steps);
+    }
+
+    #[test]
+    fn accepted_runs_step_like_the_reference(seed in any::<u64>()) {
+        // A run of steps the process accepts carries `delay` and `cell`
+        // memory from instant to instant, which runs of random steps rarely
+        // do: most random processes accept no random step at all. So each
+        // case tries up to 8 processes drawn from its seed, and stops at
+        // the first whose run accepts a step; one more random step ends
+        // every run.
+        let mut rng = Rng(seed);
+        for _ in 0..8 {
+            let process = random_process(rng.next());
+            let steps = accepted_steps(&process, &mut rng);
+            assert_equivalent(&process, &steps);
+            if steps.len() > 1 {
+                break;
+            }
+        }
     }
 
     #[test]

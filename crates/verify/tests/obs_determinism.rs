@@ -105,7 +105,7 @@ fn streak_counter(threshold: i64) -> Process {
 }
 
 /// The streak counter plus an unbounded monotone step counter no property
-/// reads — exercises the slice's projected-slot count under telemetry.
+/// reads — exercises the sliced-slot count under telemetry.
 fn streak_with_invisible_counter(threshold: i64) -> Process {
     let mut b = ProcessBuilder::new("streaktotal");
     b.input("d", ValueType::Boolean);
@@ -226,7 +226,7 @@ proptest! {
     }
 
     /// Sliced exploration of a process with an invisible counter: the
-    /// projected_slots count and the full verdict rendering are identical
+    /// sliced_slots count and the full verdict rendering are identical
     /// under every collection mode × workers combination — telemetry never
     /// perturbs the slice either.
     #[test]
@@ -248,7 +248,7 @@ proptest! {
                 )
                 .unwrap();
                 let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
-                prop_assert_eq!(outcome.stats.projected_slots, 1);
+                prop_assert_eq!(outcome.stats.sliced_slots, 1);
                 let print = fingerprint(&outcome);
                 match &reference {
                     None => reference = Some(print),

@@ -3,6 +3,7 @@
 //! `simulation_oracle.rs`): the whole process and its inputs derive from
 //! one sampled seed.
 
+use signal_moc::eval::Evaluator;
 use signal_moc::expr::Expr;
 use signal_moc::process::{Equation, Process, SignalDecl, SignalRole};
 use signal_moc::trace::TraceStep;
@@ -195,4 +196,27 @@ pub fn random_step(rng: &mut Rng, process: &Process) -> TraceStep {
         step.set(["a", "j", "s0", "zz"][rng.below(4)], Value::Bool(true));
     }
     step
+}
+
+/// Up to 12 input steps the process accepts one after the other, each the
+/// first of at most 8 random candidates a copy of the evaluator accepts,
+/// then one more random step, which may fail.
+pub fn accepted_steps(process: &Process, rng: &mut Rng) -> Vec<TraceStep> {
+    let mut steps = Vec::new();
+    if let Ok(mut evaluator) = Evaluator::new(process) {
+        'instants: for t in 0..12 {
+            for _ in 0..8 {
+                let step = random_step(rng, process);
+                let mut probe = evaluator.clone();
+                if probe.step(t, &step).is_ok() {
+                    evaluator = probe;
+                    steps.push(step);
+                    continue 'instants;
+                }
+            }
+            break;
+        }
+    }
+    steps.push(random_step(rng, process));
+    steps
 }

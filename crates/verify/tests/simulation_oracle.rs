@@ -10,14 +10,13 @@
 use proptest::prelude::*;
 
 use polysim::{simulate_folded, SimulationReport, Simulator};
-use signal_moc::eval::Evaluator;
 use signal_moc::expr::Expr;
 use signal_moc::process::{Equation, Process, SignalDecl, SignalRole};
-use signal_moc::trace::{Trace, TraceStep};
+use signal_moc::trace::Trace;
 use signal_moc::value::{Value, ValueType};
 
 mod random_process;
-use random_process::{random_process, random_step, Rng};
+use random_process::{accepted_steps, random_process, Rng};
 
 const MODULE: &str = "m";
 const TIMESCALE_NS: u64 = 1_000_000;
@@ -58,29 +57,6 @@ fn random_simulated_process(seed: u64) -> Process {
         });
     }
     process
-}
-
-/// Up to 12 input steps the process accepts one after the other, each the
-/// first of at most 8 random candidates a copy of the evaluator accepts,
-/// then one more random step, which may fail.
-fn accepted_steps(process: &Process, rng: &mut Rng) -> Vec<TraceStep> {
-    let mut steps = Vec::new();
-    if let Ok(mut evaluator) = Evaluator::new(process) {
-        'instants: for t in 0..12 {
-            for _ in 0..8 {
-                let step = random_step(rng, process);
-                let mut probe = evaluator.clone();
-                if probe.step(t, &step).is_ok() {
-                    evaluator = probe;
-                    steps.push(step);
-                    continue 'instants;
-                }
-            }
-            break;
-        }
-    }
-    steps.push(random_step(rng, process));
-    steps
 }
 
 /// The reference path on a fresh simulator: the report and the waveform,

@@ -324,7 +324,7 @@ fn check_product(system: &ProductSystem, properties: &[Property], bound: usize, 
     .unwrap();
     let reference = verifier.verify_reference(properties).unwrap();
     let sliced = verifier.verify(properties).unwrap();
-    assert_eq!(sliced.stats.projected_slots, invisible);
+    assert_eq!(sliced.stats.sliced_slots, invisible);
     let strengthened = compare(&reference, &sliced, true);
     if !strengthened.is_empty() {
         let (joint, failure) = LockstepCoSim::new(system).unwrap().run(bound * 4);
@@ -366,7 +366,7 @@ proptest! {
         let reference = verifier.verify_reference(&InputSpace::Free, &properties).unwrap();
         let sliced = verifier.verify(&InputSpace::Free, &properties).unwrap();
         prop_assert_eq!(
-            sliced.stats.projected_slots,
+            sliced.stats.sliced_slots,
             usize::from(role == Role::Invisible),
             "{:?}",
             role

@@ -561,9 +561,11 @@ fn differs<T: PartialEq + std::fmt::Debug>(a: &T, b: &T) -> bool {
 }
 
 /// Simulation oracle: the scenario's simulated artifact, then the same
-/// front end re-simulated (through the cache) under seeded simulate
-/// options — one to three hyper-periods, each VCD capture mode in turn —
-/// each checked against every thread unit re-run through `Simulator`.
+/// job re-simulated under seeded simulate options — one to three
+/// hyper-periods, each VCD capture mode in turn — each checked against
+/// every thread unit re-run through `Simulator`. The re-simulation goes
+/// through the cache, which misses and runs the whole chain unless the
+/// seeded options equal the scenario's.
 fn simulation_oracle(
     simulated: &Simulated,
     cache: &ArtifactCache,

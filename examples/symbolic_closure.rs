@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(sliced.all_proved());
     assert!(!sliced.stats.truncated);
     assert_eq!(sliced.stats.states, 1);
-    assert_eq!(sliced.stats.projected_slots, 1);
+    assert_eq!(sliced.stats.sliced_slots, 1);
 
     // The sliced exploration inherits the engine's determinism: verdicts
     // and stats are bit-identical for every worker count.
@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .verify(&InputSpace::Free, &properties)?;
         assert_eq!(again.verdicts, sliced.verdicts);
         assert_eq!(again.stats.states, sliced.stats.states);
-        assert_eq!(again.stats.projected_slots, sliced.stats.projected_slots);
+        assert_eq!(again.stats.sliced_slots, sliced.stats.sliced_slots);
     }
     println!("deterministic: verdicts and stats bit-identical across 1/2/8 workers");
     println!(

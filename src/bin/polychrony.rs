@@ -276,8 +276,8 @@ COMMANDS:
                instead and cross-check every wire report against a local
                run of the identical job
     submit     send the case study to a running polychronyd (docs/SERVICE.md)
-               and stream progress until the report arrives; repeated submits
-               with the same front-end options hit the daemon's artifact
+               and stream progress until the report arrives; submits that
+               differ only in verification flags hit the daemon's artifact
                cache; --detach returns immediately after the job id
     status     list the daemon's job table (or one job with --id)
     watch      re-attach to a submitted job and stream it to completion

@@ -398,7 +398,7 @@ fn case_study_proves_every_verdict_within_two_hyperperiods() {
             "{thread}: {}",
             outcome.summary()
         );
-        assert!(outcome.stats.projected_slots > 0, "{thread}");
+        assert!(outcome.stats.sliced_slots > 0, "{thread}");
         proved += outcome.verdicts.len();
     }
     let product = verified.product.as_ref().expect("product scope");

@@ -86,7 +86,7 @@ fn warm_product_scope_reports_match_cold_runs() {
 }
 
 #[test]
-fn changed_simulate_options_fall_back_to_the_frontend_artifact() {
+fn changed_simulate_options_miss_and_match_an_uncached_run() {
     let cache = ArtifactCache::new();
     let (_, first) = BatchJob::case_study("base")
         .with_options(SessionOptions::quick())
@@ -99,8 +99,8 @@ fn changed_simulate_options_fall_back_to_the_frontend_artifact() {
     let job = BatchJob::case_study("resim").with_options(options);
     let cold = job.run().expect("cold run");
     let (warm, outcome) = job.run_cached(&cache).expect("warm run");
-    // Simulation differs, so only parse-through-analyze is reused — and
-    // the report must still be identical to an uncached run.
-    assert_eq!(outcome, CacheOutcome::FrontendHit);
+    // Simulation differs, so nothing is reused — and the report must
+    // still be identical to an uncached run.
+    assert_eq!(outcome, CacheOutcome::Miss);
     assert_eq!(cold, warm);
 }
