@@ -541,7 +541,6 @@ impl Analyzed {
             system: self.system,
             thread_units: self.thread_units,
             connections: self.connections,
-            flat: self.flat,
             static_analysis: self.static_analysis,
             simulations,
             vcd,
@@ -572,9 +571,8 @@ pub struct Simulated {
     pub thread_units: Vec<ThreadUnit>,
     /// The thread-to-thread event-port connections between the units.
     pub connections: Vec<ThreadConnection>,
-    /// The whole architecture flattened into one SIGNAL process.
-    pub flat: Process,
-    /// Static analysis of the flat model.
+    /// Static analysis of the whole architecture flattened into one SIGNAL
+    /// process ([`Analyzed::flat`]).
     pub static_analysis: StaticAnalysisReport,
     /// Per-thread co-simulation reports (keyed by thread instance path).
     pub simulations: BTreeMap<String, SimulationReport>,

@@ -351,6 +351,59 @@ fn vars_of(expr: &CExpr, out: &mut Vec<u32>) {
     }
 }
 
+/// The graph [`Evaluator::slots_reaching`] searches, gathered in one walk
+/// over the compiled equations.
+struct Cone {
+    /// Per signal id: the ids its definitions read.
+    sources: Vec<Vec<u32>>,
+    /// Per signal id: whether an observation depends on its value.
+    marked: Vec<bool>,
+    /// Per slot: the target of its equation, and whether the operator's
+    /// own result is read in a presence-deciding or divisor position.
+    slots: Vec<(u32, bool)>,
+}
+
+impl Cone {
+    /// Records every id `expr` reads as a source of `target`; `pinned` is
+    /// set below a presence-deciding or divisor position, and marks what
+    /// is read there.
+    fn walk(&mut self, expr: &CExpr, target: u32, pinned: bool) {
+        match expr {
+            CExpr::Var(id) => {
+                self.sources[target as usize].push(*id);
+                self.marked[*id as usize] |= pinned;
+            }
+            CExpr::Const(_) => {}
+            CExpr::Unary(_, e) => self.walk(e, target, pinned),
+            CExpr::Binary(op, a, b) => {
+                self.walk(a, target, pinned);
+                let divisor = matches!(op, BinOp::Div | BinOp::Mod);
+                self.walk(b, target, pinned || divisor);
+            }
+            CExpr::Delay(slot, e) => {
+                self.slots[*slot] = (target, pinned);
+                self.walk(e, target, pinned);
+            }
+            CExpr::When(e, b) => {
+                self.walk(e, target, pinned);
+                self.walk(b, target, true);
+            }
+            CExpr::Default(u, v) => {
+                self.walk(u, target, pinned);
+                self.walk(v, target, pinned);
+            }
+            CExpr::Cell(slot, i, b) => {
+                self.slots[*slot] = (target, pinned);
+                self.walk(i, target, pinned);
+                self.walk(b, target, true);
+            }
+            // Clock expressions only observe presence, but what feeds them
+            // sits one `when` away from feasibility.
+            CExpr::ClockOf(e) | CExpr::ClockWhen(e) => self.walk(e, target, true),
+        }
+    }
+}
+
 /// Whether `expr` contains a `delay` or `cell`.
 fn has_memory(expr: &CExpr) -> bool {
     match expr {
@@ -608,6 +661,58 @@ impl Evaluator {
             st.pending = None;
         }
         Ok(())
+    }
+
+    /// The initial memory of every `delay`/`cell` operator, in the order of
+    /// [`Evaluator::memory`].
+    pub fn initial_memory(&self) -> &[Value] {
+        &self.initial
+    }
+
+    /// Per memory slot, in the order of [`Evaluator::memory`]: whether the
+    /// slot's value can reach what an observation depends on. A signal is
+    /// observed when `observed` accepts its name, when it is read in a
+    /// presence-deciding position (a `when` condition, a `cell` trigger, a
+    /// `^e` or `when b` clock expression) or as a divisor of `/` or `mod`,
+    /// or when it has a partial or more than one definition; every signal
+    /// an observed signal's definitions read is observed too. A slot
+    /// reaches when the target of its equation is observed, or when its
+    /// operator's own result sits in a presence-deciding or divisor
+    /// position.
+    pub fn slots_reaching(&self, observed: impl Fn(&str) -> bool) -> Vec<bool> {
+        let mut cone = Cone {
+            sources: vec![Vec::new(); self.names.len()],
+            marked: self.names.iter().map(|name| observed(name)).collect(),
+            slots: vec![(0, false); self.states.len()],
+        };
+        let mut defined = vec![false; self.names.len()];
+        for ceq in &self.ceqs {
+            let (target, expr, partial) = match ceq {
+                CEq::Def { target, expr } => (*target, expr, false),
+                CEq::Partial { target, expr } => (*target, expr, true),
+                CEq::Sync { .. } | CEq::Excl { .. } => continue,
+            };
+            // A partial or second definition merges values at runtime.
+            let second = std::mem::replace(&mut defined[target as usize], true);
+            cone.marked[target as usize] |= partial || second;
+            cone.walk(expr, target, false);
+        }
+        // Backward reachability: every signal a marked signal's
+        // definitions read is marked too.
+        let mut stack: Vec<u32> = (0..self.names.len() as u32)
+            .filter(|&id| cone.marked[id as usize])
+            .collect();
+        while let Some(id) = stack.pop() {
+            for &source in &cone.sources[id as usize] {
+                if !std::mem::replace(&mut cone.marked[source as usize], true) {
+                    stack.push(source);
+                }
+            }
+        }
+        cone.slots
+            .iter()
+            .map(|&(target, pinned)| pinned || cone.marked[target as usize])
+            .collect()
     }
 
     /// Resets all `delay`/`cell` states to their initial values.

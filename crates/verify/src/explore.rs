@@ -16,10 +16,10 @@ use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::{Value, ValueType};
 
 use crate::counterexample::Counterexample;
-use crate::domain::SlotAbstraction;
 use crate::engine::{self, Expander, Sink};
 use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
+use crate::slice::Slice;
 use crate::state::{KeyCodec, State};
 
 /// Values enumerated for free integer inputs.
@@ -556,7 +556,7 @@ impl Verifier {
     /// The search runs on the cone-of-influence slice of the process: every
     /// memory slot whose value no property, port link, presence decision,
     /// divisor or partial definition can observe is dropped from the state
-    /// key (see [`crate::domain`]). The slice is exact for observables, so
+    /// key (see [`crate::slice`]). The slice is exact for observables, so
     /// verdicts can only strengthen a `PassedBounded` of
     /// [`Verifier::verify_reference`] into `Proved`, and a violation is
     /// found at the same instant.
@@ -572,28 +572,16 @@ impl Verifier {
         space: &InputSpace,
         properties: &[Property],
     ) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
-        let abstraction = SlotAbstraction::analyze(
-            self.process(),
-            properties,
-            "",
-            &[],
-            self.evaluator.memory_len(),
-        );
-        if abstraction.is_identity() {
-            return self.verify_explicit(space, properties, None);
-        }
-        let outcome = self.verify_explicit(space, properties, Some(&abstraction))?;
-        Ok(annotate(outcome, &abstraction, &self.options.collector))
+        let slice = Slice::of(&self.evaluator, properties, "", &[]);
+        self.explore(space, properties, &slice)
     }
 
-    /// The unsliced exploration: every memory slot stays in the state key.
-    /// Its verdicts are the reference [`Verifier::verify`] must agree with,
-    /// up to strengthening a `PassedBounded` into `Proved`; it exists for
-    /// differential oracles (like [`Evaluator::step_reference`]) and is not
-    /// meant for production runs.
+    /// The unsliced exploration, under the empty slice: every memory slot
+    /// stays in the state key. Its verdicts are the reference
+    /// [`Verifier::verify`] must agree with, up to strengthening a
+    /// `PassedBounded` into `Proved`; it exists for differential oracles
+    /// (like [`Evaluator::step_reference`]) and is not meant for production
+    /// runs.
     ///
     /// # Errors
     ///
@@ -603,20 +591,20 @@ impl Verifier {
         space: &InputSpace,
         properties: &[Property],
     ) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
-        self.verify_explicit(space, properties, None)
+        self.explore(space, properties, &Slice::default())
     }
 
-    /// One exploration pass: unsliced when `abstraction` is `None`, sliced
-    /// (normalising every state to its representative) otherwise.
-    fn verify_explicit(
+    /// One exploration pass under `slice`, normalising every state to its
+    /// representative.
+    fn explore(
         &self,
         space: &InputSpace,
         properties: &[Property],
-        abstraction: Option<&SlotAbstraction>,
+        slice: &Slice,
     ) -> Result<VerificationOutcome, VerifyError> {
+        if properties.is_empty() {
+            return Err(VerifyError::NoProperties);
+        }
         let scheduled = match space {
             InputSpace::Scheduled(trace) if trace.is_empty() => {
                 return Err(VerifyError::EmptySchedule)
@@ -642,9 +630,7 @@ impl Verifier {
 
         let monitor_count = initial_monitors.len();
         let mut initial_memory = self.evaluator.memory();
-        if let Some(abstraction) = abstraction {
-            abstraction.normalize(&mut initial_memory);
-        }
+        slice.normalize(&mut initial_memory);
         let initial = State {
             memory: initial_memory,
             phase: 0,
@@ -659,27 +645,29 @@ impl Verifier {
             deadlock_idx,
             monitor_count,
             oracle: self.options.oracle.as_ref(),
-            abstraction,
+            slice,
         };
-        engine::explore(
+        let outcome = engine::explore(
             &expander,
             &initial,
             &self.options,
             properties,
             candidates_truncated,
-        )
+        )?;
+        Ok(annotate(outcome, slice, &self.options.collector))
     }
 }
 
-/// Annotates an outcome explored under `abstraction` with its sliced-slot
-/// count, in the stats and on the `engine.sliced_slots` counter.
+/// Annotates an outcome explored under `slice` with its sliced-slot count,
+/// in the stats and, when a slot was sliced, on the `engine.sliced_slots`
+/// counter.
 pub(crate) fn annotate(
     mut outcome: VerificationOutcome,
-    abstraction: &SlotAbstraction,
+    slice: &Slice,
     collector: &polyobs::Collector,
 ) -> VerificationOutcome {
-    outcome.stats.sliced_slots = abstraction.sliced_slots();
-    if collector.is_enabled() {
+    outcome.stats.sliced_slots = slice.len();
+    if !slice.is_empty() && collector.is_enabled() {
         collector
             .counter("engine.sliced_slots")
             .add(outcome.stats.sliced_slots as u64);
@@ -699,8 +687,7 @@ struct ThreadExpander<'a> {
     deadlock_idx: Option<usize>,
     monitor_count: usize,
     oracle: Option<&'a DispatchFeasibility>,
-    /// Slice slot plans; `None` explores the unsliced space.
-    abstraction: Option<&'a SlotAbstraction>,
+    slice: &'a Slice,
 }
 
 /// Per-worker scratch: the evaluator clone (a deep copy of the flattened
@@ -770,12 +757,10 @@ impl ThreadExpander<'_> {
                 // on thread interleaving. The level loop checks it between
                 // levels instead.
                 ctx.evaluator.memory_into(&mut ctx.memory);
-                if let Some(abstraction) = self.abstraction {
-                    // Canonicalise to the sliced representative before
-                    // interning: states differing only in sliced counters
-                    // collapse into one and the fixpoint can close.
-                    abstraction.normalize(&mut ctx.memory);
-                }
+                // Canonicalise to the sliced representative before
+                // interning: states differing only in sliced counters
+                // collapse into one and the fixpoint can close.
+                self.slice.normalize(&mut ctx.memory);
                 let (hash, bytes) =
                     ctx.codec
                         .successor(&ctx.memory, next_phase, &ctx.succ_monitors);

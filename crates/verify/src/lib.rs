@@ -34,13 +34,14 @@
 //!   latency properties become checkable — with counterexamples that
 //!   project back to per-thread traces and replay in a lockstep
 //!   co-simulation ([`LockstepCoSim`]);
-//! * a cone-of-influence slice over delay memories ([`domain`]) that
+//! * a cone-of-influence slice over delay memories ([`Slice`]) that
 //!   drops every counter no property, port link, clock or divisor reads
 //!   from the state key, so unbounded-counter spaces close with a genuine
-//!   [`Verdict::Proved`]; the slice is exact for observables, and the
-//!   unsliced exploration stays available as
-//!   [`Verifier::verify_reference`] for differential oracles
-//!   (`docs/SYMBOLIC.md`).
+//!   [`Verdict::Proved`]; the evaluator computes which slots reach an
+//!   observable on its compiled equations, the slice is exact for
+//!   observables, and the unsliced exploration (the empty slice) stays
+//!   available as [`Verifier::verify_reference`] for differential
+//!   oracles (`docs/SYMBOLIC.md`).
 //!
 //! # Quick start
 //!
@@ -74,7 +75,6 @@
 #![warn(missing_docs)]
 
 pub mod counterexample;
-pub mod domain;
 mod engine;
 pub mod explore;
 pub mod inject;
@@ -82,11 +82,11 @@ pub mod ltl;
 pub mod monitor;
 pub mod product;
 pub mod property;
+pub mod slice;
 pub mod state;
 
 pub use affine_clocks::DispatchFeasibility;
 pub use counterexample::{Counterexample, ReplayReport};
-pub use domain::{SlotAbstraction, SlotPlan};
 pub use explore::{
     ExplorationStats, InputSpace, PropertyVerdict, Verdict, VerificationOutcome, Verifier,
     VerifyError, VerifyOptions,
@@ -104,4 +104,5 @@ pub use product::{
     CoSimFailure, LockstepCoSim, PortLink, ProductComponent, ProductSystem, ProductVerifier,
 };
 pub use property::Property;
+pub use slice::Slice;
 pub use state::{State, StateKey};

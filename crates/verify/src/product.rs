@@ -44,11 +44,11 @@ use signal_moc::value::Value;
 use signal_moc::InstantView;
 
 use crate::counterexample::{Counterexample, ReplayReport};
-use crate::domain::SlotAbstraction;
 use crate::engine::{self, Expander, Sink};
 use crate::explore::{annotate, VerificationOutcome, VerifyError, VerifyOptions};
 use crate::monitor::{compile_properties, CompiledProperty};
 use crate::property::Property;
+use crate::slice::Slice;
 use crate::state::{KeyCodec, State};
 
 /// One thread of a product: its flattened SIGNAL process and the scheduled
@@ -560,7 +560,7 @@ impl ProductVerifier {
     ///
     /// The joint state key holds only the cone of influence of the checked
     /// properties and the port links: a component slot nothing observable
-    /// reads is dropped (see [`crate::domain`]). The slice is exact for
+    /// reads is dropped (see [`crate::slice`]). The slice is exact for
     /// observables, so verdicts can only strengthen a `PassedBounded` of
     /// [`ProductVerifier::verify_reference`] into `Proved`, and
     /// counterexamples are the same.
@@ -614,21 +614,13 @@ impl ProductVerifier {
     /// executable while [`Property::DeadlockFree`] is not among the checked
     /// properties.
     pub fn verify(&self, properties: &[Property]) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
-        let abstraction = self.analyze_abstraction(properties);
-        if abstraction.is_identity() {
-            return self.verify_with(properties, None);
-        }
-        let outcome = self.verify_with(properties, Some(&abstraction))?;
-        Ok(annotate(outcome, &abstraction, &self.options.collector))
+        self.explore(properties, &self.slice(properties))
     }
 
-    /// The unsliced product exploration: every component memory slot stays
-    /// in the joint state key. Its verdicts are the reference
-    /// [`ProductVerifier::verify`] must agree with, up to strengthening a
-    /// `PassedBounded` into `Proved`; like
+    /// The unsliced product exploration, under the empty slice: every
+    /// component memory slot stays in the joint state key. Its verdicts are
+    /// the reference [`ProductVerifier::verify`] must agree with, up to
+    /// strengthening a `PassedBounded` into `Proved`; like
     /// [`crate::Verifier::verify_reference`], it exists for differential
     /// oracles and is not meant for production runs.
     ///
@@ -639,20 +631,17 @@ impl ProductVerifier {
         &self,
         properties: &[Property],
     ) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
-        self.verify_with(properties, None)
+        self.explore(properties, &Slice::default())
     }
 
-    /// Per-component slice analysis, concatenated into the joint memory
-    /// layout. A component's link-touched signals (emission markers,
-    /// delivered inputs, freeze markers and frozen counts) join its
-    /// observable set: link-derived joint signals are computed from them, so
-    /// they must stay exact even when no property names them directly.
-    fn analyze_abstraction(&self, properties: &[Property]) -> SlotAbstraction {
-        let mut parts = Vec::with_capacity(self.system.components.len());
-        for (component, evaluator) in self.system.components.iter().zip(&self.evaluators) {
+    /// Per-component slices, concatenated into the joint memory layout. A
+    /// component's link-touched signals (emission markers, delivered
+    /// inputs, freeze markers and frozen counts) join its observable set:
+    /// link-derived joint signals are computed from them, so they must stay
+    /// exact even when no property names them directly.
+    fn slice(&self, properties: &[Property]) -> Slice {
+        let components = self.system.components.iter().zip(&self.evaluators);
+        Slice::concat(components.map(|(component, evaluator)| {
             let mut extra_reads: Vec<String> = Vec::new();
             for link in &self.system.links {
                 if link.source == component.name {
@@ -664,25 +653,21 @@ impl ProductVerifier {
                     extra_reads.extend(link.target_count.clone());
                 }
             }
-            parts.push(SlotAbstraction::analyze(
-                &component.process,
-                properties,
-                &format!("{}_", component.name),
-                &extra_reads,
-                evaluator.memory_len(),
-            ));
-        }
-        SlotAbstraction::concat(parts)
+            let prefix = format!("{}_", component.name);
+            Slice::of(evaluator, properties, &prefix, &extra_reads)
+        }))
     }
 
-    /// One product exploration pass: unsliced when `abstraction` is `None`,
-    /// sliced (normalising every joint state to its representative)
-    /// otherwise.
-    fn verify_with(
+    /// One product exploration pass under `slice`, normalising every joint
+    /// state to its representative.
+    fn explore(
         &self,
         properties: &[Property],
-        abstraction: Option<&SlotAbstraction>,
+        slice: &Slice,
     ) -> Result<VerificationOutcome, VerifyError> {
+        if properties.is_empty() {
+            return Err(VerifyError::NoProperties);
+        }
         // One compiled monitor per trace property (built-in or user LTL);
         // their registers concatenate into the joint state's `monitors`.
         let (compiled, initial_monitors) = compile_properties(properties);
@@ -696,9 +681,7 @@ impl ProductVerifier {
             phase: 0,
             monitors: initial_monitors,
         };
-        if let Some(a) = abstraction {
-            a.normalize(&mut initial.memory);
-        }
+        slice.normalize(&mut initial.memory);
         let expander = ProductExpander {
             verifier: self,
             layout: JointLayout::new(&self.system),
@@ -706,7 +689,7 @@ impl ProductVerifier {
             properties,
             deadlock_idx,
             monitor_count,
-            abstraction,
+            slice,
         };
         // A dropped delivery makes the wired product an under-approximation
         // of the real periodic system: no closure can then count as a
@@ -720,7 +703,7 @@ impl ProductVerifier {
         )?;
         // Every transition is one evaluated component step.
         outcome.stats.memo_misses = outcome.stats.transitions;
-        Ok(outcome)
+        Ok(annotate(outcome, slice, &self.options.collector))
     }
 
     /// Projects a joint counterexample onto one component: the
@@ -913,9 +896,8 @@ struct ProductExpander<'a> {
     properties: &'a [Property],
     deadlock_idx: Option<usize>,
     monitor_count: usize,
-    /// Slice slot plans over the concatenated joint memory (`None` =
-    /// unsliced exploration).
-    abstraction: Option<&'a SlotAbstraction>,
+    /// The slice over the concatenated joint memory.
+    slice: &'a Slice,
 }
 
 /// Per-worker scratch of the product expander.
@@ -1129,9 +1111,7 @@ impl Expander for ProductExpander<'_> {
             evaluator.memory_into(&mut ctx.component_memory);
             ctx.memory.extend_from_slice(&ctx.component_memory);
         }
-        if let Some(abstraction) = self.abstraction {
-            abstraction.normalize(&mut ctx.memory);
-        }
+        self.slice.normalize(&mut ctx.memory);
         let next_phase = ((phase + 1) % system.horizon) as u32;
         let (hash, bytes) = ctx
             .codec

@@ -134,15 +134,6 @@ impl Property {
             .map(|property| LtlMonitor::new(property.invariant().clone()))
     }
 
-    /// Returns `true` for the response properties ([`Property::BoundedResponse`]
-    /// and [`Property::EndToEndResponse`]), which carry a monitor register in
-    /// the explored state. Legacy helper kept for the built-in shapes; an
-    /// arbitrary [`Property::Ltl`] carries one register per temporal
-    /// operator (see [`Property::monitor`]).
-    pub fn needs_monitor(&self) -> bool {
-        self.monitor_spec().is_some()
-    }
-
     /// The `(trigger, response, bound)` triple of a response property
     /// (`None` for the other shapes). Both response flavours share the same
     /// deadline automaton; they differ only in the namespace the signals
@@ -256,8 +247,7 @@ mod tests {
             bound: 4,
         };
         assert!(br.name().contains("within 4"));
-        assert!(br.needs_monitor());
-        assert!(!Property::DeadlockFree.needs_monitor());
+        assert_eq!(br.monitor_spec(), Some(("Dispatch", "Complete", 4)));
         let e2e = Property::EndToEndResponse {
             from: "cLink_sent".into(),
             to: "cLink_consumed".into(),
@@ -267,7 +257,6 @@ mod tests {
             e2e.name(),
             "end-to-end-response(cLink_sent -> cLink_consumed within 8)"
         );
-        assert!(e2e.needs_monitor());
         assert_eq!(
             e2e.monitor_spec(),
             Some(("cLink_sent", "cLink_consumed", 8))

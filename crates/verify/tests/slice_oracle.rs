@@ -2,7 +2,8 @@
 //! explorations (`Verifier::verify`, `ProductVerifier::verify`) against
 //! their unsliced references (`verify_reference`), on random free and
 //! scheduled processes and 2–3-component products whose counter feeds
-//! nothing, a `when`, a divisor, a property atom or a port link.
+//! nothing, a `when`, a divisor, a property atom, a `cell` trigger, a
+//! clock expression, a pair of partial definitions or a port link.
 //!
 //! * where the reference closes, the verdicts are identical;
 //! * where the reference is bounded, the sliced verdict is the same or
@@ -42,6 +43,15 @@ enum Role {
     Divisor,
     /// A property atom: `never cbig` with `cbig := c ≥ k`.
     Atom,
+    /// A `cell` trigger: `g := cell(clock when false, c < k, false)`,
+    /// synchronised with the clock: the instant fails once `c ≥ k`.
+    Cell,
+    /// A clock expression: `g := when (c < k)`, synchronised with the
+    /// clock: the instant fails once `c ≥ k`.
+    Clock,
+    /// Partial definitions: `p ::= c ≥ k` and `p ::= false`, synchronised
+    /// with the clock: the two disagree once `c ≥ k`.
+    Partial,
     /// A product port link: the link's consumed joint reads `c`.
     Link,
 }
@@ -52,8 +62,11 @@ fn role(index: u8) -> Role {
         Role::When,
         Role::Divisor,
         Role::Atom,
+        Role::Cell,
+        Role::Clock,
+        Role::Partial,
         Role::Link,
-    ][index as usize % 5]
+    ][index as usize % 8]
 }
 
 /// `c := (c$1 init 0 + 1) [mod modulus]` on `clock`, wired to `role` with
@@ -92,6 +105,32 @@ fn add_counter(b: &mut ProcessBuilder, clock: &str, role: Role, k: i64, modulus:
         Role::Atom => {
             b.output("cbig", ValueType::Boolean);
             b.define("cbig", Expr::ge(Expr::var("c"), Expr::int(k)));
+        }
+        Role::Cell => {
+            b.local("g", ValueType::Boolean);
+            b.define(
+                "g",
+                Expr::cell(
+                    Expr::when(Expr::var(clock), Expr::bool(false)),
+                    Expr::lt(Expr::var("c"), Expr::int(k)),
+                    Value::Bool(false),
+                ),
+            );
+            synchronous.push("g");
+        }
+        Role::Clock => {
+            b.local("g", ValueType::Event);
+            b.define(
+                "g",
+                Expr::clock_when(Expr::lt(Expr::var("c"), Expr::int(k))),
+            );
+            synchronous.push("g");
+        }
+        Role::Partial => {
+            b.local("p", ValueType::Boolean);
+            b.define_partial("p", Expr::ge(Expr::var("c"), Expr::int(k)));
+            b.define_partial("p", Expr::bool(false));
+            synchronous.push("p");
         }
         Role::Invisible | Role::Link => {}
     }
@@ -351,7 +390,7 @@ proptest! {
     #[test]
     fn free_slice_agrees_with_the_reference(
         threshold in 1i64..=5,
-        role_index in 0u8..4,
+        role_index in 0u8..7,
         k in 1i64..=4,
         modulus in prop::option::of(2i64..=5),
         depth in 3usize..=6,
@@ -392,7 +431,7 @@ proptest! {
     #[test]
     fn scheduled_slice_agrees_with_the_reference(
         threshold in 1i64..=5,
-        role_index in 0u8..4,
+        role_index in 0u8..7,
         k in 1i64..=4,
         modulus in prop::option::of(2i64..=5),
         steps in prop::collection::vec((any::<bool>(), any::<bool>(), any::<bool>()), 2..7),
@@ -436,7 +475,7 @@ proptest! {
         horizon in 3usize..=6,
         threshold in 1i64..=4,
         stages in prop::collection::vec(
-            (1usize..=3, 0u8..5, 1i64..=4, prop::option::of(2i64..=5)),
+            (1usize..=3, 0u8..8, 1i64..=4, prop::option::of(2i64..=5)),
             2..4,
         ),
         latency in 0usize..=2,

@@ -70,7 +70,7 @@ fn fail(kind: FindingKind, detail: String) -> Failure {
 }
 
 /// Checks one scenario: builds the system, runs the cache oracle, the
-/// monitor, lockstep, domain, evaluator and simulation oracles, and (in
+/// monitor, lockstep, slice, evaluator and simulation oracles, and (in
 /// fault mode) the injection stage.
 /// Panics anywhere inside are caught and reported as
 /// [`FindingKind::Panic`] findings. Deterministic in `(spec, seed,
@@ -182,9 +182,9 @@ fn check_spec(
         lockstep_oracle(&simulated, spec.hyperperiods)?;
     }
 
-    // Domain oracle: the target unit (and the product, when wired)
+    // Slice oracle: the target unit (and the product, when wired)
     // verified without slicing, then under the slice.
-    domain_oracle(&simulated, seed)?;
+    slice_oracle(&simulated, seed)?;
 
     // Evaluator oracle: the change-driven evaluator against the reference
     // fixpoint on every thread unit.
@@ -371,13 +371,13 @@ fn strengthens_reference(
         Ok(())
     } else {
         Err(fail(
-            FindingKind::DomainMismatch,
+            FindingKind::SliceMismatch,
             format!("{what} says {found:?} where the unsliced engine says {expected:?}"),
         ))
     }
 }
 
-/// One worker under the depth bound `bound`: the options of every domain
+/// One worker under the depth bound `bound`: the options of every slice
 /// oracle run.
 fn oracle_options(bound: usize) -> VerifyOptions {
     VerifyOptions::default()
@@ -389,7 +389,7 @@ fn oracle_options(bound: usize) -> VerifyOptions {
 /// slice, and demands that the slice strengthen the unsliced verdicts
 /// only. Every counterexample must replay in the simulator: the slice must
 /// never mask a property that reads a dropped slot.
-fn domain_agreement(
+fn slice_agreement(
     process: &Process,
     inputs: &Trace,
     properties: &[Property],
@@ -398,13 +398,13 @@ fn domain_agreement(
     let space = InputSpace::Scheduled(inputs.clone());
     let verifier = Verifier::new(process, oracle_options(inputs.len())).map_err(|e| {
         fail(
-            FindingKind::DomainMismatch,
+            FindingKind::SliceMismatch,
             format!("verifier construction failed on {context}: {e}"),
         )
     })?;
     let verification_failed = |what: &str, e: &dyn std::fmt::Display| {
         fail(
-            FindingKind::DomainMismatch,
+            FindingKind::SliceMismatch,
             format!("{what} of {context} failed: {e}"),
         )
     };
@@ -421,15 +421,15 @@ fn domain_agreement(
     Ok(())
 }
 
-/// Domain oracle: the target unit's scheduled behaviour verified without
+/// Slice oracle: the target unit's scheduled behaviour verified without
 /// slicing, then cross-checked against the slice; when the system has port
 /// connections, the product of every unit cross-checked the same way.
-fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
+fn slice_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
     let unit = &simulated.thread_units[target_unit(simulated, seed)];
     let inputs = unit.model.timing_trace(&simulated.schedule, 1);
     if !inputs.is_empty() {
         let properties = [Property::NeverRaised("*Alarm*".into())];
-        domain_agreement(
+        slice_agreement(
             &unit.model.flat,
             &inputs,
             &properties,
@@ -439,37 +439,37 @@ fn domain_oracle(simulated: &Simulated, seed: u64) -> Result<(), Failure> {
     if simulated.connections.is_empty() {
         return Ok(());
     }
-    product_domain_agreement(simulated)
+    product_slice_agreement(simulated)
 }
 
 /// The wired product of every unit, verified without slicing and with the
 /// default slice: the slice may only strengthen the unsliced
 /// verdicts, and its counterexamples must replay in the lockstep
 /// co-simulation.
-fn product_domain_agreement(simulated: &Simulated) -> Result<(), Failure> {
+fn product_slice_agreement(simulated: &Simulated) -> Result<(), Failure> {
     let links = simulated.product_links();
     let properties = simulated.product_properties(&links).map_err(|e| {
         fail(
-            FindingKind::DomainMismatch,
+            FindingKind::SliceMismatch,
             format!("product properties failed to build: {e}"),
         )
     })?;
     let system = ProductSystem::new(simulated.product_components(), links).map_err(|e| {
         fail(
-            FindingKind::DomainMismatch,
+            FindingKind::SliceMismatch,
             format!("product assembly failed: {e}"),
         )
     })?;
     let bound = system.horizon();
     let verifier = ProductVerifier::new(system, oracle_options(bound)).map_err(|e| {
         fail(
-            FindingKind::DomainMismatch,
+            FindingKind::SliceMismatch,
             format!("product verifier construction failed: {e}"),
         )
     })?;
     let verification_failed = |what: &str, e: &dyn std::fmt::Display| {
         fail(
-            FindingKind::DomainMismatch,
+            FindingKind::SliceMismatch,
             format!("{what} of the product failed: {e}"),
         )
     };
@@ -942,7 +942,7 @@ fn inject_and_check(
             )
             .map_err(|e| {
                 fail(
-                    FindingKind::DomainMismatch,
+                    FindingKind::SliceMismatch,
                     format!("verifier construction failed on the drifted thread: {e}"),
                 )
             })?;
@@ -957,7 +957,7 @@ fn inject_and_check(
                         })
                     }
                 };
-            domain_agreement(&process, &inputs, &properties, "the drifted thread")?;
+            slice_agreement(&process, &inputs, &properties, "the drifted thread")?;
             let first = concrete
                 .violations()
                 .next()

@@ -18,7 +18,7 @@
 //!   by the reference trace semantics over the simulator's resolved trace;
 //! * **lockstep oracle** — every product verdict is re-derived from a
 //!   brute-force lockstep co-simulation of the wired thread product;
-//! * **domain oracle** — one thread's behaviour (and, when the system is
+//! * **slice oracle** — one thread's behaviour (and, when the system is
 //!   wired, the thread product) is verified without slicing and under the
 //!   cone-of-influence slice; the slice may only strengthen a bounded
 //!   verdict into a proof, and its counterexamples must replay;
@@ -153,7 +153,7 @@ pub enum FindingKind {
     FaultUndetected,
     /// The sliced and unsliced explorations disagreed on a verdict shape
     /// (kind or violation instant).
-    DomainMismatch,
+    SliceMismatch,
     /// The change-driven evaluator and the reference fixpoint disagreed on
     /// a resolved step, a memory or an error text.
     EvaluatorMismatch,
@@ -171,7 +171,7 @@ impl fmt::Display for FindingKind {
             FindingKind::LockstepMismatch => "lockstep-mismatch",
             FindingKind::ReplayFailed => "replay-failed",
             FindingKind::FaultUndetected => "fault-undetected",
-            FindingKind::DomainMismatch => "domain-mismatch",
+            FindingKind::SliceMismatch => "slice-mismatch",
             FindingKind::EvaluatorMismatch => "evaluator-mismatch",
             FindingKind::SimulationMismatch => "simulation-mismatch",
         })

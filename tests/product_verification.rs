@@ -360,11 +360,12 @@ fn projection_matches_the_wired_trace_prefix() {
 }
 
 /// The paper's case study closes in concrete mode: the cone-of-influence
-/// slice drops the unobservable `dispatch_count` and frozen-count slots,
-/// so every thread recurs after one hyper-period and the product after 33
-/// instants. A two-hyper-period session therefore proves all 16 built-in
-/// verdicts (2 per thread, 8 joint). The connection-latency fault is
-/// still caught at instant 9, and its counterexample replays.
+/// slice drops the unobservable `dispatch_count` and frozen-count slots
+/// (7, 7, 5 and 5 per thread, 18 in the product), so every thread recurs
+/// after its 24-instant hyper-period and the product after 33 instants. A
+/// two-hyper-period session therefore proves all 16 built-in verdicts (2
+/// per thread, 8 joint). The connection-latency fault is still caught at
+/// instant 9, and its counterexample replays.
 #[test]
 fn case_study_proves_every_verdict_within_two_hyperperiods() {
     use polychrony_core::{Session, SessionOptions, VerificationScope};
@@ -389,25 +390,37 @@ fn case_study_proves_every_verdict_within_two_hyperperiods() {
         .verify()
         .unwrap();
     let report = verified.verification.as_ref().expect("verification ran");
-    assert_eq!(report.outcomes.len(), 4);
+    let sliced: Vec<(&str, usize)> = report
+        .outcomes
+        .iter()
+        .map(|(thread, outcome)| (thread.as_str(), outcome.stats.sliced_slots))
+        .collect();
+    assert_eq!(
+        sliced,
+        [
+            ("sysProdCons.prProdCons.thConsTimer", 5),
+            ("sysProdCons.prProdCons.thConsumer", 7),
+            ("sysProdCons.prProdCons.thProdTimer", 5),
+            ("sysProdCons.prProdCons.thProducer", 7),
+        ]
+    );
     let mut proved = 0;
     for (thread, outcome) in &report.outcomes {
         assert!(outcome.all_proved(), "{thread}: {}", outcome.summary());
-        assert!(
-            outcome.stats.states <= 24,
-            "{thread}: {}",
-            outcome.summary()
-        );
-        assert!(outcome.stats.sliced_slots > 0, "{thread}");
+        assert_eq!(outcome.stats.states, 24, "{thread}: {}", outcome.summary());
         proved += outcome.verdicts.len();
     }
     let product = verified.product.as_ref().expect("product scope");
+    let stats = &product.outcome.stats;
     assert!(
         product.outcome.all_proved(),
         "{}",
         product.outcome.summary()
     );
-    assert!(product.outcome.stats.states <= 33);
+    assert_eq!(
+        (stats.states, stats.transitions, stats.sliced_slots),
+        (33, 132, 18)
+    );
     proved += product.outcome.verdicts.len();
     assert_eq!(proved, 16);
 

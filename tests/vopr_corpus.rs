@@ -49,8 +49,8 @@ const CORPUS: [CorpusEntry; 6] = [
         property_fragment: "end-to-end-response",
     },
     // Drifted counter state is flagged by the probe property that reads
-    // the drifted signal — which also keeps the slot in the slice (the
-    // domain oracle runs on every scenario, drifted or not).
+    // the drifted signal — which also keeps the slot out of the slice
+    // (the slice oracle runs on every scenario, drifted or not).
     CorpusEntry {
         fault: FaultKind::CounterDrift,
         seed: 0x5ec8_97b9_a1e7_c2fa,
@@ -137,7 +137,7 @@ fn corpus_replays_shrink_to_stable_minimal_systems() {
 #[test]
 fn a_clean_corpus_seed_passes_the_full_oracle_battery() {
     // Pure chaos mode on a seed with no recorded finding: the pipeline,
-    // cache, monitor, lockstep, domain and replay oracles must all agree.
+    // cache, monitor, lockstep, slice and replay oracles must all agree.
     let options = VoprOptions::default();
     let report = replay(0xdbfa_5755_b794_49d0, &options, &mut |_| {});
     assert!(
