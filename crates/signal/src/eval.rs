@@ -18,7 +18,9 @@
 //! path; the public API (name-keyed [`TraceStep`]s in and out) is unchanged,
 //! and [`Evaluator::step_resolved`] additionally exposes the resolved
 //! instant as a borrow-only [`ResolvedStep`] so explorers can skip the
-//! `TraceStep` materialisation entirely.
+//! `TraceStep` materialisation entirely. Callers that resolve names once
+//! can step with input ids ([`Evaluator::step_ids`]) and read signals by
+//! id ([`ResolvedStep::value_at`]) through the same step body.
 //!
 //! The fixpoint is *change-driven*: each equation records the ids it reads,
 //! and a pass re-evaluates only the equations that read a slot changed since
@@ -29,6 +31,7 @@
 //! fixpoint as the oracle the differential tests compare against.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::SignalError;
 use crate::expr::{BinOp, Expr, UnOp};
@@ -142,7 +145,9 @@ enum CEq {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Evaluator {
-    process: Process,
+    /// Shared by clones, so a worker context's copy does not deep-copy
+    /// the process.
+    process: Arc<Process>,
     states: Vec<OperatorState>,
     /// Initial memory, for [`Evaluator::reset`].
     initial: Vec<Value>,
@@ -191,6 +196,14 @@ pub struct Evaluator {
     /// was present.
     fired: Vec<bool>,
     work: EvalWork,
+}
+
+/// The inputs of one instant: a name-keyed step, or present input ids
+/// with their values.
+#[derive(Clone, Copy)]
+enum Inputs<'a> {
+    Named(&'a TraceStep),
+    Ids(&'a [(u32, Value)]),
 }
 
 /// Pass cap of the fixpoint: a process still changing after this many
@@ -586,7 +599,7 @@ impl Evaluator {
         let env = vec![Res::Unknown; names.len()];
         let equation_count = ceqs.len();
         Ok(Self {
-            process: process.clone(),
+            process: Arc::new(process.clone()),
             states,
             initial,
             names,
@@ -614,6 +627,24 @@ impl Evaluator {
     /// The process being evaluated.
     pub fn process(&self) -> &Process {
         &self.process
+    }
+
+    /// The id of signal `name`: the index [`ResolvedStep::value_at`] and
+    /// [`Evaluator::step_ids`] read. `None` for a name the process does not
+    /// mention.
+    pub fn signal_id(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    /// The name of every signal, indexed by id.
+    pub fn signal_names(&self) -> &[String] {
+        &self.names
+    }
+
+    /// Every signal id, in name order: the order in which
+    /// [`InstantView::first_present_matching`] visits a resolved step.
+    pub fn ids_by_name(&self) -> &[u32] {
+        &self.sorted_ids
     }
 
     /// Number of stateful (`delay`/`cell`) operators in the process body —
@@ -756,7 +787,7 @@ impl Evaluator {
     ///
     /// Same conditions as [`Evaluator::run`].
     pub fn step(&mut self, instant: usize, input: &TraceStep) -> Result<TraceStep, SignalError> {
-        self.step_commit(instant, input)?;
+        self.step_commit(instant, Inputs::Named(input))?;
         Ok(self.materialize())
     }
 
@@ -773,7 +804,26 @@ impl Evaluator {
         instant: usize,
         input: &TraceStep,
     ) -> Result<ResolvedStep<'_>, SignalError> {
-        self.step_commit(instant, input)?;
+        self.step_commit(instant, Inputs::Named(input))?;
+        Ok(self.resolved())
+    }
+
+    /// Executes a single instant like [`Evaluator::step_resolved`], with
+    /// the inputs given by id (see [`Evaluator::signal_id`]) instead of by
+    /// name: the listed inputs are present with their values, every other
+    /// input is absent. An id that is not an input is ignored, like an
+    /// undeclared name in a [`TraceStep`]. Both front ends run the same
+    /// step body, so they count the same [`Evaluator::work`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Evaluator::run`].
+    pub fn step_ids(
+        &mut self,
+        instant: usize,
+        inputs: &[(u32, Value)],
+    ) -> Result<ResolvedStep<'_>, SignalError> {
+        self.step_commit(instant, Inputs::Ids(inputs))?;
         Ok(self.resolved())
     }
 
@@ -824,7 +874,7 @@ impl Evaluator {
     }
 
     /// Resolves one instant into `self.env` and commits operator states.
-    fn step_commit(&mut self, instant: usize, input: &TraceStep) -> Result<(), SignalError> {
+    fn step_commit(&mut self, instant: usize, input: Inputs<'_>) -> Result<(), SignalError> {
         let mut env = std::mem::take(&mut self.env);
         let result = self.step_into(instant, input, &mut env);
         self.env = env;
@@ -836,23 +886,38 @@ impl Evaluator {
     fn step_into(
         &mut self,
         instant: usize,
-        input: &TraceStep,
+        input: Inputs<'_>,
         env: &mut Vec<Res>,
     ) -> EvalResult<()> {
         self.work.instants += 1;
         env.clear();
         env.resize(self.names.len(), Res::Unknown);
-        // Inputs are fully specified by the caller: absent unless given. A
-        // merge-join of the step's name-sorted entries with the inputs
-        // sorted by name; undeclared names are ignored.
-        let mut given = input.iter().peekable();
-        for &id in &self.inputs_by_name {
-            let name = self.names[id as usize].as_str();
-            while given.next_if(|(n, _)| n.as_str() < name).is_some() {}
-            env[id as usize] = match given.next_if(|(n, _)| n.as_str() == name) {
-                Some((_, v)) => Res::Present(v.clone()),
-                None => Res::Absent,
-            };
+        // Inputs are fully specified by the caller: absent unless given.
+        match input {
+            // A merge-join of the step's name-sorted entries with the
+            // inputs sorted by name; undeclared names are ignored.
+            Inputs::Named(step) => {
+                let mut given = step.iter().peekable();
+                for &id in &self.inputs_by_name {
+                    let name = self.names[id as usize].as_str();
+                    while given.next_if(|(n, _)| n.as_str() < name).is_some() {}
+                    env[id as usize] = match given.next_if(|(n, _)| n.as_str() == name) {
+                        Some((_, v)) => Res::Present(v.clone()),
+                        None => Res::Absent,
+                    };
+                }
+            }
+            Inputs::Ids(given) => {
+                for &id in &self.input_ids {
+                    env[id as usize] = Res::Absent;
+                }
+                for (id, value) in given {
+                    let id = *id as usize;
+                    if id < self.decl_count && self.is_input[id] {
+                        env[id] = Res::Present(value.clone());
+                    }
+                }
+            }
         }
 
         self.fixpoint(env, instant)?;
@@ -1282,6 +1347,13 @@ impl<'a> ResolvedStep<'a> {
         self.names
     }
 
+    /// The value of signal `id` (see [`Evaluator::signal_id`]) at this
+    /// instant, or `None` when it is absent: [`InstantView::value_of`]
+    /// without the name lookup.
+    pub fn value_at(&self, id: u32) -> Option<&'a Value> {
+        self.env.get(id as usize).and_then(Res::value)
+    }
+
     /// The present signals of this instant in id order, each with its
     /// value: a signal is present when it resolved to a value, the rule of
     /// the step [`Evaluator::step`] materialises.
@@ -1295,10 +1367,7 @@ impl<'a> ResolvedStep<'a> {
 
 impl InstantView for ResolvedStep<'_> {
     fn value_of(&self, name: &str) -> Option<&Value> {
-        self.ids
-            .get(name)
-            .and_then(|&id| self.env.get(id as usize))
-            .and_then(Res::value)
+        self.ids.get(name).and_then(|&id| self.value_at(id))
     }
 
     fn first_present_matching(
@@ -2056,6 +2125,52 @@ mod tests {
             .unwrap_err();
         assert_eq!(fast, slow);
         assert!(fast.to_string().contains("conflicting resolutions for `x`"));
+    }
+
+    #[test]
+    fn id_inputs_step_like_named_inputs() {
+        let mut b = ProcessBuilder::new("ids");
+        b.input("b", ValueType::Integer);
+        b.input("a", ValueType::Integer);
+        b.output("y", ValueType::Integer);
+        b.define("y", Expr::default(Expr::var("a"), Expr::var("b")));
+        let p = b.build().unwrap();
+        let mut by_name = Evaluator::new(&p).unwrap();
+        let mut by_id = by_name.clone();
+        let (a, b_, y) = (
+            by_id.signal_id("a").unwrap(),
+            by_id.signal_id("b").unwrap(),
+            by_id.signal_id("y").unwrap(),
+        );
+        assert_eq!(by_id.signal_id("nope"), None);
+        assert_eq!(by_id.signal_names()[a as usize], "a");
+        let ordered: Vec<&str> = by_id
+            .ids_by_name()
+            .iter()
+            .map(|&id| by_id.signal_names()[id as usize].as_str())
+            .collect();
+        assert_eq!(ordered, ["a", "b", "y"]);
+        for (t, given) in [vec![(b_, 2)], vec![(a, 1), (b_, 2)], vec![]]
+            .iter()
+            .enumerate()
+        {
+            let mut named = TraceStep::new();
+            for &(id, v) in given {
+                named.set(by_id.signal_names()[id as usize].clone(), Value::Int(v));
+            }
+            // A non-input id is ignored, like an undeclared name.
+            let mut ids: Vec<(u32, Value)> =
+                given.iter().map(|&(id, v)| (id, Value::Int(v))).collect();
+            ids.push((y, Value::Int(9)));
+            named.set("y_undeclared", Value::Int(9));
+            let expected = by_name.step(t, &named).unwrap();
+            let view = by_id.step_ids(t, &ids).unwrap();
+            assert_eq!(view.value_at(y), expected.get("y"));
+            for (name, value) in expected.iter() {
+                assert_eq!(view.value_of(name), Some(value));
+            }
+            assert_eq!(by_id.work(), by_name.work());
+        }
     }
 
     #[test]

@@ -228,25 +228,28 @@ impl Expr {
     /// Collects the names of all signals referenced by this expression.
     pub fn referenced_signals(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.collect_refs(&mut out);
+        self.for_each_signal(&mut |name| out.push(name.to_string()));
         out.sort();
         out.dedup();
         out
     }
 
-    fn collect_refs(&self, out: &mut Vec<String>) {
+    /// Calls `f` with the name of every signal this expression reads, in
+    /// pre-order and with repeats: [`Expr::referenced_signals`] without
+    /// the allocations.
+    pub fn for_each_signal<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            Expr::Var(name) => out.push(name.clone()),
+            Expr::Var(name) => f(name),
             Expr::Const(_) => {}
-            Expr::Unary(_, e) | Expr::ClockOf(e) | Expr::ClockWhen(e) => e.collect_refs(out),
-            Expr::Binary(_, a, b) | Expr::When(a, b) | Expr::Default(a, b) => {
-                a.collect_refs(out);
-                b.collect_refs(out);
+            Expr::Unary(_, e) | Expr::ClockOf(e) | Expr::ClockWhen(e) | Expr::Delay(e, _) => {
+                e.for_each_signal(f)
             }
-            Expr::Delay(e, _) => e.collect_refs(out),
-            Expr::Cell(i, b, _) => {
-                i.collect_refs(out);
-                b.collect_refs(out);
+            Expr::Binary(_, a, b)
+            | Expr::When(a, b)
+            | Expr::Default(a, b)
+            | Expr::Cell(a, b, _) => {
+                a.for_each_signal(f);
+                b.for_each_signal(f);
             }
         }
     }

@@ -1,6 +1,6 @@
 //! SIGNAL processes: signal declarations, equations and process models.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use serde::{Deserialize, Serialize};
 
@@ -182,39 +182,64 @@ impl Process {
     ///
     /// # Errors
     ///
-    /// Returns the first violation found as a [`SignalError`].
+    /// Returns the first violation found as a [`SignalError`]: the first
+    /// duplicate declaration, else the alphabetically first undeclared
+    /// name (the first of [`Process::undeclared_signals`]), else the first
+    /// output, in declaration order, that no definition or instance
+    /// output defines.
     pub fn validate(&self) -> Result<(), SignalError> {
-        let mut seen = std::collections::BTreeSet::new();
+        let mut declared = HashSet::with_capacity(self.signals.len());
         for decl in &self.signals {
-            if !seen.insert(decl.name.as_str()) {
+            if !declared.insert(decl.name.as_str()) {
                 return Err(SignalError::DuplicateSignal {
                     process: self.name.clone(),
                     signal: decl.name.clone(),
                 });
             }
         }
-        let missing = self.undeclared_signals();
-        if let Some(name) = missing.into_iter().next() {
+        let mut defined = HashSet::new();
+        // Only an undeclared name, an error, allocates.
+        let mut first_missing: Option<String> = None;
+        let mut note = |name: &str| {
+            if !declared.contains(name) && first_missing.as_ref().is_none_or(|first| name < first) {
+                first_missing = Some(name.to_string());
+            }
+        };
+        for eq in &self.equations {
+            match eq {
+                Equation::Definition { target, expr }
+                | Equation::PartialDefinition { target, expr } => {
+                    defined.insert(target.as_str());
+                    note(target);
+                    expr.for_each_signal(&mut note);
+                }
+                Equation::ClockConstraint { signals } | Equation::ClockExclusion { signals } => {
+                    signals.iter().for_each(|s| note(s));
+                }
+                Equation::Instance {
+                    inputs, outputs, ..
+                } => {
+                    defined.extend(outputs.iter().map(String::as_str));
+                    inputs.iter().chain(outputs).for_each(|s| note(s));
+                }
+            }
+        }
+        if let Some(name) = first_missing {
             return Err(SignalError::UndeclaredSignal {
                 process: self.name.clone(),
                 signal: name,
             });
         }
-        for out in self.outputs() {
-            let defined = self.equations.iter().any(|eq| match eq {
-                Equation::Definition { target, .. }
-                | Equation::PartialDefinition { target, .. } => target == &out.name,
-                Equation::Instance { outputs, .. } => outputs.contains(&out.name),
-                _ => false,
-            });
-            if !defined {
-                return Err(SignalError::UndefinedOutput {
-                    process: self.name.clone(),
-                    signal: out.name.clone(),
-                });
-            }
+        match self
+            .outputs()
+            .find(|out| !defined.contains(out.name.as_str()))
+        {
+            Some(out) => Err(SignalError::UndefinedOutput {
+                process: self.name.clone(),
+                signal: out.name.clone(),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Attaches a traceability annotation (e.g. the AADL source path).
@@ -531,6 +556,77 @@ mod tests {
             p.validate(),
             Err(SignalError::UndefinedOutput { .. })
         ));
+    }
+
+    #[test]
+    fn validation_reports_duplicates_then_undeclared_then_undefined_outputs() {
+        let decl = |name: &str, role| SignalDecl {
+            name: name.into(),
+            ty: ValueType::Integer,
+            role,
+        };
+        let mut p = Process::new("ordered");
+        for (name, role) in [
+            ("z_out", SignalRole::Output),
+            ("a_out", SignalRole::Output),
+            ("by_instance", SignalRole::Output),
+            ("x", SignalRole::Input),
+            ("dup", SignalRole::Local),
+            ("dup", SignalRole::Local),
+        ] {
+            p.signals.push(decl(name, role));
+        }
+        // Undeclared names, none of them first in source order.
+        p.equations.push(Equation::Definition {
+            target: "m_ghost".into(),
+            expr: Expr::add(Expr::var("x"), Expr::var("k_ghost")),
+        });
+        p.equations.push(Equation::ClockConstraint {
+            signals: vec!["x".into(), "b_ghost".into()],
+        });
+        p.equations.push(Equation::Instance {
+            process: "child".into(),
+            label: "c1".into(),
+            inputs: vec!["x".into()],
+            outputs: vec!["by_instance".into()],
+        });
+        let message = |p: &Process| p.validate().unwrap_err().to_string();
+        let duplicate = SignalError::DuplicateSignal {
+            process: "ordered".into(),
+            signal: "dup".into(),
+        };
+        assert_eq!(message(&p), duplicate.to_string());
+        p.signals.pop();
+        assert_eq!(
+            p.undeclared_signals(),
+            ["b_ghost", "k_ghost", "m_ghost"].map(String::from)
+        );
+        let undeclared = SignalError::UndeclaredSignal {
+            process: "ordered".into(),
+            signal: "b_ghost".into(),
+        };
+        assert_eq!(message(&p), undeclared.to_string());
+        // With every name declared, the first undefined output in
+        // declaration order is reported; an instance output is defined.
+        p.equations.truncate(0);
+        p.equations.push(Equation::Instance {
+            process: "child".into(),
+            label: "c1".into(),
+            inputs: vec!["x".into()],
+            outputs: vec!["by_instance".into()],
+        });
+        let undefined = SignalError::UndefinedOutput {
+            process: "ordered".into(),
+            signal: "z_out".into(),
+        };
+        assert_eq!(message(&p), undefined.to_string());
+        for target in ["z_out", "a_out"] {
+            p.equations.push(Equation::PartialDefinition {
+                target: target.into(),
+                expr: Expr::var("x"),
+            });
+        }
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]

@@ -19,22 +19,26 @@
 //!   empty can exit immediately);
 //! * deterministic merging: same-depth discovery races are recorded as
 //!   deferred ties and resolved at the level barrier by the canonical edge
-//!   encoding, violations are tie-broken by [`trace_order`], and fatal
-//!   errors by the erroring state's key bytes — every comparison is over
-//!   *key bytes*, never interner ids, because ids are allocation-ordered
-//!   and therefore race-dependent.
+//!   encoding ([`Expander::edge_order`]), violations by the length, edge
+//!   encodings and witness of their paths, and fatal errors by the
+//!   erroring state's key bytes — every comparison is over *key bytes*,
+//!   never interner ids, because ids are allocation-ordered and therefore
+//!   race-dependent.
 //!
 //! Counterexample paths are reconstructed on demand from the parent links:
 //! each link stores only the predecessor id and the *edge index*; the
 //! expander re-derives the concrete input step from the predecessor's key
 //! ([`Expander::edge_step`]), so the engine never stores input steps
-//! per state either.
+//! per state either. Only the winning counterexample of each property is
+//! rebuilt; comparisons read the edges' order bytes.
 
 use std::collections::VecDeque;
+use std::io::Write;
 use std::sync::Mutex;
 
 use signal_moc::eval::EvalWork;
 use signal_moc::trace::{Trace, TraceStep};
+use signal_moc::value::Value;
 
 use crate::counterexample::Counterexample;
 use crate::explore::{
@@ -108,8 +112,19 @@ pub(crate) trait Expander: Sync {
 
     /// The concrete input step of edge `edge` out of the state encoded by
     /// `prev_key`. Must be a pure function of `(prev_key, edge)` — it is
-    /// re-invoked during path reconstruction and tie-breaking.
+    /// re-invoked to rebuild each winning counterexample's inputs.
     fn edge_step(&self, prev_key: &[u8], edge: u32) -> TraceStep;
+
+    /// Appends the canonical order bytes of edge `edge` out of the state
+    /// encoded by `prev_key`: the [`step_order_bytes`] of
+    /// [`Expander::edge_step`]. Same-depth ties and counterexample
+    /// selection compare these bytes, so an expander that can encode the
+    /// edge without rebuilding its step (the free candidates cache theirs)
+    /// overrides this, and must append exactly the same bytes.
+    fn edge_order(&self, prev_key: &[u8], edge: u32, out: &mut Vec<u8>) {
+        let step = self.edge_step(prev_key, edge);
+        step_order_bytes(step.iter().map(|(name, value)| (name.as_str(), value)), out);
+    }
 
     /// The evaluator work a worker context has done since
     /// [`Expander::new_ctx`] created it, for the `engine.eval.*` counters.
@@ -128,6 +143,8 @@ pub(crate) trait Expander: Sync {
 /// level. All merging is deferred to the level barrier.
 pub(crate) struct Sink<'a> {
     interner: &'a StateInterner<ParentLink>,
+    /// Per property: whether an earlier level found its counterexample.
+    found: &'a [bool],
     /// Interned id of the state currently being expanded.
     parent: u32,
     /// Level of the state currently being expanded.
@@ -143,9 +160,10 @@ pub(crate) struct Sink<'a> {
 }
 
 impl<'a> Sink<'a> {
-    fn new(interner: &'a StateInterner<ParentLink>) -> Self {
+    fn new(interner: &'a StateInterner<ParentLink>, found: &'a [bool]) -> Self {
         Self {
             interner,
+            found,
             parent: NO_PARENT,
             depth: 0,
             next: Vec::new(),
@@ -187,13 +205,23 @@ impl<'a> Sink<'a> {
 
     /// Reports a violation of property `property` observed on edge `edge`
     /// out of the current state (`None` for a dead end of the state
-    /// itself).
-    pub fn violation(&mut self, property: usize, edge: Option<u32>, witness: String) {
+    /// itself). A property whose counterexample an earlier level found
+    /// keeps it, so its later violations are dropped without rendering
+    /// their witness.
+    pub fn violation(
+        &mut self,
+        property: usize,
+        edge: Option<u32>,
+        witness: impl FnOnce() -> String,
+    ) {
+        if self.found[property] {
+            return;
+        }
         self.violations.push(RawViolation {
             property,
             parent: self.parent,
             edge,
-            witness,
+            witness: witness(),
         });
     }
 
@@ -330,7 +358,10 @@ pub(crate) fn explore<E: Expander>(
             ctxs.push(ctx);
         }
 
-        let mut sinks: Vec<Sink<'_>> = (0..workers).map(|_| Sink::new(&interner)).collect();
+        let found_before: Vec<bool> = found.iter().map(Option::is_some).collect();
+        let mut sinks: Vec<Sink<'_>> = (0..workers)
+            .map(|_| Sink::new(&interner, &found_before))
+            .collect();
         if workers == 1 {
             let sink = &mut sinks[0];
             let ctx = &mut ctxs[0];
@@ -481,42 +512,41 @@ pub(crate) fn explore<E: Expander>(
         }
 
         // Resolve this level's violations deterministically: for each
-        // property take the lexicographically smallest counterexample. The
-        // full `Counterexample` (property clone, witness move) is built
-        // only for the winner.
+        // property take the counterexample with the smallest key (length,
+        // edge order bytes, witness); the first minimum wins. Each key is
+        // computed once, and only the winner's inputs are rebuilt.
         for (idx, slot) in found.iter_mut().enumerate() {
             if slot.is_some() {
                 continue;
             }
-            let mut best: Option<(Trace, usize, String)> = None;
-            for v in violations.iter().filter(|v| v.property == idx) {
+            let mut best: Option<(usize, Vec<u8>, usize)> = None;
+            for (i, v) in violations.iter().enumerate() {
+                if v.property != idx {
+                    continue;
+                }
+                let mut bytes = Vec::new();
+                let steps = path_order(expander, &interner, v.parent, v.edge, &mut bytes);
+                let better = best.as_ref().is_none_or(|(b_steps, b_bytes, b)| {
+                    (steps, &bytes, &v.witness) < (*b_steps, b_bytes, &violations[*b].witness)
+                });
+                if better {
+                    best = Some((steps, bytes, i));
+                }
+            }
+            if let Some((_, _, i)) = best {
+                let v = &mut violations[i];
                 let mut inputs = path_to(expander, &interner, v.parent);
+                let violation_instant = inputs.len();
                 if let Some(edge) = v.edge {
                     let mut prev_key = Vec::new();
                     interner.copy_key(v.parent, &mut prev_key);
                     inputs.push(expander.edge_step(&prev_key, edge));
                 }
-                let violation_instant = if v.edge.is_some() {
-                    inputs.len().saturating_sub(1)
-                } else {
-                    inputs.len()
-                };
-                let better = match &best {
-                    None => true,
-                    Some((b_inputs, _, b_witness)) => {
-                        trace_order(&inputs, &v.witness) < trace_order(b_inputs, b_witness)
-                    }
-                };
-                if better {
-                    best = Some((inputs, violation_instant, v.witness.clone()));
-                }
-            }
-            if let Some((inputs, violation_instant, witness)) = best {
                 *slot = Some(Counterexample {
                     property: properties[idx].clone(),
                     inputs,
                     violation_instant,
-                    witness,
+                    witness: std::mem::take(&mut v.witness),
                 });
             }
         }
@@ -630,47 +660,102 @@ fn link_order<E: Expander>(
     interner.copy_key(link.prev, &mut prev_key);
     out.extend_from_slice(&prev_key);
     out.push(0xFF);
-    step_order_bytes(&expander.edge_step(&prev_key, link.edge), &mut out);
+    expander.edge_order(&prev_key, link.edge, &mut out);
     out
 }
 
-/// Reconstructs the input trace from the initial state to `id` by walking
-/// the parent links and re-deriving each edge's input step.
-fn path_to<E: Expander>(expander: &E, interner: &StateInterner<ParentLink>, id: u32) -> Trace {
-    let mut steps = Vec::new();
-    let mut prev_key = Vec::new();
+/// The edges `(prev, edge)` from the initial state to `id`, in path order.
+fn links_to(interner: &StateInterner<ParentLink>, id: u32) -> Vec<(u32, u32)> {
+    let mut links = Vec::new();
     let mut cursor = id;
     loop {
         let link = interner.payload(cursor);
         if link.prev == NO_PARENT {
             break;
         }
-        interner.copy_key(link.prev, &mut prev_key);
-        steps.push(expander.edge_step(&prev_key, link.edge));
+        links.push((link.prev, link.edge));
         cursor = link.prev;
     }
-    steps.reverse();
-    steps.into_iter().collect()
+    links.reverse();
+    links
 }
 
-/// Canonical byte encoding of one input step, used for deterministic
-/// ordering of exploration edges and counterexamples.
-pub(crate) fn step_order_bytes(step: &TraceStep, out: &mut Vec<u8>) {
-    for (name, value) in step.iter() {
-        out.extend_from_slice(name.as_bytes());
-        out.push(0);
-        out.extend_from_slice(value.to_string().as_bytes());
-        out.push(1);
+/// Appends the order bytes of every edge from the initial state to `id`,
+/// then of `edge` out of `id` when given, and returns the number of edges:
+/// the ordering key of a counterexample's inputs.
+fn path_order<E: Expander>(
+    expander: &E,
+    interner: &StateInterner<ParentLink>,
+    id: u32,
+    edge: Option<u32>,
+    out: &mut Vec<u8>,
+) -> usize {
+    let mut links = links_to(interner, id);
+    links.extend(edge.map(|edge| (id, edge)));
+    let mut prev_key = Vec::new();
+    for &(prev, edge) in &links {
+        interner.copy_key(prev, &mut prev_key);
+        expander.edge_order(&prev_key, edge, out);
     }
-    out.push(2);
+    links.len()
 }
 
-/// A deterministic ordering key for counterexample selection within a
-/// level.
-pub(crate) fn trace_order(inputs: &Trace, witness: &str) -> (usize, Vec<u8>, String) {
-    let mut bytes = Vec::new();
-    for step in inputs.iter() {
-        step_order_bytes(step, &mut bytes);
+/// Reconstructs the input trace from the initial state to `id` by walking
+/// the parent links and re-deriving each edge's input step.
+fn path_to<E: Expander>(expander: &E, interner: &StateInterner<ParentLink>, id: u32) -> Trace {
+    let mut prev_key = Vec::new();
+    links_to(interner, id)
+        .into_iter()
+        .map(|(prev, edge)| {
+            interner.copy_key(prev, &mut prev_key);
+            expander.edge_step(&prev_key, edge)
+        })
+        .collect()
+}
+
+/// Canonical byte encoding of one input step, given as its `(name, value)`
+/// entries in name order, used for deterministic ordering of exploration
+/// edges and counterexamples: each entry's [`entry_order_bytes`], then
+/// [`STEP_END`].
+pub(crate) fn step_order_bytes<'a>(
+    entries: impl IntoIterator<Item = (&'a str, &'a Value)>,
+    out: &mut Vec<u8>,
+) {
+    for (name, value) in entries {
+        entry_order_bytes(name, value, out);
     }
-    (inputs.len(), bytes, witness.to_string())
+    out.push(STEP_END);
+}
+
+/// The [`step_order_bytes`] of one `(name, value)` entry: the name, then
+/// the rendered value. The free candidates cache it per input value.
+pub(crate) fn entry_order_bytes(name: &str, value: &Value, out: &mut Vec<u8>) {
+    out.extend_from_slice(name.as_bytes());
+    out.push(0);
+    write!(out, "{value}").expect("writing to a Vec cannot fail");
+    out.push(1);
+}
+
+/// The last byte of every [`step_order_bytes`].
+pub(crate) const STEP_END: u8 = 2;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn step_order_bytes_encode_every_name_and_rendered_value() {
+        let mut out = Vec::new();
+        let entries = [
+            ("Deadline", Value::Bool(false)),
+            ("n", Value::Int(-3)),
+            ("tick", Value::Event),
+        ];
+        step_order_bytes(entries.iter().map(|(n, v)| (*n, v)), &mut out);
+        assert_eq!(out, b"Deadline\0false\x01n\0-3\x01tick\0!\x01\x02");
+        // The silent step still terminates its encoding.
+        out.clear();
+        step_order_bytes([], &mut out);
+        assert_eq!(out, [2]);
+    }
 }

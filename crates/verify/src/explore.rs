@@ -6,7 +6,7 @@
 
 use std::collections::BTreeMap;
 
-use affine_clocks::DispatchFeasibility;
+use affine_clocks::{AffineRelation, DispatchFeasibility};
 use serde::{Deserialize, Serialize};
 use signal_moc::clockcalc::ClockCalculus;
 use signal_moc::error::SignalError;
@@ -16,8 +16,8 @@ use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::{Value, ValueType};
 
 use crate::counterexample::Counterexample;
-use crate::engine::{self, Expander, Sink};
-use crate::monitor::{compile_properties, CompiledProperty};
+use crate::engine::{self, entry_order_bytes, step_order_bytes, Expander, Sink, STEP_END};
+use crate::monitor::{compile_properties, BoundAtom, CompiledProperty, Namespace};
 use crate::property::Property;
 use crate::slice::Slice;
 use crate::state::{KeyCodec, State};
@@ -437,24 +437,55 @@ impl Verifier {
     ///
     /// Propagates clock-calculus errors (e.g. duplicate total definitions).
     pub fn free_candidates(&self) -> Result<(Vec<TraceStep>, bool), VerifyError> {
-        let calculus = self.calculus()?;
-        let inputs: Vec<(&str, ValueType)> = self
-            .process()
-            .inputs()
-            .map(|d| (d.name.as_str(), d.ty))
+        let (candidates, truncated) = self.candidates()?;
+        let names = self.evaluator.signal_names();
+        let steps = candidates
+            .iter()
+            .map(|candidate| step_of(names, &candidate.inputs))
             .collect();
+        Ok((steps, truncated))
+    }
+
+    /// The enumeration of [`Verifier::free_candidates`], resolved for
+    /// exploration: each candidate's present inputs in name order as
+    /// evaluator ids, the oracle relations of the constrained ones, and
+    /// its order bytes. Each input is resolved once, not per candidate.
+    fn candidates(&self) -> Result<(Vec<Candidate>, bool), VerifyError> {
+        let calculus = self.calculus()?;
         // Group the inputs by synchronisation class.
-        let mut groups: BTreeMap<usize, Vec<(&str, ValueType)>> = BTreeMap::new();
-        for (name, ty) in inputs {
+        let mut groups: BTreeMap<usize, Vec<FreeInput<'_>>> = BTreeMap::new();
+        for input in self.process().inputs() {
+            let name = input.name.as_str();
             let class = calculus.class_of(name).map(|c| c.id).unwrap_or(usize::MAX);
-            groups.entry(class).or_default().push((name, ty));
+            let domain = Self::domain_of(input.ty)
+                .into_iter()
+                .map(|value| {
+                    let mut order = Vec::new();
+                    entry_order_bytes(name, &value, &mut order);
+                    (value, order)
+                })
+                .collect();
+            groups.entry(class).or_default().push(FreeInput {
+                name,
+                id: self.evaluator.signal_id(name).expect("inputs are declared"),
+                relation: self
+                    .options
+                    .oracle
+                    .as_ref()
+                    .and_then(|oracle| oracle.relation(name).copied()),
+                domain,
+            });
         }
-        let group_list: Vec<(usize, Vec<(&str, ValueType)>)> = groups.into_iter().collect();
+        let group_list: Vec<(usize, Vec<FreeInput<'_>>)> = groups.into_iter().collect();
         // The silent valuation is always a candidate: autonomous behaviour
         // (e.g. `Alarm := true`, or outputs excluded with an input clock)
         // can be observable on instants where every input is absent, so
         // skipping it would prove such violations "safe" vacuously.
-        let mut candidates = vec![TraceStep::new()];
+        let mut candidates = vec![Candidate {
+            inputs: Vec::new(),
+            relations: Vec::new(),
+            order: vec![STEP_END],
+        }];
         let mut truncated = false;
         if group_list.is_empty() {
             return Ok((candidates, false));
@@ -492,23 +523,40 @@ impl Verifier {
                     }
                 }
             }
-            // Cartesian product of the value domains of the present inputs.
-            let slots: Vec<(&str, Vec<Value>)> = present
+            // Cartesian product of the value domains of the present inputs,
+            // the last one varying fastest; each candidate lists its
+            // entries in name order.
+            let slots: Vec<&FreeInput<'_>> = present
                 .iter()
                 .flat_map(|&gi| group_list[gi].1.iter())
-                .map(|&(name, ty)| (name, Self::domain_of(ty)))
                 .collect();
+            let mut by_name: Vec<usize> = (0..slots.len()).collect();
+            by_name.sort_by_key(|&slot| slots[slot].name);
+            let order_len = 1 + slots
+                .iter()
+                .map(|input| input.domain.iter().map(|(_, order)| order.len()).max())
+                .sum::<Option<usize>>()
+                .unwrap_or(0);
             let mut indices = vec![0usize; slots.len()];
             loop {
                 if candidates.len() >= MAX_BRANCHING {
                     truncated = true;
                     break 'masks;
                 }
-                let mut step = TraceStep::new();
-                for (slot, &i) in slots.iter().zip(&indices) {
-                    step.set(slot.0, slot.1[i].clone());
+                let mut candidate = Candidate {
+                    inputs: Vec::with_capacity(slots.len()),
+                    relations: Vec::new(),
+                    order: Vec::with_capacity(order_len),
+                };
+                for &slot in &by_name {
+                    let input = slots[slot];
+                    let (value, order) = &input.domain[indices[slot]];
+                    candidate.inputs.push((input.id, value.clone()));
+                    candidate.relations.extend(input.relation);
+                    candidate.order.extend_from_slice(order);
                 }
-                candidates.push(step);
+                candidate.order.push(STEP_END);
+                candidates.push(candidate);
                 // Odometer increment.
                 let mut carry = true;
                 for (pos, idx) in indices.iter_mut().enumerate().rev() {
@@ -516,7 +564,7 @@ impl Verifier {
                         break;
                     }
                     *idx += 1;
-                    if *idx < slots[pos].1.len() {
+                    if *idx < slots[pos].domain.len() {
                         carry = false;
                     } else {
                         *idx = 0;
@@ -614,7 +662,7 @@ impl Verifier {
         };
         let (candidates, candidates_truncated) = match scheduled {
             Some(_) => (Vec::new(), false),
-            None => self.free_candidates()?,
+            None => self.candidates()?,
         };
 
         // Every trace property — built-in shape or user LTL — compiles to
@@ -624,6 +672,11 @@ impl Verifier {
         // end-to-end property over joint product signals simply never
         // triggers in a single-thread namespace.
         let (compiled, initial_monitors) = compile_properties(properties);
+        let namespace = Namespace::thread(&self.evaluator);
+        let atoms: Vec<Vec<BoundAtom>> = compiled
+            .iter()
+            .map(|property| property.monitor.bind(&namespace))
+            .collect();
         let deadlock_idx = properties
             .iter()
             .position(|p| matches!(p, Property::DeadlockFree));
@@ -641,10 +694,10 @@ impl Verifier {
             scheduled,
             candidates: &candidates,
             compiled: &compiled,
+            atoms: &atoms,
             properties,
             deadlock_idx,
             monitor_count,
-            oracle: self.options.oracle.as_ref(),
             slice,
         };
         let outcome = engine::explore(
@@ -675,24 +728,64 @@ pub(crate) fn annotate(
     outcome
 }
 
+/// The inputs named by the `(id, value)` entries of a candidate.
+fn step_of(names: &[String], inputs: &[(u32, Value)]) -> TraceStep {
+    let mut step = TraceStep::new();
+    for (id, value) in inputs {
+        step.set(names[*id as usize].as_str(), value.clone());
+    }
+    step
+}
+
+/// One input of the free enumeration, resolved once per enumeration.
+struct FreeInput<'a> {
+    name: &'a str,
+    id: u32,
+    /// Its dispatch-oracle relation, if the oracle constrains it.
+    relation: Option<AffineRelation>,
+    /// Each value of its domain, with the value's [`entry_order_bytes`].
+    domain: Vec<(Value, Vec<u8>)>,
+}
+
+/// One free-mode input valuation, resolved once per exploration.
+struct Candidate {
+    /// The present inputs in name order, as evaluator ids (see
+    /// [`Evaluator::signal_id`]) with their values.
+    inputs: Vec<(u32, Value)>,
+    /// The dispatch-oracle relations of the constrained inputs it makes
+    /// present: it is pruned at an instant one of them excludes.
+    relations: Vec<AffineRelation>,
+    /// Its [`step_order_bytes`], the edge's canonical order.
+    order: Vec<u8>,
+}
+
+/// The inputs of one edge: a scheduled step by name, or a free candidate
+/// by id.
+#[derive(Clone, Copy)]
+enum EdgeInput<'a> {
+    Scheduled(&'a TraceStep),
+    Free(&'a [(u32, Value)]),
+}
+
 /// The [`Expander`] of one flat process: scheduled steps follow the timing
 /// trace (the phase wraps around), free steps enumerate the clock-calculus
 /// candidates, optionally filtered by the dispatch-feasibility oracle.
 struct ThreadExpander<'a> {
     verifier: &'a Verifier,
     scheduled: Option<&'a Trace>,
-    candidates: &'a [TraceStep],
+    candidates: &'a [Candidate],
     compiled: &'a [CompiledProperty],
+    /// Per compiled property, its atoms bound to evaluator ids.
+    atoms: &'a [Vec<BoundAtom>],
     properties: &'a [Property],
     deadlock_idx: Option<usize>,
     monitor_count: usize,
-    oracle: Option<&'a DispatchFeasibility>,
     slice: &'a Slice,
 }
 
-/// Per-worker scratch: the evaluator clone (a deep copy of the flattened
-/// process — created once per worker, never per level), the incremental key
-/// codec, and reusable buffers so the per-successor path allocates nothing.
+/// Per-worker scratch: the evaluator clone (it shares the process; created
+/// once per worker, never per level), the incremental key codec, and
+/// reusable buffers so the per-successor path allocates nothing.
 struct ThreadCtx {
     evaluator: Evaluator,
     codec: KeyCodec,
@@ -704,34 +797,32 @@ struct ThreadCtx {
 
 impl ThreadExpander<'_> {
     /// Executes one candidate edge out of the seeded parent: restore the
-    /// parent memory, run the evaluator, step the monitors over the
-    /// borrowed resolved view, and intern the successor through the
-    /// incremental codec.
-    #[allow(clippy::too_many_arguments)]
+    /// parent memory, run the evaluator, step the monitors over their
+    /// bound atoms, and intern the successor through the incremental
+    /// codec. Returns whether the step executed.
     fn try_edge(
         &self,
         ctx: &mut ThreadCtx,
         depth: usize,
         edge: u32,
-        input: &TraceStep,
+        input: EdgeInput<'_>,
         next_phase: u32,
-        has_nonsilent: bool,
-        progress: &mut usize,
         sink: &mut Sink<'_>,
-    ) -> Result<(), VerifyError> {
+    ) -> Result<bool, VerifyError> {
         if ctx
             .evaluator
             .restore_memory(ctx.codec.parent_memory())
             .is_err()
         {
             // Cannot happen: snapshots always come from this process.
-            return Ok(());
+            return Ok(false);
         }
-        match ctx.evaluator.step_resolved(depth, input) {
+        let stepped = match input {
+            EdgeInput::Scheduled(step) => ctx.evaluator.step_resolved(depth, step),
+            EdgeInput::Free(inputs) => ctx.evaluator.step_ids(depth, inputs),
+        };
+        match stepped {
             Ok(resolved) => {
-                if !input.is_silent() || !has_nonsilent {
-                    *progress += 1;
-                }
                 sink.transition();
                 // Monitor steps on the resolved instant (the updated
                 // registers are part of the successor state). A violating
@@ -741,15 +832,13 @@ impl ThreadExpander<'_> {
                 // same transition.
                 ctx.succ_monitors.clear();
                 ctx.succ_monitors.extend_from_slice(&ctx.monitors);
-                for property in self.compiled {
+                for (property, atoms) in self.compiled.iter().zip(self.atoms) {
                     sink.monitor_step();
-                    let observed = property.step(&mut ctx.succ_monitors, &resolved);
+                    let observed = property.step_bound(&mut ctx.succ_monitors, atoms, &resolved);
                     if !observed.holds {
-                        sink.violation(
-                            property.index,
-                            Some(edge),
-                            self.properties[property.index].violation_witness(&observed),
-                        );
+                        sink.violation(property.index, Some(edge), || {
+                            self.properties[property.index].violation_witness(&observed)
+                        });
                     }
                 }
                 // The max_states cap is deliberately NOT checked here:
@@ -765,16 +854,15 @@ impl ThreadExpander<'_> {
                     ctx.codec
                         .successor(&ctx.memory, next_phase, &ctx.succ_monitors);
                 sink.successor(hash, bytes, edge);
+                Ok(true)
             }
             Err(e) => {
                 sink.infeasible();
                 if self.scheduled.is_some() {
                     match self.deadlock_idx {
-                        Some(idx) => sink.violation(
-                            idx,
-                            Some(edge),
-                            format!("scheduled step not executable: {e}"),
-                        ),
+                        Some(idx) => sink.violation(idx, Some(edge), || {
+                            format!("scheduled step not executable: {e}")
+                        }),
                         None => {
                             return Err(VerifyError::Evaluation {
                                 instant: depth,
@@ -783,10 +871,16 @@ impl ThreadExpander<'_> {
                         }
                     }
                 }
+                Ok(false)
             }
         }
-        Ok(())
     }
+}
+
+/// The scheduled step a state encoded by `key` takes next.
+fn phase_step<'t>(trace: &'t Trace, key: &[u8]) -> Option<&'t TraceStep> {
+    let phase = u32::from_le_bytes(key[0..4].try_into().expect("phase bytes")) as usize;
+    trace.step(phase % trace.len())
 }
 
 impl Expander for ThreadExpander<'_> {
@@ -818,8 +912,8 @@ impl Expander for ThreadExpander<'_> {
                 let empty = TraceStep::new();
                 let input = trace.step(phase as usize).unwrap_or(&empty);
                 let next_phase = ((phase as usize + 1) % trace.len()) as u32;
-                let mut progress = 0usize;
-                self.try_edge(ctx, depth, 0, input, next_phase, true, &mut progress, sink)
+                self.try_edge(ctx, depth, 0, EdgeInput::Scheduled(input), next_phase, sink)
+                    .map(|_| ())
             }
             None => {
                 // Oracle pruning: skip candidates that make a signal present
@@ -828,14 +922,13 @@ impl Expander for ThreadExpander<'_> {
                 // pruned, so the considered set is never empty.
                 ctx.considered.clear();
                 for (edge, candidate) in self.candidates.iter().enumerate() {
-                    if let Some(oracle) = self.oracle {
-                        let excluded = candidate
-                            .iter()
-                            .any(|(name, _)| !oracle.may_fire(name, depth as u64));
-                        if excluded {
-                            sink.pruned();
-                            continue;
-                        }
+                    if !candidate
+                        .relations
+                        .iter()
+                        .all(|relation| relation.contains(depth as u64))
+                    {
+                        sink.pruned();
+                        continue;
                     }
                     ctx.considered.push(edge as u32);
                 }
@@ -846,31 +939,23 @@ impl Expander for ThreadExpander<'_> {
                 let has_nonsilent = ctx
                     .considered
                     .iter()
-                    .any(|&e| !self.candidates[e as usize].is_silent());
+                    .any(|&e| !self.candidates[e as usize].inputs.is_empty());
                 let mut progress = 0usize;
                 for i in 0..ctx.considered.len() {
                     let edge = ctx.considered[i];
-                    self.try_edge(
-                        ctx,
-                        depth,
-                        edge,
-                        &self.candidates[edge as usize],
-                        0,
-                        has_nonsilent,
-                        &mut progress,
-                        sink,
-                    )?;
+                    let inputs = &self.candidates[edge as usize].inputs;
+                    let executed =
+                        self.try_edge(ctx, depth, edge, EdgeInput::Free(inputs), 0, sink)?;
+                    if executed && (!inputs.is_empty() || !has_nonsilent) {
+                        progress += 1;
+                    }
                 }
                 if progress == 0 {
                     if let Some(idx) = self.deadlock_idx {
-                        sink.violation(
-                            idx,
-                            None,
-                            format!(
-                                "no feasible progress valuation among {} candidates",
-                                ctx.considered.len()
-                            ),
-                        );
+                        let considered = ctx.considered.len();
+                        sink.violation(idx, None, || {
+                            format!("no feasible progress valuation among {considered} candidates")
+                        });
                     }
                 }
                 Ok(())
@@ -880,12 +965,24 @@ impl Expander for ThreadExpander<'_> {
 
     fn edge_step(&self, prev_key: &[u8], edge: u32) -> TraceStep {
         match self.scheduled {
-            Some(trace) => {
-                let phase =
-                    u32::from_le_bytes(prev_key[0..4].try_into().expect("phase bytes")) as usize;
-                trace.step(phase % trace.len()).cloned().unwrap_or_default()
-            }
-            None => self.candidates[edge as usize].clone(),
+            Some(trace) => phase_step(trace, prev_key).cloned().unwrap_or_default(),
+            None => step_of(
+                self.verifier.evaluator.signal_names(),
+                &self.candidates[edge as usize].inputs,
+            ),
+        }
+    }
+
+    fn edge_order(&self, prev_key: &[u8], edge: u32, out: &mut Vec<u8>) {
+        match self.scheduled {
+            Some(trace) => step_order_bytes(
+                phase_step(trace, prev_key)
+                    .into_iter()
+                    .flat_map(TraceStep::iter)
+                    .map(|(name, value)| (name.as_str(), value)),
+                out,
+            ),
+            None => out.extend_from_slice(&self.candidates[edge as usize].order),
         }
     }
 
@@ -904,6 +1001,8 @@ impl Expander for ThreadExpander<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random_process::Rng;
+    use proptest::prelude::*;
     use signal_moc::builder::ProcessBuilder;
     use signal_moc::expr::Expr;
 
@@ -1038,36 +1137,57 @@ mod tests {
         // different inputs, and the alarm fires one instant later. The
         // counterexample must be byte-identical for every worker count (the
         // canonical-edge tie-break, not thread interleaving, picks the
-        // parent).
-        let mut b = ProcessBuilder::new("diamond");
-        b.input("Deadline", ValueType::Boolean);
-        b.input("Resume", ValueType::Boolean);
-        b.output("Alarm", ValueType::Boolean);
-        b.local("latch", ValueType::Boolean);
-        b.define(
-            "latch",
-            Expr::or(
-                Expr::delay(Expr::var("latch"), Value::Bool(false)),
-                Expr::ne(Expr::var("Deadline"), Expr::var("Resume")),
-            ),
-        );
-        b.define("Alarm", Expr::delay(Expr::var("latch"), Value::Bool(false)));
-        b.synchronize(&["Deadline", "Resume", "latch", "Alarm"]);
-        let process = b.build().unwrap();
-        let property = [Property::NeverRaised("*Alarm*".into())];
-        let reference = Verifier::new(&process, VerifyOptions::default().with_workers(1))
-            .unwrap()
-            .verify(&InputSpace::Free, &property)
-            .unwrap();
-        assert!(!reference.is_violation_free());
-        for workers in [2usize, 4, 8] {
-            for _ in 0..4 {
-                let outcome =
-                    Verifier::new(&process, VerifyOptions::default().with_workers(workers))
-                        .unwrap()
-                        .verify(&InputSpace::Free, &property)
-                        .unwrap();
-                assert_eq!(reference.verdicts, outcome.verdicts, "workers={workers}");
+        // parent), and it is pinned: an order key that is wrong the same way
+        // on every worker count still fails. With the inputs declared
+        // against name order the enumeration varies `Deadline` fastest, so
+        // the first latching edge found is (Deadline, !Resume), and only
+        // the encoded values make (!Deadline, Resume) win.
+        for inputs in [["Deadline", "Resume"], ["Resume", "Deadline"]] {
+            let mut b = ProcessBuilder::new("diamond");
+            for input in inputs {
+                b.input(input, ValueType::Boolean);
+            }
+            b.output("Alarm", ValueType::Boolean);
+            b.local("latch", ValueType::Boolean);
+            b.define(
+                "latch",
+                Expr::or(
+                    Expr::delay(Expr::var("latch"), Value::Bool(false)),
+                    Expr::ne(Expr::var("Deadline"), Expr::var("Resume")),
+                ),
+            );
+            b.define("Alarm", Expr::delay(Expr::var("latch"), Value::Bool(false)));
+            b.synchronize(&["Deadline", "Resume", "latch", "Alarm"]);
+            let process = b.build().unwrap();
+            let property = [Property::NeverRaised("*Alarm*".into())];
+            let reference = Verifier::new(&process, VerifyOptions::default().with_workers(1))
+                .unwrap()
+                .verify(&InputSpace::Free, &property)
+                .unwrap();
+            let Verdict::Violated(cex) = &reference.verdicts[0].verdict else {
+                panic!("the alarm must be found: {}", reference.summary());
+            };
+            let step = |deadline: bool, resume: bool| {
+                let mut step = TraceStep::new();
+                step.set("Deadline", Value::Bool(deadline));
+                step.set("Resume", Value::Bool(resume));
+                step
+            };
+            let expected: Trace = [step(false, true), step(false, false)]
+                .into_iter()
+                .collect();
+            assert_eq!(cex.inputs, expected, "{inputs:?}");
+            assert_eq!(cex.violation_instant, 1);
+            assert_eq!(cex.witness, "signal `Alarm` raised");
+            for workers in [2usize, 4, 8] {
+                for _ in 0..4 {
+                    let outcome =
+                        Verifier::new(&process, VerifyOptions::default().with_workers(workers))
+                            .unwrap()
+                            .verify(&InputSpace::Free, &property)
+                            .unwrap();
+                    assert_eq!(reference.verdicts, outcome.verdicts, "workers={workers}");
+                }
             }
         }
     }
@@ -1467,6 +1587,219 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, VerifyError::Evaluation { instant: 0, .. }));
+    }
+
+    /// The free-candidate enumeration over named steps, as the explorer
+    /// ran it before candidates were resolved to ids: the reference the id
+    /// enumeration is held to.
+    fn named_candidates(process: &Process) -> Result<(Vec<TraceStep>, bool), SignalError> {
+        let calculus = ClockCalculus::analyze(process)?;
+        let inputs: Vec<(&str, ValueType)> =
+            process.inputs().map(|d| (d.name.as_str(), d.ty)).collect();
+        let mut groups: BTreeMap<usize, Vec<(&str, ValueType)>> = BTreeMap::new();
+        for (name, ty) in inputs {
+            let class = calculus.class_of(name).map(|c| c.id).unwrap_or(usize::MAX);
+            groups.entry(class).or_default().push((name, ty));
+        }
+        let group_list: Vec<(usize, Vec<(&str, ValueType)>)> = groups.into_iter().collect();
+        let mut candidates = vec![TraceStep::new()];
+        let mut truncated = false;
+        if group_list.is_empty() {
+            return Ok((candidates, false));
+        }
+        let g = group_list.len().min(16);
+        if group_list.len() > g {
+            truncated = true;
+        }
+        'masks: for mask in 1u32..(1u32 << g) {
+            let present: Vec<usize> = (0..g).filter(|i| mask & (1 << i) != 0).collect();
+            for (i, &a) in present.iter().enumerate() {
+                for &b in &present[i + 1..] {
+                    let (ca, cb) = (group_list[a].0, group_list[b].0);
+                    let key = if ca < cb { (ca, cb) } else { (cb, ca) };
+                    if calculus.exclusions().contains(&key) {
+                        continue 'masks;
+                    }
+                }
+            }
+            for &a in &present {
+                for (b, (class_b, _)) in group_list.iter().enumerate() {
+                    if a != b
+                        && !present.contains(&b)
+                        && group_list[a].0 != *class_b
+                        && calculus.is_subclock(group_list[a].0, *class_b)
+                    {
+                        continue 'masks;
+                    }
+                }
+            }
+            let slots: Vec<(&str, Vec<Value>)> = present
+                .iter()
+                .flat_map(|&gi| group_list[gi].1.iter())
+                .map(|&(name, ty)| (name, Verifier::domain_of(ty)))
+                .collect();
+            let mut indices = vec![0usize; slots.len()];
+            loop {
+                if candidates.len() >= MAX_BRANCHING {
+                    truncated = true;
+                    break 'masks;
+                }
+                let mut step = TraceStep::new();
+                for (slot, &i) in slots.iter().zip(&indices) {
+                    step.set(slot.0, slot.1[i].clone());
+                }
+                candidates.push(step);
+                let mut carry = true;
+                for (pos, idx) in indices.iter_mut().enumerate().rev() {
+                    if !carry {
+                        break;
+                    }
+                    *idx += 1;
+                    if *idx < slots[pos].1.len() {
+                        carry = false;
+                    } else {
+                        *idx = 0;
+                    }
+                }
+                if carry {
+                    break;
+                }
+            }
+        }
+        Ok((candidates, truncated))
+    }
+
+    /// A process with 1–18 inputs of every type, declared against name
+    /// order, with random synchronisation classes, exclusions and
+    /// sub-clocks among them: enough independent classes to truncate the
+    /// enumeration at its cap.
+    fn random_inputs_process(seed: u64) -> Process {
+        let mut rng = Rng(seed);
+        let types = [
+            ValueType::Boolean,
+            ValueType::Integer,
+            ValueType::Event,
+            ValueType::Real,
+            ValueType::Text,
+        ];
+        let mut b = ProcessBuilder::new("inputs");
+        let count = 1 + rng.below(18);
+        let names: Vec<String> = (0..count)
+            .map(|i| format!("{}{i}", ["q", "a", "m", "z"][rng.below(4)]))
+            .collect();
+        for name in &names {
+            b.input(name.as_str(), types[rng.below(types.len())]);
+        }
+        let pick = |rng: &mut Rng| names[rng.below(count)].as_str();
+        for _ in 0..rng.below(count) {
+            let pair = [pick(&mut rng), pick(&mut rng)];
+            b.synchronize(&pair);
+        }
+        for _ in 0..rng.below(3) {
+            let pair = [pick(&mut rng), pick(&mut rng)];
+            b.exclude(&pair);
+        }
+        // `sub_j ::= a` with `sub_j ^= b`: the class of `a` is a sub-clock
+        // of the class of `b`.
+        for j in 0..rng.below(3) {
+            let sub = format!("sub{j}");
+            let (a, b_) = (pick(&mut rng), pick(&mut rng));
+            b.local(sub.as_str(), ValueType::Boolean);
+            b.define_partial(sub.as_str(), Expr::var(a));
+            b.synchronize(&[sub.as_str(), b_]);
+        }
+        b.build_unchecked()
+    }
+
+    /// Enumerates the candidates of the random process of `seed` under a
+    /// random oracle, by id and by name, and asserts that the id form
+    /// materialises to the named enumeration, in order and with the same
+    /// truncation flag, with entries in name order, the order bytes of
+    /// the named step and the oracle relations of its present inputs.
+    fn id_candidates_agree_with_names(seed: u64) {
+        let process = random_inputs_process(seed);
+        let mut rng = Rng(seed ^ 0x0AC1E);
+        let mut oracle = DispatchFeasibility::new();
+        for input in process.inputs() {
+            if rng.chance(40) {
+                let period = 1 + rng.below(4) as u64;
+                let phase = rng.below(period as usize) as u64;
+                oracle.insert(
+                    input.name.clone(),
+                    AffineRelation::new(period, phase).unwrap(),
+                );
+            }
+        }
+        let Ok(verifier) = Verifier::new(
+            &process,
+            VerifyOptions::default().with_oracle(oracle.clone()),
+        ) else {
+            return;
+        };
+        let (reference, materialised) =
+            match (named_candidates(&process), verifier.free_candidates()) {
+                (Ok(reference), Ok(materialised)) => (reference, materialised),
+                (Err(_), Err(_)) => return,
+                (reference, materialised) => {
+                    panic!("one enumeration failed: {reference:?} against {materialised:?}")
+                }
+            };
+        assert_eq!(materialised, reference);
+        let (candidates, truncated) = verifier.candidates().unwrap();
+        assert_eq!(truncated, reference.1);
+        let names = verifier.evaluator.signal_names();
+        assert_eq!(candidates.len(), reference.0.len());
+        for (candidate, step) in candidates.iter().zip(&reference.0) {
+            let entry_names: Vec<&str> = candidate
+                .inputs
+                .iter()
+                .map(|(id, _)| names[*id as usize].as_str())
+                .collect();
+            assert!(
+                entry_names.windows(2).all(|w| w[0] < w[1]),
+                "{entry_names:?}"
+            );
+            let mut order = Vec::new();
+            step_order_bytes(
+                step.iter().map(|(name, value)| (name.as_str(), value)),
+                &mut order,
+            );
+            assert_eq!(candidate.order, order);
+            let relations: Vec<AffineRelation> = step
+                .iter()
+                .filter_map(|(name, _)| oracle.relation(name).copied())
+                .collect();
+            assert_eq!(candidate.relations, relations);
+        }
+    }
+
+    proptest! {
+        /// Differential oracle of the id enumeration: over random input
+        /// clocks (classes, exclusions, sub-clocks, every value type) and
+        /// random oracles, the candidates in id form materialise to the
+        /// named enumeration in the same order, with the same truncation
+        /// flag, and carry the named step's order bytes and oracle
+        /// relations.
+        #[test]
+        fn id_candidates_materialise_like_the_named_enumeration(seed in any::<u64>()) {
+            id_candidates_agree_with_names(seed);
+        }
+    }
+
+    #[test]
+    fn wide_enumerations_truncate_like_the_named_enumeration() {
+        // Many independent boolean classes: the enumeration stops at its
+        // cap in both forms at the same candidate.
+        let mut b = ProcessBuilder::new("wide");
+        for i in (0..10).rev() {
+            b.input(format!("in{i}"), ValueType::Boolean);
+        }
+        let process = b.build_unchecked();
+        let verifier = Verifier::new(&process, VerifyOptions::default()).unwrap();
+        let reference = named_candidates(&process).unwrap();
+        assert!(reference.1);
+        assert_eq!(reference.0.len(), MAX_BRANCHING);
+        assert_eq!(verifier.free_candidates().unwrap(), reference);
     }
 
     #[test]

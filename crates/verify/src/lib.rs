@@ -85,6 +85,11 @@ pub mod property;
 pub mod slice;
 pub mod state;
 
+/// The random flat processes of the differential oracles under `tests/`.
+#[cfg(test)]
+#[path = "../tests/random_process/mod.rs"]
+mod random_process;
+
 pub use affine_clocks::DispatchFeasibility;
 pub use counterexample::{Counterexample, ReplayReport};
 pub use explore::{

@@ -182,6 +182,33 @@ impl Formula {
         }
     }
 
+    /// Calls `f` with every atom (`S`, `present(S)`, `raised(glob)`) in
+    /// pre-order, left operand first: the order in which a monitor step
+    /// reads them.
+    pub(crate) fn for_each_atom<'a>(&'a self, f: &mut impl FnMut(&'a Formula)) {
+        match self {
+            Formula::Const(_) => {}
+            Formula::Signal(_) | Formula::Present(_) | Formula::Raised(_) => f(self),
+            Formula::Not(a)
+            | Formula::Previously(a)
+            | Formula::Once(a)
+            | Formula::Historically(a) => a.for_each_atom(f),
+            Formula::And(a, b)
+            | Formula::Or(a, b)
+            | Formula::Implies(a, b)
+            | Formula::Since(a, b) => {
+                a.for_each_atom(f);
+                b.for_each_atom(f);
+            }
+            Formula::Within {
+                trigger, response, ..
+            } => {
+                trigger.for_each_atom(f);
+                response.for_each_atom(f);
+            }
+        }
+    }
+
     /// Precedence level used by the renderer (higher binds tighter).
     fn precedence(&self) -> u8 {
         match self {

@@ -37,16 +37,17 @@ use std::collections::HashSet;
 
 use polysim::Simulator;
 use serde::{Deserialize, Serialize};
-use signal_moc::eval::{EvalWork, Evaluator, ResolvedStep};
+use signal_moc::eval::{EvalWork, Evaluator};
 use signal_moc::process::Process;
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::Value;
-use signal_moc::InstantView;
 
 use crate::counterexample::{Counterexample, ReplayReport};
 use crate::engine::{self, Expander, Sink};
 use crate::explore::{annotate, VerificationOutcome, VerifyError, VerifyOptions};
-use crate::monitor::{compile_properties, CompiledProperty};
+use crate::monitor::{
+    compile_properties, BoundAtom, CompiledProperty, Namespace, Slot, SlotValues,
+};
 use crate::property::Property;
 use crate::slice::Slice;
 use crate::state::{KeyCodec, State};
@@ -502,8 +503,9 @@ impl<'a> LockstepCoSim<'a> {
 /// chain of joint states); the frontier of the deterministic product is a
 /// single state per level, so the run is sequential regardless of
 /// [`VerifyOptions::workers`]. Each joint instant steps every component's
-/// evaluator once and reads the joint signals straight from the
-/// evaluators' resolved views: no per-component step is materialised.
+/// evaluator once, and the monitors read their atoms, bound to joint slots
+/// once per exploration, straight from the evaluators' resolved views: no
+/// per-component step is materialised and no name is looked up.
 #[derive(Debug, Clone)]
 pub struct ProductVerifier {
     system: ProductSystem,
@@ -682,9 +684,14 @@ impl ProductVerifier {
             monitors: initial_monitors,
         };
         slice.normalize(&mut initial.memory);
+        let namespace = self.namespace();
         let expander = ProductExpander {
             verifier: self,
-            layout: JointLayout::new(&self.system),
+            atoms: compiled
+                .iter()
+                .map(|property| property.monitor.bind(&namespace))
+                .collect(),
+            consumed: self.consumed_slots(),
             compiled: &compiled,
             properties,
             deadlock_idx,
@@ -704,6 +711,58 @@ impl ProductVerifier {
         // Every transition is one evaluated component step.
         outcome.stats.memo_misses = outcome.stats.transitions;
         Ok(annotate(outcome, slice, &self.options.collector))
+    }
+
+    /// The joint namespace: each component's signals behind
+    /// `<component>_`, each link's derived joints behind `<link>_`, with
+    /// `<link>_consumed` only where the link declares both its freeze and
+    /// count signals.
+    fn namespace(&self) -> Namespace<'_> {
+        Namespace::new(
+            self.system
+                .components
+                .iter()
+                .zip(&self.evaluators)
+                .map(|(component, evaluator)| (format!("{}_", component.name), evaluator))
+                .collect(),
+            self.system
+                .links
+                .iter()
+                .map(|link| {
+                    let consumed = link.target_freeze.is_some() && link.target_count.is_some();
+                    (format!("{}_", link.name), consumed)
+                })
+                .collect(),
+        )
+    }
+
+    /// Per link, where its `<link>_consumed` joint would read: the target
+    /// component and the ids of its freeze and count signals. Only a link
+    /// that declares both derives the joint: the namespace decides that.
+    fn consumed_slots(&self) -> Vec<ConsumedSlots> {
+        self.system
+            .links
+            .iter()
+            .map(|link| {
+                let target = self
+                    .system
+                    .components
+                    .iter()
+                    .position(|c| c.name == link.target)
+                    .expect("validated at construction");
+                let evaluator = &self.evaluators[target];
+                let id = |signal: &Option<String>| {
+                    signal
+                        .as_deref()
+                        .and_then(|signal| evaluator.signal_id(signal))
+                };
+                ConsumedSlots {
+                    target,
+                    freeze: id(&link.target_freeze),
+                    count: id(&link.target_count),
+                }
+            })
+            .collect()
     }
 
     /// Projects a joint counterexample onto one component: the
@@ -816,83 +875,16 @@ impl ProductVerifier {
     }
 }
 
-/// One entity of the joint namespace, in name-sorted block order.
-#[derive(Debug, Clone, Copy)]
-enum JointBlock {
-    /// Component index: its resolved signals appear as `<component>_<s>`.
-    Component(usize),
-    /// Link index: the derived `_consumed`/`_received`/`_sent` signals
-    /// (listed here in their name-sorted suffix order).
-    Link(usize),
-}
-
-/// Where each entity's signals sit in the joint namespace of a
-/// [`ProductSystem`].
-struct JointLayout {
-    /// `<name>_` joint-namespace prefixes, per component and per link.
-    comp_prefixes: Vec<String>,
-    link_prefixes: Vec<String>,
-    /// Component index of each link's target.
-    link_targets: Vec<usize>,
-    /// Entity blocks sorted by prefix: the global name-sorted iteration
-    /// order of a joint instant.
-    blocks: Vec<JointBlock>,
-}
-
-impl JointLayout {
-    fn new(system: &ProductSystem) -> Self {
-        let comp_prefixes: Vec<String> = system
-            .components
-            .iter()
-            .map(|c| format!("{}_", c.name))
-            .collect();
-        let link_prefixes: Vec<String> = system
-            .links
-            .iter()
-            .map(|l| format!("{}_", l.name))
-            .collect();
-        let link_targets = system
-            .links
-            .iter()
-            .map(|link| {
-                system
-                    .components
-                    .iter()
-                    .position(|c| c.name == link.target)
-                    .expect("validated at construction")
-            })
-            .collect();
-        // Entity prefixes are mutually prefix-free (validated at
-        // construction), so each entity's signals occupy a contiguous range
-        // of the name-sorted joint instant and sorting the blocks by prefix
-        // reproduces the global order.
-        let mut blocks: Vec<JointBlock> = (0..comp_prefixes.len())
-            .map(JointBlock::Component)
-            .chain((0..link_prefixes.len()).map(JointBlock::Link))
-            .collect();
-        blocks.sort_by(|a, b| {
-            let prefix = |block: &JointBlock| match *block {
-                JointBlock::Component(i) => comp_prefixes[i].as_str(),
-                JointBlock::Link(k) => link_prefixes[k].as_str(),
-            };
-            prefix(a).cmp(prefix(b))
-        });
-        Self {
-            comp_prefixes,
-            link_prefixes,
-            link_targets,
-            blocks,
-        }
-    }
-}
-
 /// The [`Expander`] of a synchronous product: one deterministic edge per
 /// state (the wired joint instant of its phase), every component stepped
 /// on its own evaluator.
 struct ProductExpander<'a> {
     verifier: &'a ProductVerifier,
-    layout: JointLayout,
     compiled: &'a [CompiledProperty],
+    /// Per compiled property, its atoms bound to joint slots.
+    atoms: Vec<Vec<BoundAtom>>,
+    /// Per link, where its `<link>_consumed` joint reads.
+    consumed: Vec<ConsumedSlots>,
     properties: &'a [Property],
     deadlock_idx: Option<usize>,
     monitor_count: usize,
@@ -913,6 +905,17 @@ struct ProductCtx {
     component_memory: Vec<Value>,
 }
 
+/// Where a link's `<link>_consumed` joint reads: the index of its target
+/// component and the ids of the target's freeze and count signals (`None`
+/// when the link or the process has no such signal, which then reads as
+/// false).
+#[derive(Debug, Clone, Copy)]
+struct ConsumedSlots {
+    target: usize,
+    freeze: Option<u32>,
+    count: Option<u32>,
+}
+
 static BOOL_TRUE: Value = Value::Bool(true);
 static BOOL_FALSE: Value = Value::Bool(false);
 
@@ -924,107 +927,41 @@ fn bool_value(b: bool) -> &'static Value {
     }
 }
 
-/// Borrow-only [`InstantView`] of one joint instant: each component's
-/// resolved view plus the link-derived joints, visited in global
-/// name-sorted order without materialising the joint `TraceStep`.
-struct JointView<'a> {
+/// The slots of one joint instant: the components' resolved signals, read
+/// from evaluators that each hold their step of the instant, and the
+/// link-derived joints at `phase`.
+struct JointSlots<'a> {
     system: &'a ProductSystem,
-    layout: &'a JointLayout,
-    /// Each component's resolved view, in component order.
-    resolved: Vec<ResolvedStep<'a>>,
+    evaluators: &'a [Evaluator],
+    consumed: &'a [ConsumedSlots],
     phase: usize,
 }
 
-impl<'a> JointView<'a> {
-    /// The joint instant at `phase` of components whose evaluators each
-    /// hold their resolved step of that instant.
-    fn new(
-        system: &'a ProductSystem,
-        layout: &'a JointLayout,
-        evaluators: &'a [Evaluator],
-        phase: usize,
-    ) -> Self {
-        Self {
-            system,
-            layout,
-            resolved: evaluators.iter().map(Evaluator::resolved).collect(),
-            phase,
-        }
-    }
-
-    /// The `consumed` joint of link `k`: the target's Input Time fired with
-    /// a non-empty frozen FIFO. `None` when the link does not declare both
-    /// signals.
-    fn consumed(&self, k: usize) -> Option<bool> {
-        let link = &self.system.links[k];
-        let (freeze, count) = (link.target_freeze.as_ref()?, link.target_count.as_ref()?);
-        let target = &self.resolved[self.layout.link_targets[k]];
-        let truthy = |name: &str| target.value_of(name).is_some_and(Value::as_bool);
-        Some(truthy(freeze) && truthy(count))
-    }
-}
-
-impl InstantView for JointView<'_> {
-    fn value_of(&self, name: &str) -> Option<&Value> {
-        // At most one prefix matches: entity names are validated to be
-        // prefix-unambiguous at product construction.
-        for (i, prefix) in self.layout.comp_prefixes.iter().enumerate() {
-            if let Some(local) = name.strip_prefix(prefix.as_str()) {
-                return self.resolved[i].value_of(local);
+impl SlotValues for JointSlots<'_> {
+    fn value(&self, slot: Slot) -> Option<&Value> {
+        match slot {
+            Slot::Signal { component, id } => {
+                self.evaluators[component as usize].resolved().value_at(id)
             }
-        }
-        for (k, prefix) in self.layout.link_prefixes.iter().enumerate() {
-            if let Some(kind) = name.strip_prefix(prefix.as_str()) {
-                let activity = &self.system.activity[k];
-                return match kind {
-                    "sent" => Some(bool_value(activity.sent[self.phase])),
-                    "received" => Some(bool_value(activity.received[self.phase])),
-                    "consumed" => self.consumed(k).map(bool_value),
-                    _ => None,
+            Slot::Sent(k) => Some(bool_value(
+                self.system.activity[k as usize].sent[self.phase],
+            )),
+            Slot::Received(k) => Some(bool_value(
+                self.system.activity[k as usize].received[self.phase],
+            )),
+            // The target's Input Time fired with a non-empty frozen FIFO.
+            Slot::Consumed(k) => {
+                let consumed = self.consumed[k as usize];
+                let target = self.evaluators[consumed.target].resolved();
+                let truthy = |id: Option<u32>| {
+                    id.and_then(|id| target.value_at(id))
+                        .is_some_and(Value::as_bool)
                 };
+                Some(bool_value(
+                    truthy(consumed.freeze) && truthy(consumed.count),
+                ))
             }
         }
-        None
-    }
-
-    fn first_present_matching(
-        &self,
-        accept: &mut dyn FnMut(&str, &Value) -> bool,
-    ) -> Option<String> {
-        let mut joint = String::new();
-        for block in &self.layout.blocks {
-            match *block {
-                JointBlock::Component(i) => {
-                    let prefix = &self.layout.comp_prefixes[i];
-                    let found = self.resolved[i].first_present_matching(&mut |local, value| {
-                        joint.clear();
-                        joint.push_str(prefix);
-                        joint.push_str(local);
-                        accept(&joint, value)
-                    });
-                    if found.is_some() {
-                        return Some(joint);
-                    }
-                }
-                JointBlock::Link(k) => {
-                    let activity = &self.system.activity[k];
-                    let suffixes = [
-                        self.consumed(k).map(|b| ("consumed", bool_value(b))),
-                        Some(("received", bool_value(activity.received[self.phase]))),
-                        Some(("sent", bool_value(activity.sent[self.phase]))),
-                    ];
-                    for (suffix, value) in suffixes.into_iter().flatten() {
-                        joint.clear();
-                        joint.push_str(&self.layout.link_prefixes[k]);
-                        joint.push_str(suffix);
-                        if accept(&joint, value) {
-                            return Some(joint);
-                        }
-                    }
-                }
-            }
-        }
-        None
     }
 }
 
@@ -1074,7 +1011,7 @@ impl Expander for ProductExpander<'_> {
                 );
                 return match self.deadlock_idx {
                     Some(idx) => {
-                        sink.violation(idx, Some(0), witness);
+                        sink.violation(idx, Some(0), || witness);
                         Ok(())
                     }
                     None => Err(VerifyError::Evaluation {
@@ -1088,21 +1025,23 @@ impl Expander for ProductExpander<'_> {
             sink.transition();
         }
 
-        // Monitor steps on the borrowed joint view (a violating monitor
-        // keeps running, so every property gets its earliest
-        // counterexample).
-        let view = JointView::new(system, &self.layout, &ctx.evaluators, phase);
+        // Monitor steps on the joint slots (a violating monitor keeps
+        // running, so every property gets its earliest counterexample).
+        let slots = JointSlots {
+            system,
+            evaluators: &ctx.evaluators,
+            consumed: &self.consumed,
+            phase,
+        };
         ctx.succ_monitors.clear();
         ctx.succ_monitors.extend_from_slice(&ctx.monitors);
-        for property in self.compiled {
+        for (property, atoms) in self.compiled.iter().zip(&self.atoms) {
             sink.monitor_step();
-            let observed = property.step(&mut ctx.succ_monitors, &view);
+            let observed = property.step_bound(&mut ctx.succ_monitors, atoms, &slots);
             if !observed.holds {
-                sink.violation(
-                    property.index,
-                    Some(0),
-                    self.properties[property.index].violation_witness(&observed),
-                );
+                sink.violation(property.index, Some(0), || {
+                    self.properties[property.index].violation_witness(&observed)
+                });
             }
         }
 
@@ -1144,7 +1083,6 @@ impl Expander for ProductExpander<'_> {
 mod tests {
     use super::*;
     use crate::explore::Verdict;
-    use crate::property::pattern_matches;
     use proptest::prelude::*;
     use signal_moc::builder::ProcessBuilder;
     use signal_moc::expr::Expr;
@@ -1507,16 +1445,19 @@ mod tests {
     }
 
     /// A linear pipeline of event-counting stages, the shape of the
-    /// `pipeline_system` helpers of the determinism suites. With `consumed`,
-    /// every link also derives `<link>_consumed` from the target's
-    /// `Dispatch` and `seen` signals, which fire independently.
+    /// `pipeline_system` helpers of the determinism suites. Every link may
+    /// name the target's `Dispatch` as its freeze signal and its `seen` as
+    /// its count signal, which fire independently; a link naming both
+    /// derives `<link>_consumed`.
+    #[allow(clippy::too_many_arguments)]
     fn pipeline_system(
         count: usize,
         horizon: usize,
         threshold: i64,
         periods: &[usize],
         latency: usize,
-        consumed: bool,
+        freeze: bool,
+        counted: bool,
     ) -> ProductSystem {
         fn stage(name: &str, threshold: i64) -> Process {
             let mut b = ProcessBuilder::new(name);
@@ -1559,8 +1500,8 @@ mod tests {
                 source_signal: "out_output_time".into(),
                 target: format!("s{i}"),
                 target_signal: "in_in".into(),
-                target_freeze: consumed.then(|| "Dispatch".into()),
-                target_count: consumed.then(|| "seen".into()),
+                target_freeze: freeze.then(|| "Dispatch".into()),
+                target_count: counted.then(|| "seen".into()),
                 latency,
             })
             .collect();
@@ -1568,67 +1509,98 @@ mod tests {
     }
 
     proptest! {
-        /// Differential oracle of the expander's joint instant: at every
-        /// instant of a run, the borrowed view over the component
-        /// evaluators reads exactly like `ProductSystem::joint_resolved`
-        /// over materialised component steps (the path `LockstepCoSim`
-        /// takes) — every joint name, absent names, unknown prefixes, and
-        /// the first present signal under every glob.
+        /// Differential oracle of the bound atoms of a product: at every
+        /// instant of a run, random formulas whose atoms read joint names
+        /// (every component signal, the `_sent`, `_received` and
+        /// `_consumed` joints, absent names and unknown prefixes) and
+        /// globs over them step through their joint slots exactly like
+        /// `LtlMonitor::step` over `ProductSystem::joint_resolved` of
+        /// materialised component steps, the path `LockstepCoSim` takes:
+        /// the same truth value, expiry, witness and registers.
         #[test]
-        fn joint_view_reads_like_the_materialised_joint_step(
+        fn compiled_joint_atoms_step_like_the_named_monitor(
             component_count in 2usize..=3,
             horizon in 4usize..=8,
             threshold in 1i64..=4,
             periods in prop::collection::vec(1usize..=4, 3..4),
             latency in 0usize..=2,
-            consumed in any::<bool>(),
+            freeze in any::<bool>(),
+            counted in any::<bool>(),
+            seed in any::<u64>(),
         ) {
-            let system =
-                pipeline_system(component_count, horizon, threshold, &periods, latency, consumed);
-            let layout = JointLayout::new(&system);
-            let mut borrowed: Vec<Evaluator> = system
-                .components()
-                .iter()
-                .map(|c| Evaluator::new(&c.process).unwrap())
-                .collect();
-            let mut owned = borrowed.clone();
-            let empty = TraceStep::new();
-            for t in 0..horizon * 2 {
-                let phase = t % horizon;
-                let mut steps = Vec::new();
-                for (i, (fast, slow)) in borrowed.iter_mut().zip(&mut owned).enumerate() {
-                    let input = system.wired[i].step(phase).unwrap_or(&empty);
-                    fast.step_resolved(t, input).unwrap();
-                    steps.push(slow.step(t, input).unwrap());
-                }
-                let joint = system.joint_resolved(phase, &steps);
-                let view = JointView::new(&system, &layout, &borrowed, phase);
-                let absent = [
-                    "s0_nope", "s0_", "s0", "l01_nope", "l01_", "s9_Alarm", "zz_Alarm", "Alarm", "",
-                ];
-                let names = joint
-                    .iter()
-                    .map(|(name, _)| name.as_str())
-                    .chain(absent)
-                    .chain(["l01_consumed", "l12_sent"]);
-                for name in names {
-                    prop_assert_eq!(view.value_of(name), joint.get(name), "{} at {}", name, t);
-                }
-                for pattern in ["*Alarm*", "*_sent", "*Dispatch*", "*"] {
-                    for raised in [false, true] {
-                        let mut accept = |name: &str, value: &Value| {
-                            pattern_matches(pattern, name) && (!raised || value.as_bool())
-                        };
-                        prop_assert_eq!(
-                            view.first_present_matching(&mut accept),
-                            joint.first_present_matching(&mut accept),
-                            "{} (raised: {}) at {}",
-                            pattern,
-                            raised,
-                            t
-                        );
-                    }
-                }
+            let system = pipeline_system(
+                component_count, horizon, threshold, &periods, latency, freeze, counted,
+            );
+            joint_atoms_agree_with_names(&system, seed);
+        }
+    }
+
+    /// Steps random formulas over two hyper-periods of `system`, through
+    /// joint slots and by name over the materialised joint step, and
+    /// asserts that both steps agree at every instant.
+    fn joint_atoms_agree_with_names(system: &ProductSystem, seed: u64) {
+        use crate::monitor::tests::{globs_over, random_formula};
+        use crate::monitor::LtlMonitor;
+        use crate::random_process::Rng;
+
+        let verifier = ProductVerifier::new(system.clone(), VerifyOptions::default()).unwrap();
+        let mut names: Vec<String> = Vec::new();
+        for component in system.components() {
+            for decl in &component.process.signals {
+                names.push(format!("{}_{}", component.name, decl.name));
+            }
+        }
+        for link in system.links() {
+            names.extend([
+                link.sent_signal(),
+                link.received_signal(),
+                link.consumed_signal(),
+            ]);
+        }
+        names.extend(
+            [
+                "s0_nope", "s0_", "s0", "l01_nope", "l01_", "s9_Alarm", "zz_Alarm", "Alarm", "",
+            ]
+            .map(String::from),
+        );
+        let patterns = globs_over(&names);
+        let mut rng = Rng(seed);
+        let monitors: Vec<LtlMonitor> = (0..4)
+            .map(|_| LtlMonitor::new(random_formula(&mut rng, &names, &patterns, 4)))
+            .collect();
+        let namespace = verifier.namespace();
+        let atoms: Vec<Vec<BoundAtom>> = monitors.iter().map(|m| m.bind(&namespace)).collect();
+        let consumed = verifier.consumed_slots();
+        let mut by_name: Vec<Vec<u32>> = monitors.iter().map(LtlMonitor::initial).collect();
+        let mut by_slot = by_name.clone();
+        let mut borrowed = verifier.evaluators.clone();
+        let mut owned = borrowed.clone();
+        let empty = TraceStep::new();
+        for t in 0..system.horizon() * 2 {
+            let phase = t % system.horizon();
+            let mut steps = Vec::new();
+            for (i, (fast, slow)) in borrowed.iter_mut().zip(&mut owned).enumerate() {
+                let input = system.wired[i].step(phase).unwrap_or(&empty);
+                fast.step_resolved(t, input).unwrap();
+                steps.push(slow.step(t, input).unwrap());
+            }
+            let joint = system.joint_resolved(phase, &steps);
+            let slots = JointSlots {
+                system,
+                evaluators: &borrowed,
+                consumed: &consumed,
+                phase,
+            };
+            for (i, monitor) in monitors.iter().enumerate() {
+                let named = monitor.step(&mut by_name[i], &joint);
+                let bound = monitor.step_bound(&mut by_slot[i], &atoms[i], &slots);
+                assert_eq!(
+                    (named.holds, named.expired, named.raised.as_deref()),
+                    (bound.holds, bound.expired, bound.raised),
+                    "{} at {t}",
+                    monitor.invariant()
+                );
+                assert_eq!(by_name[i], by_slot[i], "{} at {t}", monitor.invariant());
             }
         }
     }

@@ -153,9 +153,10 @@ impl Property {
     /// The witness text of a violating monitor step, matching the
     /// property's vocabulary (the raised signal for alarm properties, the
     /// expired deadline for response properties).
-    pub(crate) fn violation_witness(&self, observed: &MonitorStep) -> String {
+    pub(crate) fn violation_witness<W: AsRef<str>>(&self, observed: &MonitorStep<W>) -> String {
+        let raised = observed.raised.as_ref().map(AsRef::as_ref);
         match self {
-            Property::NeverRaised(_) => match &observed.raised {
+            Property::NeverRaised(_) => match raised {
                 Some(signal) => format!("signal `{signal}` raised"),
                 None => "signal raised".to_string(),
             },
@@ -165,9 +166,7 @@ impl Property {
             Property::Ltl(property) => {
                 if observed.expired {
                     "response deadline expired".to_string()
-                } else if let (Formula::Not(_), Some(signal)) =
-                    (property.invariant(), &observed.raised)
-                {
+                } else if let (Formula::Not(_), Some(signal)) = (property.invariant(), raised) {
                     format!("signal `{signal}` raised")
                 } else {
                     "formula false at this instant".to_string()

@@ -60,6 +60,7 @@ use std::collections::BTreeSet;
 use signal_moc::eval::Evaluator;
 use signal_moc::value::Value;
 
+use crate::ltl::Formula;
 use crate::property::pattern_matches;
 use crate::Property;
 
@@ -89,7 +90,15 @@ impl ReadSet {
         let mut patterns = BTreeSet::new();
         for property in properties {
             if let Some(ltl) = property.ltl() {
-                collect_atoms(ltl.invariant(), &mut names, &mut patterns);
+                ltl.invariant().for_each_atom(&mut |atom| match atom {
+                    Formula::Signal(name) | Formula::Present(name) => {
+                        names.insert(name.clone());
+                    }
+                    Formula::Raised(pattern) => {
+                        patterns.insert(pattern.clone());
+                    }
+                    _ => unreachable!("only atoms are visited"),
+                });
             }
         }
         Self { names, patterns }
@@ -104,36 +113,6 @@ impl ReadSet {
                 .patterns
                 .iter()
                 .any(|pattern| pattern_matches(pattern, &visible))
-    }
-}
-
-fn collect_atoms(
-    formula: &crate::ltl::Formula,
-    names: &mut BTreeSet<String>,
-    patterns: &mut BTreeSet<String>,
-) {
-    use crate::ltl::Formula;
-    match formula {
-        Formula::Const(_) => {}
-        Formula::Signal(name) | Formula::Present(name) => {
-            names.insert(name.clone());
-        }
-        Formula::Raised(pattern) => {
-            patterns.insert(pattern.clone());
-        }
-        Formula::Not(a) | Formula::Previously(a) | Formula::Once(a) | Formula::Historically(a) => {
-            collect_atoms(a, names, patterns)
-        }
-        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Since(a, b) => {
-            collect_atoms(a, names, patterns);
-            collect_atoms(b, names, patterns);
-        }
-        Formula::Within {
-            trigger, response, ..
-        } => {
-            collect_atoms(trigger, names, patterns);
-            collect_atoms(response, names, patterns);
-        }
     }
 }
 

@@ -1,7 +1,8 @@
 //! Random flat SIGNAL processes and input steps, shared by the
 //! differential oracles of this directory (`evaluator_oracle.rs`,
-//! `simulation_oracle.rs`): the whole process and its inputs derive from
-//! one sampled seed.
+//! `simulation_oracle.rs`) and by the unit tests of the crate's bound
+//! monitor atoms and free candidates: the whole process and its inputs
+//! derive from one sampled seed.
 
 use signal_moc::eval::Evaluator;
 use signal_moc::expr::Expr;

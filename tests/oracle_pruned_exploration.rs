@@ -1,0 +1,93 @@
+//! Free-input exploration of the case-study threads under their dispatch
+//! oracles, the way perfbench's `open_threads` workload runs it: each
+//! thread's own `Dispatch` relation from the affine export, a depth bound
+//! of one hyper-period, and the alarm property next to the dispatch
+//! witness `never raised(*Dispatch*)`.
+//!
+//! The pinned counts describe today's oracle, which prunes every candidate
+//! in which a constrained signal is *present*. `Dispatch` is present on
+//! every tick of a thread, so every exploration stops at depth 2 (the
+//! ROADMAP's "Make oracle-pruned free exploration explore the system").
+//! Making the oracle prune firing instead of presence will change these
+//! numbers on purpose; until then they must not move.
+
+use polychrony_core::polyverify::{
+    DispatchFeasibility, InputSpace, Property, Verdict, Verifier, VerifyOptions,
+};
+use polychrony_core::Session;
+
+/// Per thread: states, transitions, infeasible, pruned, peak frontier and
+/// depth of the parent exploration.
+const EXPECTED: [(&str, [usize; 6]); 4] = [
+    ("thProducer", [4, 131, 500, 393, 3, 2]),
+    ("thConsumer", [4, 231, 100, 693, 3, 2]),
+    ("thProdTimer", [6, 231, 150, 1155, 5, 2]),
+    ("thConsTimer", [6, 231, 150, 1155, 5, 2]),
+];
+
+#[test]
+fn oracle_pruned_case_study_threads_explore_a_pinned_space_under_any_worker_count() {
+    let translated = Session::new()
+        .parse_case_study()
+        .and_then(|parsed| parsed.instantiate("sysProdCons.impl"))
+        .and_then(|instantiated| instantiated.schedule())
+        .and_then(|scheduled| scheduled.translate())
+        .unwrap();
+    let oracle = translated.affine.dispatch_feasibility();
+    let properties = [
+        Property::NeverRaised("*Alarm*".into()),
+        Property::parse_ltl("never raised(*Dispatch*)").unwrap(),
+    ];
+    let mut seen = Vec::new();
+    for unit in &translated.thread_units {
+        let name = unit.model.thread_name.as_str();
+        let expected = EXPECTED
+            .iter()
+            .find(|(thread, _)| *thread == name)
+            .map(|(_, counts)| *counts)
+            .unwrap_or_else(|| panic!("unexpected thread {name}"));
+        let relation = oracle
+            .relation(name)
+            .expect("every thread has a dispatch clock");
+        let mut own = DispatchFeasibility::new();
+        own.insert("Dispatch", *relation);
+        for workers in [1usize, 2, 8] {
+            let options = VerifyOptions::default()
+                .with_workers(workers)
+                .with_depth_bound(24)
+                .with_oracle(own.clone());
+            let outcome = Verifier::new(&unit.model.flat, options)
+                .unwrap()
+                .verify(&InputSpace::Free, &properties)
+                .unwrap();
+            let s = &outcome.stats;
+            assert_eq!(
+                [
+                    s.states,
+                    s.transitions,
+                    s.infeasible,
+                    s.pruned,
+                    s.peak_frontier,
+                    s.depth
+                ],
+                expected,
+                "{name} with {workers} worker(s)"
+            );
+            assert_eq!(
+                outcome.verdicts[0].verdict,
+                Verdict::PassedBounded { depth: 24 },
+                "{name}: *Alarm* with {workers} worker(s)"
+            );
+            match &outcome.verdicts[1].verdict {
+                Verdict::Violated(cex) => assert_eq!(cex.violation_instant, 0, "{name}"),
+                other => panic!("{name}: the dispatch witness must be violated, got {other:?}"),
+            }
+        }
+        seen.push(name.to_string());
+    }
+    seen.sort();
+    assert_eq!(
+        seen,
+        ["thConsTimer", "thConsumer", "thProdTimer", "thProducer"]
+    );
+}
