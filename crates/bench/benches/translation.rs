@@ -30,7 +30,7 @@ fn bench_translation(c: &mut Criterion) {
     });
     // Verification is disabled here to keep this measurement comparable
     // with pre-polyverify baselines; the model-checking cost is measured
-    // separately below and in the state_space bench suite.
+    // separately below and by perfbench's `case_study` workload.
     group.bench_function("end_to_end_tool_chain_1_hyperperiod", |b| {
         b.iter(|| {
             ToolChain::new()

@@ -48,11 +48,6 @@ impl DependencyGraph {
         self.edges.values().map(BTreeSet::len).sum()
     }
 
-    /// Successors of a signal (signals that instantaneously depend on it).
-    pub fn successors(&self, signal: &str) -> impl Iterator<Item = &String> {
-        self.edges.get(signal).into_iter().flatten()
-    }
-
     /// Finds a cycle in the graph, if any, returned as the list of signals
     /// along the cycle (first element repeated at the end).
     pub fn find_cycle(&self) -> Option<Vec<String>> {
@@ -112,42 +107,6 @@ impl DependencyGraph {
             }
         }
         None
-    }
-
-    /// A topological order of the signals (an admissible static schedule of
-    /// the equations within one instant), or an error carrying a cycle.
-    pub fn topological_order(&self) -> Result<Vec<String>, Vec<String>> {
-        if let Some(cycle) = self.find_cycle() {
-            return Err(cycle);
-        }
-        // Kahn's algorithm.
-        let mut indegree: BTreeMap<&String, usize> = BTreeMap::new();
-        for (src, dsts) in &self.edges {
-            indegree.entry(src).or_insert(0);
-            for d in dsts {
-                *indegree.entry(d).or_insert(0) += 1;
-            }
-        }
-        let mut ready: Vec<&String> = indegree
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
-        let mut order = Vec::new();
-        while let Some(node) = ready.pop() {
-            order.push(node.clone());
-            if let Some(succs) = self.edges.get(node) {
-                for s in succs {
-                    if let Some(d) = indegree.get_mut(s) {
-                        *d -= 1;
-                        if *d == 0 {
-                            ready.push(s);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(order)
     }
 }
 
@@ -252,6 +211,7 @@ mod tests {
         assert!(report.is_clean());
         assert_eq!(report.clock_count, 1);
         assert_eq!(report.signal_count, 2);
+        assert_eq!(report.dependency_edges, 0);
     }
 
     #[test]
@@ -273,33 +233,18 @@ mod tests {
         let report = StaticAnalysisReport::analyze(&p).unwrap();
         assert!(!report.is_clean());
         assert!(report.causality_cycle.is_some());
+        assert_eq!(DependencyGraph::of(&p).edge_count(), 2);
     }
 
     #[test]
-    fn topological_order_respects_dependencies() {
-        let mut b = ProcessBuilder::new("chain");
-        b.input("x", ValueType::Integer);
-        b.output("y", ValueType::Integer);
-        b.local("m", ValueType::Integer);
-        b.define("m", Expr::add(Expr::var("x"), Expr::int(1)));
-        b.define("y", Expr::mul(Expr::var("m"), Expr::int(2)));
-        let p = b.build().unwrap();
-        let graph = DependencyGraph::of(&p);
-        let order = graph.topological_order().unwrap();
-        let pos = |name: &str| order.iter().position(|n| n == name).unwrap();
-        assert!(pos("x") < pos("m"));
-        assert!(pos("m") < pos("y"));
-        assert_eq!(graph.edge_count(), 2);
-        assert_eq!(graph.successors("x").count(), 1);
-    }
-
-    #[test]
-    fn topological_order_reports_cycle() {
+    fn self_loop_is_a_causality_cycle() {
         let mut b = ProcessBuilder::new("loopy");
         b.output("a", ValueType::Integer);
         b.define("a", Expr::add(Expr::var("a"), Expr::int(1)));
         let p = b.build().unwrap();
-        let graph = DependencyGraph::of(&p);
-        assert!(graph.topological_order().is_err());
+        match check_deadlock(&p).unwrap_err() {
+            SignalError::CausalityCycle { cycle, .. } => assert_eq!(cycle, ["a", "a"]),
+            other => panic!("expected causality cycle, got {other}"),
+        }
     }
 }

@@ -12,6 +12,7 @@ use signal_moc::error::SignalError;
 use signal_moc::process::Process;
 use signal_moc::trace::Trace;
 
+use crate::monitor::MonitorStep;
 use crate::property::Property;
 
 /// A concrete violation witness: the input trace leading from the initial
@@ -58,13 +59,23 @@ impl Counterexample {
 
     /// Replays the counterexample in a fresh [`Simulator`] over `process`.
     ///
-    /// For a free-mode dead-end counterexample (a `DeadlockFree` violation
-    /// whose `violation_instant` lies past the end of `inputs`), the
-    /// candidate input valuations are re-enumerated by a verifier built
-    /// under `options`, and each is probed in a cloned simulator: the dead
-    /// end counts as reproduced only when every progress candidate is
-    /// rejected, so a pruning bug in the checker cannot be rubber-stamped by
-    /// its own replay.
+    /// Every counterexample but a free-mode dead end replays as in
+    /// [`Counterexample::replay_in`]. A free-mode dead end (a `DeadlockFree`
+    /// violation whose `violation_instant` lies past the end of `inputs`)
+    /// is probed instead: the prefix must execute, and then every progress
+    /// candidate of the unpruned clock-calculus enumeration
+    /// ([`crate::Verifier::free_candidates`]) is stepped from the reached
+    /// state in a cloned simulator. The dead end counts as reproduced only
+    /// when every one of them is rejected, so a pruning bug in the checker
+    /// cannot be rubber-stamped by its own replay.
+    ///
+    /// `options` cannot change the answer: the enumeration reads nothing
+    /// from it. In particular, the dispatch oracle of
+    /// [`crate::VerifyOptions::with_oracle`] is not applied at the dead-end
+    /// instant, so a dead end reported under an oracle can be refuted by a
+    /// candidate the oracle pruned (the ROADMAP item "Make oracle-pruned
+    /// free exploration explore the system"). The signature keeps the
+    /// argument because callers pass the options of the run they replay.
     ///
     /// # Errors
     ///
@@ -84,8 +95,9 @@ impl Counterexample {
     }
 
     /// Confirms a free-mode dead end: the prefix must execute, and every
-    /// enumerated progress candidate (rebuilt independently from the
-    /// process under `options`) must be rejected from the dead state.
+    /// progress candidate of the free enumeration (rebuilt independently
+    /// from the process; no option shapes it) must be rejected from the
+    /// dead state.
     fn replay_dead_end(
         &self,
         process: &Process,
@@ -209,51 +221,35 @@ impl Counterexample {
                     },
                 }
             }
-            property => {
-                // One replay path for every trace property — built-in shape
-                // or user LTL: re-run the compiled monitor over the resolved
-                // trace of an independent simulator run and check that the
-                // earliest violation lands on the claimed instant.
-                let monitor = property
-                    .monitor()
-                    .expect("every non-deadlock property compiles to a monitor");
-                match simulator.run(&self.inputs) {
-                    Ok(out) => {
-                        let mut registers = monitor.initial();
-                        let mut violated_at = None;
-                        for (t, step) in out.iter().enumerate() {
-                            let observed = monitor.step(&mut registers, step);
-                            if !observed.holds {
-                                violated_at = Some((t, observed));
-                                break;
-                            }
-                        }
-                        match violated_at {
-                            Some((t, observed)) => ReplayReport {
-                                reproduced: t == self.violation_instant,
-                                detail: format!(
-                                    "{} at instant {t} of the replay",
-                                    property.violation_witness(&observed)
-                                ),
-                                trace: out,
-                            },
-                            None => ReplayReport {
-                                reproduced: false,
-                                detail: format!(
-                                    "property `{}` not violated in the replay",
-                                    property.name()
-                                ),
-                                trace: out,
-                            },
-                        }
-                    }
-                    Err(e) => ReplayReport {
-                        reproduced: false,
-                        detail: format!("replay failed to execute: {e}"),
-                        trace: Trace::new(),
+            // One replay path for every trace property — built-in shape or
+            // user LTL: re-run the compiled monitor over the resolved trace
+            // of an independent simulator run and check that the earliest
+            // violation lands on the claimed instant.
+            property => match simulator.run(&self.inputs) {
+                Ok(out) => match first_violation(property, &out) {
+                    Some((t, observed)) => ReplayReport {
+                        reproduced: t == self.violation_instant,
+                        detail: format!(
+                            "{} at instant {t} of the replay",
+                            property.violation_witness(&observed)
+                        ),
+                        trace: out,
                     },
-                }
-            }
+                    None => ReplayReport {
+                        reproduced: false,
+                        detail: format!(
+                            "property `{}` not violated in the replay",
+                            property.name()
+                        ),
+                        trace: out,
+                    },
+                },
+                Err(e) => ReplayReport {
+                    reproduced: false,
+                    detail: format!("replay failed to execute: {e}"),
+                    trace: Trace::new(),
+                },
+            },
         }
     }
 
@@ -283,6 +279,25 @@ impl Counterexample {
         out.push_str(&format!("  witness: {}\n", self.witness));
         out
     }
+}
+
+/// The earliest instant of `trace` at which the compiled monitor of
+/// `property` fails, with the failing step (`None` when the property holds
+/// on every instant). Both replays — the simulator's and the lockstep
+/// co-simulation's — judge trace properties through this one scan.
+///
+/// # Panics
+///
+/// On [`Property::DeadlockFree`], which has no monitor.
+pub(crate) fn first_violation(property: &Property, trace: &Trace) -> Option<(usize, MonitorStep)> {
+    let monitor = property
+        .monitor()
+        .expect("every non-deadlock property compiles to a monitor");
+    let mut registers = monitor.initial();
+    trace.iter().enumerate().find_map(|(t, step)| {
+        let observed = monitor.step(&mut registers, step);
+        (!observed.holds).then_some((t, observed))
+    })
 }
 
 #[cfg(test)]

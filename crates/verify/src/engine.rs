@@ -244,25 +244,28 @@ impl<'a> Sink<'a> {
     pub fn monitor_step(&mut self) {
         self.monitor_steps += 1;
     }
+}
 
-    /// Records a fatal error for the current state, keeping the error of
-    /// the smallest erroring state (by key bytes) so the reported error
-    /// does not depend on scheduling.
-    fn record_fatal(&mut self, error: VerifyError) {
-        let replace = match &self.fatal {
-            None => true,
-            Some((incumbent, _)) => {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                self.interner.copy_key(self.parent, &mut a);
-                self.interner.copy_key(*incumbent, &mut b);
-                a < b
-            }
-        };
-        if replace {
-            self.fatal = Some((self.parent, error));
+/// Offers the fatal error of state `id` to `fatal`, which keeps the error
+/// of the smallest erroring state (by key bytes), so the reported error
+/// does not depend on scheduling. Workers record their own states' errors
+/// through it, and the level barrier merges the workers' errors through it.
+fn keep_smallest_fatal(
+    interner: &StateInterner<ParentLink>,
+    fatal: &mut Option<(u32, VerifyError)>,
+    id: u32,
+    error: VerifyError,
+) {
+    if let Some((incumbent, _)) = fatal {
+        let mut key = Vec::new();
+        let mut incumbent_key = Vec::new();
+        interner.copy_key(id, &mut key);
+        interner.copy_key(*incumbent, &mut incumbent_key);
+        if key >= incumbent_key {
+            return;
         }
     }
+    *fatal = Some((id, error));
 }
 
 /// Runs the depth-stratified exploration from `initial` under `options`,
@@ -435,19 +438,7 @@ pub(crate) fn explore<E: Expander>(
             ties.extend(sink.ties);
             violations.extend(sink.violations);
             if let Some((id, error)) = sink.fatal {
-                let replace = match &fatal {
-                    None => true,
-                    Some((incumbent, _)) => {
-                        let mut a = Vec::new();
-                        let mut b = Vec::new();
-                        interner.copy_key(id, &mut a);
-                        interner.copy_key(*incumbent, &mut b);
-                        a < b
-                    }
-                };
-                if replace {
-                    fatal = Some((id, error));
-                }
+                keep_smallest_fatal(&interner, &mut fatal, id, error);
             }
         }
         transitions += level_transitions;
@@ -636,7 +627,7 @@ fn run_worker<E: Expander>(
         sink.depth = depth;
         sink.interner.copy_key(id, &mut key_buf);
         if let Err(error) = expander.expand(ctx, &key_buf, depth, sink) {
-            sink.record_fatal(error);
+            keep_smallest_fatal(sink.interner, &mut sink.fatal, id, error);
         }
     }
 }
@@ -757,5 +748,29 @@ mod tests {
         out.clear();
         step_order_bytes([], &mut out);
         assert_eq!(out, [2]);
+    }
+
+    #[test]
+    fn fatal_errors_keep_the_smallest_erroring_state_in_any_order() {
+        let interner: StateInterner<ParentLink> =
+            StateInterner::new(INTERNER_SHARDS, INTERNER_CAPACITY);
+        let link = || ParentLink {
+            prev: NO_PARENT,
+            edge: 0,
+            depth: 0,
+        };
+        let (small, _) = interner.intern(1, b"a", link);
+        let (large, _) = interner.intern(2, b"b", link);
+        let error = |id: u32| VerifyError::Evaluation {
+            instant: 0,
+            detail: format!("state {id}"),
+        };
+        for offered in [[large, small], [small, large]] {
+            let mut fatal = None;
+            for id in offered {
+                keep_smallest_fatal(&interner, &mut fatal, id, error(id));
+            }
+            assert_eq!(fatal, Some((small, error(small))));
+        }
     }
 }

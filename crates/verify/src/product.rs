@@ -42,7 +42,7 @@ use signal_moc::process::Process;
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::Value;
 
-use crate::counterexample::{Counterexample, ReplayReport};
+use crate::counterexample::{first_violation, Counterexample, ReplayReport};
 use crate::engine::{self, Expander, Sink};
 use crate::explore::{annotate, VerificationOutcome, VerifyError, VerifyOptions};
 use crate::monitor::{
@@ -840,19 +840,7 @@ impl ProductVerifier {
                 // One replay path for every trace property: re-run its
                 // compiled monitor over the joint trace the co-simulation
                 // produced, independently of the checker's exploration.
-                let monitor = property
-                    .monitor()
-                    .expect("every non-deadlock property compiles to a monitor");
-                let mut registers = monitor.initial();
-                let mut violated_at = None;
-                for (t, step) in joint.iter().enumerate() {
-                    let observed = monitor.step(&mut registers, step);
-                    if !observed.holds {
-                        violated_at = Some((t, observed));
-                        break;
-                    }
-                }
-                Ok(match violated_at {
+                Ok(match first_violation(property, &joint) {
                     Some((t, observed)) => ReplayReport {
                         reproduced: t == cex.violation_instant,
                         detail: format!(

@@ -10,9 +10,16 @@
 //! ROADMAP's "Make oracle-pruned free exploration explore the system").
 //! Making the oracle prune firing instead of presence will change these
 //! numbers on purpose; until then they must not move.
+//!
+//! Each exploration runs under a counters collector, and the test pins every
+//! counter it records except `engine.steals` (how often a worker steals
+//! depends on scheduling; every other count only on the explored space), so
+//! the evaluator's work is pinned too: instants, fixpoint passes and
+//! equation evaluations. A changed count is a change to review: update the
+//! pin with the change that moves it, and say why.
 
 use polychrony_core::polyverify::{
-    DispatchFeasibility, InputSpace, Property, Verdict, Verifier, VerifyOptions,
+    Collector, DispatchFeasibility, InputSpace, Property, Verdict, Verifier, VerifyOptions,
 };
 use polychrony_core::Session;
 
@@ -24,6 +31,46 @@ const EXPECTED: [(&str, [usize; 6]); 4] = [
     ("thProdTimer", [6, 231, 150, 1155, 5, 2]),
     ("thConsTimer", [6, 231, 150, 1155, 5, 2]),
 ];
+
+/// Per thread: the evaluator's instants, fixpoint passes and equation
+/// evaluations, and the sliced slots of the exploration.
+const WORK: [(&str, [u64; 4]); 4] = [
+    ("thProducer", [631, 1024, 20190, 7]),
+    ("thConsumer", [331, 1024, 23175, 7]),
+    ("thProdTimer", [381, 1074, 16818, 5]),
+    ("thConsTimer", [381, 1074, 16818, 5]),
+];
+
+/// The row of `thread` in a pin table.
+fn pinned<T: Copy>(table: &[(&str, T)], thread: &str) -> T {
+    table
+        .iter()
+        .find(|(name, _)| *name == thread)
+        .map(|(_, row)| *row)
+        .unwrap_or_else(|| panic!("unexpected thread {thread}"))
+}
+
+/// The counters of one exploration with the pinned `stats` and `work`:
+/// every level expands one depth, and each transition steps both monitors.
+fn expected_counters(stats: [usize; 6], work: [u64; 4]) -> [(&'static str, u64); 12] {
+    let [states, transitions, infeasible, pruned, _peak_frontier, depth] =
+        stats.map(|count| count as u64);
+    let [instants, passes, equations, sliced] = work;
+    [
+        ("engine.eval.equations", equations),
+        ("engine.eval.instants", instants),
+        ("engine.eval.passes", passes),
+        ("engine.infeasible", infeasible),
+        ("engine.levels", depth),
+        ("engine.monitor_steps", 2 * transitions),
+        ("engine.monitor_steps.never raised(*Dispatch*)", transitions),
+        ("engine.monitor_steps.never-raised(*Alarm*)", transitions),
+        ("engine.pruned", pruned),
+        ("engine.sliced_slots", sliced),
+        ("engine.states", states),
+        ("engine.transitions", transitions),
+    ]
+}
 
 #[test]
 fn oracle_pruned_case_study_threads_explore_a_pinned_space_under_any_worker_count() {
@@ -41,18 +88,17 @@ fn oracle_pruned_case_study_threads_explore_a_pinned_space_under_any_worker_coun
     let mut seen = Vec::new();
     for unit in &translated.thread_units {
         let name = unit.model.thread_name.as_str();
-        let expected = EXPECTED
-            .iter()
-            .find(|(thread, _)| *thread == name)
-            .map(|(_, counts)| *counts)
-            .unwrap_or_else(|| panic!("unexpected thread {name}"));
+        let stats = pinned(&EXPECTED, name);
+        let work = pinned(&WORK, name);
         let relation = oracle
             .relation(name)
             .expect("every thread has a dispatch clock");
         let mut own = DispatchFeasibility::new();
         own.insert("Dispatch", *relation);
         for workers in [1usize, 2, 8] {
+            let collector = Collector::counters();
             let options = VerifyOptions::default()
+                .with_collector(collector.clone())
                 .with_workers(workers)
                 .with_depth_bound(24)
                 .with_oracle(own.clone());
@@ -60,6 +106,17 @@ fn oracle_pruned_case_study_threads_explore_a_pinned_space_under_any_worker_coun
                 .unwrap()
                 .verify(&InputSpace::Free, &properties)
                 .unwrap();
+            let counts = collector.counter_values();
+            let recorded: Vec<(&str, u64)> = counts
+                .iter()
+                .filter(|(counter, _)| counter != "engine.steals")
+                .map(|(counter, value)| (counter.as_str(), *value))
+                .collect();
+            assert_eq!(
+                recorded,
+                expected_counters(stats, work),
+                "{name} with {workers} worker(s)"
+            );
             let s = &outcome.stats;
             assert_eq!(
                 [
@@ -70,7 +127,7 @@ fn oracle_pruned_case_study_threads_explore_a_pinned_space_under_any_worker_coun
                     s.peak_frontier,
                     s.depth
                 ],
-                expected,
+                stats,
                 "{name} with {workers} worker(s)"
             );
             assert_eq!(

@@ -359,81 +359,139 @@ fn projection_matches_the_wired_trace_prefix() {
     }
 }
 
+/// Every counter the two-hyper-period session records, `engine.steals`
+/// aside: the four per-thread explorations (24 states each) and the product
+/// (33 states), summed. These counts depend only on the explored space, so
+/// they read the same on any machine, build and worker count. A changed
+/// count is a change to review: update the pin with the change that moves
+/// it, and say why.
+const CASE_STUDY_WORK: [(&str, u64); 17] = [
+    ("engine.eval.equations", 19737),
+    ("engine.eval.instants", 228),
+    ("engine.eval.passes", 912),
+    ("engine.infeasible", 0),
+    ("engine.levels", 129),
+    ("engine.monitor_steps", 327),
+    (
+        "engine.monitor_steps.end-to-end-response(cConsStartTimer_sent -> cConsStartTimer_consumed within 8)",
+        33,
+    ),
+    (
+        "engine.monitor_steps.end-to-end-response(cConsStopTimer_sent -> cConsStopTimer_consumed within 8)",
+        33,
+    ),
+    (
+        "engine.monitor_steps.end-to-end-response(cConsTimeout_sent -> cConsTimeout_consumed within 6)",
+        33,
+    ),
+    (
+        "engine.monitor_steps.end-to-end-response(cProdStartTimer_sent -> cProdStartTimer_consumed within 8)",
+        33,
+    ),
+    (
+        "engine.monitor_steps.end-to-end-response(cProdStopTimer_sent -> cProdStopTimer_consumed within 8)",
+        33,
+    ),
+    (
+        "engine.monitor_steps.end-to-end-response(cProdTimeout_sent -> cProdTimeout_consumed within 4)",
+        33,
+    ),
+    ("engine.monitor_steps.never-raised(*Alarm*)", 129),
+    ("engine.pruned", 0),
+    ("engine.sliced_slots", 42),
+    ("engine.states", 129),
+    ("engine.transitions", 228),
+];
+
 /// The paper's case study closes in concrete mode: the cone-of-influence
 /// slice drops the unobservable `dispatch_count` and frozen-count slots
 /// (7, 7, 5 and 5 per thread, 18 in the product), so every thread recurs
 /// after its 24-instant hyper-period and the product after 33 instants. A
 /// two-hyper-period session therefore proves all 16 built-in verdicts (2
-/// per thread, 8 joint). The connection-latency fault is still caught at
+/// per thread, 8 joint), doing exactly the work of `CASE_STUDY_WORK`
+/// under any worker count. The connection-latency fault is still caught at
 /// instant 9, and its counterexample replays.
 #[test]
 fn case_study_proves_every_verdict_within_two_hyperperiods() {
-    use polychrony_core::{Session, SessionOptions, VerificationScope};
+    use polychrony_core::{Collector, Session, SessionOptions, VerificationScope};
 
-    let mut options = SessionOptions::default();
-    options.verify.hyperperiods = 2;
-    options.verify.scope = VerificationScope::Product;
-    let verified = Session::with_options(options)
-        .unwrap()
-        .parse_case_study()
-        .unwrap()
-        .instantiate("sysProdCons.impl")
-        .unwrap()
-        .schedule()
-        .unwrap()
-        .translate()
-        .unwrap()
-        .analyze()
-        .unwrap()
-        .simulate()
-        .unwrap()
-        .verify()
-        .unwrap();
-    let report = verified.verification.as_ref().expect("verification ran");
-    let sliced: Vec<(&str, usize)> = report
-        .outcomes
-        .iter()
-        .map(|(thread, outcome)| (thread.as_str(), outcome.stats.sliced_slots))
-        .collect();
-    assert_eq!(
-        sliced,
-        [
-            ("sysProdCons.prProdCons.thConsTimer", 5),
-            ("sysProdCons.prProdCons.thConsumer", 7),
-            ("sysProdCons.prProdCons.thProdTimer", 5),
-            ("sysProdCons.prProdCons.thProducer", 7),
-        ]
-    );
-    let mut proved = 0;
-    for (thread, outcome) in &report.outcomes {
-        assert!(outcome.all_proved(), "{thread}: {}", outcome.summary());
-        assert_eq!(outcome.stats.states, 24, "{thread}: {}", outcome.summary());
-        proved += outcome.verdicts.len();
+    for workers in [1, 2, 8] {
+        let collector = Collector::counters();
+        let mut options = SessionOptions::default();
+        options.verify.hyperperiods = 2;
+        options.verify.scope = VerificationScope::Product;
+        options.verify.workers = workers;
+        options.collector = collector.clone();
+        let verified = Session::with_options(options)
+            .unwrap()
+            .parse_case_study()
+            .unwrap()
+            .instantiate("sysProdCons.impl")
+            .unwrap()
+            .schedule()
+            .unwrap()
+            .translate()
+            .unwrap()
+            .analyze()
+            .unwrap()
+            .simulate()
+            .unwrap()
+            .verify()
+            .unwrap();
+        // Read before the tampered product below adds its own exploration.
+        let counts = collector.counter_values();
+        let work: Vec<(&str, u64)> = counts
+            .iter()
+            .filter(|(name, _)| name != "engine.steals")
+            .map(|(name, value)| (name.as_str(), *value))
+            .collect();
+        assert_eq!(work, CASE_STUDY_WORK, "{workers} worker(s)");
+        let report = verified.verification.as_ref().expect("verification ran");
+        let sliced: Vec<(&str, usize)> = report
+            .outcomes
+            .iter()
+            .map(|(thread, outcome)| (thread.as_str(), outcome.stats.sliced_slots))
+            .collect();
+        assert_eq!(
+            sliced,
+            [
+                ("sysProdCons.prProdCons.thConsTimer", 5),
+                ("sysProdCons.prProdCons.thConsumer", 7),
+                ("sysProdCons.prProdCons.thProdTimer", 5),
+                ("sysProdCons.prProdCons.thProducer", 7),
+            ]
+        );
+        let mut proved = 0;
+        for (thread, outcome) in &report.outcomes {
+            assert!(outcome.all_proved(), "{thread}: {}", outcome.summary());
+            assert_eq!(outcome.stats.states, 24, "{thread}: {}", outcome.summary());
+            proved += outcome.verdicts.len();
+        }
+        let product = verified.product.as_ref().expect("product scope");
+        let stats = &product.outcome.stats;
+        assert!(
+            product.outcome.all_proved(),
+            "{}",
+            product.outcome.summary()
+        );
+        assert_eq!(
+            (stats.states, stats.transitions, stats.sliced_slots),
+            (33, 132, 18)
+        );
+        proved += product.outcome.verdicts.len();
+        assert_eq!(proved, 16);
+
+        let simulated = &verified.simulated;
+        let mut links = simulated.product_links();
+        inject_connection_latency(&mut links, "cProdStartTimer", 8).expect("the link exists");
+        let tampered = simulated.verify_product_with_links(links).unwrap();
+        let (_, cex) = tampered
+            .outcome
+            .violations()
+            .find(|(property, _)| matches!(property, Property::EndToEndResponse { .. }))
+            .expect("the delayed connection is caught");
+        assert_eq!(cex.violation_instant, 9);
+        let replay = tampered.verifier.replay(cex).unwrap();
+        assert!(replay.reproduced, "{}", replay.detail);
     }
-    let product = verified.product.as_ref().expect("product scope");
-    let stats = &product.outcome.stats;
-    assert!(
-        product.outcome.all_proved(),
-        "{}",
-        product.outcome.summary()
-    );
-    assert_eq!(
-        (stats.states, stats.transitions, stats.sliced_slots),
-        (33, 132, 18)
-    );
-    proved += product.outcome.verdicts.len();
-    assert_eq!(proved, 16);
-
-    let simulated = &verified.simulated;
-    let mut links = simulated.product_links();
-    inject_connection_latency(&mut links, "cProdStartTimer", 8).expect("the link exists");
-    let tampered = simulated.verify_product_with_links(links).unwrap();
-    let (_, cex) = tampered
-        .outcome
-        .violations()
-        .find(|(property, _)| matches!(property, Property::EndToEndResponse { .. }))
-        .expect("the delayed connection is caught");
-    assert_eq!(cex.violation_instant, 9);
-    let replay = tampered.verifier.replay(cex).unwrap();
-    assert!(replay.reproduced, "{}", replay.detail);
 }
