@@ -27,7 +27,7 @@
 //! alter *observability* output only: verdicts, counterexamples and
 //! `ExplorationStats` stay bit-identical whether the collector is noop,
 //! counting or full. Consumers uphold this by keeping nondeterministic
-//! measurements (timings, steal counts, rates) in collector counters and
+//! measurements (timings, rates) in collector counters and
 //! never copying them into deterministic result structures; this crate
 //! upholds it by making every recording call side-effect-free with respect
 //! to caller-visible state.

@@ -34,8 +34,8 @@ impl PhaseRecord {
 /// names. Wall times and counter values are measurements, not results: two
 /// runs of the same model must produce equal reports (the staged-vs-facade
 /// and batch worker-count determinism pins rely on this), and counters may
-/// legitimately include nondeterministic engine telemetry such as steal
-/// counts.
+/// legitimately differ between such runs: a warm artifact cache counts
+/// hits where a cold run counts misses.
 #[derive(Debug, Clone, Default)]
 pub struct RunRecord {
     /// One record per executed phase, in execution order.
@@ -122,7 +122,7 @@ mod tests {
                     attrs: vec![("states".into(), 10)],
                 })
                 .collect(),
-            counters: vec![("engine.steals".into(), wall)],
+            counters: vec![("cache.hits.simulated".into(), wall)],
         }
     }
 

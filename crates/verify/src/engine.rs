@@ -1,9 +1,11 @@
 //! The shared exploration core: a depth-stratified parallel reachability
 //! engine over interned states.
 //!
-//! Both explorers — the single-process [`crate::Verifier`] and the
-//! [`crate::ProductVerifier`] — are thin [`Expander`] implementations over
-//! this one engine. The engine owns everything that is *not* model
+//! Two thin [`Expander`] implementations run on this one engine: the
+//! free-input enumeration of one process ([`crate::Verifier`] over
+//! [`crate::InputSpace::Free`]) and the lockstep of scheduled components
+//! ([`crate::ProductVerifier`], and a scheduled [`crate::Verifier`] as a
+//! product of one). The engine owns everything that is *not* model
 //! specific:
 //!
 //! * the seen-set, a [`StateInterner`] mapping canonical state encodings to
@@ -13,10 +15,10 @@
 //! * the level loop (depth bound, state cap, early stop once every property
 //!   has a violation — all checked *between* levels so verdicts stay
 //!   deterministic under any worker count);
-//! * the frontier scheduling: inline execution when one worker suffices,
-//!   otherwise per-worker deques with work stealing (within a level the
-//!   queues are drained without refill, so a thief that finds every queue
-//!   empty can exit immediately);
+//! * the frontier claim: the calling thread and one spawned thread per
+//!   extra worker claim each level's states from one shared atomic cursor
+//!   (nothing joins a level while it is expanded, so a cursor past its end
+//!   means the level is drained);
 //! * deterministic merging: same-depth discovery races are recorded as
 //!   deferred ties and resolved at the level barrier by the canonical edge
 //!   encoding ([`Expander::edge_order`]), violations by the length, edge
@@ -32,9 +34,8 @@
 //! per state either. Only the winning counterexample of each property is
 //! rebuilt; comparisons read the edges' order bytes.
 
-use std::collections::VecDeque;
 use std::io::Write;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use signal_moc::eval::EvalWork;
 use signal_moc::trace::{Trace, TraceStep};
@@ -65,8 +66,8 @@ pub(crate) struct ParentLink {
     /// state).
     pub prev: u32,
     /// Index of the edge taken from the predecessor, in the expander's
-    /// stable edge numbering (a free-mode candidate index, or the single
-    /// scheduled/product step).
+    /// stable edge numbering (a free-mode candidate index, or 0 for the
+    /// single lockstep step).
     pub edge: u32,
     /// Breadth-first level at which the state was discovered.
     pub depth: u32,
@@ -297,15 +298,13 @@ pub(crate) fn explore<E: Expander>(
     let mut pruned = 0usize;
     let mut monitor_steps = 0usize;
     let mut peak_frontier = 0usize;
-    let mut frontier_levels: Vec<u32> = Vec::new();
     let mut truncated = pre_truncated;
     let mut workers_used = 1usize;
 
     // Telemetry. All collector traffic happens at level barriers (never in
     // the per-state path) and is observational only: nothing read from the
     // collector feeds back into the exploration, so collection mode cannot
-    // perturb verdicts or stats. Steals are the one mid-level measurement;
-    // they land in a dedicated atomic, counted only when collection is on.
+    // perturb verdicts or stats.
     let obs = &options.collector;
     let obs_enabled = obs.is_enabled();
     let mut obs_span = obs.span("engine.explore");
@@ -315,12 +314,10 @@ pub(crate) fn explore<E: Expander>(
     let c_pruned = obs.counter("engine.pruned");
     let c_monitor_steps = obs.counter("engine.monitor_steps");
     let c_levels = obs.counter("engine.levels");
-    let c_steals = obs.counter("engine.steals");
     let g_frontier = obs.gauge("engine.frontier");
     let g_depth = obs.gauge("engine.depth");
     let g_interner_states = obs.gauge("engine.interner.states");
     let g_interner_bytes = obs.gauge("engine.interner.bytes");
-    let steal_count = std::sync::atomic::AtomicUsize::new(0);
     c_states.add(1); // the interned initial state
     let mut found: Vec<Option<Counterexample>> = vec![None; properties.len()];
     // Per-worker contexts persist across levels (an expander context clones
@@ -351,7 +348,6 @@ pub(crate) fn explore<E: Expander>(
             break;
         }
         peak_frontier = peak_frontier.max(frontier.len());
-        frontier_levels.push(frontier.len() as u32);
 
         let workers = options.workers.max(1).min(frontier.len());
         workers_used = workers_used.max(workers);
@@ -365,58 +361,19 @@ pub(crate) fn explore<E: Expander>(
         let mut sinks: Vec<Sink<'_>> = (0..workers)
             .map(|_| Sink::new(&interner, &found_before))
             .collect();
-        if workers == 1 {
-            let sink = &mut sinks[0];
-            let ctx = &mut ctxs[0];
-            let mut iter = frontier.iter().copied();
-            run_worker(expander, ctx, sink, depth, || iter.next());
-        } else {
-            // Per-worker deques filled round-robin before the level starts;
-            // nothing is ever pushed mid-level, so a full empty scan means
-            // the level is drained.
-            let queues: Vec<Mutex<VecDeque<u32>>> =
-                (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-            for (i, &id) in frontier.iter().enumerate() {
-                queues[i % workers]
-                    .lock()
-                    .expect("frontier queue poisoned")
-                    .push_back(id);
+        // The calling thread expands inline next to one spawned thread per
+        // extra worker; each claims the level's next state from the shared
+        // cursor until the frontier is drained.
+        let cursor = AtomicUsize::new(0);
+        let mut shares = sinks.iter_mut().zip(ctxs.iter_mut());
+        let (inline_sink, inline_ctx) = shares.next().expect("at least one worker");
+        std::thread::scope(|scope| {
+            for (sink, ctx) in shares {
+                let (frontier, cursor) = (&frontier, &cursor);
+                scope.spawn(move || run_worker(expander, ctx, sink, depth, frontier, cursor));
             }
-            std::thread::scope(|scope| {
-                for (me, (sink, ctx)) in sinks.iter_mut().zip(ctxs.iter_mut()).enumerate() {
-                    let queues = &queues;
-                    let steal_count = &steal_count;
-                    scope.spawn(move || {
-                        run_worker(expander, ctx, sink, depth, || {
-                            // Own queue first (front: cache-warm breadth
-                            // order), then steal from the back of the others.
-                            if let Some(id) = queues[me]
-                                .lock()
-                                .expect("frontier queue poisoned")
-                                .pop_front()
-                            {
-                                return Some(id);
-                            }
-                            for offset in 1..queues.len() {
-                                let victim = (me + offset) % queues.len();
-                                if let Some(id) = queues[victim]
-                                    .lock()
-                                    .expect("frontier queue poisoned")
-                                    .pop_back()
-                                {
-                                    if obs_enabled {
-                                        steal_count
-                                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    }
-                                    return Some(id);
-                                }
-                            }
-                            None
-                        });
-                    });
-                }
-            });
-        }
+            run_worker(expander, inline_ctx, inline_sink, depth, &frontier, &cursor);
+        });
 
         // Barrier: merge worker results. A fatal error aborts before any
         // violation is resolved (an inexecutable scheduled step outranks
@@ -483,7 +440,7 @@ pub(crate) fn explore<E: Expander>(
         // Resolve same-depth discovery ties: for each contested state the
         // parent link with the smallest canonical edge encoding wins —
         // a pure function of key bytes, so the recorded exploration tree
-        // is identical under any worker count and steal interleaving.
+        // is identical under any worker count and claim interleaving.
         ties.sort_unstable_by_key(|(id, _)| *id);
         let mut i = 0usize;
         while i < ties.len() {
@@ -547,7 +504,6 @@ pub(crate) fn explore<E: Expander>(
     }
 
     if obs_enabled {
-        c_steals.add(steal_count.load(std::sync::atomic::Ordering::Relaxed) as u64);
         // Each state is expanded exactly once and an instant's work depends
         // only on its memory and input, so the sum over the worker contexts
         // does not depend on the worker count.
@@ -581,7 +537,6 @@ pub(crate) fn explore<E: Expander>(
         truncated,
         peak_frontier,
         pruned,
-        frontier_levels,
         memo_hits: 0,
         memo_misses: 0,
         sliced_slots: 0,
@@ -610,19 +565,23 @@ pub(crate) fn explore<E: Expander>(
     Ok(VerificationOutcome { verdicts, stats })
 }
 
-/// Drains work items and expands each through the expander, recording a
-/// fatal error (without stopping: results are discarded on abort anyway,
-/// and continuing keeps every mode's counters comparable) when an
-/// expansion fails.
+/// Claims states of `frontier` through `cursor` until it is drained and
+/// expands each through the expander, recording a fatal error (without
+/// stopping: results are discarded on abort anyway, and continuing keeps
+/// every mode's counters comparable) when an expansion fails. The cursor
+/// publishes no data: the frontier is written before the level's scope
+/// spawns its workers and each sink is read after the scope joins them, so
+/// a relaxed increment is enough to hand each state to exactly one worker.
 fn run_worker<E: Expander>(
     expander: &E,
     ctx: &mut E::Ctx,
     sink: &mut Sink<'_>,
     depth: usize,
-    mut next_item: impl FnMut() -> Option<u32>,
+    frontier: &[u32],
+    cursor: &AtomicUsize,
 ) {
     let mut key_buf = Vec::new();
-    while let Some(id) = next_item() {
+    while let Some(&id) = frontier.get(cursor.fetch_add(1, Ordering::Relaxed)) {
         sink.parent = id;
         sink.depth = depth;
         sink.interner.copy_key(id, &mut key_buf);

@@ -1,8 +1,10 @@
-//! The explicit-state reachability frontend for one flat SIGNAL process:
-//! feasible-successor enumeration (reusing the clock calculus, optionally
-//! pruned by an affine dispatch-feasibility oracle) over the shared
-//! depth-stratified exploration core (`crate::engine`) — interned states,
-//! incremental key hashing, and work-stealing frontier queues.
+//! The explicit-state reachability frontend for one flat SIGNAL process.
+//! Free inputs enumerate the feasible successors (reusing the clock
+//! calculus, optionally pruned by an affine dispatch-feasibility oracle);
+//! scheduled inputs run the product's lockstep over the thread alone, as a
+//! product of one component. Both expand states on the shared
+//! depth-stratified exploration core (`crate::engine`): interned states,
+//! incremental key hashing, and one atomic cursor per frontier level.
 
 use std::collections::BTreeMap;
 
@@ -16,8 +18,9 @@ use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::{Value, ValueType};
 
 use crate::counterexample::Counterexample;
-use crate::engine::{self, entry_order_bytes, step_order_bytes, Expander, Sink, STEP_END};
+use crate::engine::{self, entry_order_bytes, Expander, Sink, STEP_END};
 use crate::monitor::{compile_properties, BoundAtom, CompiledProperty, Namespace};
+use crate::product::Lockstep;
 use crate::property::Property;
 use crate::slice::Slice;
 use crate::state::{KeyCodec, State};
@@ -84,12 +87,6 @@ impl VerifyOptions {
     /// Sets the depth bound.
     pub fn with_depth_bound(mut self, bound: usize) -> Self {
         self.depth_bound = Some(bound);
-        self
-    }
-
-    /// Removes the depth bound (explore until closure).
-    pub fn unbounded(mut self) -> Self {
-        self.depth_bound = None;
         self
     }
 
@@ -203,8 +200,8 @@ pub struct PropertyVerdict {
 ///
 /// Every field is deterministic: the same model and options produce the
 /// same stats under any worker count or telemetry
-/// collection mode. Nondeterministic measurements (steal counts, timings,
-/// rates) live in the [`VerifyOptions::collector`] instead.
+/// collection mode. Nondeterministic measurements (timings, rates) live in
+/// the [`VerifyOptions::collector`] instead.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExplorationStats {
     /// Number of distinct states inserted in the seen-set.
@@ -230,10 +227,6 @@ pub struct ExplorationStats {
     /// Number of candidate input valuations skipped by the
     /// dispatch-feasibility oracle (always 0 without an oracle).
     pub pruned: usize,
-    /// Breadth-first frontier size at each explored level, in depth order
-    /// (`frontier_levels[0]` is the initial frontier);
-    /// [`ExplorationStats::peak_frontier`] is its maximum.
-    pub frontier_levels: Vec<u32>,
     /// Always 0: every component step runs its evaluator. Kept with
     /// [`ExplorationStats::memo_misses`] because perfbench derives
     /// `product.memo_hit_ratio` and `eval.share_of_verify` from the pair.
@@ -593,13 +586,15 @@ impl Verifier {
     ///
     /// The exploration is a depth-stratified parallel breadth-first search
     /// over the shared exploration core (`crate::engine`): states are
-    /// interned to dense ids with incremental key hashing, and each level is
-    /// distributed over [`VerifyOptions::workers`] threads by work stealing.
-    /// Counterexamples are always of minimal depth, and verdicts,
-    /// counterexample traces and state counts are bit-identical under any
-    /// worker count and steal interleaving (equal-depth discovery races
-    /// are resolved by a canonical edge ordering, and each level's
-    /// violations are tie-broken the same way).
+    /// interned to dense ids with incremental key hashing, and the
+    /// [`VerifyOptions::workers`] threads claim each level's states from one
+    /// shared cursor. Counterexamples are always of minimal depth, and
+    /// verdicts, counterexample traces and state counts are bit-identical
+    /// under any worker count and claim interleaving (equal-depth discovery
+    /// races are resolved by a canonical edge ordering, and each level's
+    /// violations are tie-broken the same way). A scheduled input space
+    /// runs the lockstep of [`crate::ProductVerifier`] over this one
+    /// thread, a product of one component whose signals keep their names.
     ///
     /// The search runs on the cone-of-influence slice of the process: every
     /// memory slot whose value no property, port link, presence decision,
@@ -653,17 +648,17 @@ impl Verifier {
         if properties.is_empty() {
             return Err(VerifyError::NoProperties);
         }
-        let scheduled = match space {
-            InputSpace::Scheduled(trace) if trace.is_empty() => {
-                return Err(VerifyError::EmptySchedule)
+        if let InputSpace::Scheduled(trace) = space {
+            if trace.is_empty() {
+                return Err(VerifyError::EmptySchedule);
             }
-            InputSpace::Scheduled(trace) => Some(trace),
-            InputSpace::Free => None,
-        };
-        let (candidates, candidates_truncated) = match scheduled {
-            Some(_) => (Vec::new(), false),
-            None => self.candidates()?,
-        };
+            return Lockstep::thread(&self.evaluator, trace).explore(
+                &self.options,
+                properties,
+                slice,
+            );
+        }
+        let (candidates, candidates_truncated) = self.candidates()?;
 
         // Every trace property — built-in shape or user LTL — compiles to
         // one monitor automaton; their registers are concatenated into the
@@ -691,7 +686,6 @@ impl Verifier {
         };
         let expander = ThreadExpander {
             verifier: self,
-            scheduled,
             candidates: &candidates,
             compiled: &compiled,
             atoms: &atoms,
@@ -759,20 +753,11 @@ struct Candidate {
     order: Vec<u8>,
 }
 
-/// The inputs of one edge: a scheduled step by name, or a free candidate
-/// by id.
-#[derive(Clone, Copy)]
-enum EdgeInput<'a> {
-    Scheduled(&'a TraceStep),
-    Free(&'a [(u32, Value)]),
-}
-
-/// The [`Expander`] of one flat process: scheduled steps follow the timing
-/// trace (the phase wraps around), free steps enumerate the clock-calculus
-/// candidates, optionally filtered by the dispatch-feasibility oracle.
+/// The [`Expander`] of one flat process over free inputs: every
+/// clock-calculus candidate, optionally filtered by the
+/// dispatch-feasibility oracle.
 struct ThreadExpander<'a> {
     verifier: &'a Verifier,
-    scheduled: Option<&'a Trace>,
     candidates: &'a [Candidate],
     compiled: &'a [CompiledProperty],
     /// Per compiled property, its atoms bound to evaluator ids.
@@ -796,7 +781,7 @@ struct ThreadCtx {
 }
 
 impl ThreadExpander<'_> {
-    /// Executes one candidate edge out of the seeded parent: restore the
+    /// Executes candidate `edge` out of the seeded parent: restore the
     /// parent memory, run the evaluator, step the monitors over their
     /// bound atoms, and intern the successor through the incremental
     /// codec. Returns whether the step executed.
@@ -805,82 +790,43 @@ impl ThreadExpander<'_> {
         ctx: &mut ThreadCtx,
         depth: usize,
         edge: u32,
-        input: EdgeInput<'_>,
-        next_phase: u32,
         sink: &mut Sink<'_>,
     ) -> Result<bool, VerifyError> {
-        if ctx
-            .evaluator
-            .restore_memory(ctx.codec.parent_memory())
-            .is_err()
-        {
-            // Cannot happen: snapshots always come from this process.
+        ctx.evaluator.restore_memory(ctx.codec.parent_memory())?;
+        let inputs = &self.candidates[edge as usize].inputs;
+        let Ok(resolved) = ctx.evaluator.step_ids(depth, inputs) else {
+            sink.infeasible();
             return Ok(false);
-        }
-        let stepped = match input {
-            EdgeInput::Scheduled(step) => ctx.evaluator.step_resolved(depth, step),
-            EdgeInput::Free(inputs) => ctx.evaluator.step_ids(depth, inputs),
         };
-        match stepped {
-            Ok(resolved) => {
-                sink.transition();
-                // Monitor steps on the resolved instant (the updated
-                // registers are part of the successor state). A violating
-                // monitor reports and keeps running — an expired deadline
-                // register returns to idle — so the other properties keep
-                // being explored, and several violations can land on the
-                // same transition.
-                ctx.succ_monitors.clear();
-                ctx.succ_monitors.extend_from_slice(&ctx.monitors);
-                for (property, atoms) in self.compiled.iter().zip(self.atoms) {
-                    sink.monitor_step();
-                    let observed = property.step_bound(&mut ctx.succ_monitors, atoms, &resolved);
-                    if !observed.holds {
-                        sink.violation(property.index, Some(edge), || {
-                            self.properties[property.index].violation_witness(&observed)
-                        });
-                    }
-                }
-                // The max_states cap is deliberately NOT checked here:
-                // enforcing it mid-level would make the kept frontier depend
-                // on thread interleaving. The level loop checks it between
-                // levels instead.
-                ctx.evaluator.memory_into(&mut ctx.memory);
-                // Canonicalise to the sliced representative before
-                // interning: states differing only in sliced counters
-                // collapse into one and the fixpoint can close.
-                self.slice.normalize(&mut ctx.memory);
-                let (hash, bytes) =
-                    ctx.codec
-                        .successor(&ctx.memory, next_phase, &ctx.succ_monitors);
-                sink.successor(hash, bytes, edge);
-                Ok(true)
-            }
-            Err(e) => {
-                sink.infeasible();
-                if self.scheduled.is_some() {
-                    match self.deadlock_idx {
-                        Some(idx) => sink.violation(idx, Some(edge), || {
-                            format!("scheduled step not executable: {e}")
-                        }),
-                        None => {
-                            return Err(VerifyError::Evaluation {
-                                instant: depth,
-                                detail: e.to_string(),
-                            })
-                        }
-                    }
-                }
-                Ok(false)
+        sink.transition();
+        // Monitor steps on the resolved instant (the updated registers are
+        // part of the successor state). A violating monitor reports and
+        // keeps running — an expired deadline register returns to idle — so
+        // the other properties keep being explored, and several violations
+        // can land on the same transition.
+        ctx.succ_monitors.clear();
+        ctx.succ_monitors.extend_from_slice(&ctx.monitors);
+        for (property, atoms) in self.compiled.iter().zip(self.atoms) {
+            sink.monitor_step();
+            let observed = property.step_bound(&mut ctx.succ_monitors, atoms, &resolved);
+            if !observed.holds {
+                sink.violation(property.index, Some(edge), || {
+                    self.properties[property.index].violation_witness(&observed)
+                });
             }
         }
+        // The max_states cap is deliberately NOT checked here: enforcing it
+        // mid-level would make the kept frontier depend on thread
+        // interleaving. The level loop checks it between levels instead.
+        ctx.evaluator.memory_into(&mut ctx.memory);
+        // Canonicalise to the sliced representative before interning:
+        // states differing only in sliced counters collapse into one and
+        // the fixpoint can close.
+        self.slice.normalize(&mut ctx.memory);
+        let (hash, bytes) = ctx.codec.successor(&ctx.memory, 0, &ctx.succ_monitors);
+        sink.successor(hash, bytes, edge);
+        Ok(true)
     }
-}
-
-/// The scheduled step a state encoded by `key` takes next.
-fn phase_step<'t>(trace: &'t Trace, key: &[u8]) -> Option<&'t TraceStep> {
-    let phase = u32::from_le_bytes(key[0..4].try_into().expect("phase bytes")) as usize;
-    trace.step(phase % trace.len())
 }
 
 impl Expander for ThreadExpander<'_> {
@@ -904,86 +850,60 @@ impl Expander for ThreadExpander<'_> {
         depth: usize,
         sink: &mut Sink<'_>,
     ) -> Result<(), VerifyError> {
-        let phase = ctx
-            .codec
+        ctx.codec
             .seed_key(key, self.monitor_count, &mut ctx.monitors);
-        match self.scheduled {
-            Some(trace) => {
-                let empty = TraceStep::new();
-                let input = trace.step(phase as usize).unwrap_or(&empty);
-                let next_phase = ((phase as usize + 1) % trace.len()) as u32;
-                self.try_edge(ctx, depth, 0, EdgeInput::Scheduled(input), next_phase, sink)
-                    .map(|_| ())
+        // Oracle pruning: skip candidates that make a signal present at an
+        // instant its affine dispatch clock provably excludes. The silent
+        // candidate has no present signals and is never pruned, so the
+        // considered set is never empty.
+        ctx.considered.clear();
+        for (edge, candidate) in self.candidates.iter().enumerate() {
+            if !candidate
+                .relations
+                .iter()
+                .all(|relation| relation.contains(depth as u64))
+            {
+                sink.pruned();
+                continue;
             }
-            None => {
-                // Oracle pruning: skip candidates that make a signal present
-                // at an instant its affine dispatch clock provably excludes.
-                // The silent candidate has no present signals and is never
-                // pruned, so the considered set is never empty.
-                ctx.considered.clear();
-                for (edge, candidate) in self.candidates.iter().enumerate() {
-                    if !candidate
-                        .relations
-                        .iter()
-                        .all(|relation| relation.contains(depth as u64))
-                    {
-                        sink.pruned();
-                        continue;
-                    }
-                    ctx.considered.push(edge as u32);
-                }
-                // Progress for the deadlock check: a feasible non-silent
-                // step — or, for a closed process (whose only considered
-                // valuation is the silent one), the silent step itself,
-                // since autonomous systems advance on their own clock.
-                let has_nonsilent = ctx
-                    .considered
-                    .iter()
-                    .any(|&e| !self.candidates[e as usize].inputs.is_empty());
-                let mut progress = 0usize;
-                for i in 0..ctx.considered.len() {
-                    let edge = ctx.considered[i];
-                    let inputs = &self.candidates[edge as usize].inputs;
-                    let executed =
-                        self.try_edge(ctx, depth, edge, EdgeInput::Free(inputs), 0, sink)?;
-                    if executed && (!inputs.is_empty() || !has_nonsilent) {
-                        progress += 1;
-                    }
-                }
-                if progress == 0 {
-                    if let Some(idx) = self.deadlock_idx {
-                        let considered = ctx.considered.len();
-                        sink.violation(idx, None, || {
-                            format!("no feasible progress valuation among {considered} candidates")
-                        });
-                    }
-                }
-                Ok(())
+            ctx.considered.push(edge as u32);
+        }
+        // Progress for the deadlock check: a feasible non-silent step — or,
+        // for a closed process (whose only considered valuation is the
+        // silent one), the silent step itself, since autonomous systems
+        // advance on their own clock.
+        let has_nonsilent = ctx
+            .considered
+            .iter()
+            .any(|&e| !self.candidates[e as usize].inputs.is_empty());
+        let mut progress = 0usize;
+        for i in 0..ctx.considered.len() {
+            let edge = ctx.considered[i];
+            let silent = self.candidates[edge as usize].inputs.is_empty();
+            if self.try_edge(ctx, depth, edge, sink)? && (!silent || !has_nonsilent) {
+                progress += 1;
             }
         }
+        if progress == 0 {
+            if let Some(idx) = self.deadlock_idx {
+                let considered = ctx.considered.len();
+                sink.violation(idx, None, || {
+                    format!("no feasible progress valuation among {considered} candidates")
+                });
+            }
+        }
+        Ok(())
     }
 
-    fn edge_step(&self, prev_key: &[u8], edge: u32) -> TraceStep {
-        match self.scheduled {
-            Some(trace) => phase_step(trace, prev_key).cloned().unwrap_or_default(),
-            None => step_of(
-                self.verifier.evaluator.signal_names(),
-                &self.candidates[edge as usize].inputs,
-            ),
-        }
+    fn edge_step(&self, _prev_key: &[u8], edge: u32) -> TraceStep {
+        step_of(
+            self.verifier.evaluator.signal_names(),
+            &self.candidates[edge as usize].inputs,
+        )
     }
 
-    fn edge_order(&self, prev_key: &[u8], edge: u32, out: &mut Vec<u8>) {
-        match self.scheduled {
-            Some(trace) => step_order_bytes(
-                phase_step(trace, prev_key)
-                    .into_iter()
-                    .flat_map(TraceStep::iter)
-                    .map(|(name, value)| (name.as_str(), value)),
-                out,
-            ),
-            None => out.extend_from_slice(&self.candidates[edge as usize].order),
-        }
+    fn edge_order(&self, _prev_key: &[u8], edge: u32, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.candidates[edge as usize].order);
     }
 
     fn eval_work(&self, ctx: &ThreadCtx) -> EvalWork {
@@ -1001,6 +921,7 @@ impl Expander for ThreadExpander<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::step_order_bytes;
     use crate::random_process::Rng;
     use proptest::prelude::*;
     use signal_moc::builder::ProcessBuilder;
@@ -1558,12 +1479,20 @@ mod tests {
         trace.set(0, "r", Value::Event);
         trace.set(1, "r", Value::Event);
         trace.set(1, "w", Value::Event);
+        // The witness cites the evaluator's own error, with no component.
+        let mut evaluator = Evaluator::new(&process).unwrap();
+        evaluator.step(0, trace.step(0).unwrap()).unwrap();
+        let error = evaluator.step(1, trace.step(1).unwrap()).unwrap_err();
         let verifier = Verifier::new(&process, VerifyOptions::default()).unwrap();
         let outcome = verifier
             .verify(&InputSpace::Scheduled(trace), &[Property::DeadlockFree])
             .unwrap();
         let (_, cex) = outcome.violations().next().expect("deadlock expected");
         assert_eq!(cex.violation_instant, 1);
+        assert_eq!(
+            cex.witness,
+            format!("scheduled step not executable: {error}")
+        );
         let replay = cex.replay(&process).unwrap();
         assert!(replay.reproduced, "{}", replay.detail);
     }
@@ -1579,6 +1508,10 @@ mod tests {
         let process = b.build().unwrap();
         let mut trace = Trace::new();
         trace.set(0, "a", Value::Event);
+        let error = Evaluator::new(&process)
+            .unwrap()
+            .step(0, trace.step(0).unwrap())
+            .unwrap_err();
         let verifier = Verifier::new(&process, VerifyOptions::default()).unwrap();
         let err = verifier
             .verify(
@@ -1586,7 +1519,14 @@ mod tests {
                 &[Property::NeverRaised("*Alarm*".into())],
             )
             .unwrap_err();
-        assert!(matches!(err, VerifyError::Evaluation { instant: 0, .. }));
+        // The detail is the bare evaluator error.
+        assert_eq!(
+            err,
+            VerifyError::Evaluation {
+                instant: 0,
+                detail: error.to_string(),
+            }
+        );
     }
 
     /// The free-candidate enumeration over named steps, as the explorer

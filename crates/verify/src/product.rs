@@ -32,6 +32,12 @@
 //! whole counterexample in a [`LockstepCoSim`] — an independent lockstep
 //! co-simulation of the constituent threads — for confirmation outside the
 //! model checker.
+//!
+//! The exploration itself is one crate-private lockstep over borrowed
+//! components, and a lone scheduled thread is a product of one: a
+//! [`crate::Verifier`] over [`crate::InputSpace::Scheduled`] runs the same
+//! lockstep on a single component with no name, no signal prefix and no
+//! links, so every scheduled input is stepped by one expander.
 
 use std::collections::HashSet;
 
@@ -364,20 +370,6 @@ impl ProductSystem {
             .map(|i| &self.wired[i])
     }
 
-    /// The joint input step of one phase: every component's wired inputs,
-    /// prefixed with `<component>_`.
-    fn joint_input(&self, phase: usize) -> TraceStep {
-        let mut joint = TraceStep::new();
-        for (component, wired) in self.components.iter().zip(&self.wired) {
-            if let Some(step) = wired.step(phase) {
-                for (signal, value) in step.iter() {
-                    joint.set(format!("{}_{signal}", component.name), value.clone());
-                }
-            }
-        }
-        joint
-    }
-
     /// Merges the per-component resolved steps of one phase into the joint
     /// step: `<component>_`-prefixed signals plus the link-derived
     /// `_sent`/`_received`/`_consumed` signals.
@@ -499,9 +491,10 @@ impl<'a> LockstepCoSim<'a> {
 /// or stops at [`VerifyOptions::depth_bound`]
 /// ([`Verdict::PassedBounded`](crate::Verdict::PassedBounded)).
 ///
-/// The exploration runs on the shared exploration engine (an interned
-/// chain of joint states); the frontier of the deterministic product is a
-/// single state per level, so the run is sequential regardless of
+/// The exploration is the lockstep a scheduled [`crate::Verifier`] runs
+/// over a lone thread, on the shared exploration engine (an interned chain
+/// of joint states); the frontier of the deterministic product is a single
+/// state per level, so the run is sequential regardless of
 /// [`VerifyOptions::workers`]. Each joint instant steps every component's
 /// evaluator once, and the monitors read their atoms, bound to joint slots
 /// once per exploration, straight from the evaluators' resolved views: no
@@ -670,99 +663,32 @@ impl ProductVerifier {
         if properties.is_empty() {
             return Err(VerifyError::NoProperties);
         }
-        // One compiled monitor per trace property (built-in or user LTL);
-        // their registers concatenate into the joint state's `monitors`.
-        let (compiled, initial_monitors) = compile_properties(properties);
-        let deadlock_idx = properties
-            .iter()
-            .position(|p| matches!(p, Property::DeadlockFree));
-
-        let monitor_count = initial_monitors.len();
-        let mut initial = State {
-            memory: self.evaluators.iter().flat_map(Evaluator::memory).collect(),
-            phase: 0,
-            monitors: initial_monitors,
-        };
-        slice.normalize(&mut initial.memory);
-        let namespace = self.namespace();
-        let expander = ProductExpander {
-            verifier: self,
-            atoms: compiled
-                .iter()
-                .map(|property| property.monitor.bind(&namespace))
-                .collect(),
-            consumed: self.consumed_slots(),
-            compiled: &compiled,
-            properties,
-            deadlock_idx,
-            monitor_count,
-            slice,
-        };
-        // A dropped delivery makes the wired product an under-approximation
-        // of the real periodic system: no closure can then count as a
-        // proof, only as a bounded pass.
-        let mut outcome = engine::explore(
-            &expander,
-            &initial,
-            &self.options,
-            properties,
-            self.system.dropped_deliveries > 0,
-        )?;
+        let mut outcome = self.lockstep().explore(&self.options, properties, slice)?;
         // Every transition is one evaluated component step.
         outcome.stats.memo_misses = outcome.stats.transitions;
-        Ok(annotate(outcome, slice, &self.options.collector))
+        Ok(outcome)
     }
 
-    /// The joint namespace: each component's signals behind
-    /// `<component>_`, each link's derived joints behind `<link>_`, with
-    /// `<link>_consumed` only where the link declares both its freeze and
-    /// count signals.
-    fn namespace(&self) -> Namespace<'_> {
-        Namespace::new(
-            self.system
-                .components
-                .iter()
-                .zip(&self.evaluators)
-                .map(|(component, evaluator)| (format!("{}_", component.name), evaluator))
-                .collect(),
-            self.system
-                .links
-                .iter()
-                .map(|link| {
-                    let consumed = link.target_freeze.is_some() && link.target_count.is_some();
-                    (format!("{}_", link.name), consumed)
+    /// The lockstep of the components, each named and prefixed
+    /// `<component>_`, over the wired traces and the links.
+    fn lockstep(&self) -> Lockstep<'_> {
+        let system = &self.system;
+        let components = system.components.iter().zip(&self.evaluators);
+        Lockstep {
+            components: components
+                .zip(&system.wired)
+                .map(|((component, evaluator), trace)| LockstepComponent {
+                    evaluator,
+                    trace,
+                    prefix: format!("{}_", component.name),
+                    name: Some(&component.name),
                 })
                 .collect(),
-        )
-    }
-
-    /// Per link, where its `<link>_consumed` joint would read: the target
-    /// component and the ids of its freeze and count signals. Only a link
-    /// that declares both derives the joint: the namespace decides that.
-    fn consumed_slots(&self) -> Vec<ConsumedSlots> {
-        self.system
-            .links
-            .iter()
-            .map(|link| {
-                let target = self
-                    .system
-                    .components
-                    .iter()
-                    .position(|c| c.name == link.target)
-                    .expect("validated at construction");
-                let evaluator = &self.evaluators[target];
-                let id = |signal: &Option<String>| {
-                    signal
-                        .as_deref()
-                        .and_then(|signal| evaluator.signal_id(signal))
-                };
-                ConsumedSlots {
-                    target,
-                    freeze: id(&link.target_freeze),
-                    count: id(&link.target_count),
-                }
-            })
-            .collect()
+            links: &system.links,
+            activity: &system.activity,
+            horizon: system.horizon,
+            dropped_deliveries: system.dropped_deliveries > 0,
+        }
     }
 
     /// Projects a joint counterexample onto one component: the
@@ -863,11 +789,151 @@ impl ProductVerifier {
     }
 }
 
-/// The [`Expander`] of a synchronous product: one deterministic edge per
-/// state (the wired joint instant of its phase), every component stepped
-/// on its own evaluator.
-struct ProductExpander<'a> {
-    verifier: &'a ProductVerifier,
+/// One scheduled component of a [`Lockstep`], borrowed from its caller:
+/// its evaluator (cloned into every worker context, never stepped itself)
+/// and its wired input trace, one step per phase.
+struct LockstepComponent<'a> {
+    evaluator: &'a Evaluator,
+    trace: &'a Trace,
+    /// How the joint namespace spells its signals: `<name>_`, or nothing
+    /// for a lone thread.
+    prefix: String,
+    /// The name a non-executable step's texts cite; `None` for a lone
+    /// thread.
+    name: Option<&'a str>,
+}
+
+/// The synchronous product of scheduled components, explored in lockstep:
+/// one deterministic edge per state (the wired instant of its phase),
+/// every component stepped on its own evaluator. A product runs one over
+/// its components; a scheduled thread runs one over itself alone.
+pub(crate) struct Lockstep<'a> {
+    components: Vec<LockstepComponent<'a>>,
+    links: &'a [PortLink],
+    /// Per link, its delivery pattern over the horizon.
+    activity: &'a [LinkActivity],
+    /// The length of every component trace; the phase wraps at it.
+    horizon: usize,
+    /// A delivery fell past the horizon: the wired components then
+    /// under-approximate the periodic system, so no closure is a proof.
+    dropped_deliveries: bool,
+}
+
+impl<'a> Lockstep<'a> {
+    /// A lone scheduled thread: one component with no name, no prefix and
+    /// no links, driven by `trace`.
+    pub(crate) fn thread(evaluator: &'a Evaluator, trace: &'a Trace) -> Self {
+        Self {
+            components: vec![LockstepComponent {
+                evaluator,
+                trace,
+                prefix: String::new(),
+                name: None,
+            }],
+            links: &[],
+            activity: &[],
+            horizon: trace.len(),
+            dropped_deliveries: false,
+        }
+    }
+
+    /// Explores the lockstep under `slice` and checks every property of
+    /// `properties` (at least one) over the joint namespace.
+    pub(crate) fn explore(
+        &self,
+        options: &VerifyOptions,
+        properties: &[Property],
+        slice: &Slice,
+    ) -> Result<VerificationOutcome, VerifyError> {
+        // One compiled monitor per trace property (built-in or user LTL);
+        // their registers concatenate into the joint state's `monitors`.
+        let (compiled, initial_monitors) = compile_properties(properties);
+        let mut initial = State {
+            memory: self
+                .components
+                .iter()
+                .flat_map(|component| component.evaluator.memory())
+                .collect(),
+            phase: 0,
+            monitors: initial_monitors,
+        };
+        slice.normalize(&mut initial.memory);
+        let namespace = self.namespace();
+        let expander = LockstepExpander {
+            lockstep: self,
+            atoms: compiled
+                .iter()
+                .map(|property| property.monitor.bind(&namespace))
+                .collect(),
+            consumed: self.consumed_slots(),
+            compiled: &compiled,
+            properties,
+            deadlock_idx: properties
+                .iter()
+                .position(|p| matches!(p, Property::DeadlockFree)),
+            monitor_count: initial.monitors.len(),
+            slice,
+        };
+        let outcome = engine::explore(
+            &expander,
+            &initial,
+            options,
+            properties,
+            self.dropped_deliveries,
+        )?;
+        Ok(annotate(outcome, slice, &options.collector))
+    }
+
+    /// The joint namespace: each component's signals behind its prefix,
+    /// each link's derived joints behind `<link>_`, with `<link>_consumed`
+    /// only where the link declares both its freeze and count signals.
+    fn namespace(&self) -> Namespace<'a> {
+        Namespace::new(
+            self.components
+                .iter()
+                .map(|component| (component.prefix.clone(), component.evaluator))
+                .collect(),
+            self.links
+                .iter()
+                .map(|link| {
+                    let consumed = link.target_freeze.is_some() && link.target_count.is_some();
+                    (format!("{}_", link.name), consumed)
+                })
+                .collect(),
+        )
+    }
+
+    /// Per link, where its `<link>_consumed` joint would read: the target
+    /// component and the ids of its freeze and count signals. Only a link
+    /// that declares both derives the joint: the namespace decides that.
+    fn consumed_slots(&self) -> Vec<ConsumedSlots> {
+        self.links
+            .iter()
+            .map(|link| {
+                let target = self
+                    .components
+                    .iter()
+                    .position(|c| c.name == Some(link.target.as_str()))
+                    .expect("validated at construction");
+                let evaluator = self.components[target].evaluator;
+                let id = |signal: &Option<String>| {
+                    signal
+                        .as_deref()
+                        .and_then(|signal| evaluator.signal_id(signal))
+                };
+                ConsumedSlots {
+                    target,
+                    freeze: id(&link.target_freeze),
+                    count: id(&link.target_count),
+                }
+            })
+            .collect()
+    }
+}
+
+/// The [`Expander`] of a [`Lockstep`].
+struct LockstepExpander<'a> {
+    lockstep: &'a Lockstep<'a>,
     compiled: &'a [CompiledProperty],
     /// Per compiled property, its atoms bound to joint slots.
     atoms: Vec<Vec<BoundAtom>>,
@@ -880,8 +946,8 @@ struct ProductExpander<'a> {
     slice: &'a Slice,
 }
 
-/// Per-worker scratch of the product expander.
-struct ProductCtx {
+/// Per-worker scratch of the lockstep expander.
+struct LockstepCtx {
     /// One evaluator per component; after an instant, each holds that
     /// component's resolved signals.
     evaluators: Vec<Evaluator>,
@@ -919,7 +985,7 @@ fn bool_value(b: bool) -> &'static Value {
 /// from evaluators that each hold their step of the instant, and the
 /// link-derived joints at `phase`.
 struct JointSlots<'a> {
-    system: &'a ProductSystem,
+    activity: &'a [LinkActivity],
     evaluators: &'a [Evaluator],
     consumed: &'a [ConsumedSlots],
     phase: usize,
@@ -931,12 +997,8 @@ impl SlotValues for JointSlots<'_> {
             Slot::Signal { component, id } => {
                 self.evaluators[component as usize].resolved().value_at(id)
             }
-            Slot::Sent(k) => Some(bool_value(
-                self.system.activity[k as usize].sent[self.phase],
-            )),
-            Slot::Received(k) => Some(bool_value(
-                self.system.activity[k as usize].received[self.phase],
-            )),
+            Slot::Sent(k) => Some(bool_value(self.activity[k as usize].sent[self.phase])),
+            Slot::Received(k) => Some(bool_value(self.activity[k as usize].received[self.phase])),
             // The target's Input Time fired with a non-empty frozen FIFO.
             Slot::Consumed(k) => {
                 let consumed = self.consumed[k as usize];
@@ -953,12 +1015,17 @@ impl SlotValues for JointSlots<'_> {
     }
 }
 
-impl Expander for ProductExpander<'_> {
-    type Ctx = ProductCtx;
+impl Expander for LockstepExpander<'_> {
+    type Ctx = LockstepCtx;
 
-    fn new_ctx(&self) -> ProductCtx {
-        ProductCtx {
-            evaluators: self.verifier.evaluators.clone(),
+    fn new_ctx(&self) -> LockstepCtx {
+        LockstepCtx {
+            evaluators: self
+                .lockstep
+                .components
+                .iter()
+                .map(|component| component.evaluator.clone())
+                .collect(),
             codec: KeyCodec::new(),
             monitors: Vec::new(),
             succ_monitors: Vec::new(),
@@ -969,7 +1036,7 @@ impl Expander for ProductExpander<'_> {
 
     fn expand(
         &self,
-        ctx: &mut ProductCtx,
+        ctx: &mut LockstepCtx,
         key: &[u8],
         depth: usize,
         sink: &mut Sink<'_>,
@@ -978,33 +1045,36 @@ impl Expander for ProductExpander<'_> {
             .codec
             .seed_key(key, self.monitor_count, &mut ctx.monitors);
         let phase = phase_bits as usize;
-        let system = &self.verifier.system;
+        let lockstep = self.lockstep;
 
         let empty = TraceStep::new();
         let mut offset = 0usize;
-        for (i, evaluator) in ctx.evaluators.iter_mut().enumerate() {
+        for (evaluator, component) in ctx.evaluators.iter_mut().zip(&lockstep.components) {
             let width = evaluator.memory_len();
             evaluator.restore_memory(&ctx.codec.parent_memory()[offset..offset + width])?;
             offset += width;
-            let input = system.wired[i].step(phase).unwrap_or(&empty);
+            let input = component.trace.step(phase).unwrap_or(&empty);
             if let Err(e) = evaluator.step_resolved(depth, input) {
                 // The joint execution cannot continue past a non-executable
                 // step: the path ends here with no successor, which
-                // exhausts the deterministic product. The failing instant
-                // contributes no transitions.
+                // exhausts the deterministic lockstep. The failing instant
+                // contributes no transitions. A product cites the
+                // component in both texts; a lone thread's fatal detail is
+                // the bare evaluator error.
                 sink.infeasible();
-                let witness = format!(
-                    "component `{}` scheduled step not executable: {e}",
-                    system.components[i].name
-                );
+                let cited = component
+                    .name
+                    .map(|name| format!("component `{name}` scheduled step not executable: {e}"));
                 return match self.deadlock_idx {
                     Some(idx) => {
-                        sink.violation(idx, Some(0), || witness);
+                        sink.violation(idx, Some(0), || {
+                            cited.unwrap_or_else(|| format!("scheduled step not executable: {e}"))
+                        });
                         Ok(())
                     }
                     None => Err(VerifyError::Evaluation {
                         instant: depth,
-                        detail: witness,
+                        detail: cited.unwrap_or_else(|| e.to_string()),
                     }),
                 };
             }
@@ -1016,7 +1086,7 @@ impl Expander for ProductExpander<'_> {
         // Monitor steps on the joint slots (a violating monitor keeps
         // running, so every property gets its earliest counterexample).
         let slots = JointSlots {
-            system,
+            activity: lockstep.activity,
             evaluators: &ctx.evaluators,
             consumed: &self.consumed,
             phase,
@@ -1039,7 +1109,7 @@ impl Expander for ProductExpander<'_> {
             ctx.memory.extend_from_slice(&ctx.component_memory);
         }
         self.slice.normalize(&mut ctx.memory);
-        let next_phase = ((phase + 1) % system.horizon) as u32;
+        let next_phase = ((phase + 1) % lockstep.horizon) as u32;
         let (hash, bytes) = ctx
             .codec
             .successor(&ctx.memory, next_phase, &ctx.succ_monitors);
@@ -1047,13 +1117,26 @@ impl Expander for ProductExpander<'_> {
         Ok(())
     }
 
+    /// The joint input step of the phase: every component's wired inputs,
+    /// behind its prefix.
     fn edge_step(&self, prev_key: &[u8], _edge: u32) -> TraceStep {
-        let phase = u32::from_le_bytes(prev_key[0..4].try_into().expect("phase bytes")) as usize;
-        let system = &self.verifier.system;
-        system.joint_input(phase % system.horizon)
+        let phase = u32::from_le_bytes(prev_key[0..4].try_into().expect("phase bytes")) as usize
+            % self.lockstep.horizon;
+        let mut joint = TraceStep::new();
+        for component in &self.lockstep.components {
+            for (signal, value) in component
+                .trace
+                .step(phase)
+                .into_iter()
+                .flat_map(TraceStep::iter)
+            {
+                joint.set(format!("{}{signal}", component.prefix), value.clone());
+            }
+        }
+        joint
     }
 
-    fn eval_work(&self, ctx: &ProductCtx) -> EvalWork {
+    fn eval_work(&self, ctx: &LockstepCtx) -> EvalWork {
         ctx.evaluators
             .iter()
             .fold(EvalWork::default(), |sum, evaluator| sum + evaluator.work())
@@ -1204,6 +1287,55 @@ mod tests {
         let out = simulator.run(&rx_inputs).unwrap();
         assert!(out.value(2, "Alarm").unwrap().as_bool());
         assert!(verifier.project(cex, "nope").is_none());
+    }
+
+    #[test]
+    fn a_non_executable_component_step_is_cited_by_name() {
+        // At tick 2 the sender's schedule drives `Dispatch` without its
+        // synchronous `out_output_time`: that step is not executable.
+        let mut tx = Trace::new();
+        for t in 0..4usize {
+            tx.set(t, "Dispatch", Value::Bool(t == 0));
+            if t != 2 {
+                tx.set(t, "out_output_time", Value::Bool(t == 1));
+            }
+        }
+        let mut evaluator = Evaluator::new(&sender()).unwrap();
+        for t in 0..2 {
+            evaluator.step(t, tx.step(t).unwrap()).unwrap();
+        }
+        let error = evaluator.step(2, tx.step(2).unwrap()).unwrap_err();
+        let cited = format!("component `tx` scheduled step not executable: {error}");
+        let system = ProductSystem::new(
+            vec![
+                ProductComponent {
+                    name: "tx".into(),
+                    process: sender(),
+                    schedule: tx,
+                },
+                ProductComponent {
+                    name: "rx".into(),
+                    process: receiver(),
+                    schedule: schedules(1, 4).1,
+                },
+            ],
+            vec![link()],
+        )
+        .unwrap();
+        let verifier = ProductVerifier::new(system, VerifyOptions::default()).unwrap();
+        // The deadlock witness and the fatal detail both name the component.
+        let outcome = verifier.verify(&[Property::DeadlockFree]).unwrap();
+        let (_, cex) = outcome.violations().next().expect("dead end expected");
+        assert_eq!(cex.violation_instant, 2);
+        assert_eq!(cex.witness, cited);
+        assert!(verifier.replay(cex).unwrap().reproduced);
+        assert_eq!(
+            verifier.verify(&[Property::NeverRaised("*Alarm*".into())]),
+            Err(VerifyError::Evaluation {
+                instant: 2,
+                detail: cited,
+            })
+        );
     }
 
     #[test]
@@ -1556,9 +1688,10 @@ mod tests {
         let monitors: Vec<LtlMonitor> = (0..4)
             .map(|_| LtlMonitor::new(random_formula(&mut rng, &names, &patterns, 4)))
             .collect();
-        let namespace = verifier.namespace();
+        let lockstep = verifier.lockstep();
+        let namespace = lockstep.namespace();
         let atoms: Vec<Vec<BoundAtom>> = monitors.iter().map(|m| m.bind(&namespace)).collect();
-        let consumed = verifier.consumed_slots();
+        let consumed = lockstep.consumed_slots();
         let mut by_name: Vec<Vec<u32>> = monitors.iter().map(LtlMonitor::initial).collect();
         let mut by_slot = by_name.clone();
         let mut borrowed = verifier.evaluators.clone();
@@ -1574,7 +1707,7 @@ mod tests {
             }
             let joint = system.joint_resolved(phase, &steps);
             let slots = JointSlots {
-                system,
+                activity: &system.activity,
                 evaluators: &borrowed,
                 consumed: &consumed,
                 phase,

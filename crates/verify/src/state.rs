@@ -63,17 +63,6 @@ impl State {
 pub struct StateKey(Vec<u8>);
 
 impl StateKey {
-    /// A stable 64-bit hash of the key, used to pick a seen-set shard.
-    pub fn shard_hash(&self) -> u64 {
-        // FNV-1a: tiny, deterministic across runs and platforms.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in &self.0 {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
     /// Length of the canonical encoding in bytes.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -159,8 +148,8 @@ fn value_bits_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-/// FNV-1a over a byte slice (the same function [`StateKey::shard_hash`]
-/// uses, factored out for the incremental codec).
+/// FNV-1a over a byte slice: tiny, deterministic across runs and
+/// platforms.
 fn fnv(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -520,7 +509,6 @@ mod tests {
             vec![MONITOR_IDLE],
         );
         assert_eq!(a.key(), b.key());
-        assert_eq!(a.key().shard_hash(), b.key().shard_hash());
     }
 
     #[test]

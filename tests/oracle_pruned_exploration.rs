@@ -12,10 +12,9 @@
 //! numbers on purpose; until then they must not move.
 //!
 //! Each exploration runs under a counters collector, and the test pins every
-//! counter it records except `engine.steals` (how often a worker steals
-//! depends on scheduling; every other count only on the explored space), so
-//! the evaluator's work is pinned too: instants, fixpoint passes and
-//! equation evaluations. A changed count is a change to review: update the
+//! counter it records (each depends only on the explored space), so the
+//! evaluator's work is pinned too: instants, fixpoint passes and equation
+//! evaluations. A changed count is a change to review: update the
 //! pin with the change that moves it, and say why.
 
 use polychrony_core::polyverify::{
@@ -109,7 +108,6 @@ fn oracle_pruned_case_study_threads_explore_a_pinned_space_under_any_worker_coun
             let counts = collector.counter_values();
             let recorded: Vec<(&str, u64)> = counts
                 .iter()
-                .filter(|(counter, _)| counter != "engine.steals")
                 .map(|(counter, value)| (counter.as_str(), *value))
                 .collect();
             assert_eq!(

@@ -359,9 +359,8 @@ fn projection_matches_the_wired_trace_prefix() {
     }
 }
 
-/// Every counter the two-hyper-period session records, `engine.steals`
-/// aside: the four per-thread explorations (24 states each) and the product
-/// (33 states), summed. These counts depend only on the explored space, so
+/// Every counter the two-hyper-period session records: the four per-thread
+/// explorations (24 states each) and the product (33 states), summed. These counts depend only on the explored space, so
 /// they read the same on any machine, build and worker count. A changed
 /// count is a change to review: update the pin with the change that moves
 /// it, and say why.
@@ -442,7 +441,6 @@ fn case_study_proves_every_verdict_within_two_hyperperiods() {
         let counts = collector.counter_values();
         let work: Vec<(&str, u64)> = counts
             .iter()
-            .filter(|(name, _)| name != "engine.steals")
             .map(|(name, value)| (name.as_str(), *value))
             .collect();
         assert_eq!(work, CASE_STUDY_WORK, "{workers} worker(s)");
