@@ -6,8 +6,9 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use aadl::case_study::producer_consumer_instance;
+use aadl::instance::InstanceModel;
 use asme2ssme::Translator;
-use polychrony_core::ToolChain;
+use polychrony_core::{Session, SessionOptions, ToolChainReport};
 use signal_moc::pretty::model_to_signal;
 
 fn bench_translation(c: &mut Criterion) {
@@ -31,24 +32,35 @@ fn bench_translation(c: &mut Criterion) {
     // Verification is disabled here to keep this measurement comparable
     // with pre-polyverify baselines; the model-checking cost is measured
     // separately below and by perfbench's `case_study` workload.
+    let mut options = SessionOptions::default();
+    options.simulate.hyperperiods = 1;
+    let with_verification = Session::with_options(options.clone()).unwrap();
+    options.verify.enabled = false;
+    let without_verification = Session::with_options(options).unwrap();
     group.bench_function("end_to_end_tool_chain_1_hyperperiod", |b| {
-        b.iter(|| {
-            ToolChain::new()
-                .with_hyperperiods(1)
-                .with_verification(false)
-                .run_instance(black_box(&instance))
-                .unwrap()
-        })
+        b.iter(|| end_to_end(&without_verification, black_box(&instance)))
     });
     group.bench_function("end_to_end_tool_chain_with_verification", |b| {
-        b.iter(|| {
-            ToolChain::new()
-                .with_hyperperiods(1)
-                .run_instance(black_box(&instance))
-                .unwrap()
-        })
+        b.iter(|| end_to_end(&with_verification, black_box(&instance)))
     });
     group.finish();
+}
+
+/// Instance → report through every later phase of `session`.
+fn end_to_end(session: &Session, instance: &InstanceModel) -> ToolChainReport {
+    session
+        .load_instance(instance.clone())
+        .schedule()
+        .unwrap()
+        .translate()
+        .unwrap()
+        .analyze()
+        .unwrap()
+        .simulate()
+        .unwrap()
+        .verify()
+        .unwrap()
+        .into_report()
 }
 
 criterion_group!(benches, bench_translation);

@@ -18,13 +18,8 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use aadl::case_study::producer_consumer_instance;
-use asme2ssme::system_under_schedule;
-use polychrony_core::port_link_for;
-use polyverify::{
-    Collector, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property, VerifyOptions,
-};
-use sched::SchedulingPolicy;
+use polychrony_core::{Session, SessionOptions, Simulated};
+use polyverify::{Collector, ProductSystem, ProductVerifier, Property, VerifyOptions};
 
 /// The gate fails when `counters` collection costs more than this factor
 /// over `noop` on the case-study product (the ~one-relaxed-atomic-per-state
@@ -76,10 +71,11 @@ fn overhead(rounds: usize) -> Result<(), String> {
         .collect();
     // Per mode, the wall time of each round relative to that round's noop.
     let mut ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); modes.len()];
+    let simulated = case_study().map_err(|e| format!("case study failed: {e}"))?;
     for round in 0..rounds {
         let workloads: Vec<_> = modes
             .iter()
-            .map(|(_, make_collector)| case_study_product(&make_collector()))
+            .map(|(_, make_collector)| case_study_product(&simulated, &make_collector()))
             .collect();
         let mut round_wall_s = [0.0f64; 3];
         for k in 0..modes.len() {
@@ -147,22 +143,26 @@ fn overhead(rounds: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The case study through the simulate phase, from which every round
+/// builds its products.
+fn case_study() -> Result<Simulated, polychrony_core::CoreError> {
+    Session::with_options(SessionOptions::quick())?
+        .parse_case_study()?
+        .instantiate("sysProdCons.impl")?
+        .schedule()?
+        .translate()?
+        .analyze()?
+        .simulate()
+}
+
 /// The case-study product over four hyper-periods, with the given collector
 /// installed on the engine.
-fn case_study_product(collector: &Collector) -> (ProductVerifier, Vec<Property>) {
-    let instance = producer_consumer_instance().unwrap();
-    let (models, schedule, connections) =
-        system_under_schedule(&instance, SchedulingPolicy::EarliestDeadlineFirst).unwrap();
-    let components: Vec<ProductComponent> = models
-        .iter()
-        .map(|model| ProductComponent {
-            name: model.thread_name.clone(),
-            process: model.flat.clone(),
-            schedule: model.timing_trace(&schedule, 1),
-        })
-        .collect();
-    let links: Vec<PortLink> = connections.iter().map(port_link_for).collect();
-    let system = ProductSystem::new(components, links).unwrap();
+fn case_study_product(
+    simulated: &Simulated,
+    collector: &Collector,
+) -> (ProductVerifier, Vec<Property>) {
+    let system =
+        ProductSystem::new(simulated.product_components(), simulated.product_links()).unwrap();
     let bound = system.horizon() * 4;
     let properties = vec![
         Property::NeverRaised("*Alarm*".into()),

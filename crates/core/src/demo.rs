@@ -1,18 +1,31 @@
 //! Ready-made demonstration scenarios over the built-in case study, shared
 //! by the CLI and the examples so the recipe cannot drift between them.
+//! Both scenarios tamper with the case study's [`Simulated`] artifact, so
+//! they verify exactly the models the pipeline builds.
 
-use aadl::case_study::producer_consumer_instance;
-use asme2ssme::{system_under_schedule, thread_under_schedule, ThreadUnderScheduleError};
 use polyverify::{
     inject_connection_latency, inject_deadline_overrun, InjectedFault, InjectedLinkFault,
-    InputSpace, PortLink, ProductComponent, ProductSystem, ProductVerifier, Property, ReplayReport,
-    VerificationOutcome, Verifier, VerifyOptions,
+    InputSpace, ProductSystem, ProductVerifier, Property, ReplayReport, VerificationOutcome,
+    Verifier, VerifyOptions,
 };
-use sched::SchedulingPolicy;
 use signal_moc::process::Process;
 use signal_moc::trace::Trace;
 
 use crate::error::CoreError;
+use crate::options::SessionOptions;
+use crate::session::{end_to_end_response_for, Session, Simulated};
+
+/// The case study through the simulate phase under the quick options (EDF,
+/// one simulated hyper-period): the artifact both scenarios tamper with.
+fn case_study() -> Result<Simulated, CoreError> {
+    Session::with_options(SessionOptions::quick())?
+        .parse_case_study()?
+        .instantiate("sysProdCons.impl")?
+        .schedule()?
+        .translate()?
+        .analyze()?
+        .simulate()
+}
 
 /// The injected-deadline-overrun scenario: the case-study producer thread
 /// under its EDF schedule, with the completion of the job guarding the
@@ -74,22 +87,6 @@ impl DeadlineOverrunDemo {
     }
 }
 
-impl From<ThreadUnderScheduleError> for CoreError {
-    fn from(e: ThreadUnderScheduleError) -> Self {
-        match e {
-            ThreadUnderScheduleError::Aadl(e) => CoreError::Aadl(e),
-            ThreadUnderScheduleError::Tasks(e) => CoreError::Scheduling(e.to_string()),
-            ThreadUnderScheduleError::Scheduling(e) => CoreError::Scheduling(e.to_string()),
-            ThreadUnderScheduleError::Translation(e) => CoreError::Translation(e),
-            ThreadUnderScheduleError::Signal(e) => CoreError::Signal(e),
-            other @ (ThreadUnderScheduleError::UnknownThread(_)
-            | ThreadUnderScheduleError::NoSignalProcess(_)) => {
-                CoreError::Scheduling(other.to_string())
-            }
-        }
-    }
-}
-
 /// Builds the deadline-overrun demo over `hyperperiods` repetitions of the
 /// producer's schedule.
 ///
@@ -103,18 +100,20 @@ pub fn deadline_overrun_demo(hyperperiods: u64) -> Result<DeadlineOverrunDemo, C
             "demo.hyperperiods must be at least 1 (got 0)".into(),
         ));
     }
-    let instance = producer_consumer_instance()?;
-    let (thread_model, schedule) = thread_under_schedule(
-        &instance,
-        "thProducer",
-        SchedulingPolicy::EarliestDeadlineFirst,
-    )?;
-    let mut inputs = thread_model.timing_trace(&schedule, hyperperiods);
+    let simulated = case_study()?;
+    let producer = simulated
+        .thread_units
+        .into_iter()
+        .find(|unit| unit.model.thread_name == "thProducer")
+        .ok_or_else(|| CoreError::Scheduling("case study has no thProducer thread unit".into()))?;
+    let mut inputs = producer
+        .model
+        .timing_trace(&simulated.schedule, hyperperiods);
     let fault = inject_deadline_overrun(&mut inputs, "").ok_or_else(|| {
         CoreError::Scheduling("producer schedule has no deadline/resume pair to tamper with".into())
     })?;
     Ok(DeadlineOverrunDemo {
-        process: thread_model.flat,
+        process: producer.model.flat,
         inputs,
         fault,
     })
@@ -208,18 +207,8 @@ pub fn connection_latency_demo(added_latency: usize) -> Result<ConnectionLatency
             "demo.added_latency must be at least 1 (got 0)".into(),
         ));
     }
-    let instance = producer_consumer_instance()?;
-    let (models, schedule, connections) =
-        system_under_schedule(&instance, SchedulingPolicy::EarliestDeadlineFirst)?;
-    let components: Vec<ProductComponent> = models
-        .iter()
-        .map(|model| ProductComponent {
-            name: model.thread_name.clone(),
-            process: model.flat.clone(),
-            schedule: model.timing_trace(&schedule, 1),
-        })
-        .collect();
-    let mut links: Vec<PortLink> = connections.iter().map(crate::port_link_for).collect();
+    let simulated = case_study()?;
+    let mut links = simulated.product_links();
     let fault = inject_connection_latency(&mut links, "cProdStartTimer", added_latency)
         .ok_or_else(|| {
             CoreError::Scheduling(
@@ -230,10 +219,10 @@ pub fn connection_latency_demo(added_latency: usize) -> Result<ConnectionLatency
         .iter()
         .find(|l| l.name == fault.link)
         .expect("the tampered link exists");
-    let tasks = asme2ssme::task_set_from_threads(&instance.threads()?)?;
-    let property = crate::end_to_end_response_for(tampered, &tasks, schedule.hyperperiod);
-    let horizon = (schedule.hyperperiod as usize).max(1);
-    let system = ProductSystem::new(components, links)?;
+    let property =
+        end_to_end_response_for(tampered, &simulated.tasks, simulated.schedule.hyperperiod);
+    let system = ProductSystem::new(simulated.product_components(), links)?;
+    let horizon = system.horizon();
     Ok(ConnectionLatencyDemo {
         system,
         fault,
@@ -254,12 +243,31 @@ mod tests {
         ));
     }
 
+    /// Pins the scenario exactly: the producer's first job resumes at tick
+    /// 1 under EDF, the overrun moves it past the deadline at tick 4, and
+    /// the alarm is found there after 6 states.
     #[test]
     fn demo_is_found_and_replays() {
         let demo = deadline_overrun_demo(1).unwrap();
-        assert!(demo.fault.deadline_tick > demo.fault.resume_moved_from);
+        assert_eq!(
+            demo.fault,
+            InjectedFault {
+                resume_moved_from: 1,
+                resume_moved_to: Some(5),
+                deadline_tick: 4,
+            }
+        );
+        assert_eq!(demo.inputs.len(), 24);
         let (outcome, replay) = demo.verify_and_replay(2).unwrap();
-        assert!(!outcome.is_violation_free(), "{}", outcome.summary());
+        let stats = &outcome.stats;
+        assert_eq!(
+            (stats.states, stats.transitions, stats.depth),
+            (6, 5, 5),
+            "{}",
+            outcome.summary()
+        );
+        let (_, cex) = outcome.violations().next().expect("the alarm is found");
+        assert_eq!(cex.violation_instant, 4);
         let replay = replay.expect("violation carries a replay");
         assert!(replay.reproduced, "{}", replay.detail);
     }
@@ -272,12 +280,50 @@ mod tests {
         ));
     }
 
+    /// Pins the scenario exactly: the four-thread product under EDF, the
+    /// undelayed `cProdStartTimer` link delayed by 8 ticks, and the
+    /// receiver-period response violated at instant 9, both within one
+    /// hyper-period and with the horizon scaled to four.
     #[test]
     fn connection_demo_is_found_and_replays_in_lockstep() {
-        let demo = connection_latency_demo(8).unwrap();
-        assert_eq!(demo.fault.link, "cProdStartTimer");
-        assert_eq!(demo.fault.added_latency, 8);
+        let mut demo = connection_latency_demo(8).unwrap();
+        assert_eq!(
+            demo.fault,
+            InjectedLinkFault {
+                link: "cProdStartTimer".into(),
+                original_latency: 0,
+                added_latency: 8,
+            }
+        );
+        let components: Vec<&str> = demo
+            .system
+            .components()
+            .iter()
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(
+            components,
+            ["thProducer", "thConsumer", "thProdTimer", "thConsTimer"]
+        );
+        assert_eq!(
+            demo.property,
+            Property::EndToEndResponse {
+                from: "cProdStartTimer_sent".into(),
+                to: "cProdStartTimer_consumed".into(),
+                bound: 8,
+            }
+        );
+        assert_eq!(demo.horizon, 24);
         let (outcome, replay) = demo.verify_and_replay(2).unwrap();
+        let stats = &outcome.stats;
+        assert_eq!(
+            (stats.states, stats.transitions, stats.depth),
+            (25, 96, 24),
+            "{}",
+            outcome.summary()
+        );
+        let (_, cex) = outcome.violations().next().expect("the delay is caught");
+        assert_eq!(cex.violation_instant, 9);
         // The end-to-end response is violated ...
         assert!(
             outcome.verdicts[0].verdict.is_violated(),
@@ -292,5 +338,17 @@ mod tests {
         );
         let replay = replay.expect("violation carries a replay");
         assert!(replay.reproduced, "{}", replay.detail);
+
+        demo.horizon *= 4;
+        let (outcome, _) = demo.verify_and_replay(2).unwrap();
+        let stats = &outcome.stats;
+        assert_eq!(
+            (stats.states, stats.transitions, stats.depth),
+            (33, 132, 33),
+            "{}",
+            outcome.summary()
+        );
+        let (_, cex) = outcome.violations().next().expect("the delay is caught");
+        assert_eq!(cex.violation_instant, 9);
     }
 }

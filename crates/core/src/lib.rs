@@ -23,23 +23,23 @@
 //!    model checker ([`polyverify`]): alarm freedom and deadlock freedom
 //!    over the verification horizon, with replayable counterexamples.
 //!
-//! The pipeline is exposed at three altitudes:
+//! The pipeline is exposed at two altitudes:
 //!
 //! * [`Session`] — the staged API: every phase is a typed artifact
 //!   (`Parsed → Instantiated → Scheduled → Translated → Analyzed →
 //!   Simulated → Verified`) with public fields, so runs can stop after any
 //!   phase, inspect intermediate results, and reuse artifacts;
-//! * [`ToolChain`] — the single-call facade over [`Session`] producing one
-//!   aggregated [`ToolChainReport`];
-//! * [`BatchRunner`] — many models through the chain concurrently, on a
+//! * [`BatchJob`] and [`BatchRunner`] — whole-chain runs: one job (source,
+//!   root classifier, [`SessionOptions`]) through the complete chain into
+//!   one aggregated [`ToolChainReport`], or many jobs concurrently on a
 //!   bounded pool of shared-nothing workers, with ordered per-job reports.
 //!
 //! # Quick start
 //!
 //! ```
-//! use polychrony_core::ToolChain;
+//! use polychrony_core::BatchJob;
 //!
-//! let report = ToolChain::new().run_case_study()?;
+//! let report = BatchJob::case_study("prodcons").run()?;
 //! assert_eq!(report.schedule.hyperperiod, 24);
 //! assert!(report.static_analysis.causality_cycle.is_none());
 //! assert!(report.simulations.values().all(|sim| sim.is_alarm_free()));
@@ -68,7 +68,6 @@ pub mod cache;
 pub mod demo;
 pub mod error;
 pub mod options;
-pub mod pipeline;
 pub mod report;
 pub mod session;
 
@@ -82,7 +81,6 @@ pub use options::{
     options_from_json, options_to_json, PropertySpec, ScheduleOptions, SessionOptions,
     SimulateOptions, TranslateOptions, VcdCapture, VerificationOptions, VerificationScope,
 };
-pub use pipeline::ToolChain;
 pub use polyobs::{
     CollectionMode, Collector, JsonLinesSink, PhaseRecord, ProgressBridge, ProgressReporter,
     ProgressUpdate, RunRecord,

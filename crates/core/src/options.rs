@@ -4,8 +4,8 @@
 //! phase owns the policy, the translation phase owns the queue sizing, the
 //! simulation phase owns the horizon and the VCD capture selection, and the
 //! verification phase owns the worker count and the exploration bound.
-//! [`SessionOptions`] bundles them for whole-chain runs (the
-//! [`ToolChain`](crate::ToolChain) facade and the
+//! [`SessionOptions`] bundles them for whole-chain runs (a
+//! [`BatchJob`](crate::BatchJob) and the
 //! [`BatchRunner`](crate::BatchRunner)).
 //!
 //! Validation is explicit: out-of-range values produce
@@ -250,7 +250,7 @@ impl VerificationOptions {
 }
 
 /// The options of every phase of one staged run, bundled so whole-chain
-/// front ends ([`ToolChain`](crate::ToolChain), [`BatchRunner`](crate::BatchRunner))
+/// front ends ([`BatchJob`](crate::BatchJob), [`BatchRunner`](crate::BatchRunner))
 /// can carry a single value.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SessionOptions {
@@ -276,7 +276,7 @@ impl SessionOptions {
     /// in-job verification (when many jobs run concurrently, the
     /// parallelism belongs at the job level, not inside each verifier).
     /// Used by the `polychrony batch` CLI, the `batch_verification`
-    /// example and the `batch_throughput` bench.
+    /// example, the `batch_throughput` bench and the injected-fault demos.
     pub fn quick() -> Self {
         Self {
             simulate: SimulateOptions {

@@ -14,8 +14,8 @@
 //! instance model, the synthesised schedule, the affine-clock export, the
 //! flat SIGNAL model, the per-thread simulation and verification outcomes —
 //! so callers can stop after any phase, reuse an artifact across runs, or
-//! feed it to another backend. The monolithic
-//! [`ToolChain`](crate::ToolChain) is a thin facade over this chain.
+//! feed it to another backend. [`BatchJob::run`](crate::BatchJob::run)
+//! runs this chain end to end.
 //!
 //! ```
 //! use polychrony_core::Session;
@@ -870,8 +870,7 @@ impl Verified {
     }
 
     /// Condenses the whole chain into the aggregated [`ToolChainReport`]
-    /// (the same report the [`ToolChain`](crate::ToolChain) facade
-    /// returns).
+    /// (the same report [`BatchJob::run`](crate::BatchJob::run) returns).
     pub fn into_report(self) -> ToolChainReport {
         let mut verification = self.verification;
         if let (Some(report), Some(product)) = (verification.as_mut(), &self.product) {

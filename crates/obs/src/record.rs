@@ -32,8 +32,8 @@ impl PhaseRecord {
 ///
 /// `PartialEq` compares the *shape* of the run only — the sequence of phase
 /// names. Wall times and counter values are measurements, not results: two
-/// runs of the same model must produce equal reports (the staged-vs-facade
-/// and batch worker-count determinism pins rely on this), and counters may
+/// runs of the same model must produce equal reports (the cold-vs-warm
+/// cache and batch worker-count determinism pins rely on this), and counters may
 /// legitimately differ between such runs: a warm artifact cache counts
 /// hits where a cold run counts misses.
 #[derive(Debug, Clone, Default)]

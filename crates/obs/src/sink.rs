@@ -134,9 +134,9 @@ impl EventSink for JsonLinesSink {
 
 /// Throttled human progress lines on stderr.
 ///
-/// Listens for phase spans (names starting with `phase.`) and the engine's
-/// per-level `engine.level` events, and renders at most one line per
-/// throttle interval:
+/// Renders the [`ProgressUpdate`]s of the event stream (phase span opens
+/// and the engine's per-level `engine.level` events, translated as for a
+/// [`ProgressBridge`]), at most one line per throttle interval:
 ///
 /// ```text
 /// [verify] depth 42/384  states 1024  frontier 96  12.3k states/s  eta 1.2s
@@ -207,22 +207,24 @@ fn human_count(n: f64) -> String {
     }
 }
 
-impl EventSink for ProgressReporter {
-    fn event(&mut self, event: &Event) {
-        match &event.kind {
-            EventKind::SpanOpen if event.name.starts_with("phase.") => {
-                self.phase = event.name["phase.".len()..].to_string();
+impl ProgressReporter {
+    /// Renders one update as a line, unless a line went out within the
+    /// throttle interval.
+    fn render(&mut self, update: ProgressUpdate) {
+        match update {
+            ProgressUpdate::Phase { name } => {
                 self.last_level = None;
-                let line = format!("[{}] …", self.phase);
                 if !self.throttled() {
-                    self.emit(&line);
+                    self.emit(&format!("[{name}] …"));
                 }
             }
-            EventKind::Point if event.name == "engine.level" => {
-                let depth = attr_u64(event, "depth").unwrap_or(0);
-                let bound = attr_u64(event, "bound");
-                let states = attr_u64(event, "states").unwrap_or(0);
-                let frontier = attr_u64(event, "frontier").unwrap_or(0);
+            ProgressUpdate::Level {
+                phase,
+                depth,
+                bound,
+                states,
+                frontier,
+            } => {
                 let now = Instant::now();
                 if let Some((prev_t, prev_states)) = self.last_level {
                     let dt = now.duration_since(prev_t).as_secs_f64();
@@ -235,11 +237,7 @@ impl EventSink for ProgressReporter {
                 if self.throttled() {
                     return;
                 }
-                let phase = if self.phase.is_empty() {
-                    "verify"
-                } else {
-                    &self.phase
-                };
+                let phase = if phase.is_empty() { "verify" } else { &phase };
                 let mut line = match bound {
                     Some(bound) => format!("[{phase}] depth {depth}/{bound}"),
                     None => format!("[{phase}] depth {depth}"),
@@ -262,7 +260,14 @@ impl EventSink for ProgressReporter {
                 }
                 self.emit(&line);
             }
-            _ => {}
+        }
+    }
+}
+
+impl EventSink for ProgressReporter {
+    fn event(&mut self, event: &Event) {
+        if let Some(update) = progress_update(&mut self.phase, event) {
+            self.render(update);
         }
     }
 
@@ -345,25 +350,35 @@ impl ProgressBridge {
     }
 }
 
+/// Translates the event vocabulary into progress, for both progress sinks:
+/// a `phase.<name>` span open is a [`ProgressUpdate::Phase`] (and becomes
+/// the tracked `phase`), an `engine.level` event is a
+/// [`ProgressUpdate::Level`] of the tracked phase, and any other event is
+/// no progress.
+fn progress_update(phase: &mut String, event: &Event) -> Option<ProgressUpdate> {
+    match &event.kind {
+        EventKind::SpanOpen => {
+            let name = event.name.strip_prefix("phase.")?;
+            *phase = name.to_string();
+            Some(ProgressUpdate::Phase {
+                name: name.to_string(),
+            })
+        }
+        EventKind::Point if event.name == "engine.level" => Some(ProgressUpdate::Level {
+            phase: phase.clone(),
+            depth: attr_u64(event, "depth").unwrap_or(0),
+            bound: attr_u64(event, "bound"),
+            states: attr_u64(event, "states").unwrap_or(0),
+            frontier: attr_u64(event, "frontier").unwrap_or(0),
+        }),
+        _ => None,
+    }
+}
+
 impl EventSink for ProgressBridge {
     fn event(&mut self, event: &Event) {
-        match &event.kind {
-            EventKind::SpanOpen if event.name.starts_with("phase.") => {
-                self.phase = event.name["phase.".len()..].to_string();
-                (self.forward)(ProgressUpdate::Phase {
-                    name: self.phase.clone(),
-                });
-            }
-            EventKind::Point if event.name == "engine.level" => {
-                (self.forward)(ProgressUpdate::Level {
-                    phase: self.phase.clone(),
-                    depth: attr_u64(event, "depth").unwrap_or(0),
-                    bound: attr_u64(event, "bound"),
-                    states: attr_u64(event, "states").unwrap_or(0),
-                    frontier: attr_u64(event, "frontier").unwrap_or(0),
-                });
-            }
-            _ => {}
+        if let Some(update) = progress_update(&mut self.phase, event) {
+            (self.forward)(update);
         }
     }
 }

@@ -38,8 +38,7 @@ pub use library::{
 };
 pub use schedule::{
     schedule_to_timing_trace, schedule_to_timing_trace_reference, scheduled_thread_model,
-    system_under_schedule, task_set_from_threads, thread_under_schedule, ScheduledThreadModel,
-    ThreadUnderScheduleError, TICKS_PER_MILLISECOND,
+    task_set_from_threads, ScheduledThreadModel, TICKS_PER_MILLISECOND,
 };
 pub use thread::{thread_to_process, ThreadTranslation};
 pub use translator::{TranslatedSystem, TranslationError, Translator};

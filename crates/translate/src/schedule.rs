@@ -3,140 +3,23 @@
 //! the timing-signal traces (the `ctl1`/`time1` bundles) that drive the
 //! simulation of a scheduled model.
 
-use aadl::instance::{InstanceModel, ThreadInstance};
+use aadl::instance::ThreadInstance;
 use aadl::properties::DispatchProtocol;
-use sched::{PeriodicTask, SchedulingPolicy, StaticSchedule, TaskSet, TaskSetError};
+use sched::{PeriodicTask, StaticSchedule, TaskSet, TaskSetError};
 use signal_moc::error::SignalError;
 use signal_moc::process::{Process, ProcessModel};
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::Value;
 
 use crate::thread::thread_to_process;
-use crate::translator::{TranslatedSystem, Translator};
-
-/// Any failure while assembling a thread-under-schedule unit with
-/// [`thread_under_schedule`], tagged by the phase that produced it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ThreadUnderScheduleError {
-    /// Thread extraction from the instance model failed.
-    Aadl(aadl::AadlError),
-    /// Task-set construction failed.
-    Tasks(TaskSetError),
-    /// Schedule synthesis failed.
-    Scheduling(sched::SchedulingError),
-    /// The AADL-to-SIGNAL translation failed.
-    Translation(crate::TranslationError),
-    /// Flattening the thread's SIGNAL process failed.
-    Signal(SignalError),
-    /// The instance model has no thread with the requested name.
-    UnknownThread(String),
-    /// The translation produced no SIGNAL process for the thread.
-    NoSignalProcess(String),
-}
-
-impl std::fmt::Display for ThreadUnderScheduleError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Aadl(e) => write!(f, "aadl: {e}"),
-            Self::Tasks(e) => write!(f, "task set: {e}"),
-            Self::Scheduling(e) => write!(f, "scheduling: {e}"),
-            Self::Translation(e) => write!(f, "translation: {e}"),
-            Self::Signal(e) => write!(f, "signal: {e}"),
-            Self::UnknownThread(name) => write!(f, "no thread named `{name}` in the instance"),
-            Self::NoSignalProcess(name) => {
-                write!(f, "no SIGNAL process generated for thread `{name}`")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ThreadUnderScheduleError {}
-
-/// One-call setup shared by the CLI, the examples, the benches and the
-/// verification tests: extracts the threads of `instance`, synthesises the
-/// static schedule under `policy`, translates the architecture, and builds
-/// the [`ScheduledThreadModel`] of the thread named `thread_name`.
-///
-/// # Errors
-///
-/// Returns a [`ThreadUnderScheduleError`] tagged by the failing phase.
-pub fn thread_under_schedule(
-    instance: &InstanceModel,
-    thread_name: &str,
-    policy: SchedulingPolicy,
-) -> Result<(ScheduledThreadModel, StaticSchedule), ThreadUnderScheduleError> {
-    let threads = instance.threads().map_err(ThreadUnderScheduleError::Aadl)?;
-    let tasks = task_set_from_threads(&threads).map_err(ThreadUnderScheduleError::Tasks)?;
-    let schedule =
-        StaticSchedule::synthesize(&tasks, policy).map_err(ThreadUnderScheduleError::Scheduling)?;
-    let translated = Translator::new()
-        .translate(instance)
-        .map_err(ThreadUnderScheduleError::Translation)?;
-    let thread = threads
-        .iter()
-        .find(|t| t.name == thread_name)
-        .ok_or_else(|| ThreadUnderScheduleError::UnknownThread(thread_name.to_string()))?;
-    let model = scheduled_thread_model(&translated, thread)
-        .map_err(ThreadUnderScheduleError::Signal)?
-        .ok_or_else(|| ThreadUnderScheduleError::NoSignalProcess(thread_name.to_string()))?;
-    Ok((model, schedule))
-}
-
-/// One-call setup of the *whole* thread set for compositional (product)
-/// verification: extracts every thread of `instance`, synthesises the joint
-/// static schedule under `policy`, translates the architecture once, and
-/// builds the [`ScheduledThreadModel`] of every thread that has a SIGNAL
-/// process, together with the thread-to-thread event-port connections
-/// ([`crate::ThreadConnection`]) that synchronise them. Shared by the
-/// pipeline's product-verification phase, the CLI and the cross-validation
-/// tests.
-///
-/// # Errors
-///
-/// Returns a [`ThreadUnderScheduleError`] tagged by the failing phase.
-pub fn system_under_schedule(
-    instance: &InstanceModel,
-    policy: SchedulingPolicy,
-) -> Result<
-    (
-        Vec<ScheduledThreadModel>,
-        StaticSchedule,
-        Vec<crate::ThreadConnection>,
-    ),
-    ThreadUnderScheduleError,
-> {
-    let threads = instance.threads().map_err(ThreadUnderScheduleError::Aadl)?;
-    let tasks = task_set_from_threads(&threads).map_err(ThreadUnderScheduleError::Tasks)?;
-    let schedule =
-        StaticSchedule::synthesize(&tasks, policy).map_err(ThreadUnderScheduleError::Scheduling)?;
-    let translated = Translator::new()
-        .translate(instance)
-        .map_err(ThreadUnderScheduleError::Translation)?;
-    let mut models = Vec::new();
-    for thread in &threads {
-        if let Some(model) =
-            scheduled_thread_model(&translated, thread).map_err(ThreadUnderScheduleError::Signal)?
-        {
-            models.push(model);
-        }
-    }
-    let connections = crate::connections::thread_connections(instance)
-        .map_err(ThreadUnderScheduleError::Aadl)?
-        .into_iter()
-        .filter(|c| {
-            models.iter().any(|m| m.thread_name == c.source_thread)
-                && models.iter().any(|m| m.thread_name == c.target_thread)
-        })
-        .collect();
-    Ok((models, schedule, connections))
-}
+use crate::translator::TranslatedSystem;
 
 /// The simulation/verification unit of one translated thread: its flattened
 /// SIGNAL process (thread process + the `aadl2signal_` library processes it
 /// instantiates) and the port lists needed to derive its scheduled timing
-/// trace. Built by [`scheduled_thread_model`] and shared by the pipeline,
-/// the CLI, the examples, the benches and the cross-validation tests so the
-/// flattening recipe cannot diverge between them.
+/// trace. Built only by [`scheduled_thread_model`], which the pipeline's
+/// translate phase and the verification tests call, so the flattening
+/// recipe cannot diverge between them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScheduledThreadModel {
     /// Name of the thread (the key into the static schedule).
@@ -477,12 +360,18 @@ mod tests {
     fn timing_trace_matches_the_per_tick_reference() {
         type Build = fn(&StaticSchedule, &str, &str, &[String], &[String], u64) -> Trace;
         let instance = producer_consumer_instance().unwrap();
+        let threads = instance.threads().unwrap();
+        let translated = crate::Translator::new().translate(&instance).unwrap();
+        let models: Vec<ScheduledThreadModel> = threads
+            .iter()
+            .filter_map(|thread| scheduled_thread_model(&translated, thread).unwrap())
+            .collect();
+        assert_eq!(models.len(), 4);
         for policy in [
             SchedulingPolicy::EarliestDeadlineFirst,
             SchedulingPolicy::RateMonotonic,
         ] {
-            let (models, schedule, _) = crate::system_under_schedule(&instance, policy).unwrap();
-            assert_eq!(models.len(), 4);
+            let schedule = StaticSchedule::synthesize(&case_study_tasks(), policy).unwrap();
             for model in &models {
                 for hyperperiods in 1..=3 {
                     for prefix in ["", "th_"] {

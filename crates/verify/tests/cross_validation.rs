@@ -17,6 +17,9 @@ use signal_moc::process::Process;
 use signal_moc::trace::{Trace, TraceStep};
 use signal_moc::value::{Value, ValueType};
 
+mod case_study;
+use case_study::producer_under_schedule;
+
 /// A small family of deadline-miss counters: `misses` counts instants where
 /// `d` (deadline) fires without `r` (resume), resets when `r` fires, and the
 /// alarm is raised when `misses` reaches `threshold`.
@@ -141,25 +144,6 @@ proptest! {
         prop_assert_eq!(sequential.stats.states, parallel.stats.states);
         prop_assert_eq!(sequential.stats.transitions, parallel.stats.transitions);
     }
-}
-
-/// Builds the flattened producer thread of the case study together with its
-/// scheduled timing trace (via the shared `asme2ssme` recipe, so this test
-/// exercises exactly what the pipeline verifies).
-fn producer_under_schedule() -> (Process, Trace) {
-    use aadl::case_study::producer_consumer_instance;
-    use asme2ssme::thread_under_schedule;
-    use sched::SchedulingPolicy;
-
-    let instance = producer_consumer_instance().unwrap();
-    let (thread_model, schedule) = thread_under_schedule(
-        &instance,
-        "thProducer",
-        SchedulingPolicy::EarliestDeadlineFirst,
-    )
-    .unwrap();
-    let inputs = thread_model.timing_trace(&schedule, 1);
-    (thread_model.flat, inputs)
 }
 
 /// Regression: the untampered case-study schedule verifies alarm-free over

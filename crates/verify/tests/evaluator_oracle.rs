@@ -15,7 +15,9 @@ use signal_moc::process::{Equation, Process, SignalDecl, SignalRole};
 use signal_moc::trace::TraceStep;
 use signal_moc::value::{Value, ValueType};
 
+mod case_study;
 mod random_process;
+use case_study::producer_under_schedule;
 use random_process::{accepted_steps, random_process, random_step, Rng};
 
 /// One instant through both evaluators, compared as text: the resolved
@@ -94,23 +96,6 @@ proptest! {
             step_both(&mut changed, &mut reference, 9, &step);
         }
     }
-}
-
-/// The case-study producer thread, flattened, with its scheduled trace.
-fn producer_under_schedule() -> (Process, signal_moc::trace::Trace) {
-    use aadl::case_study::producer_consumer_instance;
-    use asme2ssme::thread_under_schedule;
-    use sched::SchedulingPolicy;
-
-    let instance = producer_consumer_instance().unwrap();
-    let (thread_model, schedule) = thread_under_schedule(
-        &instance,
-        "thProducer",
-        SchedulingPolicy::EarliestDeadlineFirst,
-    )
-    .unwrap();
-    let inputs = thread_model.timing_trace(&schedule, 1);
-    (thread_model.flat, inputs)
 }
 
 /// Why the evaluator replays source order instead of evaluating in

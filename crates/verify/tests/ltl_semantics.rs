@@ -11,8 +11,11 @@ use polyverify::{InputSpace, LtlMonitor, Property, Verdict, Verifier, VerifyOpti
 use signal_moc::builder::ProcessBuilder;
 use signal_moc::expr::Expr;
 use signal_moc::process::Process;
-use signal_moc::trace::{Trace, TraceStep};
+use signal_moc::trace::TraceStep;
 use signal_moc::value::{Value, ValueType};
+
+mod case_study;
+use case_study::producer_under_schedule;
 
 /// Deterministic splitmix64 stream used to derive random formulas and
 /// traces from one proptest-drawn seed.
@@ -234,35 +237,16 @@ fn built_ins_and_desugarings_agree_on_the_watcher() {
     );
 }
 
-/// Builds the flattened producer thread of the case study together with
-/// its scheduled timing trace (the shared `asme2ssme` recipe, so this is
-/// exactly what the pipeline verifies).
-fn producer_under_schedule(tampered: bool) -> (Process, Trace) {
-    use aadl::case_study::producer_consumer_instance;
-    use asme2ssme::thread_under_schedule;
-    use sched::SchedulingPolicy;
-
-    let instance = producer_consumer_instance().unwrap();
-    let (thread_model, schedule) = thread_under_schedule(
-        &instance,
-        "thProducer",
-        SchedulingPolicy::EarliestDeadlineFirst,
-    )
-    .unwrap();
-    let mut inputs = thread_model.timing_trace(&schedule, 1);
-    if tampered {
-        polyverify::inject_deadline_overrun(&mut inputs, "").expect("fault injected");
-    }
-    (thread_model.flat, inputs)
-}
-
 /// Regression pinned by the issue: on the case study (healthy and with the
 /// injected deadline overrun) the built-in properties and their LTL
 /// desugarings produce identical verdicts and counterexample depth.
 #[test]
 fn built_ins_and_desugarings_agree_on_the_case_study() {
     for tampered in [false, true] {
-        let (flat, inputs) = producer_under_schedule(tampered);
+        let (flat, mut inputs) = producer_under_schedule();
+        if tampered {
+            polyverify::inject_deadline_overrun(&mut inputs, "").expect("fault injected");
+        }
         assert_desugarings_match(
             &flat,
             &InputSpace::Scheduled(inputs),

@@ -15,6 +15,7 @@ use signal_moc::process::{Equation, Process, SignalDecl, SignalRole};
 use signal_moc::trace::Trace;
 use signal_moc::value::{Value, ValueType};
 
+mod case_study;
 mod random_process;
 use random_process::{accepted_steps, random_process, Rng};
 
@@ -139,13 +140,7 @@ proptest! {
 /// Every case-study thread under its schedule, one to three hyper-periods.
 #[test]
 fn case_study_threads_fold_like_the_simulator() {
-    use aadl::case_study::producer_consumer_instance;
-    use asme2ssme::system_under_schedule;
-    use sched::SchedulingPolicy;
-
-    let instance = producer_consumer_instance().unwrap();
-    let (models, schedule, _) =
-        system_under_schedule(&instance, SchedulingPolicy::EarliestDeadlineFirst).unwrap();
+    let (models, schedule) = case_study::scheduled_threads();
     assert_eq!(models.len(), 4);
     for model in &models {
         for hyperperiods in 1..=3 {

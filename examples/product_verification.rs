@@ -20,14 +20,16 @@
 //! the joint counterexample, projecting it back onto one thread, and
 //! confirming it by lockstep co-simulation of the constituent threads.
 
-use polychrony_core::{ToolChain, VerificationScope};
+use polychrony_core::{BatchJob, SessionOptions, VerificationScope};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Part 1: the healthy case-study product verifies violation-free.
-    let report = ToolChain::new()
-        .with_hyperperiods(1)
-        .with_verify_scope(VerificationScope::Product)
-        .run_case_study()?;
+    let mut options = SessionOptions::default();
+    options.simulate.hyperperiods = 1;
+    options.verify.scope = VerificationScope::Product;
+    let report = BatchJob::case_study("prodcons")
+        .with_options(options)
+        .run()?;
     let verification = report.verification.as_ref().expect("verification enabled");
     let product = verification.product.as_ref().expect("product scope");
     println!("== Product verification of the ProducerConsumer case study ==\n");

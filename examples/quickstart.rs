@@ -6,10 +6,10 @@
 //! cargo run --example quickstart
 //! ```
 
-use polychrony_core::{CoreError, ToolChain};
+use polychrony_core::{BatchJob, CoreError};
 
 fn main() -> Result<(), CoreError> {
-    let report = ToolChain::new().run_case_study()?;
+    let report = BatchJob::case_study("prodcons").run()?;
 
     println!("== Polychronous analysis of the ProducerConsumer case study ==\n");
     println!("{}", report.summary());

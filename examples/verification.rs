@@ -15,11 +15,15 @@
 //! violation, printing the concrete counterexample, and confirming it by
 //! deterministic replay in the co-simulator.
 
-use polychrony_core::ToolChain;
+use polychrony_core::{BatchJob, SessionOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Part 1: the healthy case study verifies violation-free.
-    let report = ToolChain::new().with_verify_workers(2).run_case_study()?;
+    let mut options = SessionOptions::default();
+    options.verify.workers = 2;
+    let report = BatchJob::case_study("prodcons")
+        .with_options(options)
+        .run()?;
     let verification = report.verification.as_ref().expect("verification enabled");
     println!("== State-space verification of the ProducerConsumer case study ==\n");
     println!("{}", verification.summary());

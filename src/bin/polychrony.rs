@@ -49,8 +49,7 @@ use polychrony_core::polyverify::Property;
 use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::{
     BatchJob, BatchRunner, Collector, CoreError, JsonLinesSink, ProgressReporter, ProgressUpdate,
-    PropertySpec, ScheduleOptions, Session, SessionOptions, ToolChain, VerificationOptions,
-    VerificationScope,
+    PropertySpec, ScheduleOptions, Session, SessionOptions, VerificationOptions, VerificationScope,
 };
 use polyvopr::{FaultKind, VoprOptions};
 use polywire::{JobSpec, WireReport};
@@ -367,11 +366,13 @@ fn analyze(args: &[String]) -> Result<ExitCode, CliError> {
     if !stop_after.is_empty() {
         return analyze_staged(ui, policy, &stop_after);
     }
-    let report = ToolChain::new()
-        .with_policy(policy)
-        .with_verification(false)
-        .with_hyperperiods(1)
-        .run_case_study()?;
+    let mut options = SessionOptions::default();
+    options.schedule.policy = policy;
+    options.simulate.hyperperiods = 1;
+    options.verify.enabled = false;
+    let report = BatchJob::case_study("analyze")
+        .with_options(options)
+        .run()?;
     ui.say(&report.summary());
     ui.say(&format!("-- task set --\n{}", report.task_set_summary));
     ui.say(&format!(
@@ -648,10 +649,12 @@ fn simulate(args: &[String]) -> Result<ExitCode, CliError> {
     check_flags(args, &allowed)?;
     let ui = Ui::from_args(args)?;
     let hyperperiods = flag_value(args, "--hyperperiods", 4u64)?;
-    let report = ToolChain::new()
-        .with_verification(false)
-        .with_hyperperiods(hyperperiods)
-        .run_case_study()?;
+    let mut options = SessionOptions::default();
+    options.simulate.hyperperiods = hyperperiods;
+    options.verify.enabled = false;
+    let report = BatchJob::case_study("simulate")
+        .with_options(options)
+        .run()?;
     ui.say(&format!(
         "co-simulated {} thread(s) over {} hyper-period(s):",
         report.simulations.len(),
@@ -724,7 +727,7 @@ fn verify(args: &[String]) -> Result<ExitCode, CliError> {
     }
     let collector = collector_from_args(args)?;
     options.collector = collector.clone();
-    let report = ToolChain::with_options(options).run_case_study()?;
+    let report = BatchJob::case_study("verify").with_options(options).run()?;
     collector.flush();
     let verification = report
         .verification

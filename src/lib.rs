@@ -6,14 +6,14 @@
 //! end (`src/bin/polychrony.rs`, with `analyze`, `simulate`, `verify` and
 //! `batch` subcommands over the built-in case study and synthetic
 //! workloads), and re-exports the whole public API of [`polychrony_core`] —
-//! the staged [`Session`] pipeline, the [`ToolChain`] facade, the
+//! the staged [`Session`] pipeline, the whole-chain [`BatchJob`], the
 //! [`BatchRunner`] worker pool and the [`polyverify`] model checker — so
 //! that downstream users can depend on a single crate:
 //!
 //! ```
-//! use polychrony::ToolChain;
+//! use polychrony::BatchJob;
 //!
-//! let report = ToolChain::new().run_case_study()?;
+//! let report = BatchJob::case_study("prodcons").run()?;
 //! assert_eq!(report.schedule.hyperperiod, 24);
 //! # Ok::<(), polychrony::CoreError>(())
 //! ```

@@ -1,4 +1,4 @@
-//! Smoke tests that run each of the nine `examples/` binaries end to end,
+//! Smoke tests that run each of the ten `examples/` binaries end to end,
 //! so example rot is caught by `cargo test` and CI rather than by users.
 //!
 //! Each test shells out to the same `cargo` that is driving this test run
@@ -68,6 +68,11 @@ fn example_product_verification_runs() {
 #[test]
 fn example_ltl_properties_runs() {
     run_example("ltl_properties");
+}
+
+#[test]
+fn example_symbolic_closure_runs() {
+    run_example("symbolic_closure");
 }
 
 /// The CLI's batch subcommand must complete every job with all checks
@@ -163,7 +168,9 @@ fn cli_verify_product_reports_the_joint_verdict() {
 
 /// The CLI's verification subcommand must find and replay the injected
 /// deadline bug (exit code 0 in `--inject-deadline-bug` mode means the
-/// counterexample was found *and* reproduced by the simulator).
+/// counterexample was found *and* reproduced by the simulator). The fault,
+/// the explored space and the violation instant are pinned exactly, so the
+/// scenario cannot silently move to another thread or schedule.
 #[test]
 fn cli_verify_injected_bug_is_found_and_replayed() {
     let cargo = env!("CARGO");
@@ -188,6 +195,12 @@ fn cli_verify_injected_bug_is_found_and_replayed() {
         output.status.code(),
         String::from_utf8_lossy(&output.stderr),
     );
-    assert!(stdout.contains("VIOLATED"), "{stdout}");
-    assert!(stdout.contains("violation reproduced"), "{stdout}");
+    for line in [
+        "injected deadline overrun: Resume moved from tick 1 to Some(5) (deadline at tick 4)",
+        "explored 6 states / 5 transitions at depth 5",
+        "never-raised(*Alarm*)                    VIOLATED at instant 4",
+        "simulator replay: violation reproduced (signal `Alarm` raised at instant 4 of the replay)",
+    ] {
+        assert!(stdout.contains(line), "missing `{line}` in:\n{stdout}");
+    }
 }

@@ -12,48 +12,44 @@
 
 use proptest::prelude::*;
 
+use polychrony_core::aadl::case_study::producer_consumer_instance;
 use polychrony_core::aadl::instance::InstanceModel;
 use polychrony_core::aadl::synth::{generate_instance, SyntheticSpec};
-use polychrony_core::asme2ssme::{system_under_schedule, task_set_from_threads};
 use polychrony_core::polysim::Simulator;
 use polychrony_core::polyverify::{
-    inject_connection_latency, InputSpace, LockstepCoSim, PortLink, ProductComponent,
-    ProductSystem, ProductVerifier, Property, Verdict, Verifier, VerifyOptions,
+    inject_connection_latency, InputSpace, LockstepCoSim, ProductSystem, ProductVerifier, Property,
+    Verdict, Verifier, VerifyOptions,
 };
-use polychrony_core::sched::SchedulingPolicy;
 use polychrony_core::signal_moc::trace::TraceStep;
-use polychrony_core::{end_to_end_response_for, port_link_for};
+use polychrony_core::{Session, SessionOptions, Simulated};
+
+/// Runs an instance model through the pipeline up to the simulate phase
+/// under the quick options (EDF, one simulated hyper-period).
+fn simulated(instance: InstanceModel) -> Simulated {
+    Session::with_options(SessionOptions::quick())
+        .unwrap()
+        .load_instance(instance)
+        .schedule()
+        .unwrap()
+        .translate()
+        .unwrap()
+        .analyze()
+        .unwrap()
+        .simulate()
+        .unwrap()
+}
 
 /// Builds the wired thread product of an instance model under its EDF
 /// schedule, together with the standard joint properties: alarm freedom,
 /// deadlock freedom, and one end-to-end response per connection bounded by
 /// the receiving thread's period.
-fn build_product(instance: &InstanceModel) -> (ProductSystem, Vec<Property>, usize) {
-    let (models, schedule, connections) =
-        system_under_schedule(instance, SchedulingPolicy::EarliestDeadlineFirst).unwrap();
-    let tasks = task_set_from_threads(&instance.threads().unwrap()).unwrap();
-    let components: Vec<ProductComponent> = models
-        .iter()
-        .map(|model| ProductComponent {
-            name: model.thread_name.clone(),
-            process: model.flat.clone(),
-            schedule: model.timing_trace(&schedule, 1),
-        })
-        .collect();
-    let links: Vec<PortLink> = connections.iter().map(port_link_for).collect();
-    let mut properties = vec![
-        Property::NeverRaised("*Alarm*".into()),
-        Property::DeadlockFree,
-    ];
-    for link in &links {
-        properties.push(end_to_end_response_for(link, &tasks, schedule.hyperperiod));
-    }
-    let horizon = schedule.hyperperiod as usize;
-    (
-        ProductSystem::new(components, links).unwrap(),
-        properties,
-        horizon,
-    )
+fn build_product(instance: InstanceModel) -> (ProductSystem, Vec<Property>, usize) {
+    let simulated = simulated(instance);
+    let links = simulated.product_links();
+    let properties = simulated.product_properties(&links).unwrap();
+    let system = ProductSystem::new(simulated.product_components(), links).unwrap();
+    let horizon = system.horizon();
+    (system, properties, horizon)
 }
 
 /// Brute force: the earliest violation instant of every property by joint
@@ -150,7 +146,7 @@ proptest! {
             shared_data: shared == 1,
         })
         .unwrap();
-        let (system, properties, horizon) = build_product(&instance);
+        let (system, properties, horizon) = build_product(instance);
         let ticks = horizon * 2;
         let verifier = ProductVerifier::new(
             system.clone(),
@@ -196,7 +192,7 @@ proptest! {
     #[test]
     fn product_worker_count_is_invisible(threads in 2usize..4) {
         let instance = generate_instance(&SyntheticSpec::new(threads, 1)).unwrap();
-        let (system, properties, horizon) = build_product(&instance);
+        let (system, properties, horizon) = build_product(instance);
         let reference = ProductVerifier::new(
             system.clone(),
             VerifyOptions::default().with_workers(1).with_depth_bound(horizon),
@@ -225,18 +221,8 @@ proptest! {
 /// the producer's start-timer connection, plus the end-to-end response
 /// property over that link.
 fn case_study_with_link_fault(extra: usize) -> (ProductSystem, Property, usize) {
-    let instance = polychrony_core::aadl::case_study::producer_consumer_instance().unwrap();
-    let (models, schedule, connections) =
-        system_under_schedule(&instance, SchedulingPolicy::EarliestDeadlineFirst).unwrap();
-    let components: Vec<ProductComponent> = models
-        .iter()
-        .map(|model| ProductComponent {
-            name: model.thread_name.clone(),
-            process: model.flat.clone(),
-            schedule: model.timing_trace(&schedule, 1),
-        })
-        .collect();
-    let mut links: Vec<PortLink> = connections.iter().map(port_link_for).collect();
+    let simulated = simulated(producer_consumer_instance().unwrap());
+    let mut links = simulated.product_links();
     if extra > 0 {
         let fault = inject_connection_latency(&mut links, "cProdStartTimer", extra).unwrap();
         assert_eq!(fault.original_latency, 0);
@@ -246,12 +232,9 @@ fn case_study_with_link_fault(extra: usize) -> (ProductSystem, Property, usize) 
         to: "cProdStartTimer_consumed".into(),
         bound: 8, // the producer timer's period in ticks
     };
-    let horizon = schedule.hyperperiod as usize;
-    (
-        ProductSystem::new(components, links).unwrap(),
-        property,
-        horizon,
-    )
+    let system = ProductSystem::new(simulated.product_components(), links).unwrap();
+    let horizon = system.horizon();
+    (system, property, horizon)
 }
 
 /// Regression: the untampered case-study product satisfies the end-to-end
@@ -314,11 +297,10 @@ fn injected_connection_latency_caught_by_product_scope_only() {
     // Per-thread scope: the same properties verified thread by thread pass
     // everywhere — the end-to-end signals do not exist in any single
     // thread's namespace, and the delayed connection raises no alarm.
-    let instance = polychrony_core::aadl::case_study::producer_consumer_instance().unwrap();
-    let (models, schedule, _) =
-        system_under_schedule(&instance, SchedulingPolicy::EarliestDeadlineFirst).unwrap();
-    for model in &models {
-        let inputs = model.timing_trace(&schedule, 1);
+    let simulated = simulated(producer_consumer_instance().unwrap());
+    for unit in &simulated.thread_units {
+        let model = &unit.model;
+        let inputs = model.timing_trace(&simulated.schedule, 1);
         let bound = inputs.len();
         let per_thread = Verifier::new(
             &model.flat,
@@ -412,7 +394,7 @@ const CASE_STUDY_WORK: [(&str, u64); 17] = [
 /// instant 9, and its counterexample replays.
 #[test]
 fn case_study_proves_every_verdict_within_two_hyperperiods() {
-    use polychrony_core::{Collector, Session, SessionOptions, VerificationScope};
+    use polychrony_core::{Collector, VerificationScope};
 
     for workers in [1, 2, 8] {
         let collector = Collector::counters();

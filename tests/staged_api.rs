@@ -1,12 +1,11 @@
-//! API-equivalence and batch-determinism guarantees of the staged pipeline:
-//! the `Session` chain and the `ToolChain` facade produce identical
-//! `ToolChainReport`s, `BatchRunner` verdicts are deterministic and
-//! order-stable regardless of the worker count, and out-of-range options
-//! are rejected upfront instead of silently clamped.
+//! Guarantees of the staged pipeline: intermediate artifacts are usable
+//! values, `BatchRunner` verdicts are deterministic and order-stable
+//! regardless of the worker count, user properties ride in the options of
+//! every whole-chain run, and out-of-range options are rejected upfront
+//! instead of silently clamped.
 
-use polychrony_core::aadl::case_study::PRODUCER_CONSUMER_AADL;
-use polychrony_core::aadl::synth::{generate_instance, generate_source, SyntheticSpec};
-use polychrony_core::{BatchJob, BatchRunner, CoreError, SessionOptions, ToolChain};
+use polychrony_core::aadl::synth::{generate_source, SyntheticSpec};
+use polychrony_core::{BatchJob, BatchRunner, CoreError, Session, SessionOptions};
 
 /// Fast per-job options for the batch tests: one simulated hyper-period, no
 /// waveform, sequential in-job verification.
@@ -15,67 +14,12 @@ fn quick_job_options() -> SessionOptions {
 }
 
 #[test]
-fn staged_session_and_toolchain_facade_agree_on_the_case_study() {
-    let chain = ToolChain::new();
-    let monolithic = chain.run_case_study().unwrap();
-    let staged = chain
-        .session()
-        .unwrap()
-        .parse(PRODUCER_CONSUMER_AADL)
-        .unwrap()
-        .instantiate("sysProdCons.impl")
-        .unwrap()
-        .schedule()
-        .unwrap()
-        .translate()
-        .unwrap()
-        .analyze()
-        .unwrap()
-        .simulate()
-        .unwrap()
-        .verify()
-        .unwrap()
-        .into_report();
-    assert_eq!(monolithic, staged);
-    assert!(staged.all_checks_passed(), "{}", staged.summary());
-}
-
-#[test]
-fn staged_session_and_toolchain_facade_agree_on_a_synthetic_model() {
-    let mut options = SessionOptions::default();
-    options.simulate.hyperperiods = 1;
-    options.translate.default_queue_size = 2;
-    options.verify.workers = 1;
-    let instance = generate_instance(&SyntheticSpec::new(6, 1)).unwrap();
-    let chain = ToolChain::with_options(options);
-    let monolithic = chain.run_instance(&instance).unwrap();
-    let staged = chain
-        .session()
-        .unwrap()
-        .load_instance(instance)
-        .schedule()
-        .unwrap()
-        .translate()
-        .unwrap()
-        .analyze()
-        .unwrap()
-        .simulate()
-        .unwrap()
-        .verify()
-        .unwrap()
-        .into_report();
-    assert_eq!(monolithic, staged);
-}
-
-#[test]
 fn intermediate_artifacts_are_available_without_running_later_phases() {
     // Stop after scheduling: the instance, task set, schedule, baseline and
     // affine export are all inspectable with no translation, simulation or
     // verification having run.
-    let scheduled = ToolChain::new()
-        .session()
-        .unwrap()
-        .parse(PRODUCER_CONSUMER_AADL)
+    let scheduled = Session::new()
+        .parse_case_study()
         .unwrap()
         .instantiate("sysProdCons.impl")
         .unwrap()
@@ -98,10 +42,8 @@ fn intermediate_artifacts_are_available_without_running_later_phases() {
 
 #[test]
 fn a_reused_schedule_artifact_feeds_two_simulation_configurations() {
-    let analyzed = ToolChain::new()
-        .session()
-        .unwrap()
-        .parse(PRODUCER_CONSUMER_AADL)
+    let analyzed = Session::new()
+        .parse_case_study()
         .unwrap()
         .instantiate("sysProdCons.impl")
         .unwrap()
@@ -187,14 +129,21 @@ fn batch_jobs_carry_their_own_options() {
 
 #[test]
 fn zero_workers_and_zero_hyperperiods_are_rejected() {
-    // Facade: every zero-valued knob fails with InvalidOptions before any
-    // phase runs (regression for the old silent `.max(1)` clamping).
-    for chain in [
-        ToolChain::new().with_hyperperiods(0),
-        ToolChain::new().with_verify_workers(0),
-        ToolChain::new().with_verify_hyperperiods(0),
-    ] {
-        let err = chain.run_case_study().unwrap_err();
+    // Whole chain: every zero-valued knob fails with InvalidOptions before
+    // any phase runs (regression for the old silent `.max(1)` clamping).
+    let zeroed: [fn(&mut SessionOptions); 4] = [
+        |o| o.simulate.hyperperiods = 0,
+        |o| o.verify.workers = 0,
+        |o| o.verify.hyperperiods = 0,
+        |o| o.translate.default_queue_size = 0,
+    ];
+    for zero in zeroed {
+        let mut options = SessionOptions::default();
+        zero(&mut options);
+        let err = BatchJob::case_study("zero")
+            .with_options(options)
+            .run()
+            .unwrap_err();
         assert!(
             matches!(err, CoreError::InvalidOptions(_)),
             "expected InvalidOptions, got {err}"
@@ -211,16 +160,18 @@ fn zero_workers_and_zero_hyperperiods_are_rejected() {
 }
 
 #[test]
-fn user_properties_flow_through_facade_session_and_batch() {
+fn user_properties_flow_through_session_and_batch() {
     use polychrony_core::PropertySpec;
 
-    // Facade: the user property appears in the report's property list and
+    let with_property = |expr: &str| {
+        let mut options = SessionOptions::default();
+        options.simulate.hyperperiods = 1;
+        options.verify.properties = vec![PropertySpec::new(expr)];
+        BatchJob::case_study("prodcons").with_options(options).run()
+    };
+    // One job: the user property appears in the report's property list and
     // every thread gets a verdict for it.
-    let report = ToolChain::new()
-        .with_hyperperiods(1)
-        .with_property("always (Alarm implies once Deadline)")
-        .run_case_study()
-        .unwrap();
+    let report = with_property("always (Alarm implies once Deadline)").unwrap();
     let verification = report.verification.as_ref().unwrap();
     assert!(
         verification
@@ -235,10 +186,7 @@ fn user_properties_flow_through_facade_session_and_batch() {
     }
 
     // A malformed expression is rejected upfront with the offending span.
-    let err = ToolChain::new()
-        .with_property("always (Deadline implies")
-        .run_case_study()
-        .unwrap_err();
+    let err = with_property("always (Deadline implies").unwrap_err();
     assert!(matches!(err, CoreError::InvalidOptions(_)), "{err}");
     assert!(err.to_string().contains('^'), "{err}");
 
