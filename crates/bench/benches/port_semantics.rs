@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use asme2ssme::{in_event_port_process, out_event_port_process};
@@ -29,7 +30,7 @@ fn bench_ports(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(1));
 
     for queue_size in [1usize, 4, 16] {
-        let process = in_event_port_process(queue_size);
+        let process = in_event_port_process(NonZeroUsize::new(queue_size).unwrap());
         let inputs = port_inputs(256);
         group.throughput(Throughput::Elements(inputs.len() as u64));
         group.bench_with_input(

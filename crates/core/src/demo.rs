@@ -1,7 +1,8 @@
 //! Ready-made demonstration scenarios over the built-in case study, shared
 //! by the CLI and the examples so the recipe cannot drift between them.
-//! Both scenarios tamper with the case study's [`Simulated`] artifact, so
-//! they verify exactly the models the pipeline builds.
+//! Both scenarios tamper with the case study's [`Translated`] artifact, so
+//! they verify exactly the models the pipeline builds, without running the
+//! analyze and simulate phases they do not use.
 
 use polyverify::{
     inject_connection_latency, inject_deadline_overrun, InjectedFault, InjectedLinkFault,
@@ -13,18 +14,16 @@ use signal_moc::trace::Trace;
 
 use crate::error::CoreError;
 use crate::options::SessionOptions;
-use crate::session::{end_to_end_response_for, Session, Simulated};
+use crate::session::{end_to_end_response_for, port_link_for, Session, Translated};
 
-/// The case study through the simulate phase under the quick options (EDF,
-/// one simulated hyper-period): the artifact both scenarios tamper with.
-fn case_study() -> Result<Simulated, CoreError> {
+/// The case study through the translate phase under the quick options
+/// (EDF): the artifact both scenarios tamper with.
+fn case_study() -> Result<Translated, CoreError> {
     Session::with_options(SessionOptions::quick())?
         .parse_case_study()?
         .instantiate("sysProdCons.impl")?
         .schedule()?
-        .translate()?
-        .analyze()?
-        .simulate()
+        .translate()
 }
 
 /// The injected-deadline-overrun scenario: the case-study producer thread
@@ -100,15 +99,15 @@ pub fn deadline_overrun_demo(hyperperiods: u64) -> Result<DeadlineOverrunDemo, C
             "demo.hyperperiods must be at least 1 (got 0)".into(),
         ));
     }
-    let simulated = case_study()?;
-    let producer = simulated
+    let translated = case_study()?;
+    let producer = translated
         .thread_units
         .into_iter()
         .find(|unit| unit.model.thread_name == "thProducer")
         .ok_or_else(|| CoreError::Scheduling("case study has no thProducer thread unit".into()))?;
     let mut inputs = producer
         .model
-        .timing_trace(&simulated.schedule, hyperperiods);
+        .timing_trace(&translated.schedule, hyperperiods);
     let fault = inject_deadline_overrun(&mut inputs, "").ok_or_else(|| {
         CoreError::Scheduling("producer schedule has no deadline/resume pair to tamper with".into())
     })?;
@@ -207,8 +206,8 @@ pub fn connection_latency_demo(added_latency: usize) -> Result<ConnectionLatency
             "demo.added_latency must be at least 1 (got 0)".into(),
         ));
     }
-    let simulated = case_study()?;
-    let mut links = simulated.product_links();
+    let translated = case_study()?;
+    let mut links: Vec<_> = translated.connections.iter().map(port_link_for).collect();
     let fault = inject_connection_latency(&mut links, "cProdStartTimer", added_latency)
         .ok_or_else(|| {
             CoreError::Scheduling(
@@ -220,8 +219,13 @@ pub fn connection_latency_demo(added_latency: usize) -> Result<ConnectionLatency
         .find(|l| l.name == fault.link)
         .expect("the tampered link exists");
     let property =
-        end_to_end_response_for(tampered, &simulated.tasks, simulated.schedule.hyperperiod);
-    let system = ProductSystem::new(simulated.product_components(), links)?;
+        end_to_end_response_for(tampered, &translated.tasks, translated.schedule.hyperperiod);
+    let components = translated
+        .thread_units
+        .iter()
+        .map(|unit| unit.product_component(&translated.schedule))
+        .collect();
+    let system = ProductSystem::new(components, links)?;
     let horizon = system.horizon();
     Ok(ConnectionLatencyDemo {
         system,

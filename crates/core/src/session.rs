@@ -40,6 +40,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
 
 use aadl::ast::Package;
 use aadl::case_study::PRODUCER_CONSUMER_AADL;
@@ -345,9 +346,11 @@ impl Scheduled {
     /// transformation or the flattening fails.
     pub fn translate(mut self) -> Result<Translated, CoreError> {
         self.options.translate.validate()?;
+        let queue_size =
+            NonZeroUsize::new(self.options.translate.default_queue_size).expect("validated above");
         let timer = PhaseTimer::start(&self.options.collector, "translate");
         let system = Translator::new()
-            .with_default_queue_size(self.options.translate.default_queue_size)
+            .with_default_queue_size(queue_size)
             .translate(&self.instance)?;
         // Threads without a SIGNAL process (no timing contract) are not
         // simulation units; they are simply absent from `thread_units`.
@@ -403,6 +406,18 @@ pub struct ThreadUnit {
     pub path: String,
     /// The flattened simulation/verification unit of the thread.
     pub model: ScheduledThreadModel,
+}
+
+impl ThreadUnit {
+    /// The thread as a product component: its flattened process, named
+    /// after the thread, driven by one hyper-period of `schedule`.
+    pub fn product_component(&self, schedule: &StaticSchedule) -> ProductComponent {
+        ProductComponent {
+            name: self.model.thread_name.clone(),
+            process: self.model.flat.clone(),
+            schedule: self.model.timing_trace(schedule, 1),
+        }
+    }
 }
 
 /// Phase-4 artifact: the SIGNAL process model produced by the ASME2SSME
@@ -712,11 +727,7 @@ impl Simulated {
     pub fn product_components(&self) -> Vec<ProductComponent> {
         self.thread_units
             .iter()
-            .map(|unit| ProductComponent {
-                name: unit.model.thread_name.clone(),
-                process: unit.model.flat.clone(),
-                schedule: unit.model.timing_trace(&self.schedule, 1),
-            })
+            .map(|unit| unit.product_component(&self.schedule))
             .collect()
     }
 

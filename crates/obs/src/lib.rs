@@ -17,9 +17,9 @@
 //! * [`CollectionMode::Counters`] — [`Counter`]s and [`Gauge`]s are live
 //!   (sharded relaxed atomics), span/event recording is skipped.
 //! * [`CollectionMode::Full`] — counters plus the structured event stream:
-//!   [`Span`] open/close pairs and point events flow into a bounded ring
-//!   buffer and into any registered [`sink::EventSink`]s (JSON-lines trace
-//!   files, live progress reporters).
+//!   [`Span`] open/close pairs and point events flow into every registered
+//!   [`sink::EventSink`] (JSON-lines trace files, live progress reporters);
+//!   the collector itself keeps no event.
 //!
 //! # Determinism contract
 //!
@@ -43,7 +43,6 @@ pub use record::{PhaseRecord, RunRecord};
 pub use sink::{EventSink, JsonLinesSink, ProgressBridge, ProgressReporter, ProgressUpdate};
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,7 +55,7 @@ pub enum CollectionMode {
     Noop,
     /// Record counters and gauges only.
     Counters,
-    /// Record counters, gauges, spans and events (ring buffer + sinks).
+    /// Record counters and gauges, and stream spans and events to sinks.
     Full,
 }
 
@@ -73,9 +72,6 @@ impl fmt::Display for CollectionMode {
 /// Number of shards per counter: updates from concurrent workers land on
 /// distinct cache lines, reads sum across all of them.
 const COUNTER_SHARDS: usize = 8;
-
-/// Default capacity of the in-memory event ring.
-const DEFAULT_RING_CAPACITY: usize = 4096;
 
 /// A value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,11 +264,9 @@ impl Gauge {
     }
 }
 
-/// Ring buffer + sinks, guarded by one mutex so events reach both in a
-/// single total order (this is what makes trace timestamps monotonic).
+/// The sinks, guarded by one mutex so events reach them in a single total
+/// order (this is what makes trace timestamps monotonic).
 struct EventLog {
-    ring: VecDeque<Event>,
-    capacity: usize,
     sinks: Vec<Box<dyn EventSink>>,
 }
 
@@ -341,11 +335,7 @@ impl Collector {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 next_span: AtomicU64::new(1),
-                events: Mutex::new(EventLog {
-                    ring: VecDeque::new(),
-                    capacity: DEFAULT_RING_CAPACITY,
-                    sinks: Vec::new(),
-                }),
+                events: Mutex::new(EventLog { sinks: Vec::new() }),
             })),
         }
     }
@@ -472,15 +462,6 @@ impl Collector {
         log.sinks.push(sink);
     }
 
-    /// Snapshot of the in-memory event ring (most recent events, bounded).
-    pub fn events(&self) -> Vec<Event> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let log = inner.events.lock().unwrap();
-        log.ring.iter().cloned().collect()
-    }
-
     /// Flush all sinks, handing each the final counter and gauge snapshots.
     /// Call once at the end of a run before dropping the collector.
     pub fn flush(&self) {
@@ -525,10 +506,6 @@ impl Collector {
         for sink in log.sinks.iter_mut() {
             sink.event(&event);
         }
-        if log.ring.len() == log.capacity {
-            log.ring.pop_front();
-        }
-        log.ring.push_back(event);
     }
 }
 
@@ -598,9 +575,34 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
+    /// A sink keeping every event it receives, readable by the test that
+    /// registered it.
+    #[derive(Clone, Default)]
+    struct Capture(Arc<Mutex<Vec<Event>>>);
+
+    impl Capture {
+        /// A capture registered on `collector`.
+        fn on(collector: &Collector) -> Self {
+            let capture = Self::default();
+            collector.add_sink(Box::new(capture.clone()));
+            capture
+        }
+
+        fn events(&self) -> Vec<Event> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl EventSink for Capture {
+        fn event(&mut self, event: &Event) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
     #[test]
     fn noop_collector_records_nothing_and_costs_nothing() {
         let c = Collector::noop();
+        let capture = Capture::on(&c);
         assert_eq!(c.mode(), CollectionMode::Noop);
         assert!(!c.is_enabled());
         let counter = c.counter("x");
@@ -611,13 +613,14 @@ mod tests {
         assert_eq!(span.id(), 0);
         drop(span);
         c.event("e", Vec::new());
-        assert!(c.events().is_empty());
+        assert!(capture.events().is_empty());
         assert!(c.counter_values().is_empty());
     }
 
     #[test]
     fn counters_mode_counts_but_drops_events() {
         let c = Collector::counters();
+        let capture = Capture::on(&c);
         let counter = c.counter("engine.states");
         counter.add(5);
         counter.add(7);
@@ -632,14 +635,15 @@ mod tests {
         drop(span);
         c.event("e", Vec::new());
         assert!(
-            c.events().is_empty(),
-            "counters mode must not buffer events"
+            capture.events().is_empty(),
+            "counters mode must not record events"
         );
     }
 
     #[test]
     fn full_mode_pairs_span_open_and_close_with_monotonic_timestamps() {
         let c = Collector::full();
+        let capture = Capture::on(&c);
         {
             let mut outer = c.span("outer");
             outer.attr("states", 42u64);
@@ -647,7 +651,7 @@ mod tests {
             c.event("tick", vec![("depth".into(), AttrValue::U64(3))]);
             drop(inner);
         }
-        let events = c.events();
+        let events = capture.events();
         assert_eq!(events.len(), 5);
         assert_eq!(events[0].kind, EventKind::SpanOpen);
         assert_eq!(events[0].name, "outer");

@@ -9,6 +9,8 @@
 //! is encoded by a boolean. This keeps the processes executable by the
 //! evaluator while preserving the FIFO / freeze semantics of the paper.
 
+use std::num::NonZeroUsize;
+
 use signal_moc::builder::ProcessBuilder;
 use signal_moc::expr::Expr;
 use signal_moc::process::{Process, ProcessModel};
@@ -50,8 +52,8 @@ pub fn memory_process() -> Process {
 ///   last freeze;
 /// * `dropped` — `true` when an arrival was discarded because the `in_fifo`
 ///   was full (`Queue_Size` exceeded).
-pub fn in_event_port_process(queue_size: usize) -> Process {
-    let q = queue_size.max(1) as i64;
+pub fn in_event_port_process(queue_size: NonZeroUsize) -> Process {
+    let q = queue_size.get() as i64;
     let mut b = ProcessBuilder::new(IN_EVENT_PORT_PROCESS);
     b.input("incoming", ValueType::Boolean);
     b.input("freeze", ValueType::Boolean);
@@ -267,7 +269,7 @@ pub fn shared_data_process() -> Process {
 /// Builds the complete AADL2SIGNAL library as a [`ProcessModel`] fragment
 /// (no root process is set; the translator merges it into the translated
 /// system model).
-pub fn standard_library(default_queue_size: usize) -> ProcessModel {
+pub fn standard_library(default_queue_size: NonZeroUsize) -> ProcessModel {
     let mut model = ProcessModel::new("aadl2signal_library");
     model.add(memory_process());
     model.add(in_event_port_process(default_queue_size));
@@ -324,7 +326,7 @@ mod tests {
     fn in_event_port_freezes_at_input_time() {
         // Fig. 2 / Fig. 5 scenario: events arriving after the first Input
         // Time are not visible until the next Input Time.
-        let p = in_event_port_process(4);
+        let p = in_event_port_process(NonZeroUsize::new(4).unwrap());
         let out = run(
             &p,
             &[
@@ -344,7 +346,7 @@ mod tests {
 
     #[test]
     fn in_event_port_drops_when_queue_full() {
-        let p = in_event_port_process(1);
+        let p = in_event_port_process(NonZeroUsize::MIN);
         let out = run(
             &p,
             &[
@@ -412,7 +414,7 @@ mod tests {
 
     #[test]
     fn library_model_is_valid_and_analyzable() {
-        let lib = standard_library(2);
+        let lib = standard_library(NonZeroUsize::new(2).unwrap());
         assert_eq!(lib.len(), 4);
         for process in lib.processes.values() {
             process.validate().unwrap();

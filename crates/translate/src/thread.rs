@@ -239,7 +239,9 @@ mod tests {
         let tr = thread_to_process("thProducer", &producer());
         let mut model = ProcessModel::new("thProducer");
         model.add(tr.process.clone());
-        model.add(crate::library::in_event_port_process(1));
+        model.add(crate::library::in_event_port_process(
+            std::num::NonZeroUsize::MIN,
+        ));
         model.add(crate::library::out_event_port_process());
         model.validate().unwrap();
         let flat = model.flatten().unwrap();
@@ -255,7 +257,9 @@ mod tests {
         let tr = thread_to_process("thProducer", &producer());
         let mut model = ProcessModel::new("thProducer");
         model.add(tr.process.clone());
-        model.add(crate::library::in_event_port_process(1));
+        model.add(crate::library::in_event_port_process(
+            std::num::NonZeroUsize::MIN,
+        ));
         model.add(crate::library::out_event_port_process());
         let flat = model.flatten().unwrap();
 

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroUsize;
 
 use aadl::ast::{ComponentCategory, ConnectionKind};
 use aadl::instance::{ComponentInstance, InstanceModel};
@@ -73,7 +74,7 @@ impl TranslatedSystem {
 /// The ASME2SSME translator.
 #[derive(Debug, Clone)]
 pub struct Translator {
-    default_queue_size: usize,
+    default_queue_size: NonZeroUsize,
 }
 
 impl Default for Translator {
@@ -86,14 +87,14 @@ impl Translator {
     /// Creates a translator with the AADL default queue size of 1.
     pub fn new() -> Self {
         Self {
-            default_queue_size: 1,
+            default_queue_size: NonZeroUsize::MIN,
         }
     }
 
     /// Overrides the default queue size used for event ports without an
     /// explicit `Queue_Size` property.
-    pub fn with_default_queue_size(mut self, queue_size: usize) -> Self {
-        self.default_queue_size = queue_size.max(1);
+    pub fn with_default_queue_size(mut self, queue_size: NonZeroUsize) -> Self {
+        self.default_queue_size = queue_size;
         self
     }
 
@@ -481,7 +482,7 @@ mod tests {
     fn queue_size_override() {
         let instance = producer_consumer_instance().unwrap();
         let sys = Translator::new()
-            .with_default_queue_size(4)
+            .with_default_queue_size(NonZeroUsize::new(4).unwrap())
             .translate(&instance)
             .unwrap();
         let port = sys.model.process(library::IN_EVENT_PORT_PROCESS).unwrap();

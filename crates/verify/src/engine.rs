@@ -5,9 +5,15 @@
 //! free-input enumeration of one process ([`crate::Verifier`] over
 //! [`crate::InputSpace::Free`]) and the lockstep of scheduled components
 //! ([`crate::ProductVerifier`], and a scheduled [`crate::Verifier`] as a
-//! product of one). The engine owns everything that is *not* model
+//! product of one). Each keeps only its edges, its failure rule and the
+//! slots its monitors read; the engine owns everything that is *not* model
 //! specific:
 //!
+//! * the exploration frame: the initial state, built from the initial
+//!   memory and the [`Checks`]' initial registers and normalised to its
+//!   [`Slice`] representative; the checks and the slice every expansion
+//!   reads through its [`Sink`]; and the slice annotation on the stats and
+//!   the counters;
 //! * the seen-set, a [`StateInterner`] mapping canonical state encodings to
 //!   dense `u32` ids — the frontier, the parent links and every merge
 //!   structure speak ids, so no `State` struct and no key `Vec<u8>` is ever
@@ -45,8 +51,9 @@ use crate::counterexample::Counterexample;
 use crate::explore::{
     ExplorationStats, PropertyVerdict, Verdict, VerificationOutcome, VerifyError, VerifyOptions,
 };
-use crate::property::Property;
-use crate::state::{State, StateInterner};
+use crate::monitor::Checks;
+use crate::slice::Slice;
+use crate::state::{KeyCodec, State, StateInterner};
 
 /// Sentinel predecessor id of the initial state.
 pub(crate) const NO_PARENT: u32 = u32::MAX;
@@ -130,19 +137,16 @@ pub(crate) trait Expander: Sync {
     /// The evaluator work a worker context has done since
     /// [`Expander::new_ctx`] created it, for the `engine.eval.*` counters.
     fn eval_work(&self, ctx: &Self::Ctx) -> EvalWork;
-
-    /// Names of the properties compiled to monitor automata, for telemetry
-    /// attribution. Every monitored property steps the same number of times
-    /// (once per executed instant), so the engine splits the total
-    /// monitor-step count evenly across these names.
-    fn monitored_properties(&self) -> Vec<String> {
-        Vec::new()
-    }
 }
 
 /// Where one worker reports what it saw while expanding its share of a
-/// level. All merging is deferred to the level barrier.
+/// level, and reads what the exploration checks. All merging is deferred to
+/// the level barrier.
 pub(crate) struct Sink<'a> {
+    /// The properties the exploration checks.
+    pub checks: &'a Checks<'a>,
+    /// The slice every successor is normalised to.
+    slice: &'a Slice,
     interner: &'a StateInterner<ParentLink>,
     /// Per property: whether an earlier level found its counterexample.
     found: &'a [bool],
@@ -161,8 +165,15 @@ pub(crate) struct Sink<'a> {
 }
 
 impl<'a> Sink<'a> {
-    fn new(interner: &'a StateInterner<ParentLink>, found: &'a [bool]) -> Self {
+    fn new(
+        checks: &'a Checks<'a>,
+        slice: &'a Slice,
+        interner: &'a StateInterner<ParentLink>,
+        found: &'a [bool],
+    ) -> Self {
         Self {
+            checks,
+            slice,
             interner,
             found,
             parent: NO_PARENT,
@@ -178,12 +189,23 @@ impl<'a> Sink<'a> {
         }
     }
 
-    /// Reports a successor reached over edge `edge`, interning its
-    /// canonical encoding. Returns `true` when the state was fresh (it
-    /// joins the next frontier). A rediscovery at the same depth is
-    /// recorded as a deferred tie and resolved deterministically at the
+    /// Reports the successor reached over edge `edge`: normalises `memory`
+    /// to its slice representative (states differing only in sliced slots
+    /// collapse into one, so the fixpoint can close), encodes it with
+    /// `phase` and `monitors` through `codec`, seeded with the state being
+    /// expanded, and interns the encoding. A rediscovery at the same depth
+    /// is recorded as a deferred tie and resolved deterministically at the
     /// barrier.
-    pub fn successor(&mut self, hash: u64, key: &[u8], edge: u32) -> bool {
+    pub fn successor(
+        &mut self,
+        codec: &mut KeyCodec,
+        memory: &mut [Value],
+        phase: u32,
+        monitors: &[u32],
+        edge: u32,
+    ) {
+        self.slice.normalize(memory);
+        let (hash, key) = codec.successor(memory, phase, monitors);
         let link = ParentLink {
             prev: self.parent,
             edge,
@@ -191,16 +213,9 @@ impl<'a> Sink<'a> {
         };
         let (id, existing) = self.interner.intern(hash, key, || link);
         match existing {
-            None => {
-                self.next.push(id);
-                true
-            }
-            Some(incumbent) => {
-                if incumbent.depth == link.depth {
-                    self.ties.push((id, link));
-                }
-                false
-            }
+            None => self.next.push(id),
+            Some(incumbent) if incumbent.depth == link.depth => self.ties.push((id, link)),
+            Some(_) => {}
         }
     }
 
@@ -269,22 +284,31 @@ fn keep_smallest_fatal(
     *fatal = Some((id, error));
 }
 
-/// Runs the depth-stratified exploration from `initial` under `options`,
-/// returning per-property verdicts and stats. `pre_truncated` marks a
-/// search that is already known to be partial (e.g. a truncated candidate
-/// enumeration or dropped link deliveries) before the first level.
+/// Runs the depth-stratified exploration under `slice` and `options`
+/// from the state of `memory` at phase 0 with the initial registers of
+/// `checks`, returning per-property verdicts and stats. `pre_truncated`
+/// marks a search that is already known to be partial (e.g. a truncated
+/// candidate enumeration or dropped link deliveries) before the first
+/// level.
 pub(crate) fn explore<E: Expander>(
     expander: &E,
-    initial: &State,
+    mut memory: Vec<Value>,
+    checks: &Checks<'_>,
+    slice: &Slice,
     options: &VerifyOptions,
-    properties: &[Property],
     pre_truncated: bool,
 ) -> Result<VerificationOutcome, VerifyError> {
+    let properties = checks.properties();
+    slice.normalize(&mut memory);
+    let initial = State {
+        memory,
+        phase: 0,
+        monitors: checks.initial().to_vec(),
+    };
     let interner: StateInterner<ParentLink> =
         StateInterner::new(INTERNER_SHARDS, INTERNER_CAPACITY);
     let initial_key = initial.key();
-    let mut seed_codec = crate::state::KeyCodec::new();
-    let initial_hash = seed_codec.seed_state(initial);
+    let initial_hash = KeyCodec::new().seed_state(&initial);
     let (root, _) = interner.intern(initial_hash, initial_key.as_bytes(), || ParentLink {
         prev: NO_PARENT,
         edge: 0,
@@ -359,7 +383,7 @@ pub(crate) fn explore<E: Expander>(
 
         let found_before: Vec<bool> = found.iter().map(Option::is_some).collect();
         let mut sinks: Vec<Sink<'_>> = (0..workers)
-            .map(|_| Sink::new(&interner, &found_before))
+            .map(|_| Sink::new(checks, slice, &interner, &found_before))
             .collect();
         // The calling thread expands inline next to one spawned thread per
         // extra worker; each claims the level's next state from the shared
@@ -513,13 +537,17 @@ pub(crate) fn explore<E: Expander>(
         obs.counter("engine.eval.instants").add(work.instants);
         obs.counter("engine.eval.passes").add(work.passes);
         obs.counter("engine.eval.equations").add(work.equations);
-        let monitored = expander.monitored_properties();
-        if monitor_steps > 0 && !monitored.is_empty() {
-            let per_property = (monitor_steps / monitored.len()) as u64;
-            for name in &monitored {
-                obs.counter(&format!("engine.monitor_steps.{name}"))
+        // Every monitored property steps once per executed instant, so the
+        // total splits evenly across them.
+        if monitor_steps > 0 {
+            let per_property = (monitor_steps / checks.monitored().count()) as u64;
+            for property in checks.monitored() {
+                obs.counter(&format!("engine.monitor_steps.{}", property.name()))
                     .add(per_property);
             }
+        }
+        if !slice.is_empty() {
+            obs.counter("engine.sliced_slots").add(slice.len() as u64);
         }
         obs_span.attr("states", interner.len());
         obs_span.attr("transitions", transitions);
@@ -539,7 +567,7 @@ pub(crate) fn explore<E: Expander>(
         pruned,
         memo_hits: 0,
         memo_misses: 0,
-        sliced_slots: 0,
+        sliced_slots: slice.len(),
     };
     // A pre-truncated search whose frontier emptied saw every state of its
     // partial model, so its bounded claim holds up to the depth bound it was

@@ -19,11 +19,11 @@ use signal_moc::value::{Value, ValueType};
 
 use crate::counterexample::Counterexample;
 use crate::engine::{self, entry_order_bytes, Expander, Sink, STEP_END};
-use crate::monitor::{compile_properties, BoundAtom, CompiledProperty, Namespace};
+use crate::monitor::{Checks, Namespace};
 use crate::product::Lockstep;
 use crate::property::Property;
 use crate::slice::Slice;
-use crate::state::{KeyCodec, State};
+use crate::state::KeyCodec;
 
 /// Values enumerated for free integer inputs.
 const INT_DOMAIN: [i64; 2] = [0, 1];
@@ -645,81 +645,29 @@ impl Verifier {
         properties: &[Property],
         slice: &Slice,
     ) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
+        // An end-to-end property over joint product signals simply never
+        // triggers in a single-thread namespace.
+        let checks = Checks::new(properties, &Namespace::thread(&self.evaluator))?;
         if let InputSpace::Scheduled(trace) = space {
             if trace.is_empty() {
                 return Err(VerifyError::EmptySchedule);
             }
-            return Lockstep::thread(&self.evaluator, trace).explore(
-                &self.options,
-                properties,
-                slice,
-            );
+            return Lockstep::thread(&self.evaluator, trace).explore(&self.options, &checks, slice);
         }
         let (candidates, candidates_truncated) = self.candidates()?;
-
-        // Every trace property — built-in shape or user LTL — compiles to
-        // one monitor automaton; their registers are concatenated into the
-        // `monitors` component of the explored state (a stateless formula
-        // such as `never raised(...)` contributes zero registers). An
-        // end-to-end property over joint product signals simply never
-        // triggers in a single-thread namespace.
-        let (compiled, initial_monitors) = compile_properties(properties);
-        let namespace = Namespace::thread(&self.evaluator);
-        let atoms: Vec<Vec<BoundAtom>> = compiled
-            .iter()
-            .map(|property| property.monitor.bind(&namespace))
-            .collect();
-        let deadlock_idx = properties
-            .iter()
-            .position(|p| matches!(p, Property::DeadlockFree));
-
-        let monitor_count = initial_monitors.len();
-        let mut initial_memory = self.evaluator.memory();
-        slice.normalize(&mut initial_memory);
-        let initial = State {
-            memory: initial_memory,
-            phase: 0,
-            monitors: initial_monitors,
-        };
         let expander = ThreadExpander {
             verifier: self,
             candidates: &candidates,
-            compiled: &compiled,
-            atoms: &atoms,
-            properties,
-            deadlock_idx,
-            monitor_count,
-            slice,
         };
-        let outcome = engine::explore(
+        engine::explore(
             &expander,
-            &initial,
+            self.evaluator.memory(),
+            &checks,
+            slice,
             &self.options,
-            properties,
             candidates_truncated,
-        )?;
-        Ok(annotate(outcome, slice, &self.options.collector))
+        )
     }
-}
-
-/// Annotates an outcome explored under `slice` with its sliced-slot count,
-/// in the stats and, when a slot was sliced, on the `engine.sliced_slots`
-/// counter.
-pub(crate) fn annotate(
-    mut outcome: VerificationOutcome,
-    slice: &Slice,
-    collector: &polyobs::Collector,
-) -> VerificationOutcome {
-    outcome.stats.sliced_slots = slice.len();
-    if !slice.is_empty() && collector.is_enabled() {
-        collector
-            .counter("engine.sliced_slots")
-            .add(outcome.stats.sliced_slots as u64);
-    }
-    outcome
 }
 
 /// The inputs named by the `(id, value)` entries of a candidate.
@@ -759,13 +707,6 @@ struct Candidate {
 struct ThreadExpander<'a> {
     verifier: &'a Verifier,
     candidates: &'a [Candidate],
-    compiled: &'a [CompiledProperty],
-    /// Per compiled property, its atoms bound to evaluator ids.
-    atoms: &'a [Vec<BoundAtom>],
-    properties: &'a [Property],
-    deadlock_idx: Option<usize>,
-    monitor_count: usize,
-    slice: &'a Slice,
 }
 
 /// Per-worker scratch: the evaluator clone (it shares the process; created
@@ -782,9 +723,9 @@ struct ThreadCtx {
 
 impl ThreadExpander<'_> {
     /// Executes candidate `edge` out of the seeded parent: restore the
-    /// parent memory, run the evaluator, step the monitors over their
-    /// bound atoms, and intern the successor through the incremental
-    /// codec. Returns whether the step executed.
+    /// parent memory, run the evaluator, step the monitors over the
+    /// resolved instant, and report the successor. Returns whether the step
+    /// executed.
     fn try_edge(
         &self,
         ctx: &mut ThreadCtx,
@@ -799,32 +740,14 @@ impl ThreadExpander<'_> {
             return Ok(false);
         };
         sink.transition();
-        // Monitor steps on the resolved instant (the updated registers are
-        // part of the successor state). A violating monitor reports and
-        // keeps running — an expired deadline register returns to idle — so
-        // the other properties keep being explored, and several violations
-        // can land on the same transition.
-        ctx.succ_monitors.clear();
-        ctx.succ_monitors.extend_from_slice(&ctx.monitors);
-        for (property, atoms) in self.compiled.iter().zip(self.atoms) {
-            sink.monitor_step();
-            let observed = property.step_bound(&mut ctx.succ_monitors, atoms, &resolved);
-            if !observed.holds {
-                sink.violation(property.index, Some(edge), || {
-                    self.properties[property.index].violation_witness(&observed)
-                });
-            }
-        }
+        // The updated registers are part of the successor state.
+        let checks = sink.checks;
+        checks.step(&ctx.monitors, &mut ctx.succ_monitors, &resolved, edge, sink);
         // The max_states cap is deliberately NOT checked here: enforcing it
         // mid-level would make the kept frontier depend on thread
         // interleaving. The level loop checks it between levels instead.
         ctx.evaluator.memory_into(&mut ctx.memory);
-        // Canonicalise to the sliced representative before interning:
-        // states differing only in sliced counters collapse into one and
-        // the fixpoint can close.
-        self.slice.normalize(&mut ctx.memory);
-        let (hash, bytes) = ctx.codec.successor(&ctx.memory, 0, &ctx.succ_monitors);
-        sink.successor(hash, bytes, edge);
+        sink.successor(&mut ctx.codec, &mut ctx.memory, 0, &ctx.succ_monitors, edge);
         Ok(true)
     }
 }
@@ -851,7 +774,7 @@ impl Expander for ThreadExpander<'_> {
         sink: &mut Sink<'_>,
     ) -> Result<(), VerifyError> {
         ctx.codec
-            .seed_key(key, self.monitor_count, &mut ctx.monitors);
+            .seed_key(key, sink.checks.initial().len(), &mut ctx.monitors);
         // Oracle pruning: skip candidates that make a signal present at an
         // instant its affine dispatch clock provably excludes. The silent
         // candidate has no present signals and is never pruned, so the
@@ -885,7 +808,7 @@ impl Expander for ThreadExpander<'_> {
             }
         }
         if progress == 0 {
-            if let Some(idx) = self.deadlock_idx {
+            if let Some(idx) = sink.checks.deadlock() {
                 let considered = ctx.considered.len();
                 sink.violation(idx, None, || {
                     format!("no feasible progress valuation among {considered} candidates")
@@ -908,13 +831,6 @@ impl Expander for ThreadExpander<'_> {
 
     fn eval_work(&self, ctx: &ThreadCtx) -> EvalWork {
         ctx.evaluator.work()
-    }
-
-    fn monitored_properties(&self) -> Vec<String> {
-        self.compiled
-            .iter()
-            .map(|p| self.properties[p.index].name())
-            .collect()
     }
 }
 
@@ -1529,6 +1445,67 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_fatal_scheduled_exploration_records_only_the_level_counters() {
+        // The unbounded counter, plus a synchronous pair the schedule breaks
+        // at instant 2.
+        let mut b = ProcessBuilder::new("broken_counter");
+        b.input("tick", ValueType::Event);
+        b.input("a", ValueType::Event);
+        b.input("b", ValueType::Event);
+        b.output("count", ValueType::Integer);
+        b.output("y", ValueType::Event);
+        b.define(
+            "count",
+            Expr::add(Expr::delay(Expr::var("count"), Value::Int(0)), Expr::int(1)),
+        );
+        b.define("y", Expr::var("a"));
+        b.synchronize(&["count", "tick"]);
+        b.synchronize(&["a", "b"]);
+        let process = b.build().unwrap();
+        let mut trace = Trace::new();
+        for t in 0..3usize {
+            trace.set(t, "tick", Value::Event);
+        }
+        trace.set(2, "a", Value::Event);
+        let run = |properties: &[Property]| {
+            let collector = polyobs::Collector::counters();
+            let options = VerifyOptions::default().with_collector(collector.clone());
+            let result = Verifier::new(&process, options)
+                .unwrap()
+                .verify(&InputSpace::Scheduled(trace.clone()), properties);
+            (result, collector.counter_values())
+        };
+        let named = |counters: &[(&str, u64)]| -> Vec<(String, u64)> {
+            counters.iter().map(|(k, v)| (k.to_string(), *v)).collect()
+        };
+        // With `DeadlockFree` the broken step is a violation and the run
+        // completes: the slice annotation, the evaluator work and the
+        // per-property monitor steps are recorded.
+        let never_raised = Property::NeverRaised("*Alarm*".into());
+        let (result, counters) = run(&[never_raised.clone(), Property::DeadlockFree]);
+        assert_eq!(result.unwrap().stats.sliced_slots, 1);
+        assert!(counters.iter().any(|(k, _)| k == "engine.sliced_slots"));
+        // Without it the error is fatal at the barrier of level 2: only the
+        // counters flushed at each level barrier are recorded.
+        let (result, counters) = run(&[never_raised]);
+        assert!(
+            matches!(result, Err(VerifyError::Evaluation { instant: 2, .. })),
+            "{result:?}"
+        );
+        assert_eq!(
+            counters,
+            named(&[
+                ("engine.infeasible", 1),
+                ("engine.levels", 3),
+                ("engine.monitor_steps", 2),
+                ("engine.pruned", 0),
+                ("engine.states", 3),
+                ("engine.transitions", 2),
+            ])
+        );
+    }
+
     /// The free-candidate enumeration over named steps, as the explorer
     /// ran it before candidates were resolved to ids: the reference the id
     /// enumeration is held to.
@@ -1750,11 +1727,20 @@ mod tests {
             Err(VerifyError::NoProperties)
         );
         assert_eq!(
+            verifier.verify_reference(&InputSpace::Free, &[]),
+            Err(VerifyError::NoProperties)
+        );
+        assert_eq!(
             verifier.verify(
                 &InputSpace::Scheduled(Trace::new()),
                 &[Property::DeadlockFree]
             ),
             Err(VerifyError::EmptySchedule)
+        );
+        // An empty property list is rejected before the schedule is read.
+        assert_eq!(
+            verifier.verify(&InputSpace::Scheduled(Trace::new()), &[]),
+            Err(VerifyError::NoProperties)
         );
     }
 }

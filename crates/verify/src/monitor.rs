@@ -19,11 +19,12 @@
 //! why [`crate::Property::BoundedResponse`] compiles to exactly the one
 //! countdown register the hand-written legacy monitor used.
 //!
-//! The explorers read atoms through slots bound once per exploration:
-//! every `S`, `present(S)` and `raised(glob)` atom of the compiled
-//! properties is resolved to the evaluator ids (for a thread) or joint
-//! slots (for a product) it reads, a glob to its matches in name order, so
-//! a monitor step compares no names.
+//! The explorers check properties through one crate-private `Checks`,
+//! built once per exploration: it compiles every property, resolves each
+//! `S`, `present(S)` and `raised(glob)` atom to the evaluator ids (for a
+//! thread) or joint slots (for a product) it reads, a glob to its matches
+//! in name order, and its `step` advances every monitor over those slots,
+//! so a monitor step compares no names.
 //! [`LtlMonitor::step`] keeps reading names through any [`InstantView`]:
 //! replay, lockstep co-simulation and the tests use it, and it is the
 //! reference the bound step is held to.
@@ -56,8 +57,10 @@ use signal_moc::eval::{Evaluator, ResolvedStep};
 use signal_moc::value::Value;
 use signal_moc::InstantView;
 
+use crate::engine::Sink;
+use crate::explore::VerifyError;
 use crate::ltl::Formula;
-use crate::property::{pattern_matches, raised_signal, signal_true};
+use crate::property::{pattern_matches, raised_signal, signal_true, Property};
 use crate::state::MONITOR_IDLE;
 
 /// What one monitor step observed: the truth value of the formula at this
@@ -563,59 +566,116 @@ impl Cursor {
     }
 }
 
-/// One property's compiled monitor and where its registers live in the
-/// concatenated monitor vector of the explored [`crate::State`].
-#[derive(Debug, Clone)]
-pub(crate) struct CompiledProperty {
-    /// Index of the property in the caller's property list.
-    pub index: usize,
-    /// Offset of the first register in the concatenated vector.
-    pub offset: usize,
-    /// Number of registers.
-    pub len: usize,
-    /// The compiled monitor.
-    pub monitor: LtlMonitor,
+/// The properties of one exploration, compiled once: every monitored
+/// property (all but [`Property::DeadlockFree`], which is a
+/// successor-existence property, not a trace formula) with its monitor,
+/// its atoms bound to the exploration's [`Namespace`], and where its
+/// registers live in the concatenated vector that is the `monitors`
+/// component of the explored [`crate::State`]; plus the index of
+/// `DeadlockFree`, when it is checked. [`Checks::step`] is the monitor loop
+/// of every explorer.
+pub(crate) struct Checks<'p> {
+    properties: &'p [Property],
+    monitored: Vec<Monitored>,
+    initial: Vec<u32>,
+    deadlock: Option<usize>,
 }
 
-impl CompiledProperty {
-    /// Steps this property's monitor over its slice of the concatenated
-    /// register vector, reading its atoms, which
-    /// [`LtlMonitor::bind`] bound, from `slots`.
-    pub fn step_bound<'t, S: SlotValues + ?Sized>(
-        &self,
-        registers: &mut [u32],
-        atoms: &'t [BoundAtom],
-        slots: &S,
-    ) -> MonitorStep<&'t str> {
-        let registers = &mut registers[self.offset..self.offset + self.len];
-        self.monitor.step_bound(registers, atoms, slots)
+/// One monitored property of [`Checks`].
+struct Monitored {
+    /// Index of the property in the checked list.
+    index: usize,
+    /// Offset of its first register in the concatenated vector.
+    offset: usize,
+    monitor: LtlMonitor,
+    /// Its atoms, bound in the exploration's namespace.
+    atoms: Vec<BoundAtom>,
+}
+
+impl<'p> Checks<'p> {
+    /// Compiles every monitored property of `properties`, binds its atoms
+    /// in `namespace` and lays its registers out in property order (a
+    /// stateless formula such as `never raised(...)` contributes none).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VerifyError::NoProperties`] for an empty list.
+    pub fn new(properties: &'p [Property], namespace: &Namespace<'_>) -> Result<Self, VerifyError> {
+        if properties.is_empty() {
+            return Err(VerifyError::NoProperties);
+        }
+        let mut monitored = Vec::new();
+        let mut initial = Vec::new();
+        for (index, property) in properties.iter().enumerate() {
+            if let Some(monitor) = property.monitor() {
+                let offset = initial.len();
+                initial.extend(monitor.initial());
+                monitored.push(Monitored {
+                    index,
+                    offset,
+                    atoms: monitor.bind(namespace),
+                    monitor,
+                });
+            }
+        }
+        Ok(Self {
+            properties,
+            monitored,
+            initial,
+            deadlock: properties
+                .iter()
+                .position(|p| matches!(p, Property::DeadlockFree)),
+        })
     }
-}
 
-/// Compiles every monitored property of a list (everything except
-/// [`crate::Property::DeadlockFree`], which is a successor-existence
-/// property, not a trace formula) and lays their registers out in one
-/// concatenated vector — the `monitors` component of the canonical
-/// [`crate::State`]. Returns the compiled properties and the initial
-/// register vector.
-pub(crate) fn compile_properties(
-    properties: &[crate::Property],
-) -> (Vec<CompiledProperty>, Vec<u32>) {
-    let mut compiled = Vec::new();
-    let mut initial = Vec::new();
-    for (index, property) in properties.iter().enumerate() {
-        if let Some(monitor) = property.monitor() {
-            let registers = monitor.initial();
-            compiled.push(CompiledProperty {
-                index,
-                offset: initial.len(),
-                len: registers.len(),
-                monitor,
-            });
-            initial.extend(registers);
+    /// The checked properties, in the caller's order.
+    pub fn properties(&self) -> &'p [Property] {
+        self.properties
+    }
+
+    /// The monitored properties, in the caller's order.
+    pub fn monitored(&self) -> impl Iterator<Item = &'p Property> + '_ {
+        self.monitored.iter().map(|m| &self.properties[m.index])
+    }
+
+    /// The concatenated register vector before the first instant.
+    pub fn initial(&self) -> &[u32] {
+        &self.initial
+    }
+
+    /// The index of [`Property::DeadlockFree`], when it is checked.
+    pub fn deadlock(&self) -> Option<usize> {
+        self.deadlock
+    }
+
+    /// Steps every monitor over one executed instant on edge `edge`:
+    /// copies the parent's registers `from` into `into` and advances each
+    /// monitor over its slice of `into`, reading its bound atoms from
+    /// `slots`. A violating monitor reports to `sink` and keeps running (an
+    /// expired deadline register returns to idle), so every property gets
+    /// its earliest counterexample and several violations can land on the
+    /// same transition.
+    pub fn step<S: SlotValues + ?Sized>(
+        &self,
+        from: &[u32],
+        into: &mut Vec<u32>,
+        slots: &S,
+        edge: u32,
+        sink: &mut Sink<'_>,
+    ) {
+        into.clear();
+        into.extend_from_slice(from);
+        for m in &self.monitored {
+            sink.monitor_step();
+            let registers = &mut into[m.offset..m.offset + m.monitor.register_count()];
+            let observed = m.monitor.step_bound(registers, &m.atoms, slots);
+            if !observed.holds {
+                sink.violation(m.index, Some(edge), || {
+                    self.properties[m.index].violation_witness(&observed)
+                });
+            }
         }
     }
-    (compiled, initial)
 }
 
 #[cfg(test)]
@@ -848,8 +908,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn compile_properties_lays_registers_out_in_property_order() {
-        use crate::Property;
+    fn checks_lay_registers_out_in_property_order_and_bind_their_atoms() {
+        use signal_moc::builder::ProcessBuilder;
+        use signal_moc::expr::Expr;
+        use signal_moc::value::ValueType;
+        let mut b = ProcessBuilder::new("p");
+        b.input("a", ValueType::Boolean);
+        b.output("b", ValueType::Boolean);
+        b.define("b", Expr::var("a"));
+        let evaluator = Evaluator::new(&b.build().unwrap()).unwrap();
+        let namespace = Namespace::thread(&evaluator);
         let properties = [
             Property::NeverRaised("*Alarm*".into()),
             Property::DeadlockFree,
@@ -860,15 +928,39 @@ pub(crate) mod tests {
             },
             Property::Ltl(LtlProperty::parse("always (once a implies previously b)").unwrap()),
         ];
-        let (compiled, initial) = compile_properties(&properties);
+        let checks = Checks::new(&properties, &namespace).unwrap();
         // DeadlockFree has no monitor; NeverRaised is stateless.
-        assert_eq!(compiled.len(), 3);
-        assert_eq!(compiled[0].index, 0);
-        assert_eq!(compiled[0].len, 0);
-        assert_eq!(compiled[1].index, 2);
-        assert_eq!((compiled[1].offset, compiled[1].len), (0, 1));
-        assert_eq!(compiled[2].index, 3);
-        assert_eq!((compiled[2].offset, compiled[2].len), (1, 2));
-        assert_eq!(initial, vec![MONITOR_IDLE, 0, 0]);
+        let layout: Vec<(usize, usize, usize)> = checks
+            .monitored
+            .iter()
+            .map(|m| (m.index, m.offset, m.monitor.register_count()))
+            .collect();
+        assert_eq!(layout, [(0, 0, 0), (2, 0, 1), (3, 1, 2)]);
+        assert_eq!(checks.initial(), [MONITOR_IDLE, 0, 0]);
+        assert_eq!(checks.deadlock(), Some(1));
+        let monitored: Vec<String> = checks.monitored().map(Property::name).collect();
+        assert_eq!(
+            monitored,
+            [&properties[0], &properties[2], &properties[3]].map(Property::name)
+        );
+        // Atoms bind in pre-order: a glob to its (here no) matches, an
+        // undeclared name to nothing, a declared one to its evaluator id.
+        let slot = |name: &str| {
+            BoundAtom::Name(
+                evaluator
+                    .signal_id(name)
+                    .map(|id| Slot::Signal { component: 0, id }),
+            )
+        };
+        assert_eq!(checks.monitored[0].atoms, [BoundAtom::Glob(Vec::new())]);
+        assert_eq!(
+            checks.monitored[1].atoms,
+            [BoundAtom::Name(None), BoundAtom::Name(None)]
+        );
+        assert_eq!(checks.monitored[2].atoms, [slot("a"), slot("b")]);
+        assert!(matches!(
+            Checks::new(&[], &namespace),
+            Err(VerifyError::NoProperties)
+        ));
     }
 }

@@ -13,7 +13,7 @@
 //! `<port>_output_time` emission fixes the matching receiver input
 //! `<port>_in` (after the link's latency) instead of leaving it at the
 //! scheduled default. Product states reuse the canonical byte-encoded
-//! [`State`]: the concatenated per-thread operator memories, the joint
+//! [`crate::State`]: the concatenated per-thread operator memories, the joint
 //! scheduler phase, and the registers of the response monitors. The joint
 //! schedule makes the product deterministic — one execution path per phase
 //! — so the exploration is a single run that either closes (states
@@ -50,13 +50,11 @@ use signal_moc::value::Value;
 
 use crate::counterexample::{first_violation, Counterexample, ReplayReport};
 use crate::engine::{self, Expander, Sink};
-use crate::explore::{annotate, VerificationOutcome, VerifyError, VerifyOptions};
-use crate::monitor::{
-    compile_properties, BoundAtom, CompiledProperty, Namespace, Slot, SlotValues,
-};
+use crate::explore::{VerificationOutcome, VerifyError, VerifyOptions};
+use crate::monitor::{Checks, Namespace, Slot, SlotValues};
 use crate::property::Property;
 use crate::slice::Slice;
-use crate::state::{KeyCodec, State};
+use crate::state::KeyCodec;
 
 /// One thread of a product: its flattened SIGNAL process and the scheduled
 /// timing trace driving it over the joint hyper-period.
@@ -660,10 +658,9 @@ impl ProductVerifier {
         properties: &[Property],
         slice: &Slice,
     ) -> Result<VerificationOutcome, VerifyError> {
-        if properties.is_empty() {
-            return Err(VerifyError::NoProperties);
-        }
-        let mut outcome = self.lockstep().explore(&self.options, properties, slice)?;
+        let lockstep = self.lockstep();
+        let checks = Checks::new(properties, &lockstep.namespace())?;
+        let mut outcome = lockstep.explore(&self.options, &checks, slice)?;
         // Every transition is one evaluated component step.
         outcome.stats.memo_misses = outcome.stats.transitions;
         Ok(outcome)
@@ -837,51 +834,31 @@ impl<'a> Lockstep<'a> {
         }
     }
 
-    /// Explores the lockstep under `slice` and checks every property of
-    /// `properties` (at least one) over the joint namespace.
+    /// Explores the lockstep under `slice`, checking `checks`, which were
+    /// bound in its [`Lockstep::namespace`].
     pub(crate) fn explore(
         &self,
         options: &VerifyOptions,
-        properties: &[Property],
+        checks: &Checks<'_>,
         slice: &Slice,
     ) -> Result<VerificationOutcome, VerifyError> {
-        // One compiled monitor per trace property (built-in or user LTL);
-        // their registers concatenate into the joint state's `monitors`.
-        let (compiled, initial_monitors) = compile_properties(properties);
-        let mut initial = State {
-            memory: self
-                .components
-                .iter()
-                .flat_map(|component| component.evaluator.memory())
-                .collect(),
-            phase: 0,
-            monitors: initial_monitors,
-        };
-        slice.normalize(&mut initial.memory);
-        let namespace = self.namespace();
         let expander = LockstepExpander {
             lockstep: self,
-            atoms: compiled
-                .iter()
-                .map(|property| property.monitor.bind(&namespace))
-                .collect(),
             consumed: self.consumed_slots(),
-            compiled: &compiled,
-            properties,
-            deadlock_idx: properties
-                .iter()
-                .position(|p| matches!(p, Property::DeadlockFree)),
-            monitor_count: initial.monitors.len(),
-            slice,
         };
-        let outcome = engine::explore(
+        let memory = self
+            .components
+            .iter()
+            .flat_map(|component| component.evaluator.memory())
+            .collect();
+        engine::explore(
             &expander,
-            &initial,
+            memory,
+            checks,
+            slice,
             options,
-            properties,
             self.dropped_deliveries,
-        )?;
-        Ok(annotate(outcome, slice, &options.collector))
+        )
     }
 
     /// The joint namespace: each component's signals behind its prefix,
@@ -934,16 +911,8 @@ impl<'a> Lockstep<'a> {
 /// The [`Expander`] of a [`Lockstep`].
 struct LockstepExpander<'a> {
     lockstep: &'a Lockstep<'a>,
-    compiled: &'a [CompiledProperty],
-    /// Per compiled property, its atoms bound to joint slots.
-    atoms: Vec<Vec<BoundAtom>>,
     /// Per link, where its `<link>_consumed` joint reads.
     consumed: Vec<ConsumedSlots>,
-    properties: &'a [Property],
-    deadlock_idx: Option<usize>,
-    monitor_count: usize,
-    /// The slice over the concatenated joint memory.
-    slice: &'a Slice,
 }
 
 /// Per-worker scratch of the lockstep expander.
@@ -1041,9 +1010,10 @@ impl Expander for LockstepExpander<'_> {
         depth: usize,
         sink: &mut Sink<'_>,
     ) -> Result<(), VerifyError> {
+        let checks = sink.checks;
         let phase_bits = ctx
             .codec
-            .seed_key(key, self.monitor_count, &mut ctx.monitors);
+            .seed_key(key, checks.initial().len(), &mut ctx.monitors);
         let phase = phase_bits as usize;
         let lockstep = self.lockstep;
 
@@ -1065,7 +1035,7 @@ impl Expander for LockstepExpander<'_> {
                 let cited = component
                     .name
                     .map(|name| format!("component `{name}` scheduled step not executable: {e}"));
-                return match self.deadlock_idx {
+                return match checks.deadlock() {
                     Some(idx) => {
                         sink.violation(idx, Some(0), || {
                             cited.unwrap_or_else(|| format!("scheduled step not executable: {e}"))
@@ -1083,37 +1053,27 @@ impl Expander for LockstepExpander<'_> {
             sink.transition();
         }
 
-        // Monitor steps on the joint slots (a violating monitor keeps
-        // running, so every property gets its earliest counterexample).
         let slots = JointSlots {
             activity: lockstep.activity,
             evaluators: &ctx.evaluators,
             consumed: &self.consumed,
             phase,
         };
-        ctx.succ_monitors.clear();
-        ctx.succ_monitors.extend_from_slice(&ctx.monitors);
-        for (property, atoms) in self.compiled.iter().zip(&self.atoms) {
-            sink.monitor_step();
-            let observed = property.step_bound(&mut ctx.succ_monitors, atoms, &slots);
-            if !observed.holds {
-                sink.violation(property.index, Some(0), || {
-                    self.properties[property.index].violation_witness(&observed)
-                });
-            }
-        }
+        checks.step(&ctx.monitors, &mut ctx.succ_monitors, &slots, 0, sink);
 
         ctx.memory.clear();
         for evaluator in &ctx.evaluators {
             evaluator.memory_into(&mut ctx.component_memory);
             ctx.memory.extend_from_slice(&ctx.component_memory);
         }
-        self.slice.normalize(&mut ctx.memory);
         let next_phase = ((phase + 1) % lockstep.horizon) as u32;
-        let (hash, bytes) = ctx
-            .codec
-            .successor(&ctx.memory, next_phase, &ctx.succ_monitors);
-        sink.successor(hash, bytes, 0);
+        sink.successor(
+            &mut ctx.codec,
+            &mut ctx.memory,
+            next_phase,
+            &ctx.succ_monitors,
+            0,
+        );
         Ok(())
     }
 
@@ -1140,13 +1100,6 @@ impl Expander for LockstepExpander<'_> {
         ctx.evaluators
             .iter()
             .fold(EvalWork::default(), |sum, evaluator| sum + evaluator.work())
-    }
-
-    fn monitored_properties(&self) -> Vec<String> {
-        self.compiled
-            .iter()
-            .map(|p| self.properties[p.index].name())
-            .collect()
     }
 }
 
@@ -1660,7 +1613,7 @@ mod tests {
     /// asserts that both steps agree at every instant.
     fn joint_atoms_agree_with_names(system: &ProductSystem, seed: u64) {
         use crate::monitor::tests::{globs_over, random_formula};
-        use crate::monitor::LtlMonitor;
+        use crate::monitor::{BoundAtom, LtlMonitor};
         use crate::random_process::Rng;
 
         let verifier = ProductVerifier::new(system.clone(), VerifyOptions::default()).unwrap();
@@ -1731,6 +1684,10 @@ mod tests {
         let verifier = ProductVerifier::new(system(1, 4), VerifyOptions::default()).unwrap();
         assert!(matches!(
             verifier.verify(&[]),
+            Err(VerifyError::NoProperties)
+        ));
+        assert!(matches!(
+            verifier.verify_reference(&[]),
             Err(VerifyError::NoProperties)
         ));
     }

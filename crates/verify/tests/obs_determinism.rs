@@ -226,9 +226,9 @@ proptest! {
     }
 
     /// Sliced exploration of a process with an invisible counter: the
-    /// sliced_slots count and the full verdict rendering are identical
-    /// under every collection mode × workers combination — telemetry never
-    /// perturbs the slice either.
+    /// sliced_slots count, its `engine.sliced_slots` counter and the full
+    /// verdict rendering are identical under every collection mode ×
+    /// workers combination — telemetry never perturbs the slice either.
     #[test]
     fn sliced_outcome_is_collection_mode_independent(
         threshold in 1i64..=4,
@@ -239,16 +239,20 @@ proptest! {
         let mut reference: Option<(Vec<u8>, ExplorationStats)> = None;
         for mode in MODES {
             for workers in WORKER_COUNTS {
+                let collector = collector(mode);
                 let verifier = Verifier::new(
                     &process,
                     VerifyOptions::default()
                         .with_workers(workers)
                         .with_depth_bound(depth)
-                        .with_collector(collector(mode)),
+                        .with_collector(collector.clone()),
                 )
                 .unwrap();
                 let outcome = verifier.verify(&InputSpace::Free, &properties).unwrap();
                 prop_assert_eq!(outcome.stats.sliced_slots, 1);
+                if let Some(sliced) = counts_with_prefix(&collector, "engine.sliced_slots") {
+                    prop_assert_eq!(sliced, vec![("engine.sliced_slots".to_string(), 1)]);
+                }
                 let print = fingerprint(&outcome);
                 match &reference {
                     None => reference = Some(print),

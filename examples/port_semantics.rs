@@ -7,6 +7,8 @@
 //! cargo run --example port_semantics
 //! ```
 
+use std::num::NonZeroUsize;
+
 use polychrony_core::asme2ssme::{in_event_port_process, out_event_port_process};
 use polychrony_core::polysim::Simulator;
 use polychrony_core::signal_moc::trace::Trace;
@@ -15,7 +17,7 @@ use polychrony_core::signal_moc::value::Value;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The Fig. 2 scenario: a 4 ms periodic thread; two values arrive after
     // the first Input Time and must wait for the next one.
-    let port = in_event_port_process(4);
+    let port = in_event_port_process(NonZeroUsize::new(4).expect("4 is not zero"));
     let mut inputs = Trace::new();
     // Ticks 0..8 = two dispatch frames of 4 ms; freeze at dispatch (t0, t4).
     let arrivals = [true, false, true, true, false, false, false, false];

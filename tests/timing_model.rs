@@ -2,6 +2,8 @@
 //! inputs are frozen at Input Time, outputs released at Output Time, and
 //! values arriving mid-frame wait for the next frame.
 
+use std::num::NonZeroUsize;
+
 use polychrony_core::aadl::case_study::producer_consumer_instance;
 use polychrony_core::asme2ssme::{in_event_port_process, thread_to_process};
 use polychrony_core::polysim::Simulator;
@@ -13,7 +15,7 @@ use polychrony_core::signal_moc::value::Value;
 /// not processed until the next dispatch.
 #[test]
 fn values_arriving_after_input_time_wait_for_the_next_dispatch() {
-    let port = in_event_port_process(8);
+    let port = in_event_port_process(NonZeroUsize::new(8).unwrap());
     let mut inputs = Trace::new();
     // Frame 1 (ticks 0..4): one arrival before the freeze, two after.
     // Frame 2 (ticks 4..8): no arrivals.
@@ -47,7 +49,9 @@ fn complete_is_emitted_at_resume_and_alarm_on_missed_deadline() {
     let translation = thread_to_process("thProducer", &producer);
     let mut model = ProcessModel::new("thProducer");
     model.add(translation.process.clone());
-    model.add(polychrony_core::asme2ssme::in_event_port_process(1));
+    model.add(polychrony_core::asme2ssme::in_event_port_process(
+        NonZeroUsize::MIN,
+    ));
     model.add(polychrony_core::asme2ssme::out_event_port_process());
     let flat = model.flatten().unwrap();
 
@@ -98,7 +102,9 @@ fn output_port_releases_at_output_time_only() {
     let translation = thread_to_process("thProducer", &producer);
     let mut model = ProcessModel::new("thProducer");
     model.add(translation.process.clone());
-    model.add(polychrony_core::asme2ssme::in_event_port_process(1));
+    model.add(polychrony_core::asme2ssme::in_event_port_process(
+        NonZeroUsize::MIN,
+    ));
     model.add(polychrony_core::asme2ssme::out_event_port_process());
     let flat = model.flatten().unwrap();
 
