@@ -129,6 +129,10 @@ impl Endpoint {
             }
             Endpoint::Tcp(addr) => {
                 let stream = TcpStream::connect(addr).map_err(connect_err)?;
+                // Frames are small request/response units: without
+                // TCP_NODELAY, Nagle's algorithm and the peer's delayed ACK
+                // stall each round trip for tens of milliseconds.
+                stream.set_nodelay(true).map_err(connect_err)?;
                 let clone = stream.try_clone().map_err(connect_err)?;
                 (Box::new(stream), Box::new(clone))
             }

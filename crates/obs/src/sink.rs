@@ -15,6 +15,11 @@ use crate::{AttrValue, Event, EventKind};
 /// The schema identifier stamped on every trace file's `meta` line.
 pub const TRACE_SCHEMA: &str = "polychrony-trace-v1";
 
+/// The human rate of live progress: [`ProgressReporter::stderr`] prints at
+/// most one line per interval, and [`ProgressBridge`] forwards at most one
+/// exploration level per interval.
+pub const PROGRESS_INTERVAL: Duration = Duration::from_millis(100);
+
 /// A consumer of the structured event stream. Implementations must be
 /// `Send`: sinks are owned by the collector and may be driven from any
 /// thread of a run.
@@ -154,9 +159,10 @@ pub struct ProgressReporter {
 }
 
 impl ProgressReporter {
-    /// A reporter writing to stderr, emitting at most every 100ms.
+    /// A reporter writing to stderr, emitting at most once per
+    /// [`PROGRESS_INTERVAL`].
     pub fn stderr() -> Self {
-        Self::new(Box::new(std::io::stderr()), Duration::from_millis(100))
+        Self::new(Box::new(std::io::stderr()), PROGRESS_INTERVAL)
     }
 
     /// A reporter writing to `out`, emitting at most once per `min_interval`.
@@ -321,32 +327,28 @@ pub enum ProgressUpdate {
 /// Bridges the collector's span/event stream onto a callback of
 /// [`ProgressUpdate`]s — the generic half of live progress streaming.
 /// [`ProgressReporter`] renders for humans; this sink forwards the same
-/// signal to arbitrary consumers (an `mpsc` channel feeding a daemon's
-/// subscribed clients, a GUI, a test). Registered like any sink via
-/// [`Collector::add_sink`](crate::Collector::add_sink); the collector must
-/// be in full mode for events to flow.
+/// signal to arbitrary consumers (a daemon's subscribed clients, a GUI, a
+/// test). Every phase is forwarded; exploration levels are forwarded at
+/// most once per [`PROGRESS_INTERVAL`] of event time, so a deep exploration
+/// costs its consumers no more than a shallow one. Registered like any sink
+/// via [`Collector::add_sink`](crate::Collector::add_sink); the collector
+/// must be in full mode for events to flow.
 pub struct ProgressBridge {
     phase: String,
+    /// Event time of the last forwarded level.
+    last_level_us: Option<u64>,
     forward: Box<dyn FnMut(ProgressUpdate) + Send>,
 }
 
 impl ProgressBridge {
-    /// A bridge invoking `forward` for every update, on whichever thread
-    /// records the event.
+    /// A bridge invoking `forward` for every forwarded update, on whichever
+    /// thread records the event.
     pub fn new(forward: Box<dyn FnMut(ProgressUpdate) + Send>) -> Self {
         ProgressBridge {
             phase: String::new(),
+            last_level_us: None,
             forward,
         }
-    }
-
-    /// A bridge sending every update into an `mpsc` channel. Send failures
-    /// (receiver gone) are ignored: progress is best-effort and must never
-    /// perturb the run.
-    pub fn channel(tx: std::sync::mpsc::Sender<ProgressUpdate>) -> Self {
-        Self::new(Box::new(move |update| {
-            let _ = tx.send(update);
-        }))
     }
 }
 
@@ -377,9 +379,20 @@ fn progress_update(phase: &mut String, event: &Event) -> Option<ProgressUpdate> 
 
 impl EventSink for ProgressBridge {
     fn event(&mut self, event: &Event) {
-        if let Some(update) = progress_update(&mut self.phase, event) {
-            (self.forward)(update);
+        let Some(update) = progress_update(&mut self.phase, event) else {
+            return;
+        };
+        if let ProgressUpdate::Level { .. } = update {
+            let interval_us = PROGRESS_INTERVAL.as_micros() as u64;
+            if self
+                .last_level_us
+                .is_some_and(|last| event.t_us.saturating_sub(last) < interval_us)
+            {
+                return;
+            }
+            self.last_level_us = Some(event.t_us);
         }
+        (self.forward)(update);
     }
 }
 
@@ -491,11 +504,21 @@ mod tests {
         );
     }
 
+    /// A bridge recording every update it forwards.
+    fn recording_bridge() -> (ProgressBridge, Arc<Mutex<Vec<ProgressUpdate>>>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let bridge = ProgressBridge::new(Box::new(move |update| {
+            sink.lock().unwrap().push(update);
+        }));
+        (bridge, seen)
+    }
+
     #[test]
     fn progress_bridge_forwards_phase_and_level_updates() {
-        let (tx, rx) = std::sync::mpsc::channel();
+        let (bridge, seen) = recording_bridge();
         let collector = Collector::full();
-        collector.add_sink(Box::new(ProgressBridge::channel(tx)));
+        collector.add_sink(Box::new(bridge));
         {
             let _span = collector.span("phase.verify");
             collector.event(
@@ -510,10 +533,8 @@ mod tests {
             // Unrelated events are not forwarded.
             collector.event("engine.memo", vec![]);
         }
-        drop(collector);
-        let updates: Vec<ProgressUpdate> = rx.iter().collect();
         assert_eq!(
-            updates,
+            *seen.lock().unwrap(),
             vec![
                 ProgressUpdate::Phase {
                     name: "verify".into()
@@ -525,6 +546,56 @@ mod tests {
                     states: 57,
                     frontier: 8,
                 },
+            ]
+        );
+    }
+
+    #[test]
+    fn progress_bridge_forwards_every_phase_but_levels_at_most_once_per_interval() {
+        let (mut bridge, seen) = recording_bridge();
+        let interval_us = PROGRESS_INTERVAL.as_micros() as u64;
+        let phase = |t_us: u64, name: &str| Event {
+            t_us,
+            kind: EventKind::SpanOpen,
+            name: format!("phase.{name}"),
+            span: 1,
+            parent: None,
+            attrs: vec![],
+        };
+        let level = |t_us: u64, depth: u64| Event {
+            t_us,
+            kind: EventKind::Point,
+            name: "engine.level".into(),
+            span: 0,
+            parent: Some(1),
+            attrs: vec![("depth".into(), depth.into())],
+        };
+        bridge.event(&phase(0, "simulate"));
+        bridge.event(&level(10, 1));
+        // Within the interval of the first level: dropped.
+        bridge.event(&level(10 + interval_us - 1, 2));
+        // A phase is never throttled.
+        bridge.event(&phase(10 + interval_us - 1, "verify"));
+        // One interval after the last forwarded level: forwarded.
+        bridge.event(&level(10 + interval_us, 3));
+        let level_update = |phase: &str, depth| ProgressUpdate::Level {
+            phase: phase.into(),
+            depth,
+            bound: None,
+            states: 0,
+            frontier: 0,
+        };
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![
+                ProgressUpdate::Phase {
+                    name: "simulate".into()
+                },
+                level_update("simulate", 1),
+                ProgressUpdate::Phase {
+                    name: "verify".into()
+                },
+                level_update("verify", 3),
             ]
         );
     }

@@ -39,10 +39,21 @@ impl Default for DaemonConfig {
     }
 }
 
+/// How many done and failed jobs keep their reports in the job table: the
+/// newest, in the order they finished. An older job keeps its status row,
+/// and `watch` on it answers [`ServerError::ReportDropped`]. A report is
+/// most of a finished job's memory, so the table grows with uptime by one
+/// status row per job.
+const REPORTS_KEPT: usize = 1024;
+
 /// One job's full lifecycle, as the daemon tracks it.
 struct JobEntry {
-    spec: JobSpec,
+    name: String,
     state: JobState,
+    /// The status row's detail, set when the job reaches a terminal state.
+    detail: String,
+    /// The final report of a done or failed job, while the job is among
+    /// the newest [`REPORTS_KEPT`].
     report: Option<WireReport>,
     /// Live subscribers; each receives `progress` frames and the final
     /// `result` frame, then its sender is dropped.
@@ -52,9 +63,26 @@ struct JobEntry {
 /// Mutable state shared by workers and connection handlers.
 struct State {
     next_id: u64,
-    queue: VecDeque<u64>,
+    /// Queued jobs and their specs; a worker takes the spec with the job.
+    queue: VecDeque<(u64, JobSpec)>,
     jobs: BTreeMap<u64, JobEntry>,
     running: usize,
+    /// Jobs whose reports `jobs` holds, in the order they finished.
+    reports: VecDeque<u64>,
+}
+
+impl State {
+    /// Records that job `id` finished with a stored report, dropping the
+    /// report of the oldest such job beyond [`REPORTS_KEPT`].
+    fn keep_report(&mut self, id: u64) {
+        self.reports.push_back(id);
+        if self.reports.len() > REPORTS_KEPT {
+            let oldest = self.reports.pop_front();
+            if let Some(entry) = oldest.and_then(|oldest| self.jobs.get_mut(&oldest)) {
+                entry.report = None;
+            }
+        }
+    }
 }
 
 pub(crate) struct Inner {
@@ -80,8 +108,9 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Builds a daemon: replays the job log (re-queueing unfinished jobs),
-    /// wires the cache to the collector, and starts the worker pool.
+    /// Builds a daemon: replays the job log (re-queueing unfinished jobs and
+    /// keeping the reports of the newest finished ones), wires the cache to
+    /// the collector, and starts the worker pool.
     ///
     /// # Errors
     ///
@@ -93,30 +122,36 @@ impl Daemon {
                 "daemon.workers must be at least 1 (got 0)".into(),
             ));
         }
-        let (log, replayed) = match &config.log_path {
+        let (log, replayed, finished) = match &config.log_path {
             Some(path) => JobLog::open(path)?,
-            None => (JobLog::disabled(), BTreeMap::new()),
+            None => (JobLog::disabled(), BTreeMap::new(), Vec::new()),
         };
         let mut state = State {
             next_id: 1,
             queue: VecDeque::new(),
             jobs: BTreeMap::new(),
             running: 0,
+            reports: VecDeque::new(),
         };
         for (id, job) in replayed {
             state.next_id = state.next_id.max(id + 1);
-            if job.state == JobState::Queued {
-                state.queue.push_back(id);
-            }
             state.jobs.insert(
                 id,
                 JobEntry {
-                    spec: job.spec,
+                    name: job.spec.name.clone(),
                     state: job.state,
+                    detail: detail_of(job.state, job.report.as_ref()),
                     report: job.report,
                     watchers: Vec::new(),
                 },
             );
+            if job.state == JobState::Queued {
+                state.queue.push_back((id, job.spec));
+            }
+        }
+        // In the order the log recorded them, as the live daemon did.
+        for id in finished {
+            state.keep_report(id);
         }
         config
             .collector
@@ -192,13 +227,14 @@ impl Daemon {
         state.jobs.insert(
             id,
             JobEntry {
-                spec,
+                name: spec.name.clone(),
                 state: JobState::Queued,
+                detail: String::new(),
                 report: None,
                 watchers: watcher.into_iter().collect(),
             },
         );
-        state.queue.push_back(id);
+        state.queue.push_back((id, spec));
         self.inner.collector.counter("daemon.submitted").incr();
         self.inner
             .collector
@@ -215,16 +251,20 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`ServerError::UnknownJob`] for an id the table has never seen.
+    /// [`ServerError::UnknownJob`] for an id the table has never seen,
+    /// [`ServerError::ReportDropped`] for a done or failed job older than
+    /// the newest 1024.
     pub fn watch(&self, id: u64) -> Result<mpsc::Receiver<Frame>, ServerError> {
         let mut state = self.state();
         let entry = state.jobs.get_mut(&id).ok_or(ServerError::UnknownJob(id))?;
         let (tx, rx) = mpsc::channel();
         if entry.state.is_terminal() {
-            let _ = tx.send(Frame::Result {
-                id,
-                report: entry.report.clone().unwrap_or_else(cancelled_report),
-            });
+            let report = match (&entry.report, entry.state) {
+                (Some(report), _) => report.clone(),
+                (None, JobState::Cancelled) => cancelled_report(),
+                (None, _) => return Err(ServerError::ReportDropped(id)),
+            };
+            let _ = tx.send(Frame::Result { id, report });
         } else {
             entry.watchers.push(tx);
         }
@@ -240,9 +280,9 @@ impl Daemon {
         let state = self.state();
         let row = |(id, entry): (&u64, &JobEntry)| JobStatus {
             id: *id,
-            name: entry.spec.name.clone(),
+            name: entry.name.clone(),
             state: entry.state,
-            detail: detail_of(entry),
+            detail: entry.detail.clone(),
         };
         match id {
             Some(id) => state
@@ -272,6 +312,7 @@ impl Daemon {
         let entry = state.jobs.get_mut(&id).ok_or(ServerError::UnknownJob(id))?;
         if entry.state == JobState::Queued || entry.state == JobState::Running {
             entry.state = JobState::Cancelled;
+            entry.detail = detail_of(JobState::Cancelled, None);
             let report = cancelled_report();
             for tx in entry.watchers.drain(..) {
                 let _ = tx.send(Frame::Result {
@@ -279,7 +320,7 @@ impl Daemon {
                     report: report.clone(),
                 });
             }
-            state.queue.retain(|&queued| queued != id);
+            state.queue.retain(|(queued, _)| *queued != id);
             self.inner.log.cancelled(id);
             self.inner.collector.counter("daemon.cancelled").incr();
             self.inner
@@ -351,8 +392,8 @@ fn cancelled_report() -> WireReport {
 }
 
 /// One line of status detail for terminal jobs.
-fn detail_of(entry: &JobEntry) -> String {
-    match (&entry.state, &entry.report) {
+fn detail_of(state: JobState, report: Option<&WireReport>) -> String {
+    match (state, report) {
         (JobState::Done | JobState::Failed, Some(report)) => {
             let verdict = match &report.error {
                 Some(error) => error.clone(),
@@ -379,16 +420,16 @@ fn worker_loop(inner: Arc<Inner>) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                if let Some(id) = state.queue.pop_front() {
+                if let Some((id, spec)) = state.queue.pop_front() {
                     inner
                         .collector
                         .gauge("daemon.queue_depth")
                         .set(state.queue.len() as u64);
-                    let spec = {
-                        let entry = state.jobs.get_mut(&id).expect("queued job is in the table");
-                        entry.state = JobState::Running;
-                        entry.spec.clone()
-                    };
+                    state
+                        .jobs
+                        .get_mut(&id)
+                        .expect("queued job is in the table")
+                        .state = JobState::Running;
                     state.running += 1;
                     inner
                         .collector
@@ -404,80 +445,89 @@ fn worker_loop(inner: Arc<Inner>) {
             }
         };
         let Some((id, spec)) = claimed else { return };
-        let report = run_job(&inner, id, &spec);
-        let failed = report.error.is_some() || !report.passed;
-        let discarded = {
-            let mut state = lock(&inner.state);
-            let entry = state
-                .jobs
-                .get_mut(&id)
-                .expect("running job is in the table");
-            let discarded = entry.state == JobState::Cancelled;
-            if discarded {
-                // Cancelled between claim and completion: the cancel ack
-                // already promised `Cancelled` (watchers were drained with
-                // the cancelled report, the log records `cancelled`), so
-                // the computed result is discarded — no `Done`/`Failed`
-                // overwrite, no `finished` log line, no result frames.
-            } else {
-                entry.state = if report.error.is_none() {
-                    JobState::Done
-                } else {
-                    JobState::Failed
-                };
-                inner.log.finished(id, &report);
-                for tx in entry.watchers.drain(..) {
-                    let _ = tx.send(Frame::Result {
-                        id,
-                        report: report.clone(),
-                    });
-                }
-                entry.report = Some(report);
-            }
-            state.running -= 1;
-            inner
-                .collector
-                .gauge("daemon.running")
-                .set(state.running as u64);
-            discarded
-        };
-        if !discarded {
-            inner.collector.counter("daemon.jobs").incr();
-            if failed {
-                inner.collector.counter("daemon.failures").incr();
-            }
-        }
-        inner.job_done.notify_all();
+        let report = run_job(&inner, id, spec);
+        settle(&inner, id, report);
     }
 }
 
-/// Runs one job through the shared cache, bridging its telemetry onto the
-/// watchers' `progress` frames.
-fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec) -> WireReport {
-    let started = Instant::now();
-    // Every job gets a full collector with a channel bridge: the pipeline's
-    // `phase.*` spans and the engine's `engine.level` events become
-    // ProgressUpdates, forwarded to whoever is watching. The collector
-    // is per-job, so one job's spans never leak into another's stream.
-    let job_collector = Collector::full();
-    let (tx, rx) = mpsc::channel();
-    job_collector.add_sink(Box::new(polyobs::ProgressBridge::channel(tx)));
-    let forwarder = {
-        let inner = Arc::clone(inner);
-        std::thread::spawn(move || {
-            for update in rx {
-                let frame = Frame::Progress { id, update };
-                let mut state = lock(&inner.state);
-                if let Some(entry) = state.jobs.get_mut(&id) {
-                    entry.watchers.retain(|tx| tx.send(frame.clone()).is_ok());
-                }
+/// Hands a claimed job's report to its entry, its watchers and the log.
+fn settle(inner: &Inner, id: u64, report: WireReport) {
+    let failed = report.error.is_some() || !report.passed;
+    let discarded = {
+        let mut state = lock(&inner.state);
+        let entry = state
+            .jobs
+            .get_mut(&id)
+            .expect("running job is in the table");
+        let discarded = entry.state == JobState::Cancelled;
+        if discarded {
+            // Cancelled between claim and completion: the cancel ack
+            // already promised `Cancelled` (watchers were drained with
+            // the cancelled report, the log records `cancelled`), so
+            // the computed result is discarded — no `Done`/`Failed`
+            // overwrite, no `finished` log line, no result frames.
+        } else {
+            entry.state = if report.error.is_none() {
+                JobState::Done
+            } else {
+                JobState::Failed
+            };
+            entry.detail = detail_of(entry.state, Some(&report));
+            inner.log.finished(id, &report);
+            for tx in entry.watchers.drain(..) {
+                let _ = tx.send(Frame::Result {
+                    id,
+                    report: report.clone(),
+                });
             }
-        })
+            entry.report = Some(report);
+            state.keep_report(id);
+        }
+        state.running -= 1;
+        inner
+            .collector
+            .gauge("daemon.running")
+            .set(state.running as u64);
+        discarded
     };
+    if !discarded {
+        inner.collector.counter("daemon.jobs").incr();
+        if failed {
+            inner.collector.counter("daemon.failures").incr();
+        }
+    }
+    inner.job_done.notify_all();
+}
+
+/// Runs one job through the shared cache, streaming its progress to the
+/// job's watchers.
+fn run_job(inner: &Arc<Inner>, id: u64, spec: JobSpec) -> WireReport {
+    let started = Instant::now();
+    // Every job gets a full collector with a progress bridge: the
+    // pipeline's `phase.*` spans and the engine's `engine.level` events
+    // become `progress` frames, sent to the watchers from whichever thread
+    // records the event. The bridge takes the state lock under the
+    // collector's event lock; nothing records on a job's collector while
+    // holding the state lock, so the two never wait on each other. The
+    // collector is per-job, so one job's spans never leak into another's
+    // stream, and the cache stores no collector, so the bridge's handle on
+    // the daemon ends with the job.
+    let job_collector = Collector::full();
+    let bridge = {
+        let inner = Arc::clone(inner);
+        polyobs::ProgressBridge::new(Box::new(move |update| {
+            let frame = Frame::Progress { id, update };
+            let mut state = lock(&inner.state);
+            if let Some(entry) = state.jobs.get_mut(&id) {
+                entry.watchers.retain(|tx| tx.send(frame.clone()).is_ok());
+            }
+        }))
+    };
+    job_collector.add_sink(Box::new(bridge));
     let mut span = inner.collector.span("daemon.job");
     span.attr("id", id);
     span.attr("job", spec.name.as_str());
-    let mut job = spec.to_batch_job();
+    let mut job = spec.into_batch_job();
     job.options.collector = job_collector.clone();
     let wall_us = |started: Instant| started.elapsed().as_micros() as u64;
     let report = match job.run_cached(&inner.cache) {
@@ -489,10 +539,100 @@ fn run_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec) -> WireReport {
     };
     drop(span);
     job_collector.flush();
-    // Dropping the job (and with it the last clone of the collector)
-    // closes the bridge channel, ending the forwarder.
-    drop(job);
-    drop(job_collector);
-    let _ = forwarder.join();
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Puts job `id` in the table as a worker's claim leaves it: running
+    /// and off the queue, so the idle pool never sees it.
+    fn claim(inner: &Inner, id: u64) {
+        let mut state = lock(&inner.state);
+        state.jobs.insert(
+            id,
+            JobEntry {
+                name: format!("job{id}"),
+                state: JobState::Running,
+                detail: String::new(),
+                report: None,
+                watchers: Vec::new(),
+            },
+        );
+        state.running += 1;
+    }
+
+    fn passing_report() -> WireReport {
+        WireReport {
+            passed: true,
+            cache: None,
+            hyperperiod: 24,
+            states: 1,
+            transitions: 1,
+            verdicts: BTreeMap::new(),
+            error: None,
+            wall_us: 1,
+        }
+    }
+
+    /// The report `watch` answers for a terminal job.
+    fn stored(daemon: &Daemon, id: u64) -> Result<WireReport, ServerError> {
+        match daemon.watch(id)?.recv() {
+            Ok(Frame::Result { report, .. }) => Ok(report),
+            other => panic!("job {id}: expected a result frame, got {other:?}"),
+        }
+    }
+
+    fn dropped(daemon: &Daemon, id: u64) -> bool {
+        matches!(stored(daemon, id), Err(ServerError::ReportDropped(got)) if got == id)
+    }
+
+    #[test]
+    fn completing_jobs_drops_the_oldest_reports_but_keeps_every_status_row() {
+        let daemon = Daemon::new(DaemonConfig {
+            workers: 1,
+            ..DaemonConfig::default()
+        })
+        .expect("daemon starts");
+        let inner = &daemon.inner;
+        // Job 1 stays with its worker while newer jobs finish. Job 2 is
+        // cancelled mid-run: it has no report to keep.
+        claim(inner, 1);
+        claim(inner, 2);
+        assert_eq!(daemon.cancel(2).expect("cancel"), JobState::Cancelled);
+        let last = REPORTS_KEPT as u64 + 5;
+        for id in 3..=last {
+            claim(inner, id);
+            settle(inner, id, passing_report());
+        }
+        // 3..=last finished: the three oldest lost their reports, but no
+        // job lost its status row.
+        assert_eq!(daemon.status(None).expect("status").len(), last as usize);
+        assert!((3..=5).all(|id| dropped(&daemon, id)));
+        let row = &daemon.status(Some(3)).expect("row kept")[0];
+        assert_eq!((row.state, row.detail.as_str()), (JobState::Done, "pass"));
+        assert_eq!(daemon.cancel(3).expect("cancel"), JobState::Done);
+        assert_eq!(stored(&daemon, 6).expect("kept").wall_us, 1);
+        assert_eq!(
+            daemon.status(Some(1)).expect("held")[0].state,
+            JobState::Running
+        );
+        assert!(stored(&daemon, 2).expect("cancelled").error.is_some());
+
+        // Once job 1's worker lets go, its report is the newest kept; the
+        // worker of the cancelled job 2 keeps nothing and drops nothing.
+        settle(inner, 1, passing_report());
+        settle(inner, 2, passing_report());
+        assert_eq!(stored(&daemon, 1).expect("kept").wall_us, 1);
+        assert!(dropped(&daemon, 6));
+        assert_eq!(stored(&daemon, 7).expect("kept").wall_us, 1);
+        assert_eq!(
+            daemon.status(Some(2)).expect("row kept")[0].state,
+            JobState::Cancelled
+        );
+
+        daemon.request_shutdown();
+        daemon.join();
+    }
 }

@@ -13,12 +13,17 @@
 //!
 //! * **Replayable**: every submission and every result is appended to a
 //!   JSON-lines job log. On restart the daemon rebuilds its job table from
-//!   the log — finished jobs keep their reports (a `watch` on them replays
-//!   the stored result), unfinished jobs are re-enqueued.
+//!   the log — the newest 1024 finished jobs keep their reports (a `watch`
+//!   on them replays the stored result), older ones their status rows, and
+//!   unfinished jobs are re-enqueued. The live table keeps the same 1024
+//!   reports, so a finished job costs the daemon one status row once newer
+//!   jobs have pushed its report out.
 //! * **Streaming**: a watched job bridges its collector's `phase.*` spans
 //!   and `engine.level` events onto `progress` frames via
-//!   [`ProgressBridge`](polyobs::ProgressBridge), so clients see phase
-//!   starts and exploration levels live.
+//!   [`ProgressBridge`](polyobs::ProgressBridge), so clients see every
+//!   phase start, and exploration levels at most once per 100 ms. The
+//!   worker thread sends the frames itself, so a job's cost to the daemon
+//!   does not grow with its exploration depth.
 //! * **Observable**: the daemon-level [`Collector`](polyobs::Collector)
 //!   carries `cache.hits.*` / `cache.misses` counters, the
 //!   `daemon.queue_depth` / `daemon.running` gauges and per-job
@@ -51,6 +56,9 @@ pub enum ServerError {
     InvalidSpec(String),
     /// No job with the requested id exists.
     UnknownJob(u64),
+    /// The job finished, but its report is older than the newest 1024
+    /// finished jobs' and is no longer kept (its status row is).
+    ReportDropped(u64),
     /// The daemon is shutting down and accepts no new work.
     ShuttingDown,
 }
@@ -61,6 +69,10 @@ impl fmt::Display for ServerError {
             ServerError::Io(e) => write!(f, "i/o error: {e}"),
             ServerError::InvalidSpec(message) => write!(f, "invalid job spec: {message}"),
             ServerError::UnknownJob(id) => write!(f, "no job with id {id}"),
+            ServerError::ReportDropped(id) => write!(
+                f,
+                "job {id} finished, but its report is no longer kept (the daemon keeps the newest 1024)"
+            ),
             ServerError::ShuttingDown => write!(f, "daemon is shutting down"),
         }
     }

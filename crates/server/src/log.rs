@@ -2,10 +2,11 @@
 //!
 //! Events: `submitted` (with the full [`JobSpec`]), `started`, `finished`
 //! (with the full [`WireReport`]) and `cancelled`. The log is the daemon's
-//! only persistent state — replaying it rebuilds the job table exactly,
-//! with unfinished jobs re-queued and finished jobs answering `watch`
-//! requests from their stored reports. A line that fails to parse (e.g.
-//! a torn final line after a crash) is skipped, not fatal.
+//! only persistent state and keeps the whole history — replaying it
+//! rebuilds the job table as the live daemon bounds it, with unfinished
+//! jobs re-queued and the newest finished jobs answering `watch` requests
+//! from their stored reports. A line that fails to parse (e.g. a torn
+//! final line after a crash) is skipped, not fatal.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -41,10 +42,12 @@ impl JobLog {
     }
 
     /// Opens (creating if needed) the log at `path`, replays its events,
-    /// and returns the handle positioned for appending plus the
-    /// reconstructed jobs in id order.
-    pub fn open(path: &Path) -> std::io::Result<(Self, BTreeMap<u64, ReplayedJob>)> {
+    /// and returns the handle positioned for appending, the reconstructed
+    /// jobs in id order, and the ids of the jobs that finished with a
+    /// report, in the order they finished.
+    pub fn open(path: &Path) -> std::io::Result<(Self, BTreeMap<u64, ReplayedJob>, Vec<u64>)> {
         let mut jobs: BTreeMap<u64, ReplayedJob> = BTreeMap::new();
+        let mut finished = Vec::new();
         if path.exists() {
             for line in BufReader::new(File::open(path)?).lines() {
                 let line = line?;
@@ -54,7 +57,7 @@ impl JobLog {
                 let Ok(value) = json::parse(&line) else {
                     continue; // torn line from a crash mid-append
                 };
-                Self::replay_event(&value, &mut jobs);
+                Self::replay_event(&value, &mut jobs, &mut finished);
             }
         }
         let file = OpenOptions::new().create(true).append(true).open(path)?;
@@ -63,10 +66,11 @@ impl JobLog {
                 file: Mutex::new(Some(file)),
             },
             jobs,
+            finished,
         ))
     }
 
-    fn replay_event(value: &Json, jobs: &mut BTreeMap<u64, ReplayedJob>) {
+    fn replay_event(value: &Json, jobs: &mut BTreeMap<u64, ReplayedJob>, finished: &mut Vec<u64>) {
         let (Some(event), Some(id)) = (
             value.get("event").and_then(Json::as_str),
             value.get("id").and_then(Json::as_u64),
@@ -104,6 +108,7 @@ impl JobLog {
                         JobState::Failed
                     };
                     job.report = Some(report);
+                    finished.push(id);
                 }
             }
             "cancelled" => {

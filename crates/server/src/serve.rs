@@ -76,6 +76,10 @@ impl Daemon {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Without TCP_NODELAY, Nagle's algorithm holds a reply back
+            // until the client's delayed ACK: tens of milliseconds per
+            // round trip. A stream that refuses it still works, only slower.
+            let _ = stream.set_nodelay(true);
             let Ok(read_half) = stream.try_clone() else {
                 continue;
             };

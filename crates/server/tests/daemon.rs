@@ -1,10 +1,16 @@
-//! In-process daemon tests: caching across submissions, log replay,
-//! cancellation, and a full socket round-trip with the blocking client.
+//! In-process daemon tests: caching across submissions, progress rate,
+//! log replay and the bound on stored reports, cancellation, and full unix
+//! and TCP socket round-trips with the blocking client.
 
 use std::collections::BTreeMap;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
+use polychrony_client::Endpoint;
 use polychrony_core::SessionOptions;
-use polychrony_server::{Daemon, DaemonConfig};
+use polychrony_server::{Daemon, DaemonConfig, ServerError};
+use polyobs::json::Json;
+use polyobs::ProgressUpdate;
 use polywire::{Frame, JobSpec, JobState, WireReport};
 
 fn quick_daemon(workers: usize) -> Daemon {
@@ -117,6 +123,58 @@ fn watchers_of_a_live_job_see_progress_frames_before_the_result() {
     }
     assert!(saw_progress, "a watched job should stream progress frames");
     let _ = first;
+
+    daemon.request_shutdown();
+    daemon.join();
+}
+
+#[test]
+fn a_watched_job_streams_every_phase_in_order_and_levels_at_a_human_rate() {
+    let daemon = quick_daemon(1);
+    let started = Instant::now();
+    let (id, rx) = daemon
+        .submit_watched(JobSpec::case_study("paced").with_options(SessionOptions::quick()))
+        .expect("submit");
+    let mut phases = Vec::new();
+    let mut levels = 0;
+    for frame in rx {
+        match frame {
+            Frame::Progress { id: got, update } => {
+                assert_eq!(got, id);
+                match update {
+                    ProgressUpdate::Phase { name } => phases.push(name),
+                    ProgressUpdate::Level { .. } => levels += 1,
+                }
+            }
+            Frame::Result { id: got, report } => {
+                assert_eq!(got, id);
+                assert_eq!(report.cache.as_deref(), Some("miss"));
+                break;
+            }
+            other => panic!("unexpected frame {}", other.kind()),
+        }
+    }
+    let watched_ms = started.elapsed().as_millis();
+    assert_eq!(
+        phases,
+        [
+            "parse",
+            "instantiate",
+            "schedule",
+            "translate",
+            "analyze",
+            "simulate",
+            "verify"
+        ]
+    );
+    // The first level passes, then at most one per 100 ms of the job's
+    // run, and the watch outlasts the run. The four threads explore 24
+    // levels each, far more than a quick job's run allows.
+    assert!(levels >= 1, "no level frame");
+    assert!(
+        levels <= 1 + watched_ms / 100,
+        "{levels} level frames in {watched_ms} ms"
+    );
 
     daemon.request_shutdown();
     daemon.join();
@@ -299,28 +357,109 @@ fn the_job_log_replays_finished_jobs_and_requeues_unfinished_ones() {
     let _ = std::fs::remove_file(&log);
 }
 
+/// One job-log line: a JSON object of `pairs`.
+fn log_line(pairs: Vec<(&str, Json)>) -> String {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()).to_string() + "\n"
+}
+
 #[test]
-fn the_wire_protocol_round_trips_over_a_unix_socket() {
-    let dir = std::env::temp_dir().join(format!("polychronyd-sock-{}", std::process::id()));
+fn log_replay_keeps_the_newest_reports_and_every_status_row() {
+    const FINISHED: u64 = 1030;
+    let dir = std::env::temp_dir().join(format!("polychronyd-bounded-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let socket = dir.join("daemon.sock");
+    let log = dir.join("jobs.log");
 
-    let daemon = quick_daemon(2);
-    let server = {
-        let daemon = daemon.clone();
-        let socket = socket.clone();
-        std::thread::spawn(move || daemon.serve_unix(&socket))
+    // Jobs 1..=1031. Job 3 never ran; every other job finished, in id
+    // order except job 1, which finished last.
+    let queued = 3;
+    let last = FINISHED + 1;
+    let finished = |id: u64| {
+        let report = WireReport {
+            passed: true,
+            cache: Some("miss".into()),
+            hyperperiod: 24,
+            states: 24,
+            transitions: 24,
+            verdicts: BTreeMap::new(),
+            error: None,
+            wall_us: id,
+        };
+        log_line(vec![
+            ("event", Json::Str("finished".into())),
+            ("id", Json::Num(id as f64)),
+            ("report", report.to_json()),
+        ])
     };
-    // Wait for the socket to appear before connecting.
-    for _ in 0..200 {
-        if socket.exists() {
-            break;
+    let mut text = String::new();
+    for id in 1..=last {
+        let spec = JobSpec::case_study(format!("logged{id}")).with_options(SessionOptions::quick());
+        text += &log_line(vec![
+            ("event", Json::Str("submitted".into())),
+            ("id", Json::Num(id as f64)),
+            ("spec", spec.to_json()),
+        ]);
+        if id != 1 && id != queued {
+            text += &finished(id);
         }
-        std::thread::sleep(std::time::Duration::from_millis(10));
     }
+    text += &finished(1);
+    std::fs::write(&log, text).expect("write log");
 
-    let endpoint = polychrony_client::Endpoint::Unix(socket.clone());
-    let mut client = endpoint.connect().expect("connect");
+    let daemon = Daemon::new(DaemonConfig {
+        workers: 1,
+        log_path: Some(log.clone()),
+        ..DaemonConfig::default()
+    })
+    .expect("daemon on the synthetic log");
+    let dropped =
+        |id: u64| matches!(daemon.watch(id), Err(ServerError::ReportDropped(got)) if got == id);
+    // Every job keeps its status row. The six jobs that finished first
+    // (2, 4, 5, 6, 7, 8) lost their reports; job 1, the last to finish,
+    // and the queued job 3 did not.
+    let rows = daemon.status(None).expect("status");
+    assert_eq!(rows.len(), last as usize);
+    assert!([2, 4, 5, 6, 7, 8].into_iter().all(dropped));
+    let row = &daemon.status(Some(2)).expect("row kept")[0];
+    assert_eq!(row.detail, "pass [cache: miss]");
+    assert_eq!(daemon.cancel(2).expect("cancel"), JobState::Done);
+    assert_eq!(wait_report(&daemon, 1).wall_us, 1);
+
+    // The queued job runs; its report is then the newest kept, and the
+    // next oldest is dropped.
+    let rerun = wait_report(&daemon, queued);
+    assert_eq!(rerun.error, None);
+    assert!(dropped(9));
+    assert_eq!(wait_report(&daemon, 10).wall_us, 10);
+    // Ids continue above the largest logged one.
+    let unknown = last + 1;
+    assert!(
+        matches!(daemon.status(Some(unknown)), Err(ServerError::UnknownJob(got)) if got == unknown)
+    );
+    let fresh = daemon
+        .submit(JobSpec::case_study("fresh").with_options(SessionOptions::quick()))
+        .expect("submit");
+    assert_eq!(fresh, unknown);
+
+    daemon.request_shutdown();
+    daemon.join();
+    let _ = std::fs::remove_file(&log);
+}
+
+/// Drives a served daemon from a blocking client on `endpoint`: a cold
+/// submit is a cache miss, a warm one over a fresh connection a simulated
+/// hit with the same verdicts, 20 `status` round trips stay far below the
+/// stall of Nagle's algorithm against a delayed ACK (40 ms each), and a
+/// `shutdown` request ends the serve loop.
+fn round_trip(daemon: &Daemon, server: JoinHandle<Result<(), ServerError>>, endpoint: &Endpoint) {
+    let mut client = (0..200)
+        .find_map(|_| {
+            let client = endpoint.connect().ok();
+            if client.is_none() {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            client
+        })
+        .expect("connect");
     let spec = JobSpec::case_study("over-the-wire").with_options(SessionOptions::quick());
     let (id, state) = client.submit(&spec, true).expect("submit");
     assert_eq!(state, JobState::Queued);
@@ -336,6 +475,15 @@ fn the_wire_protocol_round_trips_over_a_unix_socket() {
     assert_eq!(warm.cache.as_deref(), Some("simulated-hit"));
     assert_eq!(warm.verdicts, report.verdicts);
 
+    let started = Instant::now();
+    for _ in 0..20 {
+        client.status(Some(id)).expect("status");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(800),
+        "20 status round trips over {endpoint} took {elapsed:?}"
+    );
     let rows = client.status(None).expect("status");
     assert_eq!(rows.len(), 2);
 
@@ -343,5 +491,37 @@ fn the_wire_protocol_round_trips_over_a_unix_socket() {
     stopper.shutdown().expect("shutdown ack");
     server.join().expect("serve thread").expect("serve ok");
     daemon.join();
+}
+
+#[test]
+fn the_wire_protocol_round_trips_over_a_unix_socket() {
+    let dir = std::env::temp_dir().join(format!("polychronyd-sock-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let socket = dir.join("daemon.sock");
+
+    let daemon = quick_daemon(2);
+    let server = {
+        let daemon = daemon.clone();
+        let socket = socket.clone();
+        std::thread::spawn(move || daemon.serve_unix(&socket))
+    };
+    round_trip(&daemon, server, &Endpoint::Unix(socket.clone()));
     assert!(!socket.exists(), "socket file is removed on shutdown");
+}
+
+#[test]
+fn the_wire_protocol_round_trips_over_tcp() {
+    // A free loopback port: bind it, note it, and release it for the daemon.
+    let addr = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|listener| listener.local_addr())
+        .expect("free loopback port")
+        .to_string();
+
+    let daemon = quick_daemon(2);
+    let server = {
+        let daemon = daemon.clone();
+        let addr = addr.clone();
+        std::thread::spawn(move || daemon.serve_tcp(&addr))
+    };
+    round_trip(&daemon, server, &Endpoint::Tcp(addr));
 }

@@ -49,15 +49,17 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame and flushes the stream (frames are request/response
-/// units; buffering across them would deadlock both sides).
+/// Writes one frame in a single `write_all` and flushes the stream (frames
+/// are request/response units; buffering across them would deadlock both
+/// sides). One write per frame keeps a TCP peer from holding the frame's
+/// tail back under Nagle's algorithm while it waits for a delayed ACK.
 ///
 /// # Errors
 ///
 /// [`WireError::Io`] when the stream fails.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> {
     let payload = frame.to_json().to_string();
-    write!(w, "{}\n{}\n", payload.len(), payload)?;
+    w.write_all(format!("{}\n{payload}\n", payload.len()).as_bytes())?;
     w.flush()?;
     Ok(())
 }
@@ -149,6 +151,43 @@ mod tests {
         );
         assert_eq!(read_frame(&mut reader).unwrap(), Some(Frame::Shutdown));
         assert_eq!(read_frame(&mut reader).unwrap(), None);
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        /// Accepts every byte and counts the `write` calls that carried them.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let frames = [
+            Frame::Submit {
+                spec: JobSpec::case_study("one write"),
+                watch: true,
+            },
+            Frame::Status { id: None },
+            Frame::Shutdown,
+        ];
+        let mut wire = CountingWriter::default();
+        for (sent, frame) in frames.iter().enumerate() {
+            write_frame(&mut wire, frame).unwrap();
+            assert_eq!(wire.writes, sent + 1, "one write per frame");
+        }
+        let mut reader = BufReader::new(wire.bytes.as_slice());
+        for frame in frames {
+            assert_eq!(read_frame(&mut reader).unwrap(), Some(frame));
+        }
     }
 
     #[test]

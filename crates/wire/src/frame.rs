@@ -115,13 +115,11 @@ impl JobSpec {
 
     /// Resolves the spec into a runnable [`BatchJob`] (materialising the
     /// case-study source when `source` is `None`).
-    pub fn to_batch_job(&self) -> BatchJob {
+    pub fn into_batch_job(self) -> BatchJob {
         let source = self
             .source
-            .clone()
             .unwrap_or_else(|| PRODUCER_CONSUMER_AADL.to_string());
-        BatchJob::new(self.name.clone(), source, self.root.clone())
-            .with_options(self.options.clone())
+        BatchJob::new(self.name, source, self.root).with_options(self.options)
     }
 }
 
@@ -641,7 +639,7 @@ mod tests {
     #[test]
     fn case_study_spec_resolves_to_a_runnable_job() {
         let spec = JobSpec::case_study("sweep-0");
-        let job = spec.to_batch_job();
+        let job = spec.into_batch_job();
         assert_eq!(job.name, "sweep-0");
         assert_eq!(job.root, "sysProdCons.impl");
         assert!(job.source.contains("sysProdCons"));
